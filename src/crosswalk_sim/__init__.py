@@ -33,7 +33,7 @@ from .harness import (
     run_batch,
     run_scenario,
 )
-from .path import Path, PathProjection, path_project
+from .path import Path, PathProjection
 from .pomdp import (
     ACTION_SCALES,
     NUM_ACTIONS,

@@ -29,7 +29,7 @@ def speed_control(
     """Proportional speed tracking toward scale * v_desired, saturated at
     +/- ax_limit."""
     ax = kp * (scale * v_desired - ux)
-    return float(np.clip(ax, -ax_limit, ax_limit))
+    return float(min(max(ax, -ax_limit), ax_limit))
 
 
 def steer_control(
@@ -45,7 +45,7 @@ def steer_control(
     The lookahead target is clamped to the path end and the command to the
     vehicle's steering range.
     """
-    lookahead = float(np.clip(lookahead_gain * state.ux, lookahead_min, lookahead_max))
+    lookahead = min(max(lookahead_gain * state.ux, lookahead_min), lookahead_max)
     target_s = min(state.s + lookahead, path.length)
     tn, te = path.point_at(target_s)
     dn = tn - state.north
@@ -57,7 +57,7 @@ def steer_control(
     err = _wrap_angle(bearing - state.psi)
     curvature = 2.0 * math.sin(err) / dist
     steer = math.atan(params.wheelbase * curvature)
-    return float(np.clip(steer, -params.max_steer, params.max_steer))
+    return float(min(max(steer, -params.max_steer), params.max_steer))
 
 
 def _wrap_angle(angle: float) -> float:

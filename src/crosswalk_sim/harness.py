@@ -205,6 +205,7 @@ def run_scenario(
 
     rows = {name: [] for name in TRACE_FIELDS}
     scale = 0.0
+    p_crossing = math.nan
     stuck_elapsed = 0.0
     belief_resets = 0
     termination = "duration"
@@ -237,6 +238,7 @@ def run_scenario(
                     belief = init_belief(model)
                     belief_resets += 1
                     scale, belief = pomdp_step(belief, policy, reading, model)
+                p_crossing = _p_crossing(belief)
 
         ax = speed_control(config.v_desired, scale, state.ux, config.kp, config.ax_limit)
         steer = steer_control(state, path, params)
@@ -253,7 +255,7 @@ def run_scenario(
         rows["scale"].append(scale)
         rows["unobservable"].append(count)
         rows["detected"].append(float(detected))
-        rows["p_crossing"].append(_p_crossing(belief) if belief is not None else math.nan)
+        rows["p_crossing"].append(p_crossing)
 
         state = step_dynamics(state, steer, ax, config.control_dt, params, path)
 
@@ -450,11 +452,25 @@ def derive_model_config(scene: Scene, base: ModelConfig | None = None, **path_kw
     return replace(cfg, crosswalk_bin=crosswalk_bin, occluded_bins=occluded)
 
 
+# Scenario YAML keys that are not plain ScenarioConfig values: file
+# references and the run name. Every other key must name a field.
+_SCENARIO_REFS = frozenset({"scene", "vehicle", "model", "policy_file", "name"})
+_SCENARIO_SCALARS = (
+    frozenset(ScenarioConfig.__dataclass_fields__) - _SCENARIO_REFS - {"model_config"}
+)
+
+
 def load_scenario(source) -> ScenarioConfig:
     """Load a scenario YAML; file references resolve relative to it."""
     path = FsPath(source)
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
+    kwargs = {}
+    for key, val in data.items():
+        if key in _SCENARIO_SCALARS:
+            kwargs[key] = val
+        elif key not in _SCENARIO_REFS:
+            raise ValueError(f"unknown scenario key {key!r}")
     base = path.parent
 
     def _resolve(name):
@@ -468,29 +484,6 @@ def load_scenario(source) -> ScenarioConfig:
     model_cfg = None
     if "model" in data:
         model_cfg = load_model_config(_resolve("model"))
-    kwargs = {}
-    for key in (
-        "policy",
-        "v_desired",
-        "duration",
-        "control_dt",
-        "decision_period",
-        "seed",
-        "kp",
-        "ax_limit",
-        "path_margin",
-        "lead_in",
-        "lead_gap",
-        "return_length",
-        "stop_margin",
-        "stop_decel",
-        "yield_gate_decel",
-        "stuck_speed",
-        "stuck_time",
-        "proximity_dist",
-    ):
-        if key in data:
-            kwargs[key] = data[key]
     policy_file = data.get("policy_file")
     if policy_file:
         policy_file = str(_resolve("policy_file"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +47,29 @@ class Path:
         self._de = de
         self._seg_len = seg_len
         self.s = np.concatenate(([0.0], np.cumsum(seg_len)))
+        # Python-float copies for the scalar lookups of point_at.
+        self._s_list = self.s.tolist()
+        self._north_list = north.tolist()
+        self._east_list = east.tolist()
 
     @property
     def length(self) -> float:
         return float(self.s[-1])
 
     def point_at(self, s: float) -> tuple[float, float]:
-        """Interpolated (north, east) at arc length s, clamped to the ends."""
-        s = float(np.clip(s, 0.0, self.length))
-        n = float(np.interp(s, self.s, self.north))
-        e = float(np.interp(s, self.s, self.east))
-        return n, e
+        """Interpolated (north, east) at arc length s, clamped to the ends.
+
+        Bit for bit what np.interp returns, without its array dispatch.
+        """
+        s = float(s)
+        if math.isnan(s):
+            return s, s
+        xp = self._s_list
+        s = min(max(s, 0.0), xp[-1])
+        j = bisect.bisect_right(xp, s) - 1
+        if xp[j] == s:  # always so at the far end, where j + 1 is past it
+            return self._north_list[j], self._east_list[j]
+        return _interp(s, xp, self._north_list, j), _interp(s, xp, self._east_list, j)
 
     def heading_at(self, s: float) -> float:
         """Tangent direction at arc length s, measured from north toward east."""
@@ -86,9 +100,10 @@ class Path:
         return PathProjection(s=s, e=e, clamped=clamped)
 
 
-def path_project(north: float, east: float, path: Path) -> PathProjection:
-    """Functional wrapper around Path.project."""
-    return path.project(north, east)
+def _interp(x: float, xp: list, fp: list, j: int) -> float:
+    """np.interp's formula between samples j and j + 1."""
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    return slope * (x - xp[j]) + fp[j]
 
 
 def resample_by_arc(north, east, spacing: float, total_length: float | None = None):

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .world import NUM_COUNT_BINS
+
 NUM_V = 11
 NUM_D = 121
 NUM_CROSSING = 2
 NUM_STATES = NUM_V * NUM_D * NUM_CROSSING  # 2662
 NUM_ACTIONS = 11
-NUM_COUNT_BINS = 10
 NUM_OBS = 2 * NUM_COUNT_BINS  # 20
 TERMINAL_D = NUM_D - 1
 

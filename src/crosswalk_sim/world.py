@@ -31,6 +31,14 @@ LATERAL_RANGE = GRID_WIDTH / (2 * CELLS_PER_M)  # 8 m each side
 COUNT_BIN_WIDTH = 180
 NUM_COUNT_BINS = 10
 MAX_CELL_COUNT = GRID_LENGTH * GRID_WIDTH
+CELL_SIZE = 1 / CELLS_PER_M
+
+# Cell-centre offsets from the ego position: along the road for each row,
+# across it for each column. Constant, so built once and never written.
+_ROW_OFFSETS = (np.arange(GRID_LENGTH) + 0.5) / CELLS_PER_M
+_COL_OFFSETS = (np.arange(GRID_WIDTH) - GRID_WIDTH / 2 + 0.5) / CELLS_PER_M
+_ROW_OFFSETS.flags.writeable = False
+_COL_OFFSETS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -42,9 +50,11 @@ class RoadFrame:
     heading: float = 0.0
 
     def to_road(self, north, east):
+        """Road (x, y) of inertial points: floats in, floats out; arrays
+        in, arrays out."""
         tn, te = math.cos(self.heading), math.sin(self.heading)
-        dn = np.asarray(north, dtype=float) - self.origin[0]
-        de = np.asarray(east, dtype=float) - self.origin[1]
+        dn = north - self.origin[0]
+        de = east - self.origin[1]
         x = dn * tn + de * te
         y = dn * te - de * tn
         return x, y
@@ -72,13 +82,15 @@ class RectObstacle:
             raise ValueError("obstacle extents must be positive")
 
     def _to_local(self, x, y):
+        """Rectangle-frame coordinates of road-frame floats or arrays;
+        arrays broadcast against each other."""
         c, s = math.cos(self.yaw), math.sin(self.yaw)
-        dx = np.asarray(x, dtype=float) - self.center[0]
-        dy = np.asarray(y, dtype=float) - self.center[1]
+        dx = x - self.center[0]
+        dy = y - self.center[1]
         return c * dx + s * dy, -s * dx + c * dy
 
     def contains(self, x, y):
-        lx, ly = self._to_local(x, y)
+        lx, ly = self._to_local(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         return (np.abs(lx) <= self.size[0] / 2) & (np.abs(ly) <= self.size[1] / 2)
 
     def distance(self, x: float, y: float) -> float:
@@ -96,9 +108,10 @@ class RectObstacle:
 
     def blocks_segment(self, origin: tuple[float, float], x, y):
         """Vectorized slab test: does the segment from origin to each
-        (x, y) point intersect this rectangle? Touching counts."""
+        (x, y) point intersect this rectangle? Touching counts. x and y
+        broadcast against each other."""
         x0, y0 = self._to_local(origin[0], origin[1])
-        x1, y1 = self._to_local(x, y)
+        x1, y1 = self._to_local(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         hx, hy = self.size[0] / 2, self.size[1] / 2
         t_lo = np.zeros_like(x1, dtype=float)
         t_hi = np.ones_like(x1, dtype=float)
@@ -115,6 +128,28 @@ class RectObstacle:
             t_lo = np.where(parallel, t_lo, np.maximum(t_lo, lo))
             t_hi = np.where(parallel, t_hi, np.minimum(t_hi, hi))
         return hit & (t_lo <= t_hi)
+
+    def blocks_sight_line(
+        self, origin: tuple[float, float], target: tuple[float, float]
+    ) -> bool:
+        """blocks_segment for a single target point, in Python floats.
+
+        It performs the same IEEE operations in the same order, so the two
+        always agree."""
+        x0, y0 = self._to_local(origin[0], origin[1])
+        x1, y1 = self._to_local(target[0], target[1])
+        t_lo, t_hi = 0.0, 1.0
+        for q0, q1, h in ((x0, x1, self.size[0] / 2), (y0, y1, self.size[1] / 2)):
+            d = q1 - q0
+            if d == 0.0:
+                if abs(q0) > h:
+                    return False
+                continue
+            ta = (-h - q0) / d
+            tb = (h - q0) / d
+            t_lo = max(t_lo, min(ta, tb))
+            t_hi = min(t_hi, max(ta, tb))
+        return t_lo <= t_hi
 
 
 @dataclass(frozen=True)
@@ -150,11 +185,23 @@ class Scene:
                 raise ValueError("pedestrian must stand inside the crosswalk band")
 
 
-def _cell_centers(ego_xy: tuple[float, float]):
-    xs = ego_xy[0] + (np.arange(GRID_LENGTH) + 0.5) / CELLS_PER_M
-    ys = ego_xy[1] + (np.arange(GRID_WIDTH) - GRID_WIDTH / 2 + 0.5) / CELLS_PER_M
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return gx, gy
+def _ego_xy(scene: Scene, pose) -> tuple[float, float]:
+    """Road-frame position of an ego pose (north, east, heading)."""
+    return scene.road.to_road(float(pose[0]), float(pose[1]))
+
+
+def _out_of_view(obstacle: RectObstacle, ex: float, ey: float) -> bool:
+    """True when no sight line from the ego at (ex, ey) to a cell centre
+    can reach the obstacle: its road-aligned bounding box, grown by one
+    cell, lies wholly behind the ego, beyond the far edge or to one side
+    of the grid."""
+    c, s = abs(math.cos(obstacle.yaw)), abs(math.sin(obstacle.yaw))
+    hx, hy = obstacle.size[0] / 2, obstacle.size[1] / 2
+    rx = c * hx + s * hy + CELL_SIZE
+    ry = s * hx + c * hy + CELL_SIZE
+    dx = obstacle.center[0] - ex
+    dy = obstacle.center[1] - ey
+    return dx + rx < 0.0 or dx - rx > FORWARD_RANGE or abs(dy) - ry > LATERAL_RANGE
 
 
 def build_grid(scene: Scene, pose: tuple[float, float, float]) -> np.ndarray:
@@ -164,15 +211,20 @@ def build_grid(scene: Scene, pose: tuple[float, float, float]) -> np.ndarray:
     8 m to each side, one cell per 1/3 m. Returns a (210, 48) uint8 array
     of FREE / OCCUPIED / UNOBSERVABLE.
     """
-    ex, ey = scene.road.to_road(pose[0], pose[1])
-    ego_xy = (float(ex), float(ey))
-    gx, gy = _cell_centers(ego_xy)
-    occupied = np.zeros(gx.shape, dtype=bool)
-    blocked = np.zeros(gx.shape, dtype=bool)
-    for obstacle in scene.obstacles:
+    ex, ey = _ego_xy(scene, pose)
+    grid = np.zeros((GRID_LENGTH, GRID_WIDTH), dtype=np.uint8)
+    in_view = [ob for ob in scene.obstacles if not _out_of_view(ob, ex, ey)]
+    if not in_view:
+        return grid
+    # Cell centres as a column of rows and a row of columns; every
+    # per-cell expression below broadcasts them to the full grid.
+    gx = (ex + _ROW_OFFSETS)[:, None]
+    gy = (ey + _COL_OFFSETS)[None, :]
+    occupied = np.zeros(grid.shape, dtype=bool)
+    blocked = np.zeros(grid.shape, dtype=bool)
+    for obstacle in in_view:
         occupied |= obstacle.contains(gx, gy)
-        blocked |= obstacle.blocks_segment(ego_xy, gx, gy)
-    grid = np.zeros(gx.shape, dtype=np.uint8)
+        blocked |= obstacle.blocks_segment((ex, ey), gx, gy)
     grid[blocked] = UNOBSERVABLE
     grid[occupied] = OCCUPIED
     return grid
@@ -198,17 +250,12 @@ def pedestrian_visible(scene: Scene, pose: tuple[float, float, float]) -> bool:
     clear sight line from the ego position."""
     if not scene.pedestrian.present:
         return False
-    ex, ey = scene.road.to_road(pose[0], pose[1])
-    px, py = scene.pedestrian.position
-    ahead = px - float(ex)
+    ego = _ego_xy(scene, pose)
+    target = scene.pedestrian.position
+    ahead = target[0] - ego[0]
     if ahead < 0.0 or ahead > FORWARD_RANGE:
         return False
-    target_x = np.asarray([px])
-    target_y = np.asarray([py])
-    for obstacle in scene.obstacles:
-        if bool(obstacle.blocks_segment((float(ex), float(ey)), target_x, target_y)[0]):
-            return False
-    return True
+    return not any(ob.blocks_sight_line(ego, target) for ob in scene.obstacles)
 
 
 def grid_to_text(grid: np.ndarray) -> str:

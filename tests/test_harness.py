@@ -227,6 +227,18 @@ def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
     assert cfg.scene.pedestrian.present
 
 
+def test_load_scenario_rejects_unknown_key(tmp_path, repo_root):
+    doc = {
+        "scene": str(repo_root / "configs" / "scene_exposed.yaml"),
+        "policy": "oracle",
+        "stop_margn": 4.0,
+    }
+    dest = tmp_path / "typo.yaml"
+    dest.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ValueError, match="stop_margn"):
+        load_scenario(dest)
+
+
 def test_shipped_scenarios_cover_matrix(scenario_configs):
     assert set(scenario_configs) == {
         "oracle_hidden",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crosswalk_sim.path import Path, PathProjection, path_project, resample_by_arc
+from crosswalk_sim.path import Path, PathProjection, resample_by_arc
 
 
 def brute_force_project(path: Path, north: float, east: float, step: float = 1e-3):
@@ -39,7 +39,7 @@ def straight_path(length: float = 60.0) -> Path:
 
 
 def test_project_start_is_origin():
-    proj = path_project(0.0, 0.0, straight_path())
+    proj = straight_path().project(0.0, 0.0)
     assert proj.s == 0.0
     assert proj.e == 0.0
     assert not proj.clamped
@@ -48,7 +48,7 @@ def test_project_start_is_origin():
 def test_project_left_offset_midway():
     # 1 m to the left of a northbound path (east = -1) at half length.
     path = straight_path(60.0)
-    proj = path_project(30.0, -1.0, path)
+    proj = path.project(30.0, -1.0)
     assert proj.s == pytest.approx(30.0, abs=1e-9)
     assert proj.e == pytest.approx(1.0, abs=1e-9)
 
@@ -77,6 +77,21 @@ def test_point_at_round_trip():
         proj = path.project(n, e)
         assert proj.s == pytest.approx(float(s), abs=1e-6)
         assert abs(proj.e) <= 1e-9
+
+
+def test_point_at_matches_np_interp_bitwise():
+    north = np.arange(0.0, 10.01, 0.25)
+    # -0.0 samples: interpolating onto them must keep the sign of zero
+    east = np.where(np.arange(north.size) % 3 == 0, -0.0, np.sin(north))
+    path = Path(north, east)
+    rng = np.random.default_rng(11)
+    queries = np.concatenate(
+        [path.s, rng.uniform(-1.0, path.length + 1.0, 500), [-0.0, np.nextafter(path.length, 0.0)]]
+    )
+    for s in queries:
+        clamped = float(np.clip(s, 0.0, path.length))
+        want = [np.interp(clamped, path.s, path.north), np.interp(clamped, path.s, path.east)]
+        assert np.array(path.point_at(float(s))).tobytes() == np.array(want).tobytes()
 
 
 def test_heading_directions():

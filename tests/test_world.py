@@ -173,6 +173,30 @@ def test_randomized_scenes_match_oracle():
         assert np.array_equal(grid, oracle_grid(scene, pose))
 
 
+@pytest.mark.parametrize(
+    "obstacle, touched",
+    [
+        # less than one cell behind the ego
+        (RectObstacle(center=(-0.9, 0.5), size=(1.4, 2.0)), 0),
+        # straddles the 70 m far edge
+        (RectObstacle(center=(70.0, -1.0), size=(2.0, 3.0), yaw=0.3), 28),
+        # centre beyond +8 m, one rotated corner pokes into the grid band
+        (RectObstacle(center=(30.0, 9.3), size=(4.0, 1.0), yaw=0.6), 1),
+        # the same box a little further out, clear of the band
+        (RectObstacle(center=(30.0, 9.9), size=(4.0, 1.0), yaw=0.6), 0),
+        # the ego stands inside it
+        (RectObstacle(center=(0.5, 0.2), size=(3.0, 2.0), yaw=0.2), GRID_LENGTH * GRID_WIDTH),
+    ],
+    ids=["just-behind", "far-edge", "corner-in", "corner-out", "ego-inside"],
+)
+def test_grid_edge_of_view_matches_oracle(obstacle, touched):
+    scene = Scene(obstacles=(obstacle,))
+    pose = (0.0, 0.0, 0.0)
+    grid = build_grid(scene, pose)
+    assert np.array_equal(grid, oracle_grid(scene, pose))
+    assert np.count_nonzero(grid != FREE) == touched
+
+
 def test_occupied_wins_over_unobservable():
     near = RectObstacle(center=(10.0, 0.0), size=(1.0, 1.0))
     far = RectObstacle(center=(20.0, 0.0), size=(2.0, 2.0))
@@ -244,6 +268,43 @@ def test_visibility_window_limits(exposed_scene):
         exposed_scene, crosswalk=Crosswalk(distance=90.0), pedestrian=Pedestrian(True, (90.0, 1.2))
     )
     assert pedestrian_visible(far, (0.0, 0.0, 0.0)) is False  # beyond 70 m window
+
+
+def test_visibility_sight_line_along_an_edge():
+    # From road (0, 1) to the pedestrian at (40, 1) the sight line runs
+    # exactly along the box's near edge y = 1: touching blocks, a gap of
+    # 1e-9 m does not.
+    pose = (0.0, -1.0, 0.0)  # road y = -east on the default road frame
+    ped = Pedestrian(present=True, position=(40.0, 1.0))
+    for gap, visible in ((0.0, False), (1e-9, True)):
+        box = RectObstacle(center=(20.0, 2.0 + gap), size=(4.0, 2.0))
+        scene = Scene(obstacles=(box,), pedestrian=ped)
+        assert pedestrian_visible(scene, pose) is visible
+        assert _segment_hits_rect(box, (0.0, 1.0), ped.position) is not visible
+        ray = box.blocks_segment((0.0, 1.0), np.array([40.0]), np.array([1.0]))
+        assert bool(ray[0]) is not visible
+
+
+def test_visibility_with_several_obstacles_matches_oracle():
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(300):
+        scene, pose = random_scene(rng)
+        if len(scene.obstacles) < 2:
+            continue
+        ped = Pedestrian(
+            present=True,
+            position=(40.0 + float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-7.0, 7.0))),
+        )
+        scene = dataclasses.replace(scene, pedestrian=ped)
+        ex, ey = scene.road.to_road(pose[0], pose[1])
+        hits = [_segment_hits_rect(ob, (ex, ey), ped.position) for ob in scene.obstacles]
+        for ob, hit in zip(scene.obstacles, hits):
+            ray = ob.blocks_segment((ex, ey), np.array([ped.position[0]]), np.array([ped.position[1]]))
+            assert ob.blocks_sight_line((ex, ey), ped.position) is bool(ray[0]) is hit
+        assert pedestrian_visible(scene, pose) is not any(hits)
+        outcomes.add(sum(hits))
+    assert {0, 1, 2} <= outcomes  # clear, one blocker, two blockers
 
 
 def test_visibility_appears_on_approach(hidden_scene):
