@@ -127,106 +127,87 @@ class PomdpModel:
         )
 
 
-def transition_row(model: PomdpModel, state: int, action: int):
-    """Sparse next-state distribution: (state indices, probabilities)."""
-    mat = model.transitions[action]
-    lo, hi = mat.indptr[state], mat.indptr[state + 1]
-    return mat.indices[lo:hi].copy(), mat.data[lo:hi].copy()
+def _distance_kernel(cfg: ModelConfig):
+    """Next-distance targets of every non-terminal (d, v) row, in row order
+    d * NUM_V + v: three ascending slots for the advance smeared by -1/0/+1
+    cells and clamped at TERMINAL_D. A slot whose target equals the next
+    slot's merges into it, probabilities summed in slot order; `keep` marks
+    the slots that remain. A stationary row keeps d with probability one."""
+    d = np.repeat(np.arange(TERMINAL_D), NUM_V)
+    advance = np.tile(
+        [int(round(v * cfg.speed_unit * cfg.epoch / cfg.cell_length)) for v in range(NUM_V)],
+        TERMINAL_D,
+    )[:, None]
+    targets = np.where(advance == 0, d[:, None], np.minimum(d[:, None] + advance + (-1, 0, 1), TERMINAL_D))
+    probs = np.where(advance == 0, (0.0, 0.0, 1.0), cfg.advance_spread)
+    keep = np.ones(targets.shape, dtype=bool)
+    keep[:, :2] = targets[:, :2] != targets[:, 1:]
+    for k in (1, 2):
+        merged = ~keep[:, k - 1]
+        probs[merged, k] += probs[merged, k - 1]
+    return targets, probs, keep
 
 
-def observation_prob(model: PomdpModel, obs: int, state: int) -> float:
-    return float(model.observation[state, obs])
+def _speed_kernel(command: int, p_adapt: float) -> np.ndarray:
+    """(v, v') probabilities under one command: the speed moves one bin
+    toward the command with p_adapt and stays once it is there."""
+    v = np.arange(NUM_V)
+    kernel = np.zeros((NUM_V, NUM_V))
+    kernel[v, v] = 1.0 - p_adapt
+    kernel[v, v + np.sign(command - v)] = p_adapt
+    kernel[command, command] = 1.0
+    return kernel
 
 
-def reward(model: PomdpModel, state: int, action: int) -> float:
-    return float(model.rewards[state, action])
-
-
-def _speed_targets(v: int, command: int, p_adapt: float):
-    if v == command:
-        return ((v, 1.0),)
-    nxt = v + 1 if command > v else v - 1
-    return ((nxt, p_adapt), (v, 1.0 - p_adapt))
-
-
-def _advance_targets(d: int, v: int, config: ModelConfig):
-    advance = int(round(v * config.speed_unit * config.epoch / config.cell_length))
-    if advance == 0:
-        return ((d, 1.0),)
-    merged: dict[int, float] = {}
-    for offset, p in zip((-1, 0, 1), config.advance_spread):
-        target = min(d + advance + offset, TERMINAL_D)
-        merged[target] = merged.get(target, 0.0) + p
-    return tuple(sorted(merged.items()))
-
-
-def _crossing_targets(c: int, config: ModelConfig):
-    p_active = config.crossing_persist if c == 1 else config.crossing_onset
-    return ((1, p_active), (0, 1.0 - p_active))
+def _motion_matrix(dist, speed: np.ndarray) -> sparse.coo_matrix:
+    """Speed/distance kernel of one action over the (d, v) states:
+    M[(d, v), (d', v')] = pv * pd, with empty terminal rows. Entries are in
+    row order with ascending columns."""
+    d_targets, d_probs, d_keep = dist
+    row = np.arange(TERMINAL_D * NUM_V)
+    pv = speed[row % NUM_V][:, None, :]
+    keep = d_keep[:, :, None] & (pv != 0.0)
+    rows = np.broadcast_to(row[:, None, None], keep.shape)
+    cols = d_targets[:, :, None] * NUM_V + np.arange(NUM_V)
+    n = NUM_D * NUM_V
+    return sparse.coo_matrix(((pv * d_probs[:, :, None])[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
 def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
-    """Assemble the full 2662-state model from a configuration."""
+    """Assemble the full 2662-state model from a configuration.
+
+    Each action's transition matrix is the crossing chain composed with the
+    action's speed/distance kernel, kron(C, M_a), plus probability-one
+    self-loops on the terminal states."""
     cfg = config or ModelConfig()
-    data = [[] for _ in range(NUM_ACTIONS)]
-    cols = [[] for _ in range(NUM_ACTIONS)]
-    indptr = [[0] for _ in range(NUM_ACTIONS)]
-    rewards = np.zeros((NUM_STATES, NUM_ACTIONS))
-    terminal = np.zeros(NUM_STATES, dtype=bool)
-    zone_lo, zone_hi = cfg.occluded_bins
+    s = np.arange(NUM_STATES)
+    v, d, c = s % NUM_V, (s // NUM_V) % NUM_D, s // (NUM_V * NUM_D)
+    terminal = d == TERMINAL_D
 
-    for c in range(NUM_CROSSING):
-        cross_t = _crossing_targets(c, cfg)
-        for d in range(NUM_D):
-            if d == TERMINAL_D:
-                for v in range(NUM_V):
-                    s = state_index(v, d, c)
-                    terminal[s] = True
-                    for a in range(NUM_ACTIONS):
-                        cols[a].append(s)
-                        data[a].append(1.0)
-                        indptr[a].append(len(cols[a]))
-                continue
-            for v in range(NUM_V):
-                s = state_index(v, d, c)
-                dist_t = _advance_targets(d, v, cfg)
-                goal_prob = sum(p for dn, p in dist_t if dn == TERMINAL_D)
-                base = 0.0
-                if c == 1 and d <= cfg.crosswalk_bin:
-                    crossing_pen = cfg.reward_crossing
-                else:
-                    crossing_pen = 0.0
-                if v > cfg.speeding_bin and zone_lo <= d <= zone_hi:
-                    base += cfg.reward_speeding
-                base += cfg.reward_goal * goal_prob
-                for a in range(NUM_ACTIONS):
-                    rewards[s, a] = base + (crossing_pen if a > 0 else 0.0)
-                    speed_t = _speed_targets(v, a, cfg.p_adapt)
-                    row: dict[int, float] = {}
-                    for vn, pv in speed_t:
-                        for dn, pd in dist_t:
-                            for cn, pc in cross_t:
-                                sn = state_index(vn, dn, cn)
-                                p = pv * pd * pc
-                                row[sn] = row.get(sn, 0.0) + p
-                    for sn in sorted(row):
-                        cols[a].append(sn)
-                        data[a].append(row[sn])
-                    indptr[a].append(len(cols[a]))
-
+    p_cross = np.array([cfg.crossing_onset, cfg.crossing_persist])
+    crossing = np.column_stack((1.0 - p_cross, p_cross))  # C[c, c']
+    loops = sparse.diags(terminal.astype(float))
+    dist = _distance_kernel(cfg)
     mats = tuple(
-        sparse.csr_matrix(
-            (np.asarray(data[a]), np.asarray(cols[a], dtype=np.int32), np.asarray(indptr[a], dtype=np.int32)),
-            shape=(NUM_STATES, NUM_STATES),
-        )
+        sparse.kron(crossing, _motion_matrix(dist, _speed_kernel(a, cfg.p_adapt)), format="csr") + loops
         for a in range(NUM_ACTIONS)
     )
 
-    observation = np.empty((NUM_STATES, NUM_OBS))
-    for c, p_detect in enumerate((cfg.detect_given_clear, cfg.detect_given_crossing)):
-        half = slice(c * NUM_D * NUM_V, (c + 1) * NUM_D * NUM_V)
-        observation[half, :NUM_COUNT_BINS] = (1.0 - p_detect) / NUM_COUNT_BINS
-        observation[half, NUM_COUNT_BINS:] = p_detect / NUM_COUNT_BINS
+    # the chance of entering the terminal bin sits in a row's last slot
+    d_targets, d_probs, _ = dist
+    goal_prob = np.where(d_targets[:, 2] == TERMINAL_D, d_probs[:, 2], 0.0)
+    zone_lo, zone_hi = cfg.occluded_bins
+    base = np.zeros(NUM_STATES)
+    base[(v > cfg.speeding_bin) & (zone_lo <= d) & (d <= zone_hi)] += cfg.reward_speeding
+    base[~terminal] += cfg.reward_goal * np.tile(goal_prob, NUM_CROSSING)
+    crossing_pen = np.where((c == 1) & (d <= cfg.crosswalk_bin), cfg.reward_crossing, 0.0)
+    rewards = np.repeat((base + crossing_pen)[:, None], NUM_ACTIONS, axis=1)
+    rewards[:, 0] = base  # holding a zero command is exempt from the crossing penalty
+    rewards[terminal] = 0.0
+
+    # the count bin is uniform; only the detection flag depends on c
+    p_detect = np.where(c == 1, cfg.detect_given_crossing, cfg.detect_given_clear)[:, None]
+    observation = np.repeat(np.hstack((1.0 - p_detect, p_detect)) / NUM_COUNT_BINS, NUM_COUNT_BINS, axis=1)
 
     return PomdpModel(
         transitions=mats,

@@ -31,16 +31,22 @@ def value_iteration(model: PomdpModel, tol: float = 1e-6, max_iters: int = 10000
     gamma = model.discount
     # |Q_k - Q*| <= gamma / (1 - gamma) * |Q_k - Q_{k-1}|
     stop = tol * min(1.0, (1.0 - gamma) / max(gamma, 1e-12))
-    q = np.zeros((model.num_states, model.num_actions))
+    transitions = model.transitions
+    rewards = np.ascontiguousarray(model.rewards.T)
+    # Q is held as (actions, states) so each backup fills one contiguous row
+    q = np.zeros_like(rewards)
+    q_new = np.empty_like(rewards)
     for _ in range(max_iters):
-        v = q.max(axis=1)
-        q_new = np.empty_like(q)
+        v = q.max(axis=0)
         for a in range(model.num_actions):
-            q_new[:, a] = model.rewards[:, a] + model.discount * (model.transitions[a] @ v)
-        residual = float(np.max(np.abs(q_new - q)))
-        q = q_new
+            backup = transitions[a] @ v
+            backup *= gamma
+            np.add(backup, rewards[a], out=q_new[a])
+        diff = np.subtract(q_new, q, out=q)
+        residual = float(np.abs(diff, out=diff).max())
+        q, q_new = q_new, q
         if residual <= stop:
-            return q
+            return q.T.copy()
     raise ValueIterationError(
         f"no convergence after {max_iters} sweeps (residual {residual:.3e})"
     )

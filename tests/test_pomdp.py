@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,13 +20,44 @@ from crosswalk_sim.pomdp import (
     PomdpModel,
     build_crosswalk_model,
     obs_index,
-    observation_prob,
     occluded_bins_from_band,
-    reward,
     state_index,
     state_tuple,
-    transition_row,
 )
+
+
+def expected_distance(d, v, cfg: ModelConfig) -> dict[int, float]:
+    """Next distance bins from a non-terminal d at speed bin v: the advance
+    smeared by -1/0/+1 cells and clamped at the terminal bin."""
+    advance = int(round(v * cfg.speed_unit * cfg.epoch / cfg.cell_length))
+    if advance == 0:
+        return {d: 1.0}
+    dist: dict[int, float] = {}
+    for off, p in zip((-1, 0, 1), cfg.advance_spread):
+        t = min(d + advance + off, TERMINAL_D)
+        dist[t] = dist.get(t, 0.0) + p
+    return dist
+
+
+def expected_rewards(cfg: ModelConfig) -> np.ndarray:
+    """Reward table enumerated state by state from the documented terms:
+    the speeding penalty inside the occluded band, the goal bonus times the
+    chance of entering the terminal bin, and the penalty for a nonzero
+    command while a crossing is active up to the crosswalk line."""
+    lo, hi = cfg.occluded_bins
+    rewards = np.zeros((NUM_STATES, NUM_ACTIONS))
+    for s in range(NUM_STATES):
+        v, d, c = state_tuple(s)
+        if d == TERMINAL_D:
+            continue
+        base = 0.0
+        if v > cfg.speeding_bin and lo <= d <= hi:
+            base += cfg.reward_speeding
+        base += cfg.reward_goal * expected_distance(d, v, cfg).get(TERMINAL_D, 0.0)
+        penalty = cfg.reward_crossing if c == 1 and d <= cfg.crosswalk_bin else 0.0
+        rewards[s, 0] = base + 0.0
+        rewards[s, 1:] = base + penalty
+    return rewards
 
 
 def expected_row(v, d, c, a, cfg: ModelConfig) -> dict[int, float]:
@@ -39,14 +72,7 @@ def expected_row(v, d, c, a, cfg: ModelConfig) -> dict[int, float]:
     else:
         nxt = v + 1 if a > v else v - 1
         speed = {nxt: cfg.p_adapt, v: 1.0 - cfg.p_adapt}
-    advance = int(round(v * cfg.speed_unit * cfg.epoch / cfg.cell_length))
-    if advance == 0:
-        dist = {d: 1.0}
-    else:
-        dist: dict[int, float] = {}
-        for off, p in zip((-1, 0, 1), cfg.advance_spread):
-            t = min(d + advance + off, TERMINAL_D)
-            dist[t] = dist.get(t, 0.0) + p
+    dist = expected_distance(d, v, cfg)
     p_active = cfg.crossing_persist if c == 1 else cfg.crossing_onset
     cross = {1: p_active, 0: 1.0 - p_active}
     row: dict[int, float] = {}
@@ -60,8 +86,15 @@ def expected_row(v, d, c, a, cfg: ModelConfig) -> dict[int, float]:
     return row
 
 
+def row_entries(model, state, action):
+    """Stored next-state indices and probabilities of one transition row."""
+    mat = model.transitions[action]
+    lo, hi = mat.indptr[state], mat.indptr[state + 1]
+    return mat.indices[lo:hi], mat.data[lo:hi]
+
+
 def row_as_dict(model, state, action):
-    idx, probs = transition_row(model, state, action)
+    idx, probs = row_entries(model, state, action)
     return dict(zip((int(i) for i in idx), probs))
 
 
@@ -132,10 +165,10 @@ def test_terminal_rows_self_loop(crosswalk_model):
     for v in (0, 5, 10):
         for c in (0, 1):
             s = state_index(v, TERMINAL_D, c)
-            idx, probs = transition_row(crosswalk_model, s, 7)
+            idx, probs = row_entries(crosswalk_model, s, 7)
             assert list(idx) == [s]
             assert list(probs) == [1.0]
-            assert reward(crosswalk_model, s, 7) == 0.0
+            assert crosswalk_model.rewards[s, 7] == 0.0
     assert crosswalk_model.terminal is not None
     terminal_states = {
         state_index(v, TERMINAL_D, c) for v in range(NUM_V) for c in (0, 1)
@@ -152,9 +185,7 @@ def test_random_rows_match_enumeration(crosswalk_model, model_config):
         a = int(rng.integers(NUM_ACTIONS))
         got = row_as_dict(crosswalk_model, state_index(v, d, c), a)
         want = expected_row(v, d, c, a, model_config)
-        assert set(got) == set(want)
-        for s, p in want.items():
-            assert got[s] == pytest.approx(p, abs=1e-12)
+        assert got == want
 
 
 def test_all_rows_are_distributions(crosswalk_model):
@@ -177,6 +208,79 @@ def test_speed_changes_at_most_one_bin(crosswalk_model):
         coo = mat.tocoo()
         dv = (coo.col % NUM_V).astype(int) - (coo.row % NUM_V).astype(int)
         assert np.all(np.abs(dv) <= 1)
+
+
+# --- byte-for-byte pins ------------------------------------------------------
+
+# Configurations whose model is pinned by digest: the shipped and default
+# ones, an empty and an out-of-range occluded band (occluded_bins_from_band
+# can return an empty one), no speeding penalty, a penalty only at d = 0,
+# advances that merge differently, and probability-zero speed and crossing
+# moves.
+EDGE_CONFIGS = {
+    "default": {},
+    "occluded_empty": {"occluded_bins": (0, -3)},
+    "occluded_wide": {"occluded_bins": (-5, 200)},
+    "speeding_10": {"speeding_bin": 10},
+    "crosswalk_0": {"crosswalk_bin": 0},
+    "epoch_07": {"epoch": 0.7, "advance_spread": (0.2, 0.5, 0.3)},
+    "p_adapt_1": {"p_adapt": 1.0},
+    "crossing_certain": {"crossing_onset": 0.0, "crossing_persist": 1.0},
+}
+
+# SHA-256 of model_digest, taken from the state-by-state loop build that
+# the kron build replaced
+MODEL_DIGESTS = {
+    "shipped": "1273880d1a52b7a1b38fba4da9775a78a18f1a5e7d1ad41916cdc1541c331efe",
+    "default": "6bd4762973815e4972376b4fa98d43d933f401109b8675ff852cccde38d672bb",
+    "occluded_empty": "f8aa6d6148b52376407fb67dcee6fcbfcbb16c6753489e1449e58687bea2b3fc",
+    "occluded_wide": "583301cdc6aa8213b7d4394331fbf0763ae70229baecbe68c5825e2deeaad56c",
+    "speeding_10": "f8aa6d6148b52376407fb67dcee6fcbfcbb16c6753489e1449e58687bea2b3fc",
+    "crosswalk_0": "1aeacce1f0b5e855e6126102e3d2371219c55a5bf90899b2fb3fb82dde1491fa",
+    "epoch_07": "f9e02b3cc97d48ac2229b2d6292a41ca72242603eba667efcb626959a8053499",
+    "p_adapt_1": "4bb7927910d7f9e96b66f19fd16d251832fc4232f52ecd9df4950c2a0b71807d",
+    "crossing_certain": "dc81365966fd8f4c2718d1dd4aca473ab215330c596f41992273ea18578dd931",
+}
+
+
+def model_digest(model) -> str:
+    """SHA-256 over dtype and bytes of every action's CSR arrays, stored
+    zeros dropped, then of the rewards, terminal mask and observation."""
+    h = hashlib.sha256()
+    arrays = []
+    for mat in model.transitions:
+        mat = mat.copy()
+        mat.eliminate_zeros()
+        arrays += [mat.indptr, mat.indices, mat.data]
+    for arr in arrays + [model.rewards, model.terminal, model.observation]:
+        h.update(arr.dtype.str.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def edge_config(name, shipped):
+    return shipped if name == "shipped" else ModelConfig(**EDGE_CONFIGS[name])
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
+def test_model_matches_pinned_digest(name, model_config):
+    model = build_crosswalk_model(edge_config(name, model_config))
+    assert model_digest(model) == MODEL_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["shipped", "default"])
+def test_model_stores_no_zeros(name, model_config):
+    # with no zero probabilities the digest covers the stored arrays as is
+    model = build_crosswalk_model(edge_config(name, model_config))
+    for mat in model.transitions:
+        assert mat.has_sorted_indices
+        assert np.all(mat.data > 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
+def test_rewards_match_enumeration(name, model_config):
+    cfg = edge_config(name, model_config)
+    assert np.array_equal(build_crosswalk_model(cfg).rewards, expected_rewards(cfg))
 
 
 # --- observations ------------------------------------------------------------
@@ -207,9 +311,9 @@ def test_count_is_uninformative_given_crossing(crosswalk_model):
 def test_observation_prob_example(crosswalk_model):
     s_clear = state_index(3, 40, 0)
     for count_bin in range(NUM_COUNT_BINS):
-        assert observation_prob(
-            crosswalk_model, obs_index(count_bin, False), s_clear
-        ) == pytest.approx(0.05, abs=1e-15)
+        assert crosswalk_model.observation[
+            s_clear, obs_index(count_bin, False)
+        ] == pytest.approx(0.05, abs=1e-15)
 
 
 # --- rewards -----------------------------------------------------------------
@@ -217,27 +321,27 @@ def test_observation_prob_example(crosswalk_model):
 
 def test_reward_crossing_penalty(crosswalk_model):
     s = state_index(3, 40, 1)
-    assert reward(crosswalk_model, s, 3) == -50.0
+    assert crosswalk_model.rewards[s, 3] == -50.0
     # holding a zero command is exempt from the moving-while-crossing penalty
-    assert reward(crosswalk_model, s, 0) == 0.0
+    assert crosswalk_model.rewards[s, 0] == 0.0
 
 
 def test_reward_speeding_penalty(crosswalk_model, model_config):
     lo, hi = model_config.occluded_bins
     s = state_index(7, (lo + hi) // 2, 0)
     for a in range(NUM_ACTIONS):
-        assert reward(crosswalk_model, s, a) == -5.0
+        assert crosswalk_model.rewards[s, a] == -5.0
     calm = state_index(6, (lo + hi) // 2, 0)
-    assert reward(crosswalk_model, calm, 5) == 0.0
+    assert crosswalk_model.rewards[calm, 5] == 0.0
     outside = state_index(7, hi + 2, 0)
-    assert reward(crosswalk_model, outside, 5) == 0.0
+    assert crosswalk_model.rewards[outside, 5] == 0.0
 
 
 def test_reward_goal_bonus_certain_entry(crosswalk_model):
     # from d=119 at v=2 every smeared advance clips into the terminal bin
     s = state_index(2, 119, 0)
     for a in range(NUM_ACTIONS):
-        assert reward(crosswalk_model, s, a) == 100.0
+        assert crosswalk_model.rewards[s, a] == 100.0
     row = row_as_dict(crosswalk_model, s, 5)
     assert {state_tuple(t)[1] for t in row} == {TERMINAL_D}
 
@@ -245,7 +349,7 @@ def test_reward_goal_bonus_certain_entry(crosswalk_model):
 def test_reward_goal_bonus_partial_entry(crosswalk_model, model_config):
     # from d=116 at v=3 only the +1 smear offset reaches the terminal bin
     s = state_index(3, 116, 0)
-    assert reward(crosswalk_model, s, 0) == pytest.approx(
+    assert crosswalk_model.rewards[s, 0] == pytest.approx(
         100.0 * model_config.advance_spread[2]
     )
 
@@ -283,7 +387,7 @@ def test_from_dense_round_trip():
     r = np.arange(6.0).reshape(3, 2)
     model = PomdpModel.from_dense(t, r, discount=0.9)
     assert model.num_states == 3 and model.num_actions == 2
-    idx, probs = transition_row(model, 0, 0)
+    idx, probs = row_entries(model, 0, 0)
     assert list(idx) == [0, 1] and list(probs) == [0.5, 0.5]
-    assert reward(model, 2, 1) == 5.0
+    assert model.rewards[2, 1] == 5.0
     assert model.num_obs == 0

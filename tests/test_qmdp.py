@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
-from crosswalk_sim.pomdp import PomdpModel
+from crosswalk_sim.pomdp import ModelConfig, PomdpModel, build_crosswalk_model
 from crosswalk_sim.qmdp import (
     AlphaVectorPolicy,
     ValueIterationError,
@@ -32,6 +33,49 @@ def finite_horizon_q(t_dense, rewards, gamma, horizon):
             nxt[:, a] = rewards[:, a] + gamma * t_dense[a] @ v
         q = nxt
     return q
+
+
+def column_sweeps(model, tol=1e-6, max_iters=10000):
+    """Reference value iteration: the column-wise synchronous sweeps over
+    an (S, A) table that value_iteration is measured against. Returns Q
+    and the number of sweeps."""
+    gamma = model.discount
+    stop = tol * min(1.0, (1.0 - gamma) / max(gamma, 1e-12))
+    q = np.zeros((model.num_states, model.num_actions))
+    for sweep in range(1, max_iters + 1):
+        v = q.max(axis=1)
+        q_new = np.empty_like(q)
+        for a in range(model.num_actions):
+            q_new[:, a] = model.rewards[:, a] + model.discount * (model.transitions[a] @ v)
+        residual = float(np.max(np.abs(q_new - q)))
+        q = q_new
+        if residual <= stop:
+            return q, sweep
+    raise AssertionError("reference sweeps did not converge")
+
+
+class CountedMatrix:
+    def __init__(self, mat, counter):
+        self.mat, self.counter = mat, counter
+
+    def __matmul__(self, vector):
+        self.counter[0] += 1
+        return self.mat @ vector
+
+
+def counting(model):
+    """The model with transitions that count their matrix-vector products,
+    and the one-element list holding the count."""
+    counter = [0]
+    mats = tuple(CountedMatrix(mat, counter) for mat in model.transitions)
+    return dataclasses.replace(model, transitions=mats), counter
+
+
+@pytest.fixture(scope="module", params=["shipped", "default"])
+def full_solve(request, model_config):
+    """A full crosswalk model with its reference Q and sweep count."""
+    model = build_crosswalk_model(model_config if request.param == "shipped" else ModelConfig())
+    return (model, *column_sweeps(model))
 
 
 def random_mdp(rng, max_states=10, max_actions=4):
@@ -90,6 +134,36 @@ def test_non_convergence_raises():
         value_iteration(model, tol=1e-10, max_iters=3)
     with pytest.raises(ValueError):
         value_iteration(model, tol=0.0)
+
+
+def test_full_model_matches_column_sweeps(full_solve):
+    model, want, _ = full_solve
+    q = value_iteration(model)
+    assert q.shape == (model.num_states, model.num_actions)
+    assert q.flags.c_contiguous
+    assert q.dtype == want.dtype
+    assert q.tobytes() == want.tobytes()
+
+
+def test_one_product_per_action_per_sweep(full_solve):
+    model, want, sweeps = full_solve
+    counted, products = counting(model)
+    q = value_iteration(counted)
+    assert products[0] % model.num_actions == 0
+    assert products[0] == sweeps * model.num_actions
+    assert q.tobytes() == want.tobytes()
+
+
+def test_small_mdps_match_column_sweeps():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        t, r = random_mdp(rng)
+        model = PomdpModel.from_dense(t, r, discount=0.9)
+        counted, products = counting(model)
+        q = value_iteration(counted, tol=1e-8)
+        want, sweeps = column_sweeps(model, tol=1e-8)
+        assert q.tobytes() == want.tobytes()
+        assert products[0] == sweeps * model.num_actions
 
 
 # --- alpha extraction -----------------------------------------------------------
