@@ -17,9 +17,10 @@ from .harness import (
     load_scenario,
     run_batch,
     run_scenario,
+    solve_policy,
 )
-from .pomdp import ModelConfig, build_crosswalk_model
-from .qmdp import extract_alphas, load_policy, save_policy, value_iteration
+from .pomdp import ModelConfig
+from .qmdp import save_policy
 from .world import build_grid, grid_to_text, load_scene
 
 log = logging.getLogger("crosswalk_sim")
@@ -92,10 +93,8 @@ def _cmd_solve(args) -> int:
             cfg.occluded_bins,
         )
     started = time.perf_counter()
-    model = build_crosswalk_model(cfg)
-    q = value_iteration(model, tol=args.tol, max_iters=args.max_iters)
+    model, policy = solve_policy(cfg, tol=args.tol, max_iters=args.max_iters)
     elapsed = time.perf_counter() - started
-    policy = extract_alphas(q, list(_action_scales(model)))
     save_policy(policy, args.out)
     log.info(
         "solved %d states x %d actions in %.2f s -> %s",
@@ -105,14 +104,6 @@ def _cmd_solve(args) -> int:
         args.out,
     )
     return 0
-
-
-def _action_scales(model):
-    from .pomdp import ACTION_SCALES
-
-    return ACTION_SCALES if model.num_actions == len(ACTION_SCALES) else [
-        k / (model.num_actions - 1) for k in range(model.num_actions)
-    ]
 
 
 def _cmd_run(args) -> int:

@@ -13,6 +13,14 @@ from .world import Scene
 AX_LIMIT = 3.0  # m/s^2, symmetric accel/brake authority
 
 PATH_LENGTH = 60.0  # m
+LEAD_IN = 20.0  # m over which the path ramps out to its offset
+LEAD_GAP = 10.0  # m between the end of a ramp and the nearest obstacle edge
+RETURN_LENGTH = 13.0  # m over which the path ramps back to the lane center
+
+# pure-pursuit lookahead: LOOKAHEAD_GAIN * speed, clamped to [MIN, MAX] m
+LOOKAHEAD_GAIN = 0.6
+LOOKAHEAD_MIN = 2.0
+LOOKAHEAD_MAX = 12.0
 
 
 class InfeasiblePathError(ValueError):
@@ -23,7 +31,7 @@ def speed_control(
     v_desired: float,
     scale: float,
     ux: float,
-    kp: float = 1.0,
+    kp: float = 2.0,
     ax_limit: float = AX_LIMIT,
 ) -> float:
     """Proportional speed tracking toward scale * v_desired, saturated at
@@ -32,20 +40,13 @@ def speed_control(
     return float(min(max(ax, -ax_limit), ax_limit))
 
 
-def steer_control(
-    state: VehicleState,
-    path: Path,
-    params: VehicleParams,
-    lookahead_gain: float = 0.6,
-    lookahead_min: float = 2.0,
-    lookahead_max: float = 12.0,
-) -> float:
+def steer_control(state: VehicleState, path: Path, params: VehicleParams) -> float:
     """Pure-pursuit steering toward a speed-proportional lookahead point.
 
     The lookahead target is clamped to the path end and the command to the
     vehicle's steering range.
     """
-    lookahead = min(max(lookahead_gain * state.ux, lookahead_min), lookahead_max)
+    lookahead = min(max(LOOKAHEAD_GAIN * state.ux, LOOKAHEAD_MIN), LOOKAHEAD_MAX)
     target_s = min(state.s + lookahead, path.length)
     tn, te = path.point_at(target_s)
     dn = tn - state.north
@@ -64,15 +65,7 @@ def _wrap_angle(angle: float) -> float:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def build_avoidance_path(
-    scene: Scene,
-    margin: float = 2.45,
-    lead_in: float = 20.0,
-    lead_gap: float = 10.0,
-    return_length: float = 13.0,
-    total_length: float = PATH_LENGTH,
-    spacing: float = SAMPLE_SPACING,
-) -> Path:
+def build_avoidance_path(scene: Scene, margin: float = 2.45) -> Path:
     """Fixed 60 m reference path that swings left around any obstacle
     blocking the ego lane and returns to the lane center.
 
@@ -85,9 +78,9 @@ def build_avoidance_path(
     blocking = [
         ob
         for ob in scene.obstacles
-        if _lane_overlap(ob, half_lane) and ob.center[0] < total_length
+        if _lane_overlap(ob, half_lane) and ob.center[0] < PATH_LENGTH
     ]
-    dense_x = np.arange(0.0, total_length + 5.0, 0.05)
+    dense_x = np.arange(0.0, PATH_LENGTH + 5.0, 0.05)
     if not blocking:
         ys = np.zeros_like(dense_x)
     else:
@@ -98,16 +91,16 @@ def build_avoidance_path(
             )
         x_first = min(_x_span(ob)[0] for ob in blocking)
         x_last = max(_x_span(ob)[1] for ob in blocking)
-        ramp_end = x_first - lead_gap
-        ramp_start = ramp_end - lead_in
+        ramp_end = x_first - LEAD_GAP
+        ramp_start = ramp_end - LEAD_IN
         if ramp_start < 0.0:
             raise InfeasiblePathError("obstacle too close to the path start to swing around")
-        back_start = x_last + lead_gap
-        back_end = back_start + return_length
+        back_start = x_last + LEAD_GAP
+        back_end = back_start + RETURN_LENGTH
         ys = offset * _blend(dense_x, ramp_start, ramp_end) * (
             1.0 - _blend(dense_x, back_start, back_end)
         )
-    xs, ys = resample_by_arc(dense_x, ys, spacing, total_length)
+    xs, ys = resample_by_arc(dense_x, ys, SAMPLE_SPACING, PATH_LENGTH)
     north, east = scene.road.to_inertial(xs, ys)
     return Path(north, east)
 
@@ -119,25 +112,14 @@ def _blend(x, lo: float, hi: float):
 
 
 def _lane_overlap(obstacle, half_lane: float) -> bool:
-    corners = _corners(obstacle)
-    return corners[:, 1].max() > -half_lane and corners[:, 1].min() < half_lane
+    ys = [y for _, y in obstacle.corners()]
+    return max(ys) > -half_lane and min(ys) < half_lane
 
 
 def _left_edge(obstacle) -> float:
-    return float(_corners(obstacle)[:, 1].max())
+    return max(y for _, y in obstacle.corners())
 
 
 def _x_span(obstacle) -> tuple[float, float]:
-    xs = _corners(obstacle)[:, 0]
-    return float(xs.min()), float(xs.max())
-
-
-def _corners(obstacle) -> np.ndarray:
-    cx, cy = obstacle.center
-    hx, hy = obstacle.size[0] / 2, obstacle.size[1] / 2
-    c, s = math.cos(obstacle.yaw), math.sin(obstacle.yaw)
-    pts = []
-    for sx in (-1, 1):
-        for sy in (-1, 1):
-            pts.append((cx + sx * hx * c - sy * hy * s, cy + sx * hx * s + sy * hy * c))
-    return np.asarray(pts)
+    xs = [x for x, _ in obstacle.corners()]
+    return min(xs), max(xs)

@@ -190,19 +190,14 @@ def step_dynamics(
     )
 
 
-def load_vehicle_params(path_or_text) -> VehicleParams:
+def load_vehicle_params(source) -> VehicleParams:
     """Load VehicleParams from a plain key = value text file.
 
     Blank lines and '#' comments are ignored; keys match the dataclass
     fields. Unknown keys raise ValueError.
     """
-    import os
-
-    if isinstance(path_or_text, (str, os.PathLike)) and os.path.exists(path_or_text):
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = str(path_or_text)
+    with open(source, "r", encoding="utf-8") as fh:
+        text = fh.read()
     fields = VehicleParams.__dataclass_fields__
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

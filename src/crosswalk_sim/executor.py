@@ -19,6 +19,9 @@ from .pomdp import NUM_COUNT_BINS, PomdpModel, obs_index
 from .qmdp import BELIEF_TOL, AlphaVectorPolicy, best_action
 from .world import Scene
 
+STOP_MARGIN = 5.0  # m short of the crosswalk line where a yielding stop ends
+STOP_DECEL = 2.0  # m/s^2 of the constant-deceleration stopping ramp
+
 
 class ZeroBeliefError(RuntimeError):
     """Posterior had no probability mass: the observation contradicts the
@@ -94,14 +97,7 @@ def stopping_scale(speed_limit_dist: float, v_desired: float, decel: float) -> f
     return min(1.0, math.sqrt(2.0 * decel * speed_limit_dist) / v_desired)
 
 
-def oracle_scale(
-    scene: Scene,
-    state: VehicleState,
-    crosswalk_s: float,
-    v_desired: float,
-    decel: float = 2.0,
-    stop_margin: float = 5.0,
-) -> float:
+def oracle_scale(scene: Scene, state: VehicleState, crosswalk_s: float, v_desired: float) -> float:
     """Perfect-perception policy: full speed unless a pedestrian crossing
     is active ahead, in which case ramp down to stop before the crosswalk.
 
@@ -110,4 +106,4 @@ def oracle_scale(
     """
     if not scene.pedestrian.present or state.s >= crosswalk_s:
         return 1.0
-    return stopping_scale(crosswalk_s - stop_margin - state.s, v_desired, decel)
+    return stopping_scale(crosswalk_s - STOP_MARGIN - state.s, v_desired, STOP_DECEL)

@@ -12,22 +12,18 @@ import csv
 import json
 import logging
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 
 import numpy as np
 import yaml
 
 from . import world
-from .control import (
-    AX_LIMIT,
-    build_avoidance_path,
-    speed_control,
-    steer_control,
-)
+from .control import build_avoidance_path, speed_control, steer_control
 from .dynamics import VehicleParams, VehicleState, load_vehicle_params, step_dynamics
 from .executor import (
+    STOP_DECEL,
+    STOP_MARGIN,
     SensorReading,
     ZeroBeliefError,
     baseline_scale,
@@ -52,6 +48,11 @@ from .world import Scene, load_scene
 log = logging.getLogger(__name__)
 
 POLICY_KINDS = ("oracle", "baseline", "pomdp")
+
+YIELD_GATE_DECEL = 1.5  # m/s^2 the baseline may need to engage its yield ramp
+STUCK_SPEED = 0.05  # m/s below which the vehicle counts as at rest
+STUCK_TIME = 3.0  # s at rest, with no stop expected, that ends a run as stuck
+PROXIMITY_DIST = 1.5  # m to an obstacle ahead that ends a run
 
 TRACE_FIELDS = (
     "time",
@@ -85,21 +86,6 @@ class ScenarioConfig:
     model_config: ModelConfig | None = None
     policy_file: str | None = None
     name: str = "scenario"
-    # controller and path shaping
-    kp: float = 2.0
-    ax_limit: float = AX_LIMIT
-    path_margin: float = 2.45
-    lead_in: float = 20.0
-    lead_gap: float = 10.0
-    return_length: float = 13.0
-    # stopping behavior
-    stop_margin: float = 5.0
-    stop_decel: float = 2.0
-    yield_gate_decel: float = 1.5
-    # termination thresholds
-    stuck_speed: float = 0.05
-    stuck_time: float = 3.0
-    proximity_dist: float = 1.5
 
     def __post_init__(self):
         if self.policy not in POLICY_KINDS:
@@ -135,10 +121,10 @@ class _BaselinePolicy:
     """Occlusion-count heuristic plus a yield-to-stop rule that engages
     only when a detected pedestrian can still be stopped for comfortably."""
 
-    def __init__(self, cfg: ScenarioConfig, crosswalk_s: float):
-        self.cfg = cfg
+    def __init__(self, v_desired: float, crosswalk_s: float):
+        self.v_desired = v_desired
         self.crosswalk_s = crosswalk_s
-        self.stop_s = crosswalk_s - cfg.stop_margin
+        self.stop_s = crosswalk_s - STOP_MARGIN
         self.seen = False
         self.engaged = False
 
@@ -151,12 +137,10 @@ class _BaselinePolicy:
             dist = self.stop_s - state.s
             if dist > 0.0:
                 needed = state.ux**2 / (2.0 * dist)
-                if needed <= self.cfg.yield_gate_decel:
+                if needed <= YIELD_GATE_DECEL:
                     self.engaged = True
         if self.engaged and not past:
-            ramp = stopping_scale(
-                self.stop_s - state.s, self.cfg.v_desired, self.cfg.stop_decel
-            )
+            ramp = stopping_scale(self.stop_s - state.s, self.v_desired, STOP_DECEL)
             scale = min(scale, _quantize_down(ramp, 9))
         return scale
 
@@ -169,31 +153,26 @@ def run_scenario(
     """Run one closed-loop scenario and return its trace.
 
     For the pomdp policy a solved alpha-vector policy is required: pass it
-    in, point config.policy_file at a saved one, or leave both unset to
-    solve from config.model_config (slowest option).
+    in together with the model it was solved on, point config.policy_file
+    at a saved one, or leave both unset to solve from config.model_config
+    (slowest option).
     """
     scene = config.scene
     params = config.vehicle
-    path = build_avoidance_path(
-        scene,
-        margin=config.path_margin,
-        lead_in=config.lead_in,
-        lead_gap=config.lead_gap,
-        return_length=config.return_length,
-    )
+    path = build_avoidance_path(scene)
     crosswalk_s = world.crosswalk_path_distance(scene, path)
 
     belief = None
     if config.policy == "pomdp":
-        if model is None:
-            model = build_crosswalk_model(config.model_config)
         if policy is None:
             if config.policy_file:
                 policy = load_policy(config.policy_file)
             else:
-                policy = extract_alphas(value_iteration(model), _scales(model))
+                model, policy = solve_policy(config.model_config)
+        if model is None:
+            model = build_crosswalk_model(config.model_config)
         belief = init_belief(model)
-    baseline = _BaselinePolicy(config, crosswalk_s) if config.policy == "baseline" else None
+    baseline = _BaselinePolicy(config.v_desired, crosswalk_s) if config.policy == "baseline" else None
 
     n_steps = int(round(config.duration / config.control_dt))
     decim = int(round(config.decision_period / config.control_dt))
@@ -220,14 +199,7 @@ def run_scenario(
         if k % decim == 0:
             reading = SensorReading(unobservable_count=count, detected=detected)
             if config.policy == "oracle":
-                scale = oracle_scale(
-                    scene,
-                    state,
-                    crosswalk_s,
-                    config.v_desired,
-                    decel=config.stop_decel,
-                    stop_margin=config.stop_margin,
-                )
+                scale = oracle_scale(scene, state, crosswalk_s, config.v_desired)
             elif config.policy == "baseline":
                 scale = baseline.decide(state, reading)
             else:
@@ -240,7 +212,7 @@ def run_scenario(
                     scale, belief = pomdp_step(belief, policy, reading, model)
                 p_crossing = _p_crossing(belief)
 
-        ax = speed_control(config.v_desired, scale, state.ux, config.kp, config.ax_limit)
+        ax = speed_control(config.v_desired, scale, state.ux)
         steer = steer_control(state, path, params)
 
         rows["time"].append(t)
@@ -262,16 +234,15 @@ def run_scenario(
         if state.s >= path.length - 0.5:
             termination = "path_end"
             break
-        reason = _check_safety_stop(config, scene, state, crosswalk_s)
-        if reason == "proximity":
+        if _near_obstacle(scene, state):
             termination = "proximity"
             break
-        if state.ux < config.stuck_speed:
+        if state.ux < STUCK_SPEED:
             stuck_elapsed += config.control_dt
         else:
             stuck_elapsed = 0.0
         stop_expected = scene.pedestrian.present and state.s < crosswalk_s
-        if stuck_elapsed > config.stuck_time and not stop_expected:
+        if stuck_elapsed > STUCK_TIME and not stop_expected:
             termination = "stuck"
             break
 
@@ -295,20 +266,21 @@ def _p_crossing(belief: np.ndarray) -> float:
     return float(belief[NUM_D * NUM_V :].sum())
 
 
-def _scales(model: PomdpModel):
-    if model.num_actions == len(ACTION_SCALES):
-        return ACTION_SCALES
-    return tuple(np.linspace(0.0, 1.0, model.num_actions))
+def solve_policy(config: ModelConfig | None = None, **solver) -> tuple[PomdpModel, AlphaVectorPolicy]:
+    """Build the crosswalk model, run value iteration on it and extract the
+    QMDP alpha vectors. solver holds value_iteration's keyword options."""
+    model = build_crosswalk_model(config)
+    return model, extract_alphas(value_iteration(model, **solver), ACTION_SCALES)
 
 
-def _check_safety_stop(
-    config: ScenarioConfig, scene: Scene, state: VehicleState, crosswalk_s: float
-) -> str | None:
+def _near_obstacle(scene: Scene, state: VehicleState) -> bool:
+    """True when the vehicle is still short of an obstacle and closer to
+    it than PROXIMITY_DIST."""
     ex, ey = scene.road.to_road(state.north, state.east)
-    for ob in scene.obstacles:
-        if float(ex) < ob.min_road_x() and ob.distance(float(ex), float(ey)) < config.proximity_dist:
-            return "proximity"
-    return None
+    return any(
+        float(ex) < ob.min_road_x() and ob.distance(float(ex), float(ey)) < PROXIMITY_DIST
+        for ob in scene.obstacles
+    )
 
 
 def export_trace(trace: Trace, fmt: str = "csv", destination=None) -> str:
@@ -406,7 +378,8 @@ def export_plot_data(trace: Trace, out_dir, scene: Scene | None = None) -> list[
             writer = csv.writer(fh)
             writer.writerow(["kind", "north", "east"])
             for ob in scene.obstacles:
-                for cx, cy in _rect_outline(ob):
+                corners = ob.corners()
+                for cx, cy in corners + corners[:1]:
                     n, e = scene.road.to_inertial(cx, cy)
                     writer.writerow(["obstacle", f"{float(n):.17g}", f"{float(e):.17g}"])
             for y in scene.lateral_bounds:
@@ -424,24 +397,11 @@ def export_plot_data(trace: Trace, out_dir, scene: Scene | None = None) -> list[
     return written
 
 
-def _rect_outline(ob) -> list[tuple[float, float]]:
-    cx, cy = ob.center
-    hx, hy = ob.size[0] / 2, ob.size[1] / 2
-    cos_y, sin_y = math.cos(ob.yaw), math.sin(ob.yaw)
-    order = ((-1, -1), (-1, 1), (1, 1), (1, -1), (-1, -1))
-    return [
-        (cx + sx * hx * cos_y - sy * hy * sin_y, cy + sx * hx * sin_y + sy * hy * cos_y)
-        for sx, sy in order
-    ]
-
-
-def derive_model_config(scene: Scene, base: ModelConfig | None = None, **path_kwargs) -> ModelConfig:
+def derive_model_config(scene: Scene, base: ModelConfig | None = None) -> ModelConfig:
     """Fill the geometry-dependent fields of a model config from a scene:
     the crosswalk distance bin and the occluded distance band."""
-    from dataclasses import replace
-
     cfg = base or ModelConfig()
-    path = build_avoidance_path(scene, **path_kwargs)
+    path = build_avoidance_path(scene)
     crosswalk_s = world.crosswalk_path_distance(scene, path)
     crosswalk_bin = min(int(round(crosswalk_s / cfg.cell_length)), NUM_D - 1)
     band = world.crosswalk_occlusion_band(scene, path)
@@ -499,11 +459,8 @@ def load_scenario(source) -> ScenarioConfig:
 
 def load_model_config(source) -> ModelConfig:
     """Load a ModelConfig from YAML (plain field: value mapping)."""
-    if isinstance(source, dict):
-        data = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
+    with open(source, "r", encoding="utf-8") as fh:
+        data = yaml.safe_load(fh) or {}
     fields = ModelConfig.__dataclass_fields__
     kwargs = {}
     for key, val in data.items():
@@ -530,8 +487,7 @@ def run_batch(config_dir, out_dir, fmt: str = "csv") -> list[str]:
         if config.policy == "pomdp" and not config.policy_file:
             key = config.model_config or ModelConfig()
             if key not in solved:
-                built = build_crosswalk_model(key)
-                solved[key] = (built, extract_alphas(value_iteration(built), _scales(built)))
+                solved[key] = solve_policy(key)
             model, policy = solved[key]
         trace = run_scenario(config, model=model, policy=policy)
         dest_dir = out_dir / cfg_path.stem

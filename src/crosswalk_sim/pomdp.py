@@ -72,6 +72,9 @@ class ModelConfig:
     detect_given_clear: float = 0.5
 
     def __post_init__(self):
+        for name in ("epoch", "cell_length", "speed_unit"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if abs(sum(self.advance_spread) - 1.0) > 1e-12:
             raise ValueError("advance_spread must sum to 1")
         for p in (

@@ -100,6 +100,17 @@ class RectObstacle:
         dy = max(abs(float(ly)) - self.size[1] / 2, 0.0)
         return math.hypot(dx, dy)
 
+    def corners(self) -> list[tuple[float, float]]:
+        """Road-frame corners in outline order: rear right, rear left,
+        front left, front right of the rectangle's own frame."""
+        cx, cy = self.center
+        hx, hy = self.size[0] / 2, self.size[1] / 2
+        c, s = math.cos(self.yaw), math.sin(self.yaw)
+        return [
+            (cx + sx * hx * c - sy * hy * s, cy + sx * hx * s + sy * hy * c)
+            for sx, sy in ((-1, -1), (-1, 1), (1, 1), (1, -1))
+        ]
+
     def min_road_x(self) -> float:
         """Smallest along-road coordinate of the rectangle's corners."""
         c, s = math.cos(self.yaw), math.sin(self.yaw)
@@ -263,9 +274,10 @@ def grid_to_text(grid: np.ndarray) -> str:
     return "\n".join("".join(str(int(v)) for v in row) for row in grid)
 
 
-def crosswalk_occlusion_band(
-    scene: Scene, path: Path, sample_step: float = 0.5
-) -> tuple[float, float] | None:
+CROSSWALK_SAMPLE_STEP = 0.5  # m between sampled points of the crosswalk line
+
+
+def crosswalk_occlusion_band(scene: Scene, path: Path) -> tuple[float, float] | None:
     """Range of path distances from which part of the crosswalk is hidden.
 
     Yields (s_lo, s_hi) over the path samples where at least one point of
@@ -276,7 +288,7 @@ def crosswalk_occlusion_band(
     if not scene.obstacles:
         return None
     y_lo, y_hi = scene.lateral_bounds
-    n_samples = max(int(round((y_hi - y_lo) / sample_step)) + 1, 2)
+    n_samples = max(int(round((y_hi - y_lo) / CROSSWALK_SAMPLE_STEP)) + 1, 2)
     cw_y = np.linspace(y_lo, y_hi, n_samples)
     cw_x = np.full_like(cw_y, scene.crosswalk.distance)
     px, py = scene.road.to_road(path.north, path.east)
@@ -309,28 +321,35 @@ def crosswalk_path_distance(scene: Scene, path: Path) -> float:
     return float(path.s[k - 1] + frac * (path.s[k] - path.s[k - 1]))
 
 
+def _checked(data: dict, allowed: tuple[str, ...], where: str) -> dict:
+    """The mapping itself, once every key is known; raises ValueError
+    naming the first unknown key."""
+    for key in data:
+        if key not in allowed:
+            raise ValueError(f"unknown {where} key {key!r}")
+    return data
+
+
 def load_scene(source) -> Scene:
-    """Build a Scene from a YAML file path or an already-parsed mapping."""
-    if isinstance(source, dict):
-        data = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    road = data.get("road", {})
+    """Build a Scene from a YAML file. Unknown keys raise ValueError."""
+    with open(source, "r", encoding="utf-8") as fh:
+        data = _checked(yaml.safe_load(fh), ("road", "obstacles", "crosswalk", "pedestrian"), "scene")
+    road = _checked(data.get("road", {}), ("origin", "heading", "bounds", "lane_width"), "road")
     frame = RoadFrame(
         origin=tuple(road.get("origin", (0.0, 0.0))),
         heading=float(road.get("heading", 0.0)),
     )
+    items = [_checked(item, ("center", "size", "yaw"), "obstacle") for item in data.get("obstacles", [])]
     obstacles = tuple(
         RectObstacle(
             center=tuple(item["center"]),
             size=tuple(item["size"]),
             yaw=float(item.get("yaw", 0.0)),
         )
-        for item in data.get("obstacles", [])
+        for item in items
     )
-    cw = data.get("crosswalk", {})
-    ped = data.get("pedestrian", {})
+    cw = _checked(data.get("crosswalk", {}), ("distance", "width"), "crosswalk")
+    ped = _checked(data.get("pedestrian", {}), ("present", "position"), "pedestrian")
     return Scene(
         road=frame,
         lateral_bounds=tuple(road.get("bounds", (-1.8, 5.4))),

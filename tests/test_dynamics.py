@@ -190,6 +190,13 @@ def test_load_vehicle_params_round_trip(repo_root):
     assert loaded == PARAMS
 
 
-def test_load_vehicle_params_rejects_unknown_key():
+def test_load_vehicle_params_rejects_unknown_key(tmp_path):
+    dest = tmp_path / "vehicle.cfg"
+    dest.write_text("mass = 1500\nwingspan = 3\n")
     with pytest.raises(ValueError):
-        load_vehicle_params("mass = 1500\nwingspan = 3\n")
+        load_vehicle_params(dest)
+
+
+def test_load_vehicle_params_missing_file(repo_root):
+    with pytest.raises(FileNotFoundError):
+        load_vehicle_params(repo_root / "configs" / "vehicel.cfg")

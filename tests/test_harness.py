@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from crosswalk_sim import harness
 from crosswalk_sim.cli import main as cli_main
 from crosswalk_sim.harness import (
     TRACE_FIELDS,
@@ -167,9 +168,10 @@ def test_path_end_termination(run_matrix):
     assert trace.columns["s"][-1] > 55.0
 
 
-def test_proximity_termination():
+def test_proximity_termination(monkeypatch):
+    monkeypatch.setattr(harness, "PROXIMITY_DIST", 2.5)
     scene = Scene(obstacles=(RectObstacle(center=(10.0, 2.4), size=(1.0, 1.0)),))
-    cfg = ScenarioConfig(scene=scene, policy="oracle", duration=6.0, proximity_dist=2.5)
+    cfg = ScenarioConfig(scene=scene, policy="oracle", duration=6.0)
     trace = run_scenario(cfg)
     assert trace.termination == "proximity"
     assert len(trace) < 600
@@ -213,7 +215,6 @@ def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
         "policy": "baseline",
         "v_desired": 8.0,
         "duration": 4.0,
-        "kp": 3.5,
         "seed": 7,
     }
     dest = tmp_path / "custom_case.yaml"
@@ -222,20 +223,20 @@ def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
     assert cfg.name == "custom_case"
     assert cfg.policy == "baseline"
     assert cfg.v_desired == 8.0
-    assert cfg.kp == 3.5
     assert cfg.seed == 7
     assert cfg.scene.pedestrian.present
 
 
-def test_load_scenario_rejects_unknown_key(tmp_path, repo_root):
+@pytest.mark.parametrize("key", ["stop_margn", "kp"])
+def test_load_scenario_rejects_unknown_key(tmp_path, repo_root, key):
     doc = {
         "scene": str(repo_root / "configs" / "scene_exposed.yaml"),
         "policy": "oracle",
-        "stop_margn": 4.0,
+        key: 4.0,
     }
     dest = tmp_path / "typo.yaml"
     dest.write_text(yaml.safe_dump(doc))
-    with pytest.raises(ValueError, match="stop_margn"):
+    with pytest.raises(ValueError, match=key):
         load_scenario(dest)
 
 

@@ -371,6 +371,9 @@ def test_model_config_validation():
         ModelConfig(discount=1.0)
     with pytest.raises(ValueError):
         ModelConfig(crosswalk_bin=NUM_D)
+    for name, value in (("cell_length", 0.0), ("speed_unit", -1.0), ("epoch", -0.5)):
+        with pytest.raises(ValueError, match=name):
+            ModelConfig(**{name: value})
 
 
 def test_occluded_bins_from_band():

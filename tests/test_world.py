@@ -362,6 +362,30 @@ def test_load_scene_round_trip(repo_root, hidden_scene):
     assert loaded.pedestrian.present is True
 
 
+@pytest.mark.parametrize("scene_file", ["scene_hidden.yaml", "scene_exposed.yaml"])
+@pytest.mark.parametrize("key, typo", [("pedestrian", "pedestrain"), ("obstacles", "obstacle"), ("yaw", "yaww")])
+def test_load_scene_rejects_unknown_key(tmp_path, repo_root, scene_file, key, typo):
+    text = (repo_root / "configs" / scene_file).read_text()
+    assert text.count(f"{key}:") == 1
+    good = tmp_path / "good.yaml"
+    good.write_text(text)
+    assert load_scene(good).obstacles
+    bad = tmp_path / "typo.yaml"
+    bad.write_text(text.replace(f"{key}:", f"{typo}:"))
+    with pytest.raises(ValueError, match=f"'{typo}'"):
+        load_scene(bad)
+
+
+def test_rect_obstacle_corners_in_outline_order():
+    for ob in (
+        RectObstacle(center=(33.0, -1.5), size=(6.0, 1.2)),
+        RectObstacle(center=(12.0, 2.0), size=(4.0, 1.5), yaw=0.6),
+    ):
+        oracle = _rect_corners(ob)  # front left, front right, rear right, rear left
+        expected = [oracle[2], oracle[3], oracle[0], oracle[1]]
+        assert ob.corners() == [pytest.approx(p, abs=1e-12) for p in expected]
+
+
 def test_road_frame_round_trip():
     frame = RoadFrame(origin=(3.0, -2.0), heading=0.7)
     x, y = 12.5, -4.2
