@@ -425,12 +425,18 @@ def load_scenario(source) -> ScenarioConfig:
     path = FsPath(source)
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
+    if data is None:
+        raise ValueError(f"{path}: empty scenario file")
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: scenario must be a mapping")
     kwargs = {}
     for key, val in data.items():
         if key in _SCENARIO_SCALARS:
             kwargs[key] = val
         elif key not in _SCENARIO_REFS:
-            raise ValueError(f"unknown scenario key {key!r}")
+            raise ValueError(f"{path}: unknown scenario key {key!r}")
+    if "scene" not in data:
+        raise ValueError(f"{path}: missing scenario key 'scene'")
     base = path.parent
 
     def _resolve(name):

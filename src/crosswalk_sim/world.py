@@ -68,6 +68,27 @@ class RoadFrame:
         return north, east
 
 
+def _slab(q0, q1, h):
+    """One axis of the slab test (Kay & Kajiya 1986) for segments from q0
+    to q1 against the slab |q| <= h: (can_hit, t_entry, t_exit), with t
+    clipped to [0, 1]. A segment parallel to the slab (q1 == q0) spans
+    all of [0, 1] and can hit only from inside it, the zero-divisor case
+    of Williams et al. (2005). When no segment is parallel, can_hit is
+    True and the np.where passes are skipped."""
+    d = q1 - q0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = (-h - q0) / d
+        tb = (h - q0) / d
+    lo = np.maximum(np.minimum(ta, tb), 0.0)
+    hi = np.minimum(np.maximum(ta, tb), 1.0)
+    parallel = d == 0.0
+    if not parallel.any():
+        return True, lo, hi
+    lo = np.where(parallel, 0.0, lo)
+    hi = np.where(parallel, 1.0, hi)
+    return ~(parallel & (abs(q0) > h)), lo, hi
+
+
 @dataclass(frozen=True)
 class RectObstacle:
     """Oriented rectangle in road coordinates: center, full extents and a
@@ -83,10 +104,17 @@ class RectObstacle:
 
     def _to_local(self, x, y):
         """Rectangle-frame coordinates of road-frame floats or arrays;
-        arrays broadcast against each other."""
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
+        arrays broadcast against each other.
+
+        A road-aligned rectangle (yaw 0) is only translated, so a row of x
+        and a column of y stay a row and a column. The rotation by
+        cos 0 = 1, sin 0 = 0 would change nothing but the sign of a zero,
+        which no caller reads."""
         dx = x - self.center[0]
         dy = y - self.center[1]
+        if self.yaw == 0.0:
+            return dx, dy
+        c, s = math.cos(self.yaw), math.sin(self.yaw)
         return c * dx + s * dy, -s * dx + c * dy
 
     def contains(self, x, y):
@@ -120,25 +148,18 @@ class RectObstacle:
     def blocks_segment(self, origin: tuple[float, float], x, y):
         """Vectorized slab test: does the segment from origin to each
         (x, y) point intersect this rectangle? Touching counts. x and y
-        broadcast against each other."""
+        broadcast against each other.
+
+        Each axis is clipped on its own (_slab) and the two are combined
+        last, so for a road-aligned rectangle a row of x and a column of y
+        cost one vector per axis until the final comparison. max and min
+        are exact, so combining last gives the same booleans as clipping
+        one axis after the other."""
         x0, y0 = self._to_local(origin[0], origin[1])
         x1, y1 = self._to_local(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        hx, hy = self.size[0] / 2, self.size[1] / 2
-        t_lo = np.zeros_like(x1, dtype=float)
-        t_hi = np.ones_like(x1, dtype=float)
-        hit = np.ones_like(x1, dtype=bool)
-        for q0, q1, h in ((x0, x1, hx), (y0, y1, hy)):
-            d = q1 - q0
-            parallel = d == 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ta = (-h - q0) / d
-                tb = (h - q0) / d
-            lo = np.minimum(ta, tb)
-            hi = np.maximum(ta, tb)
-            hit &= ~(parallel & (abs(q0) > h))
-            t_lo = np.where(parallel, t_lo, np.maximum(t_lo, lo))
-            t_hi = np.where(parallel, t_hi, np.minimum(t_hi, hi))
-        return hit & (t_lo <= t_hi)
+        hit_x, lo_x, hi_x = _slab(x0, x1, self.size[0] / 2)
+        hit_y, lo_y, hi_y = _slab(y0, y1, self.size[1] / 2)
+        return (np.maximum(lo_x, lo_y) <= np.minimum(hi_x, hi_y)) & hit_x & hit_y
 
     def blocks_sight_line(
         self, origin: tuple[float, float], target: tuple[float, float]
@@ -167,7 +188,7 @@ class RectObstacle:
 class Crosswalk:
     """Band across the road at a fixed along-road distance."""
 
-    distance: float
+    distance: float = 40.0
     width: float = 3.0
 
 
@@ -183,7 +204,7 @@ class Scene:
     lateral_bounds: tuple[float, float] = (-1.8, 5.4)
     lane_width: float = 3.6
     obstacles: tuple[RectObstacle, ...] = ()
-    crosswalk: Crosswalk = field(default_factory=lambda: Crosswalk(distance=40.0))
+    crosswalk: Crosswalk = field(default_factory=Crosswalk)
     pedestrian: Pedestrian = field(default_factory=Pedestrian)
 
     def __post_init__(self):
@@ -221,6 +242,12 @@ def build_grid(scene: Scene, pose: tuple[float, float, float]) -> np.ndarray:
     The grid covers 70 m ahead of the ego position along the road axis and
     8 m to each side, one cell per 1/3 m. Returns a (210, 48) uint8 array
     of FREE / OCCUPIED / UNOBSERVABLE.
+
+    Cell centres enter as a column of 210 rows and a row of 48 columns.
+    For a road-aligned obstacle (yaw 0) contains and blocks_segment keep
+    them a 210-vector and a 48-vector until their final comparison, so
+    such an obstacle costs two vectors plus one (210, 48) compare; the
+    booleans are those of the rotated full-grid test (see blocks_segment).
     """
     ex, ey = _ego_xy(scene, pose)
     grid = np.zeros((GRID_LENGTH, GRID_WIDTH), dtype=np.uint8)
@@ -321,46 +348,53 @@ def crosswalk_path_distance(scene: Scene, path: Path) -> float:
     return float(path.s[k - 1] + frac * (path.s[k] - path.s[k - 1]))
 
 
-def _checked(data: dict, allowed: tuple[str, ...], where: str) -> dict:
-    """The mapping itself, once every key is known; raises ValueError
-    naming the first unknown key."""
+def _checked(data, allowed: tuple[str, ...], where: str, source, required: tuple[str, ...] = ()) -> dict:
+    """The mapping itself, once every key is known and every required key
+    is given; raises ValueError naming the file and the first unknown or
+    missing key. An empty section reads as an empty mapping."""
+    data = {} if data is None else data
+    if not isinstance(data, dict):
+        raise ValueError(f"{source}: {where} must be a mapping")
     for key in data:
         if key not in allowed:
-            raise ValueError(f"unknown {where} key {key!r}")
+            raise ValueError(f"{source}: unknown {where} key {key!r}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{source}: missing {where} key {key!r}")
     return data
 
 
+def _given(data: dict, **fields) -> dict:
+    """Keyword arguments for the fields the file gives, each converted by
+    its callable; absent fields keep their dataclass defaults."""
+    return {name: convert(data[name]) for name, convert in fields.items() if name in data}
+
+
 def load_scene(source) -> Scene:
-    """Build a Scene from a YAML file. Unknown keys raise ValueError."""
+    """Build a Scene from a YAML file. Unknown keys raise ValueError, and so
+    do an empty file and an obstacle without its center or size; whatever
+    the file leaves out keeps its Scene default."""
     with open(source, "r", encoding="utf-8") as fh:
-        data = _checked(yaml.safe_load(fh), ("road", "obstacles", "crosswalk", "pedestrian"), "scene")
-    road = _checked(data.get("road", {}), ("origin", "heading", "bounds", "lane_width"), "road")
-    frame = RoadFrame(
-        origin=tuple(road.get("origin", (0.0, 0.0))),
-        heading=float(road.get("heading", 0.0)),
-    )
-    items = [_checked(item, ("center", "size", "yaw"), "obstacle") for item in data.get("obstacles", [])]
+        data = yaml.safe_load(fh)
+    if data is None:
+        raise ValueError(f"{source}: empty scene file")
+    data = _checked(data, ("road", "obstacles", "crosswalk", "pedestrian"), "scene", source)
+    road = _checked(data.get("road"), ("origin", "heading", "bounds", "lane_width"), "road", source)
+    bounds = {"lateral_bounds": tuple(road["bounds"])} if "bounds" in road else {}
     obstacles = tuple(
-        RectObstacle(
-            center=tuple(item["center"]),
-            size=tuple(item["size"]),
-            yaw=float(item.get("yaw", 0.0)),
-        )
-        for item in items
+        RectObstacle(**_given(
+            _checked(item, ("center", "size", "yaw"), "obstacle", source, ("center", "size")),
+            center=tuple, size=tuple, yaw=float,
+        ))
+        for item in data.get("obstacles") or ()
     )
-    cw = _checked(data.get("crosswalk", {}), ("distance", "width"), "crosswalk")
-    ped = _checked(data.get("pedestrian", {}), ("present", "position"), "pedestrian")
+    cw = _checked(data.get("crosswalk"), ("distance", "width"), "crosswalk", source)
+    ped = _checked(data.get("pedestrian"), ("present", "position"), "pedestrian", source)
     return Scene(
-        road=frame,
-        lateral_bounds=tuple(road.get("bounds", (-1.8, 5.4))),
-        lane_width=float(road.get("lane_width", 3.6)),
+        road=RoadFrame(**_given(road, origin=tuple, heading=float)),
         obstacles=obstacles,
-        crosswalk=Crosswalk(
-            distance=float(cw.get("distance", 40.0)),
-            width=float(cw.get("width", 3.0)),
-        ),
-        pedestrian=Pedestrian(
-            present=bool(ped.get("present", False)),
-            position=tuple(ped.get("position", (0.0, 0.0))),
-        ),
+        crosswalk=Crosswalk(**_given(cw, distance=float, width=float)),
+        pedestrian=Pedestrian(**_given(ped, present=bool, position=tuple)),
+        **bounds,
+        **_given(road, lane_width=float),
     )

@@ -240,6 +240,20 @@ def test_load_scenario_rejects_unknown_key(tmp_path, repo_root, key):
         load_scenario(dest)
 
 
+def test_load_scenario_rejects_empty_file(tmp_path):
+    dest = tmp_path / "empty.yaml"
+    dest.write_text("")
+    with pytest.raises(ValueError, match="empty.yaml: empty scenario file"):
+        load_scenario(dest)
+
+
+def test_load_scenario_requires_scene(tmp_path):
+    dest = tmp_path / "no_scene.yaml"
+    dest.write_text(yaml.safe_dump({"policy": "oracle", "duration": 4.0}))
+    with pytest.raises(ValueError, match="no_scene.yaml: missing scenario key 'scene'"):
+        load_scenario(dest)
+
+
 def test_shipped_scenarios_cover_matrix(scenario_configs):
     assert set(scenario_configs) == {
         "oracle_hidden",

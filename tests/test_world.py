@@ -117,7 +117,14 @@ def oracle_grid(scene: Scene, pose) -> np.ndarray:
     return grid
 
 
-def random_scene(rng: np.random.Generator) -> tuple[Scene, tuple]:
+def random_scene(rng: np.random.Generator, lattice: float | None = None) -> tuple[Scene, tuple]:
+    """1-3 rotated obstacles on a random road frame; with a lattice step,
+    road-aligned obstacles (yaw 0.0 or -0.0) on the default road frame,
+    with centres, sizes and the ego position on that lattice so that cell
+    centres fall on obstacle edges. One scene in four puts the ego on a
+    corner, an edge line or the centre of its first obstacle."""
+    if lattice is not None:
+        return _lattice_scene(rng, lattice)
     obstacles = []
     for _ in range(int(rng.integers(1, 4))):
         obstacles.append(
@@ -135,6 +142,66 @@ def random_scene(rng: np.random.Generator) -> tuple[Scene, tuple]:
     north, east = road.to_inertial(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
     pose = (float(north), float(east), road.heading)
     return scene, pose
+
+
+def _lattice_scene(rng: np.random.Generator, step: float) -> tuple[Scene, tuple]:
+    def on(lo: float, hi: float) -> float:
+        return int(rng.integers(round(lo / step), round(hi / step) + 1)) * step
+
+    obstacles = tuple(
+        RectObstacle(
+            center=(on(1.0, 60.0), on(-7.0, 7.0)),
+            size=(on(step, 6.0), on(step, 3.0)),
+            yaw=(0.0, -0.0)[int(rng.integers(2))],
+        )
+        for _ in range(int(rng.integers(1, 4)))
+    )
+    ex, ey = on(-1.0, 1.0), on(-1.0, 1.0)
+    if rng.integers(4) == 0:
+        first = obstacles[0]
+        ex = first.center[0] + int(rng.integers(-1, 2)) * first.size[0] / 2
+        ey = first.center[1] + int(rng.integers(-1, 2)) * first.size[1] / 2
+    scene = Scene(obstacles=obstacles)
+    north, east = scene.road.to_inertial(ex, ey)
+    return scene, (float(north), float(east), 0.0)
+
+
+# --- reference for the road-aligned case -----------------------------------
+# The slab test as it was first written: rotate every point into the
+# rectangle's frame, then clip one axis after the other with np.where. The
+# implementation must give the same booleans on road-aligned obstacles,
+# where it skips the rotation and keeps a row and a column apart.
+
+
+def _reference_blocks_segment(ob: RectObstacle, origin, x, y):
+    x0, y0 = _rect_local(ob, origin[0], origin[1])
+    x1, y1 = _rect_local(ob, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    hx, hy = ob.size[0] / 2, ob.size[1] / 2
+    t_lo = np.zeros_like(x1, dtype=float)
+    t_hi = np.ones_like(x1, dtype=float)
+    hit = np.ones_like(x1, dtype=bool)
+    for q0, q1, h in ((x0, x1, hx), (y0, y1, hy)):
+        d = q1 - q0
+        parallel = d == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta = (-h - q0) / d
+            tb = (h - q0) / d
+        lo = np.minimum(ta, tb)
+        hi = np.maximum(ta, tb)
+        hit &= ~(parallel & (abs(q0) > h))
+        t_lo = np.where(parallel, t_lo, np.maximum(t_lo, lo))
+        t_hi = np.where(parallel, t_hi, np.minimum(t_hi, hi))
+    return hit & (t_lo <= t_hi)
+
+
+def _reference_contains(ob: RectObstacle, x, y):
+    lx, ly = _rect_local(ob, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return (np.abs(lx) <= ob.size[0] / 2) & (np.abs(ly) <= ob.size[1] / 2)
+
+
+def _reference_distance(ob: RectObstacle, x: float, y: float) -> float:
+    lx, ly = _rect_local(ob, x, y)
+    return math.hypot(max(abs(lx) - ob.size[0] / 2, 0.0), max(abs(ly) - ob.size[1] / 2, 0.0))
 
 
 # --- grid tests -------------------------------------------------------------
@@ -168,9 +235,11 @@ def test_randomized_scenes_match_oracle():
     rng = np.random.default_rng(42)
     for _ in range(8):
         scene, pose = random_scene(rng)
-        grid = build_grid(scene, pose)
-        assert grid.shape == (GRID_LENGTH, GRID_WIDTH)
-        assert np.array_equal(grid, oracle_grid(scene, pose))
+        aligned = tuple(dataclasses.replace(ob, yaw=0.0) for ob in scene.obstacles)
+        for case in (scene, dataclasses.replace(scene, obstacles=aligned)):
+            grid = build_grid(case, pose)
+            assert grid.shape == (GRID_LENGTH, GRID_WIDTH)
+            assert np.array_equal(grid, oracle_grid(case, pose))
 
 
 @pytest.mark.parametrize(
@@ -186,8 +255,17 @@ def test_randomized_scenes_match_oracle():
         (RectObstacle(center=(30.0, 9.9), size=(4.0, 1.0), yaw=0.6), 0),
         # the ego stands inside it
         (RectObstacle(center=(0.5, 0.2), size=(3.0, 2.0), yaw=0.2), GRID_LENGTH * GRID_WIDTH),
+        # road-aligned: straddles the far edge, pokes into / stays clear of
+        # the +8 m side, the ego inside it
+        (RectObstacle(center=(70.0, -1.0), size=(2.0, 3.0)), 30),
+        (RectObstacle(center=(30.0, 8.2), size=(4.0, 1.0)), 14),
+        (RectObstacle(center=(30.0, 8.6), size=(4.0, 1.0)), 0),
+        (RectObstacle(center=(0.5, 0.2), size=(3.0, 2.0), yaw=-0.0), GRID_LENGTH * GRID_WIDTH),
     ],
-    ids=["just-behind", "far-edge", "corner-in", "corner-out", "ego-inside"],
+    ids=[
+        "just-behind", "far-edge", "corner-in", "corner-out", "ego-inside",
+        "aligned-far-edge", "aligned-side-in", "aligned-side-out", "aligned-ego-inside",
+    ],
 )
 def test_grid_edge_of_view_matches_oracle(obstacle, touched):
     scene = Scene(obstacles=(obstacle,))
@@ -195,6 +273,56 @@ def test_grid_edge_of_view_matches_oracle(obstacle, touched):
     grid = build_grid(scene, pose)
     assert np.array_equal(grid, oracle_grid(scene, pose))
     assert np.count_nonzero(grid != FREE) == touched
+
+
+@pytest.mark.parametrize("lattice", [1 / 3, 1 / 6], ids=["third", "sixth"])
+def test_road_aligned_equals_rotated_reference(lattice):
+    # Road-aligned obstacles skip the rotation and keep the grid's row and
+    # column apart until the last comparison. On lattice scenes, where
+    # cell centres sit on obstacle edges and sight lines run along them,
+    # every result must equal the rotate-then-np.where reference exactly.
+    rng = np.random.default_rng(6)
+    on_edge = inside = 0
+    visible = set()
+    for _ in range(60):
+        scene, pose = random_scene(rng, lattice)
+        ex, ey = scene.road.to_road(pose[0], pose[1])
+        gx = (ex + (np.arange(GRID_LENGTH) + 0.5) / CELLS_PER_M)[:, None]
+        gy = (ey + (np.arange(GRID_WIDTH) - GRID_WIDTH / 2 + 0.5) / CELLS_PER_M)[None, :]
+        # lattice targets through the ego: d == 0 along each axis
+        tx = (ex + np.arange(-12, 13) * lattice)[:, None]
+        ty = (ey + np.arange(-12, 13) * lattice)[None, :]
+        occupied = np.zeros((GRID_LENGTH, GRID_WIDTH), dtype=bool)
+        blocked = np.zeros_like(occupied)
+        for ob in scene.obstacles:
+            cells = _reference_contains(ob, gx, gy)
+            rays = _reference_blocks_segment(ob, (ex, ey), gx, gy)
+            assert np.array_equal(ob.contains(gx, gy), cells)
+            assert np.array_equal(ob.blocks_segment((ex, ey), gx, gy), rays)
+            assert np.array_equal(
+                ob.blocks_segment((ex, ey), tx, ty), _reference_blocks_segment(ob, (ex, ey), tx, ty)
+            )
+            assert ob.distance(ex, ey) == _reference_distance(ob, ex, ey)
+            occupied |= cells
+            blocked |= rays
+            lx, ly = _rect_local(ob, gx, gy)
+            on_edge += np.count_nonzero((np.abs(lx) == ob.size[0] / 2) | (np.abs(ly) == ob.size[1] / 2))
+            inside += bool(_reference_contains(ob, ex, ey))
+        expected = np.zeros_like(occupied, dtype=np.uint8)
+        expected[blocked] = UNOBSERVABLE
+        expected[occupied] = OCCUPIED
+        assert np.array_equal(build_grid(scene, pose), expected)
+        for k in range(8):
+            # even k: the sight line runs level with the ego (d == 0 across
+            # the road); k = 1, 5: straight across it (d == 0 along it)
+            px = ex if k % 4 == 1 else ex + int(rng.integers(1, round(69 / lattice))) * lattice
+            py = ey if k % 2 == 0 else ey + int(rng.integers(-24, 25)) * lattice
+            ped = Pedestrian(present=True, position=(px, py))
+            hidden = any(bool(_reference_blocks_segment(ob, (ex, ey), px, py)) for ob in scene.obstacles)
+            seen = dataclasses.replace(scene, crosswalk=Crosswalk(distance=px), pedestrian=ped)
+            assert pedestrian_visible(seen, pose) is not hidden
+            visible.add(not hidden)
+    assert on_edge and inside and visible == {False, True}
 
 
 def test_occupied_wins_over_unobservable():
@@ -374,6 +502,31 @@ def test_load_scene_rejects_unknown_key(tmp_path, repo_root, scene_file, key, ty
     bad.write_text(text.replace(f"{key}:", f"{typo}:"))
     with pytest.raises(ValueError, match=f"'{typo}'"):
         load_scene(bad)
+
+
+def test_load_scene_rejects_empty_file(tmp_path):
+    dest = tmp_path / "empty.yaml"
+    dest.write_text("")
+    with pytest.raises(ValueError, match="empty.yaml: empty scene file"):
+        load_scene(dest)
+
+
+def test_load_scene_requires_obstacle_extents(tmp_path):
+    dest = tmp_path / "no_size.yaml"
+    dest.write_text("obstacles:\n  - center: [20.0, 1.0]\n")
+    with pytest.raises(ValueError, match="no_size.yaml: missing obstacle key 'size'"):
+        load_scene(dest)
+
+
+def test_load_scene_keeps_dataclass_defaults(tmp_path):
+    # A file that gives only obstacles takes every other value from Scene().
+    dest = tmp_path / "obstacles_only.yaml"
+    dest.write_text("obstacles:\n  - center: [20.0, 1.0]\n    size: [4.0, 2.0]\n")
+    scene = load_scene(dest)
+    default = Scene()
+    assert scene == dataclasses.replace(default, obstacles=(RectObstacle((20.0, 1.0), (4.0, 2.0)),))
+    assert (scene.lateral_bounds, scene.lane_width) == (default.lateral_bounds, default.lane_width)
+    assert scene.crosswalk == default.crosswalk == Crosswalk()
 
 
 def test_rect_obstacle_corners_in_outline_order():
