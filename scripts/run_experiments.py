@@ -17,7 +17,8 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from crosswalk_sim.harness import load_trace_csv, run_batch
+from crosswalk_sim.files import load_trace_csv
+from crosswalk_sim.harness import run_batch
 
 
 def summarize(trace_path: Path) -> str:

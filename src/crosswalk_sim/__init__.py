@@ -12,7 +12,6 @@ from .dynamics import (
     VehicleState,
     allocate_longitudinal,
     brush_tire_lateral,
-    load_vehicle_params,
     step_dynamics,
 )
 from .executor import (
@@ -24,15 +23,16 @@ from .executor import (
     oracle_scale,
     pomdp_step,
 )
-from .harness import (
+from .files import (
     ScenarioConfig,
     Trace,
     export_plot_data,
     export_trace,
     load_scenario,
-    run_batch,
-    run_scenario,
+    load_scene,
+    load_vehicle_params,
 )
+from .harness import run_batch, run_scenario
 from .path import Path, PathProjection
 from .pomdp import (
     ACTION_SCALES,
@@ -65,7 +65,6 @@ from .world import (
     build_grid,
     count_unobservable,
     grid_to_text,
-    load_scene,
     pedestrian_visible,
 )
 

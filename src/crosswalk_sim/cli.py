@@ -6,22 +6,13 @@ import argparse
 import logging
 import sys
 import time
-from pathlib import Path as FsPath
 
 from . import world
-from .harness import (
-    derive_model_config,
-    export_plot_data,
-    export_trace,
-    load_model_config,
-    load_scenario,
-    run_batch,
-    run_scenario,
-    solve_policy,
-)
+from .files import export_run, load_model_config, load_scenario, load_scene
+from .harness import derive_model_config, run_batch, run_scenario, solve_policy
 from .pomdp import ModelConfig
 from .qmdp import save_policy
-from .world import build_grid, grid_to_text, load_scene
+from .world import build_grid, grid_to_text
 
 log = logging.getLogger("crosswalk_sim")
 
@@ -113,11 +104,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     trace = run_scenario(config)
-    out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dest = out / f"trace.{args.format}"
-    export_trace(trace, args.format, dest)
-    export_plot_data(trace, out, scene=config.scene)
+    dest = export_run(trace, config.scene, args.out, args.format)
     log.info(
         "%s: terminated by %s after %d steps -> %s",
         config.name,

@@ -188,27 +188,3 @@ def step_dynamics(
         s=proj.s,
         e=proj.e,
     )
-
-
-def load_vehicle_params(source) -> VehicleParams:
-    """Load VehicleParams from a plain key = value text file.
-
-    Blank lines and '#' comments are ignored; keys match the dataclass
-    fields. Unknown keys raise ValueError.
-    """
-    with open(source, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    fields = VehicleParams.__dataclass_fields__
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in fields:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        values[key] = float(val.strip())
-    return VehicleParams(**values)

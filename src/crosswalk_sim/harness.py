@@ -1,4 +1,4 @@
-"""Closed-loop scenario runner and trace export.
+"""Closed-loop scenario runner.
 
 The control loop runs at a fixed 0.01 s step; the active policy refreshes
 its speed scale every decision period (zero-order hold in between) while
@@ -8,30 +8,40 @@ step plus run metadata and a termination reason.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 import numpy as np
-import yaml
 
 from . import world
 from .control import build_avoidance_path, speed_control, steer_control
-from .dynamics import VehicleParams, VehicleState, load_vehicle_params, step_dynamics
+from .dynamics import VehicleState, step_dynamics
 from .executor import (
     STOP_DECEL,
     STOP_MARGIN,
     SensorReading,
     ZeroBeliefError,
     baseline_scale,
-    belief_update,
     init_belief,
     oracle_scale,
     pomdp_step,
     stopping_scale,
+)
+
+# perfbench/tracer.py patches export_trace and export_plot_data as harness
+# names, and perfbench/workloads.py calls them, load_scenario and
+# load_model_config through this module, so all four stay bound here.
+from .files import (
+    TRACE_FIELDS,
+    ScenarioConfig,
+    Trace,
+    export_plot_data,
+    export_run,
+    export_trace,
+    load_model_config,
+    load_scenario,
 )
 from .pomdp import (
     ACTION_SCALES,
@@ -43,73 +53,14 @@ from .pomdp import (
     occluded_bins_from_band,
 )
 from .qmdp import AlphaVectorPolicy, extract_alphas, load_policy, value_iteration
-from .world import Scene, load_scene
+from .world import Scene
 
 log = logging.getLogger(__name__)
-
-POLICY_KINDS = ("oracle", "baseline", "pomdp")
 
 YIELD_GATE_DECEL = 1.5  # m/s^2 the baseline may need to engage its yield ramp
 STUCK_SPEED = 0.05  # m/s below which the vehicle counts as at rest
 STUCK_TIME = 3.0  # s at rest, with no stop expected, that ends a run as stuck
 PROXIMITY_DIST = 1.5  # m to an obstacle ahead that ends a run
-
-TRACE_FIELDS = (
-    "time",
-    "north",
-    "east",
-    "heading",
-    "ux",
-    "s",
-    "e",
-    "ax",
-    "steer",
-    "scale",
-    "unobservable",
-    "detected",
-    "p_crossing",
-)
-
-
-@dataclass
-class ScenarioConfig:
-    """Everything needed to reproduce one closed-loop run."""
-
-    scene: Scene
-    vehicle: VehicleParams = field(default_factory=VehicleParams)
-    policy: str = "oracle"
-    v_desired: float = 10.0
-    duration: float = 15.0
-    control_dt: float = 0.01
-    decision_period: float = 0.5
-    seed: int = 0
-    model_config: ModelConfig | None = None
-    policy_file: str | None = None
-    name: str = "scenario"
-
-    def __post_init__(self):
-        if self.policy not in POLICY_KINDS:
-            raise ValueError(f"policy must be one of {POLICY_KINDS}")
-        if self.control_dt <= 0 or self.decision_period <= 0 or self.duration <= 0:
-            raise ValueError("time settings must be positive")
-        ratio = self.decision_period / self.control_dt
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("decision_period must be a multiple of control_dt")
-
-
-@dataclass
-class Trace:
-    """Column-oriented run record; every column has one entry per step."""
-
-    columns: dict[str, np.ndarray]
-    metadata: dict
-    termination: str
-
-    def __len__(self) -> int:
-        return len(self.columns["time"])
-
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
 
 
 def _quantize_down(scale: float, levels: int) -> float:
@@ -283,120 +234,6 @@ def _near_obstacle(scene: Scene, state: VehicleState) -> bool:
     )
 
 
-def export_trace(trace: Trace, fmt: str = "csv", destination=None) -> str:
-    """Write a trace as CSV (metadata in comment lines) or JSON."""
-    if destination is None:
-        raise ValueError("destination required")
-    destination = str(destination)
-    if fmt == "csv":
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# termination: {trace.termination}\n")
-            for key in sorted(trace.metadata):
-                fh.write(f"# {key}: {trace.metadata[key]}\n")
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_FIELDS)
-            cols = [trace.columns[name] for name in TRACE_FIELDS]
-            for i in range(len(trace)):
-                writer.writerow([f"{col[i]:.17g}" for col in cols])
-    elif fmt == "json":
-        payload = {
-            "metadata": trace.metadata,
-            "termination": trace.termination,
-            "columns": {name: trace.columns[name].tolist() for name in TRACE_FIELDS},
-        }
-        with open(destination, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-    else:
-        raise ValueError("fmt must be 'csv' or 'json'")
-    return destination
-
-
-def load_trace_csv(source) -> Trace:
-    """Read back a CSV trace written by export_trace."""
-    metadata: dict = {}
-    termination = "unknown"
-    rows = []
-    with open(source, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(":")
-                key = key.strip()
-                val = val.strip()
-                if key == "termination":
-                    termination = val
-                else:
-                    metadata[key] = _parse_meta(val)
-                continue
-            rows.append(line)
-    reader = csv.reader(rows)
-    header = next(reader)
-    data = {name: [] for name in header}
-    for row in reader:
-        for name, val in zip(header, row):
-            data[name].append(float(val))
-    columns = {name: np.asarray(vals) for name, vals in data.items()}
-    return Trace(columns=columns, metadata=metadata, termination=termination)
-
-
-def _parse_meta(val: str):
-    for cast in (int, float):
-        try:
-            return cast(val)
-        except ValueError:
-            continue
-    return val
-
-
-def export_plot_data(trace: Trace, out_dir, scene: Scene | None = None) -> list[str]:
-    """Write plot-ready CSV panels: overhead view, speed vs time and
-    unobservable count vs time. Returns the written paths."""
-    out = FsPath(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def _write(name, header, arrays):
-        dest = out / name
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(len(arrays[0])):
-                writer.writerow([f"{a[i]:.17g}" for a in arrays])
-        written.append(str(dest))
-
-    c = trace.columns
-    _write("overhead.csv", ["north", "east", "s", "e"], [c["north"], c["east"], c["s"], c["e"]])
-    _write("speed_vs_time.csv", ["time", "ux", "scale"], [c["time"], c["ux"], c["scale"]])
-    _write(
-        "unobservable_vs_time.csv",
-        ["time", "unobservable", "detected"],
-        [c["time"], c["unobservable"], c["detected"]],
-    )
-    if scene is not None:
-        dest = out / "scene_outline.csv"
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "north", "east"])
-            for ob in scene.obstacles:
-                corners = ob.corners()
-                for cx, cy in corners + corners[:1]:
-                    n, e = scene.road.to_inertial(cx, cy)
-                    writer.writerow(["obstacle", f"{float(n):.17g}", f"{float(e):.17g}"])
-            for y in scene.lateral_bounds:
-                for x in (0.0, 70.0):
-                    n, e = scene.road.to_inertial(x, y)
-                    writer.writerow(["road_edge", f"{float(n):.17g}", f"{float(e):.17g}"])
-            cw = scene.crosswalk
-            for y in scene.lateral_bounds:
-                n, e = scene.road.to_inertial(cw.distance, y)
-                writer.writerow(["crosswalk", f"{float(n):.17g}", f"{float(e):.17g}"])
-            if scene.pedestrian.present:
-                n, e = scene.road.to_inertial(*scene.pedestrian.position)
-                writer.writerow(["pedestrian", f"{float(n):.17g}", f"{float(e):.17g}"])
-        written.append(str(dest))
-    return written
-
-
 def derive_model_config(scene: Scene, base: ModelConfig | None = None) -> ModelConfig:
     """Fill the geometry-dependent fields of a model config from a scene:
     the crosswalk distance bin and the occluded distance band."""
@@ -410,72 +247,6 @@ def derive_model_config(scene: Scene, base: ModelConfig | None = None) -> ModelC
     else:
         occluded = occluded_bins_from_band(band[0], band[1], cfg.cell_length)
     return replace(cfg, crosswalk_bin=crosswalk_bin, occluded_bins=occluded)
-
-
-# Scenario YAML keys that are not plain ScenarioConfig values: file
-# references and the run name. Every other key must name a field.
-_SCENARIO_REFS = frozenset({"scene", "vehicle", "model", "policy_file", "name"})
-_SCENARIO_SCALARS = (
-    frozenset(ScenarioConfig.__dataclass_fields__) - _SCENARIO_REFS - {"model_config"}
-)
-
-
-def load_scenario(source) -> ScenarioConfig:
-    """Load a scenario YAML; file references resolve relative to it."""
-    path = FsPath(source)
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    if data is None:
-        raise ValueError(f"{path}: empty scenario file")
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: scenario must be a mapping")
-    kwargs = {}
-    for key, val in data.items():
-        if key in _SCENARIO_SCALARS:
-            kwargs[key] = val
-        elif key not in _SCENARIO_REFS:
-            raise ValueError(f"{path}: unknown scenario key {key!r}")
-    if "scene" not in data:
-        raise ValueError(f"{path}: missing scenario key 'scene'")
-    base = path.parent
-
-    def _resolve(name):
-        p = FsPath(data[name])
-        return p if p.is_absolute() else base / p
-
-    scene = load_scene(_resolve("scene"))
-    vehicle = (
-        load_vehicle_params(_resolve("vehicle")) if "vehicle" in data else VehicleParams()
-    )
-    model_cfg = None
-    if "model" in data:
-        model_cfg = load_model_config(_resolve("model"))
-    policy_file = data.get("policy_file")
-    if policy_file:
-        policy_file = str(_resolve("policy_file"))
-    return ScenarioConfig(
-        scene=scene,
-        vehicle=vehicle,
-        model_config=model_cfg,
-        policy_file=policy_file,
-        name=data.get("name", path.stem),
-        **kwargs,
-    )
-
-
-def load_model_config(source) -> ModelConfig:
-    """Load a ModelConfig from YAML (plain field: value mapping)."""
-    with open(source, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
-    fields = ModelConfig.__dataclass_fields__
-    kwargs = {}
-    for key, val in data.items():
-        if key not in fields:
-            raise ValueError(f"unknown model config key {key!r}")
-        if isinstance(val, list):
-            val = tuple(val)
-        kwargs[key] = val
-    return ModelConfig(**kwargs)
 
 
 def run_batch(config_dir, out_dir, fmt: str = "csv") -> list[str]:
@@ -496,12 +267,7 @@ def run_batch(config_dir, out_dir, fmt: str = "csv") -> list[str]:
                 solved[key] = solve_policy(key)
             model, policy = solved[key]
         trace = run_scenario(config, model=model, policy=policy)
-        dest_dir = out_dir / cfg_path.stem
-        dest_dir.mkdir(parents=True, exist_ok=True)
-        ext = "csv" if fmt == "csv" else "json"
-        dest = dest_dir / f"trace.{ext}"
-        export_trace(trace, fmt, dest)
-        export_plot_data(trace, dest_dir, scene=config.scene)
+        dest = export_run(trace, config.scene, out_dir / cfg_path.stem, fmt)
         log.info("%s: %s after %.2f s", cfg_path.stem, trace.termination, len(trace) * config.control_dt)
-        written.append(str(dest))
+        written.append(dest)
     return written

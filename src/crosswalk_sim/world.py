@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .path import Path
 
@@ -346,55 +345,3 @@ def crosswalk_path_distance(scene: Scene, path: Path) -> float:
         return 0.0
     frac = (target - px[k - 1]) / (px[k] - px[k - 1])
     return float(path.s[k - 1] + frac * (path.s[k] - path.s[k - 1]))
-
-
-def _checked(data, allowed: tuple[str, ...], where: str, source, required: tuple[str, ...] = ()) -> dict:
-    """The mapping itself, once every key is known and every required key
-    is given; raises ValueError naming the file and the first unknown or
-    missing key. An empty section reads as an empty mapping."""
-    data = {} if data is None else data
-    if not isinstance(data, dict):
-        raise ValueError(f"{source}: {where} must be a mapping")
-    for key in data:
-        if key not in allowed:
-            raise ValueError(f"{source}: unknown {where} key {key!r}")
-    for key in required:
-        if key not in data:
-            raise ValueError(f"{source}: missing {where} key {key!r}")
-    return data
-
-
-def _given(data: dict, **fields) -> dict:
-    """Keyword arguments for the fields the file gives, each converted by
-    its callable; absent fields keep their dataclass defaults."""
-    return {name: convert(data[name]) for name, convert in fields.items() if name in data}
-
-
-def load_scene(source) -> Scene:
-    """Build a Scene from a YAML file. Unknown keys raise ValueError, and so
-    do an empty file and an obstacle without its center or size; whatever
-    the file leaves out keeps its Scene default."""
-    with open(source, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    if data is None:
-        raise ValueError(f"{source}: empty scene file")
-    data = _checked(data, ("road", "obstacles", "crosswalk", "pedestrian"), "scene", source)
-    road = _checked(data.get("road"), ("origin", "heading", "bounds", "lane_width"), "road", source)
-    bounds = {"lateral_bounds": tuple(road["bounds"])} if "bounds" in road else {}
-    obstacles = tuple(
-        RectObstacle(**_given(
-            _checked(item, ("center", "size", "yaw"), "obstacle", source, ("center", "size")),
-            center=tuple, size=tuple, yaw=float,
-        ))
-        for item in data.get("obstacles") or ()
-    )
-    cw = _checked(data.get("crosswalk"), ("distance", "width"), "crosswalk", source)
-    ped = _checked(data.get("pedestrian"), ("present", "position"), "pedestrian", source)
-    return Scene(
-        road=RoadFrame(**_given(road, origin=tuple, heading=float)),
-        obstacles=obstacles,
-        crosswalk=Crosswalk(**_given(cw, distance=float, width=float)),
-        pedestrian=Pedestrian(**_given(ped, present=bool, position=tuple)),
-        **bounds,
-        **_given(road, lane_width=float),
-    )

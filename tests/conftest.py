@@ -6,10 +6,10 @@ import pathlib
 
 import pytest
 
-from crosswalk_sim.harness import load_scenario, run_scenario
+from crosswalk_sim.files import load_scenario, load_scene
+from crosswalk_sim.harness import run_scenario
 from crosswalk_sim.pomdp import ACTION_SCALES, build_crosswalk_model
 from crosswalk_sim.qmdp import extract_alphas, value_iteration
-from crosswalk_sim.world import load_scene
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"

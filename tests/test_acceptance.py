@@ -16,7 +16,8 @@ import numpy as np
 from crosswalk_sim.control import build_avoidance_path
 from crosswalk_sim.dynamics import VehicleParams, VehicleState, brush_tire_lateral, step_dynamics
 from crosswalk_sim.executor import belief_update, init_belief
-from crosswalk_sim.harness import TRACE_FIELDS, ScenarioConfig, run_scenario
+from crosswalk_sim.files import TRACE_FIELDS, ScenarioConfig
+from crosswalk_sim.harness import run_scenario
 from crosswalk_sim.pomdp import PomdpModel, build_crosswalk_model
 from crosswalk_sim.qmdp import value_iteration
 from crosswalk_sim.world import GRID_LENGTH, GRID_WIDTH, UNOBSERVABLE, build_grid, count_unobservable, crosswalk_occlusion_band

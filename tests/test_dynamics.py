@@ -14,9 +14,9 @@ from crosswalk_sim.dynamics import (
     VehicleState,
     allocate_longitudinal,
     brush_tire_lateral,
-    load_vehicle_params,
     step_dynamics,
 )
+from crosswalk_sim.files import load_vehicle_params
 from crosswalk_sim.path import Path
 
 PARAMS = VehicleParams()
@@ -186,17 +186,17 @@ def test_normal_loads_sum_to_weight():
 
 
 def test_load_vehicle_params_round_trip(repo_root):
-    loaded = load_vehicle_params(repo_root / "configs" / "vehicle.cfg")
+    loaded = load_vehicle_params(repo_root / "configs" / "vehicle.yaml")
     assert loaded == PARAMS
 
 
 def test_load_vehicle_params_rejects_unknown_key(tmp_path):
-    dest = tmp_path / "vehicle.cfg"
-    dest.write_text("mass = 1500\nwingspan = 3\n")
+    dest = tmp_path / "vehicle.yaml"
+    dest.write_text("mass: 1500\nwingspan: 3\n")
     with pytest.raises(ValueError):
         load_vehicle_params(dest)
 
 
 def test_load_vehicle_params_missing_file(repo_root):
     with pytest.raises(FileNotFoundError):
-        load_vehicle_params(repo_root / "configs" / "vehicel.cfg")
+        load_vehicle_params(repo_root / "configs" / "vehicel.yaml")

@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from crosswalk_sim.harness import export_plot_data, export_trace
+from crosswalk_sim.files import export_plot_data, export_trace
 
 RESULTS = pathlib.Path(__file__).resolve().parents[1] / "results"
 GOLDEN_RUNS = sorted(p.name for p in RESULTS.iterdir() if p.is_dir())

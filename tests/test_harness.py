@@ -10,7 +10,7 @@ import yaml
 
 from crosswalk_sim import harness
 from crosswalk_sim.cli import main as cli_main
-from crosswalk_sim.harness import (
+from crosswalk_sim.files import (
     TRACE_FIELDS,
     ScenarioConfig,
     Trace,
@@ -19,8 +19,8 @@ from crosswalk_sim.harness import (
     load_model_config,
     load_scenario,
     load_trace_csv,
-    run_scenario,
 )
+from crosswalk_sim.harness import run_scenario
 from crosswalk_sim.qmdp import load_policy
 from crosswalk_sim.world import Pedestrian, RectObstacle, Scene
 
@@ -211,7 +211,7 @@ def test_scenario_config_validation(exposed_scene):
 def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
     doc = {
         "scene": str(repo_root / "configs" / "scene_exposed.yaml"),
-        "vehicle": str(repo_root / "configs" / "vehicle.cfg"),
+        "vehicle": str(repo_root / "configs" / "vehicle.yaml"),
         "policy": "baseline",
         "v_desired": 8.0,
         "duration": 4.0,
@@ -282,6 +282,24 @@ def test_load_model_config_types(repo_root):
     assert cfg.discount == 0.995
     assert cfg.occluded_bins == (0, 50)
     assert cfg.advance_spread == (0.15, 0.7, 0.15)
+
+
+def test_harness_binds_the_names_perfbench_reads():
+    # perfbench/tracer.py patches these as harness attributes and
+    # perfbench/workloads.py calls them there, although the package itself
+    # no longer reaches some of them through harness.
+    from crosswalk_sim import control, dynamics, executor, files
+
+    homes = {
+        files: ("export_trace", "export_plot_data", "load_scenario", "load_model_config"),
+        harness: ("run_scenario",),
+        dynamics: ("step_dynamics",),
+        control: ("steer_control", "speed_control"),
+        executor: ("pomdp_step",),
+    }
+    for module, names in homes.items():
+        for name in names:
+            assert getattr(harness, name) is getattr(module, name), name
 
 
 # --- command line ----------------------------------------------------------------

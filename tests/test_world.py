@@ -26,9 +26,9 @@ from crosswalk_sim.world import (
     crosswalk_occlusion_band,
     crosswalk_path_distance,
     grid_to_text,
-    load_scene,
     pedestrian_visible,
 )
+from crosswalk_sim.files import load_scene
 from crosswalk_sim.control import build_avoidance_path
 from crosswalk_sim.path import Path
 
