@@ -41,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scene", help="scene YAML; derives the crosswalk bin and occluded band"
     )
     p_solve.add_argument("--out", required=True, help="policy file destination")
-    p_solve.add_argument("--tol", type=float, default=1e-6)
-    p_solve.add_argument("--max-iters", type=int, default=10000)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_run = sub.add_parser("run", help="run one scenario config")
@@ -84,7 +82,7 @@ def _cmd_solve(args) -> int:
             cfg.occluded_bins,
         )
     started = time.perf_counter()
-    model, policy = solve_policy(cfg, tol=args.tol, max_iters=args.max_iters)
+    model, policy = solve_policy(cfg)
     elapsed = time.perf_counter() - started
     save_policy(policy, args.out)
     log.info(

@@ -2,17 +2,18 @@
 (`qmdp`): the scene, scenario, model and vehicle YAML, and the trace and
 plot-panel CSV/JSON of a run.
 
-Every config loader goes through `_read`, so they share one error rule: an
-unknown key, a non-mapping or an empty file raises ValueError naming the
-file and the key, and a missing file raises FileNotFoundError. Every CSV
-goes through `_write_csv`, which writes floats with %.17g so they read back
-exactly.
+Every config loader goes through `_read` and `_given`, so they share one
+error rule: an unknown key, an unconvertible value, a non-mapping or an
+empty file raises ValueError naming the file and the key, and a missing
+file raises FileNotFoundError. Every CSV goes through `_write_csv`, which
+writes floats with %.17g so they read back exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
@@ -51,8 +52,6 @@ class ScenarioConfig:
     policy: str = "oracle"
     v_desired: float = 10.0
     duration: float = 15.0
-    control_dt: float = 0.01
-    decision_period: float = 0.5
     seed: int = 0
     model_config: ModelConfig | None = None
     policy_file: str | None = None
@@ -61,11 +60,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.policy not in POLICY_KINDS:
             raise ValueError(f"policy must be one of {POLICY_KINDS}")
-        if self.control_dt <= 0 or self.decision_period <= 0 or self.duration <= 0:
-            raise ValueError("time settings must be positive")
-        ratio = self.decision_period / self.control_dt
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("decision_period must be a multiple of control_dt")
+        if not self.duration > 0:
+            raise ValueError("duration must be positive")
 
 
 @dataclass
@@ -102,10 +98,23 @@ def _checked(data, allowed, where: str, source, required: tuple[str, ...] = ()) 
     return data
 
 
-def _given(data: dict, **fields) -> dict:
-    """Keyword arguments for the fields the file gives, each converted by
-    its callable; absent fields keep their dataclass defaults."""
-    return {name: convert(data[name]) for name, convert in fields.items() if name in data}
+def _given(data: dict, source, cls, names=None) -> dict:
+    """Keyword arguments for dataclass cls from the fields (or the names)
+    the file gives, each converted to its annotated type, a tuple element
+    by element; absent fields keep their defaults. A value that does not
+    convert raises ValueError naming the file and the key."""
+    kinds = typing.get_type_hints(cls)
+    given = {}
+    for name in (key for key in data if key in (names or kinds)):
+        kind, value = kinds[name], data[name]
+        try:
+            if typing.get_origin(kind) is tuple:
+                given[name] = tuple(k(x) for k, x in zip(typing.get_args(kind), value, strict=True))
+            else:
+                given[name] = kind(value)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{source}: bad value for key {name!r}: {err}") from None
+    return given
 
 
 def _read(source, what: str, allowed, required: tuple[str, ...] = ()) -> dict:
@@ -127,34 +136,32 @@ def load_scene(source) -> Scene:
     obstacles = tuple(
         RectObstacle(**_given(
             _checked(item, ("center", "size", "yaw"), "obstacle", source, ("center", "size")),
-            center=tuple, size=tuple, yaw=float,
+            source, RectObstacle,
         ))
         for item in data.get("obstacles") or ()
     )
     cw = _checked(data.get("crosswalk"), ("distance", "width"), "crosswalk", source)
     ped = _checked(data.get("pedestrian"), ("present", "position"), "pedestrian", source)
     return Scene(
-        road=RoadFrame(**_given(road, origin=tuple, heading=float)),
+        road=RoadFrame(**_given(road, source, RoadFrame)),
         obstacles=obstacles,
-        crosswalk=Crosswalk(**_given(cw, distance=float, width=float)),
-        pedestrian=Pedestrian(**_given(ped, present=bool, position=tuple)),
+        crosswalk=Crosswalk(**_given(cw, source, Crosswalk)),
+        pedestrian=Pedestrian(**_given(ped, source, Pedestrian)),
         **bounds,
-        **_given(road, lane_width=float),
+        **_given(road, source, Scene, ("lane_width",)),
     )
 
 
 def load_vehicle_params(source) -> VehicleParams:
     """Load VehicleParams from a YAML mapping of field: value."""
-    fields = VehicleParams.__dataclass_fields__
-    data = _read(source, "vehicle", fields)
-    return VehicleParams(**_given(data, **dict.fromkeys(fields, float)))
+    data = _read(source, "vehicle", VehicleParams.__dataclass_fields__)
+    return VehicleParams(**_given(data, source, VehicleParams))
 
 
 def load_model_config(source) -> ModelConfig:
-    """Load a ModelConfig from a YAML mapping of field: value; lists
-    become tuples."""
+    """Load a ModelConfig from a YAML mapping of field: value."""
     data = _read(source, "model", ModelConfig.__dataclass_fields__)
-    return ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+    return ModelConfig(**_given(data, source, ModelConfig))
 
 
 # Scenario YAML keys are the ScenarioConfig fields, with `model` (a file)
@@ -162,26 +169,22 @@ def load_model_config(source) -> ModelConfig:
 # relative to the scenario file.
 _SCENARIO_REFS = ("scene", "vehicle", "model", "policy_file")
 _SCENARIO_KEYS = frozenset(ScenarioConfig.__dataclass_fields__) - {"model_config"} | {"model"}
-_SCENARIO_SCALARS = _SCENARIO_KEYS - set(_SCENARIO_REFS) - {"name"}
 
 
 def load_scenario(source) -> ScenarioConfig:
     """Load a scenario YAML; file references resolve relative to it."""
     path = FsPath(source)
     data = _read(path, "scenario", _SCENARIO_KEYS, required=("scene",))
-    refs = {}
     for key in _SCENARIO_REFS:
-        if key in data:
-            if data[key] is None:
-                raise ValueError(f"{path}: empty scenario key {key!r}")
-            refs[key] = path.parent / data[key]
+        if key in data and data[key] is None:
+            raise ValueError(f"{path}: empty scenario key {key!r}")
+    refs = {key: path.parent / str(data[key]) for key in _SCENARIO_REFS if key in data}
     return ScenarioConfig(
         scene=load_scene(refs["scene"]),
         vehicle=load_vehicle_params(refs["vehicle"]) if "vehicle" in refs else VehicleParams(),
         model_config=load_model_config(refs["model"]) if "model" in refs else None,
         policy_file=str(refs["policy_file"]) if "policy_file" in refs else None,
-        name=data.get("name", path.stem),
-        **{key: data[key] for key in _SCENARIO_SCALARS if key in data},
+        **{"name": path.stem, **_given(data, path, ScenarioConfig, _SCENARIO_KEYS - set(_SCENARIO_REFS))},
     )
 
 

@@ -1,9 +1,9 @@
 """Closed-loop scenario runner.
 
-The control loop runs at a fixed 0.01 s step; the active policy refreshes
-its speed scale every decision period (zero-order hold in between) while
-the tracking controllers run every step. Traces carry one row per control
-step plus run metadata and a termination reason.
+The control loop steps every CONTROL_DT seconds; the active policy refreshes
+its speed scale every pomdp.EPOCH, the model's decision epoch (zero-order
+hold in between), while the tracking controllers run every step. Traces
+carry one row per control step plus run metadata and a termination reason.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .files import (
 )
 from .pomdp import (
     ACTION_SCALES,
+    EPOCH,
     NUM_D,
     NUM_V,
     ModelConfig,
@@ -57,6 +58,7 @@ from .world import Scene
 
 log = logging.getLogger(__name__)
 
+CONTROL_DT = 0.01  # s per control step
 YIELD_GATE_DECEL = 1.5  # m/s^2 the baseline may need to engage its yield ramp
 STUCK_SPEED = 0.05  # m/s below which the vehicle counts as at rest
 STUCK_TIME = 3.0  # s at rest, with no stop expected, that ends a run as stuck
@@ -125,8 +127,8 @@ def run_scenario(
         belief = init_belief(model)
     baseline = _BaselinePolicy(config.v_desired, crosswalk_s) if config.policy == "baseline" else None
 
-    n_steps = int(round(config.duration / config.control_dt))
-    decim = int(round(config.decision_period / config.control_dt))
+    n_steps = int(round(config.duration / CONTROL_DT))
+    decim = int(round(EPOCH / CONTROL_DT))
     state = VehicleState(
         psi=path.heading_at(0.0),
         north=path.north[0],
@@ -141,7 +143,7 @@ def run_scenario(
     termination = "duration"
 
     for k in range(n_steps):
-        t = k * config.control_dt
+        t = k * CONTROL_DT
         pose = (state.north, state.east, state.psi)
         grid = world.build_grid(scene, pose)
         count = world.count_unobservable(grid)
@@ -180,7 +182,7 @@ def run_scenario(
         rows["detected"].append(float(detected))
         rows["p_crossing"].append(p_crossing)
 
-        state = step_dynamics(state, steer, ax, config.control_dt, params, path)
+        state = step_dynamics(state, steer, ax, CONTROL_DT, params, path)
 
         if state.s >= path.length - 0.5:
             termination = "path_end"
@@ -189,7 +191,7 @@ def run_scenario(
             termination = "proximity"
             break
         if state.ux < STUCK_SPEED:
-            stuck_elapsed += config.control_dt
+            stuck_elapsed += CONTROL_DT
         else:
             stuck_elapsed = 0.0
         stop_expected = scene.pedestrian.present and state.s < crosswalk_s
@@ -204,8 +206,8 @@ def run_scenario(
         "seed": config.seed,
         "v_desired": config.v_desired,
         "duration": config.duration,
-        "control_dt": config.control_dt,
-        "decision_period": config.decision_period,
+        "control_dt": CONTROL_DT,
+        "decision_period": EPOCH,
         "crosswalk_s": crosswalk_s,
         "path_length": path.length,
         "belief_resets": belief_resets,
@@ -217,11 +219,10 @@ def _p_crossing(belief: np.ndarray) -> float:
     return float(belief[NUM_D * NUM_V :].sum())
 
 
-def solve_policy(config: ModelConfig | None = None, **solver) -> tuple[PomdpModel, AlphaVectorPolicy]:
-    """Build the crosswalk model, run value iteration on it and extract the
-    QMDP alpha vectors. solver holds value_iteration's keyword options."""
+def solve_policy(config: ModelConfig | None = None) -> tuple[PomdpModel, AlphaVectorPolicy]:
+    """Build the crosswalk model and solve it for its QMDP alpha vectors."""
     model = build_crosswalk_model(config)
-    return model, extract_alphas(value_iteration(model, **solver), ACTION_SCALES)
+    return model, extract_alphas(value_iteration(model), ACTION_SCALES)
 
 
 def _near_obstacle(scene: Scene, state: VehicleState) -> bool:
@@ -268,6 +269,6 @@ def run_batch(config_dir, out_dir, fmt: str = "csv") -> list[str]:
             model, policy = solved[key]
         trace = run_scenario(config, model=model, policy=policy)
         dest = export_run(trace, config.scene, out_dir / cfg_path.stem, fmt)
-        log.info("%s: %s after %.2f s", cfg_path.stem, trace.termination, len(trace) * config.control_dt)
+        log.info("%s: %s after %.2f s", cfg_path.stem, trace.termination, len(trace) * CONTROL_DT)
         written.append(dest)
     return written

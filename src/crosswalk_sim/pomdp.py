@@ -4,7 +4,7 @@ State (v, d, c): ego speed bin (0..10, 1 m/s each), distance bin along the
 path (0..120, 0.5 m each, 120 terminal/absorbing), and whether a pedestrian
 crossing is active. Actions are speed scales 0.0..1.0 in steps of 0.1.
 Observations pair the binned unobservable-cell count with a boolean
-pedestrian detection flag.
+pedestrian detection flag. One transition spans EPOCH seconds.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ NUM_STATES = NUM_V * NUM_D * NUM_CROSSING  # 2662
 NUM_ACTIONS = 11
 NUM_OBS = 2 * NUM_COUNT_BINS  # 20
 TERMINAL_D = NUM_D - 1
+EPOCH = 0.5  # s between decisions
 
 ACTION_SCALES = tuple(k / 10 for k in range(NUM_ACTIONS))
 
@@ -54,7 +55,6 @@ def obs_index(count_bin: int, detected: bool) -> int:
 class ModelConfig:
     """Free parameters of the crosswalk POMDP."""
 
-    epoch: float = 0.5  # s between decisions
     cell_length: float = 0.5  # m per distance bin
     speed_unit: float = 1.0  # m/s per speed bin
     p_adapt: float = 0.75  # chance the speed moves one bin toward the command
@@ -72,7 +72,7 @@ class ModelConfig:
     detect_given_clear: float = 0.5
 
     def __post_init__(self):
-        for name in ("epoch", "cell_length", "speed_unit"):
+        for name in ("cell_length", "speed_unit"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if abs(sum(self.advance_spread) - 1.0) > 1e-12:
@@ -102,7 +102,6 @@ class PomdpModel:
     discount: float
     observation: np.ndarray | None = None  # (S, O)
     terminal: np.ndarray | None = None  # (S,) bool
-    config: ModelConfig | None = None
 
     @property
     def num_states(self) -> int:
@@ -117,7 +116,7 @@ class PomdpModel:
         return 0 if self.observation is None else self.observation.shape[1]
 
     @classmethod
-    def from_dense(cls, transitions, rewards, discount, observation=None, terminal=None, config=None):
+    def from_dense(cls, transitions, rewards, discount, observation=None, terminal=None):
         """Build from a dense (A, S, S) transition array."""
         mats = tuple(sparse.csr_matrix(np.asarray(t, dtype=float)) for t in transitions)
         return cls(
@@ -126,7 +125,6 @@ class PomdpModel:
             discount=float(discount),
             observation=None if observation is None else np.asarray(observation, dtype=float),
             terminal=None if terminal is None else np.asarray(terminal, dtype=bool),
-            config=config,
         )
 
 
@@ -138,7 +136,7 @@ def _distance_kernel(cfg: ModelConfig):
     the slots that remain. A stationary row keeps d with probability one."""
     d = np.repeat(np.arange(TERMINAL_D), NUM_V)
     advance = np.tile(
-        [int(round(v * cfg.speed_unit * cfg.epoch / cfg.cell_length)) for v in range(NUM_V)],
+        [int(round(v * cfg.speed_unit * EPOCH / cfg.cell_length)) for v in range(NUM_V)],
         TERMINAL_D,
     )[:, None]
     targets = np.where(advance == 0, d[:, None], np.minimum(d[:, None] + advance + (-1, 0, 1), TERMINAL_D))
@@ -218,7 +216,6 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
         discount=cfg.discount,
         observation=observation,
         terminal=terminal,
-        config=cfg,
     )
 
 

@@ -33,6 +33,43 @@ def test_bad_config_names_the_file(tmp_path, what, case):
         LOADERS[what](dest)
 
 
+# A value under each loader that does not convert to its field's type, and
+# the key it sits under; {scene} stands for a shipped scene file.
+BAD_VALUES = [
+    ("scene", "road:\n  heading: north\n", "heading"),
+    ("scene", "obstacles:\n  - center: 5\n    size: [1.0, 1.0]\n", "center"),
+    ("scenario", "scene: {scene}\nv_desired: fast\n", "v_desired"),
+    ("model", "discount: high\n", "discount"),
+    ("model", "occluded_bins: [0, 50, 60]\n", "occluded_bins"),
+    ("vehicle", "mass: heavy\n", "mass"),
+]
+
+
+@pytest.mark.parametrize("what, text, key", BAD_VALUES, ids=[f"{w}-{k}" for w, _, k in BAD_VALUES])
+def test_bad_value_names_the_file_and_key(tmp_path, repo_root, what, text, key):
+    dest = tmp_path / f"{what}.yaml"
+    dest.write_text(text.format(scene=repo_root / "configs" / "scene_exposed.yaml"))
+    with pytest.raises(ValueError, match=re.escape(f"{dest}: bad value for key '{key}'")):
+        LOADERS[what](dest)
+
+
+def test_scenario_values_convert_to_their_types(tmp_path, repo_root):
+    dest = tmp_path / "scenario.yaml"
+    scene = repo_root / "configs" / "scene_exposed.yaml"
+    dest.write_text(f"scene: {scene}\nv_desired: '10'\nduration: '15'\nseed: '3'\n")
+    cfg = load_scenario(dest)
+    assert (cfg.v_desired, cfg.duration, cfg.seed) == (10.0, 15.0, 3)
+    assert type(cfg.v_desired) is float and type(cfg.seed) is int
+
+
+def test_model_values_convert_to_their_types(tmp_path):
+    dest = tmp_path / "model.yaml"
+    dest.write_text("discount: '0.9'\ncrosswalk_bin: '70'\noccluded_bins: ['0', 40]\nreward_goal: 100\n")
+    cfg = load_model_config(dest)
+    assert (cfg.discount, cfg.crosswalk_bin, cfg.occluded_bins) == (0.9, 70, (0, 40))
+    assert type(cfg.reward_goal) is float
+
+
 @pytest.mark.parametrize("what", LOADERS)
 def test_missing_config_file(tmp_path, what):
     with pytest.raises(FileNotFoundError):

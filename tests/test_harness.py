@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from crosswalk_sim.files import (
     load_scenario,
     load_trace_csv,
 )
-from crosswalk_sim.harness import run_scenario
+from crosswalk_sim.harness import CONTROL_DT, run_scenario
+from crosswalk_sim.pomdp import EPOCH
 from crosswalk_sim.qmdp import load_policy
 from crosswalk_sim.world import Pedestrian, RectObstacle, Scene
 
@@ -79,9 +81,18 @@ def test_metadata_fields(run_matrix):
     assert md["belief_resets"] == 0
     assert 40.0 <= md["crosswalk_s"] <= 40.3
     assert md["path_length"] == pytest.approx(60.0, abs=0.1)
+    assert md["control_dt"] == CONTROL_DT and md["decision_period"] == EPOCH
     oracle_md = run_matrix["oracle_hidden"].metadata
     assert np.isnan(run_matrix["oracle_hidden"].columns["p_crossing"]).all()
     assert oracle_md["policy"] == "oracle"
+
+
+def test_policy_decides_once_per_model_epoch(run_matrix):
+    # the loop decides every EPOCH, the epoch the model is built for
+    per_decision = round(EPOCH / CONTROL_DT)
+    changed = [np.flatnonzero(np.diff(t.columns["scale"])) + 1 for t in run_matrix.values()]
+    assert sum(c.size for c in changed) > 0
+    assert all(np.all(c % per_decision == 0) for c in changed)
 
 
 # --- persistence ---------------------------------------------------------------
@@ -202,10 +213,8 @@ def test_expected_stop_is_not_stuck(run_matrix):
 def test_scenario_config_validation(exposed_scene):
     with pytest.raises(ValueError):
         ScenarioConfig(scene=exposed_scene, policy="magic")
-    with pytest.raises(ValueError):
-        ScenarioConfig(scene=exposed_scene, control_dt=0.0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(scene=exposed_scene, control_dt=0.4, decision_period=0.5)
+    with pytest.raises(ValueError, match="duration"):
+        ScenarioConfig(scene=exposed_scene, duration=0.0)
 
 
 def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
@@ -227,16 +236,16 @@ def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
     assert cfg.scene.pedestrian.present
 
 
-@pytest.mark.parametrize("key", ["stop_margn", "kp"])
+@pytest.mark.parametrize("key", ["stop_margn", "kp", "control_dt", "decision_period"])
 def test_load_scenario_rejects_unknown_key(tmp_path, repo_root, key):
     doc = {
         "scene": str(repo_root / "configs" / "scene_exposed.yaml"),
         "policy": "oracle",
-        key: 4.0,
+        key: 0.5,
     }
     dest = tmp_path / "typo.yaml"
     dest.write_text(yaml.safe_dump(doc))
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=re.escape(f"{dest}: unknown scenario key '{key}'")):
         load_scenario(dest)
 
 
@@ -274,6 +283,14 @@ def test_load_model_config_rejects_unknown_key(tmp_path):
     dest = tmp_path / "model.yaml"
     dest.write_text("discount: 0.9\nmagic_knob: 3\n")
     with pytest.raises(ValueError):
+        load_model_config(dest)
+
+
+def test_load_model_config_rejects_epoch(tmp_path):
+    # the decision epoch is pomdp.EPOCH, shared with the closed loop
+    dest = tmp_path / "model.yaml"
+    dest.write_text("epoch: 0.5\n")
+    with pytest.raises(ValueError, match=re.escape(f"{dest}: unknown model key 'epoch'")):
         load_model_config(dest)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from crosswalk_sim.pomdp import (
     ACTION_SCALES,
+    EPOCH,
     NUM_ACTIONS,
     NUM_COUNT_BINS,
     NUM_D,
@@ -29,7 +30,7 @@ from crosswalk_sim.pomdp import (
 def expected_distance(d, v, cfg: ModelConfig) -> dict[int, float]:
     """Next distance bins from a non-terminal d at speed bin v: the advance
     smeared by -1/0/+1 cells and clamped at the terminal bin."""
-    advance = int(round(v * cfg.speed_unit * cfg.epoch / cfg.cell_length))
+    advance = int(round(v * cfg.speed_unit * EPOCH / cfg.cell_length))
     if advance == 0:
         return {d: 1.0}
     dist: dict[int, float] = {}
@@ -223,7 +224,7 @@ EDGE_CONFIGS = {
     "occluded_wide": {"occluded_bins": (-5, 200)},
     "speeding_10": {"speeding_bin": 10},
     "crosswalk_0": {"crosswalk_bin": 0},
-    "epoch_07": {"epoch": 0.7, "advance_spread": (0.2, 0.5, 0.3)},
+    "epoch_07": {"speed_unit": 1.4, "advance_spread": (0.2, 0.5, 0.3)},  # advances of a 0.7 s epoch
     "p_adapt_1": {"p_adapt": 1.0},
     "crossing_certain": {"crossing_onset": 0.0, "crossing_persist": 1.0},
 }
@@ -371,7 +372,7 @@ def test_model_config_validation():
         ModelConfig(discount=1.0)
     with pytest.raises(ValueError):
         ModelConfig(crosswalk_bin=NUM_D)
-    for name, value in (("cell_length", 0.0), ("speed_unit", -1.0), ("epoch", -0.5)):
+    for name, value in (("cell_length", 0.0), ("speed_unit", -1.0)):
         with pytest.raises(ValueError, match=name):
             ModelConfig(**{name: value})
 
