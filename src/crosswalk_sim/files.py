@@ -98,22 +98,37 @@ def _checked(data, allowed, where: str, source, required: tuple[str, ...] = ()) 
     return data
 
 
-def _given(data: dict, source, cls, names=None) -> dict:
-    """Keyword arguments for dataclass cls from the fields (or the names)
-    the file gives, each converted to its annotated type, a tuple element
-    by element; absent fields keep their defaults. A value that does not
-    convert raises ValueError naming the file and the key."""
+def _convert(kind, value):
+    """value as type kind: a bool field takes only a YAML boolean, and an
+    int field no value with a fraction."""
+    if kind is bool and not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a boolean")
+    whole = kind(value)
+    if kind is int and isinstance(value, float) and whole != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return whole
+
+
+def _given(data: dict, source, cls, fields=None) -> dict:
+    """Keyword arguments for dataclass cls from the file keys in fields
+    (a mapping of file key to field name; by default every field under its
+    own name) that the file gives, each converted to its field's annotated
+    type by _convert, a tuple element by element; absent fields keep their
+    defaults. A value that does not convert raises ValueError naming the
+    file and the key."""
     kinds = typing.get_type_hints(cls)
+    fields = fields or {name: name for name in kinds}
     given = {}
-    for name in (key for key in data if key in (names or kinds)):
-        kind, value = kinds[name], data[name]
+    for key in (key for key in data if key in fields):
+        name, value = fields[key], data[key]
+        kind = kinds[name]
         try:
             if typing.get_origin(kind) is tuple:
-                given[name] = tuple(k(x) for k, x in zip(typing.get_args(kind), value, strict=True))
+                given[name] = tuple(_convert(k, x) for k, x in zip(typing.get_args(kind), value, strict=True))
             else:
-                given[name] = kind(value)
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{source}: bad value for key {name!r}: {err}") from None
+                given[name] = _convert(kind, value)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ValueError(f"{source}: bad value for key {key!r}: {err}") from None
     return given
 
 
@@ -132,7 +147,6 @@ def load_scene(source) -> Scene:
     size; whatever else the file leaves out keeps its Scene default."""
     data = _read(source, "scene", ("road", "obstacles", "crosswalk", "pedestrian"))
     road = _checked(data.get("road"), ("origin", "heading", "bounds", "lane_width"), "road", source)
-    bounds = {"lateral_bounds": tuple(road["bounds"])} if "bounds" in road else {}
     obstacles = tuple(
         RectObstacle(**_given(
             _checked(item, ("center", "size", "yaw"), "obstacle", source, ("center", "size")),
@@ -147,8 +161,7 @@ def load_scene(source) -> Scene:
         obstacles=obstacles,
         crosswalk=Crosswalk(**_given(cw, source, Crosswalk)),
         pedestrian=Pedestrian(**_given(ped, source, Pedestrian)),
-        **bounds,
-        **_given(road, source, Scene, ("lane_width",)),
+        **_given(road, source, Scene, {"bounds": "lateral_bounds", "lane_width": "lane_width"}),
     )
 
 
@@ -169,6 +182,7 @@ def load_model_config(source) -> ModelConfig:
 # relative to the scenario file.
 _SCENARIO_REFS = ("scene", "vehicle", "model", "policy_file")
 _SCENARIO_KEYS = frozenset(ScenarioConfig.__dataclass_fields__) - {"model_config"} | {"model"}
+_SCENARIO_FIELDS = {key: key for key in _SCENARIO_KEYS - set(_SCENARIO_REFS)}
 
 
 def load_scenario(source) -> ScenarioConfig:
@@ -184,7 +198,7 @@ def load_scenario(source) -> ScenarioConfig:
         vehicle=load_vehicle_params(refs["vehicle"]) if "vehicle" in refs else VehicleParams(),
         model_config=load_model_config(refs["model"]) if "model" in refs else None,
         policy_file=str(refs["policy_file"]) if "policy_file" in refs else None,
-        **{"name": path.stem, **_given(data, path, ScenarioConfig, _SCENARIO_KEYS - set(_SCENARIO_REFS))},
+        **{"name": path.stem, **_given(data, path, ScenarioConfig, _SCENARIO_FIELDS)},
     )
 
 

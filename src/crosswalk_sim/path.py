@@ -9,6 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 SAMPLE_SPACING = 0.25  # m, nominal spacing of stored path points
+WINDOW = 2  # segments searched on each side of the last projection's segment
+# Relative slack of the bound that proves no segment outside the window is
+# closer; rounding moves the compared distances by about 1e-16 of the
+# lengths involved, times the segment count for arc lengths.
+MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,12 +50,14 @@ class Path:
             raise ValueError("path contains repeated points")
         self._dn = dn
         self._de = de
-        self._seg_len = seg_len
+        self._seg_len2 = seg_len**2
         self.s = np.concatenate(([0.0], np.cumsum(seg_len)))
-        # Python-float copies for the scalar lookups of point_at.
+        # Python-float copies for the scalar lookups of point_at and project.
         self._s_list = self.s.tolist()
         self._north_list = north.tolist()
         self._east_list = east.tolist()
+        self._segments = list(zip(dn.tolist(), de.tolist(), seg_len.tolist(), self._seg_len2.tolist()))
+        self._last = 0  # segment of the last projection, where project looks first
 
     @property
     def length(self) -> float:
@@ -77,27 +84,96 @@ class Path:
         return float(np.arctan2(self._de[i], self._dn[i]))
 
     def project(self, north: float, east: float) -> PathProjection:
-        """Closest-point projection of (north, east) onto the polyline."""
-        if not (np.isfinite(north) and np.isfinite(east)):
+        """Closest-point projection of (north, east) onto the polyline.
+
+        The closest segment is the first one with the least squared
+        distance d2 in the full scan (_scan). The segments within WINDOW
+        of the last projection's are tried first, in Python floats with
+        the same IEEE operations in the same order (_nearest); their
+        result stands only when _beyond proves every other segment
+        farther, and the full scan runs otherwise. So (s, e, clamped) are
+        the full scan's, bit for bit, whatever was projected before.
+        """
+        north, east = float(north), float(east)
+        if not (math.isfinite(north) and math.isfinite(east)):
             raise ValueError("query point must be finite")
+        a = max(self._last - WINDOW, 0)
+        b = min(self._last + WINDOW + 1, len(self._segments))
+        d2, *found = self._nearest(north, east, a, b)
+        if not self._beyond(north, east, a, b, math.sqrt(d2)):
+            found = self._scan(north, east)
+        k, t_raw, t, cn, ce = found
+        self._last = k
+        dn, de, seg_len, _ = self._segments[k]
+        s = self._s_list[k] + t * seg_len
+        # Left normal of the segment direction: heading north means left is
+        # toward negative east.
+        tn = dn / seg_len
+        te = de / seg_len
+        e = cn * te - ce * tn
+        clamped = (k == 0 and t_raw < 0.0) or (k == len(self._segments) - 1 and t_raw > 1.0)
+        return PathProjection(s=float(s), e=float(e), clamped=bool(clamped))
+
+    def _scan(self, north: float, east: float):
+        """(k, t_raw, t, cn, ce) of the closest segment k over all of them:
+        the raw and clipped segment parameter and the residual vector."""
         qn = north - self.north[:-1]
         qe = east - self.east[:-1]
-        t_raw = (qn * self._dn + qe * self._de) / (self._seg_len**2)
+        t_raw = (qn * self._dn + qe * self._de) / self._seg_len2
         t = np.clip(t_raw, 0.0, 1.0)
         cn = qn - t * self._dn
         ce = qe - t * self._de
         d2 = cn * cn + ce * ce
         k = int(np.argmin(d2))
-        s = float(self.s[k] + t[k] * self._seg_len[k])
-        # Left normal of the segment direction: heading north means left is
-        # toward negative east.
-        tn = self._dn[k] / self._seg_len[k]
-        te = self._de[k] / self._seg_len[k]
-        e = float(cn[k] * te - ce[k] * tn)
-        clamped = (k == 0 and t_raw[0] < 0.0) or (
-            k == len(t) - 1 and t_raw[-1] > 1.0
-        )
-        return PathProjection(s=s, e=e, clamped=clamped)
+        return k, float(t_raw[k]), float(t[k]), float(cn[k]), float(ce[k])
+
+    def _nearest(self, north: float, east: float, a: int, b: int):
+        """(d2, k, t_raw, t, cn, ce) of the closest of segments a..b-1,
+        computed as _scan computes them; the first one wins a tie."""
+        best = None
+        for k in range(a, b):
+            dn, de, _, seg_len2 = self._segments[k]
+            qn = north - self._north_list[k]
+            qe = east - self._east_list[k]
+            t_raw = (qn * dn + qe * de) / seg_len2
+            t = 0.0 if t_raw < 0.0 else 1.0 if t_raw > 1.0 else t_raw  # as np.clip
+            cn = qn - t * dn
+            ce = qe - t * de
+            d2 = cn * cn + ce * ce
+            if best is None or d2 < best[0]:
+                best = (d2, k, t_raw, t, cn, ce)
+        return best
+
+    def _beyond(self, north: float, east: float, a: int, b: int, dist: float) -> bool:
+        """True when every segment outside a..b-1 is farther than dist from
+        (north, east), by more than rounding can reverse.
+
+        The segments outside are split into runs that double in length
+        away from the window. A run of segments i..j-1 lies within
+        R = max(s[m] - s[i], s[j] - s[m]) of its middle vertex m, since a
+        path is never shorter than the chord, so each of its points is at
+        least D - R from the query, with D the distance to vertex m. Every
+        run must clear dist by MARGIN times the lengths involved.
+        """
+        n = len(self._segments)
+        s, pn, pe = self._s_list, self._north_list, self._east_list
+        floor = dist * (1.0 + MARGIN) + MARGIN * s[-1]
+        runs = []
+        size, j = b - a, a
+        while j > 0:
+            runs.append((max(j - size, 0), j))
+            size, j = 2 * size, runs[-1][0]
+        size, i = b - a, b
+        while i < n:
+            runs.append((i, min(i + size, n)))
+            size, i = 2 * size, runs[-1][1]
+        for i, j in runs:
+            m = (i + j) // 2
+            reach = max(s[m] - s[i], s[j] - s[m])
+            clear = math.hypot(north - pn[m], east - pe[m]) * (1.0 - MARGIN)
+            if not clear > reach * (1.0 + MARGIN) + floor:  # NaN fails too
+                return False
+        return True
 
 
 def _interp(x: float, xp: list, fp: list, j: int) -> float:

@@ -69,11 +69,12 @@ class RoadFrame:
 
 def _slab(q0, q1, h):
     """One axis of the slab test (Kay & Kajiya 1986) for segments from q0
-    to q1 against the slab |q| <= h: (can_hit, t_entry, t_exit), with t
-    clipped to [0, 1]. A segment parallel to the slab (q1 == q0) spans
-    all of [0, 1] and can hit only from inside it, the zero-divisor case
-    of Williams et al. (2005). When no segment is parallel, can_hit is
-    True and the np.where passes are skipped."""
+    to q1 against the slab |q| <= h: the entry and exit (lo, hi) of each
+    segment, clipped to [0, 1]. A segment meets the slab on this axis
+    exactly when lo <= hi. A segment parallel to the slab (q1 == q0), the
+    zero-divisor case of Williams et al. (2005), spans all of [0, 1] from
+    inside the slab and gets the empty interval (1, 0) from outside it.
+    When no segment is parallel, the np.where passes are skipped."""
     d = q1 - q0
     with np.errstate(divide="ignore", invalid="ignore"):
         ta = (-h - q0) / d
@@ -82,10 +83,11 @@ def _slab(q0, q1, h):
     hi = np.minimum(np.maximum(ta, tb), 1.0)
     parallel = d == 0.0
     if not parallel.any():
-        return True, lo, hi
-    lo = np.where(parallel, 0.0, lo)
-    hi = np.where(parallel, 1.0, hi)
-    return ~(parallel & (abs(q0) > h)), lo, hi
+        return lo, hi
+    outside = abs(q0) > h
+    lo = np.where(parallel, np.where(outside, 1.0, 0.0), lo)
+    hi = np.where(parallel, np.where(outside, 0.0, 1.0), hi)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -116,9 +118,15 @@ class RectObstacle:
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         return c * dx + s * dy, -s * dx + c * dy
 
-    def contains(self, x, y):
+    def _offsets(self, x, y):
+        """Absolute rectangle-frame coordinates (|lx|, |ly|) of road-frame
+        points; a point is inside when |lx| <= hx and |ly| <= hy."""
         lx, ly = self._to_local(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return (np.abs(lx) <= self.size[0] / 2) & (np.abs(ly) <= self.size[1] / 2)
+        return np.abs(lx), np.abs(ly)
+
+    def contains(self, x, y):
+        ax, ay = self._offsets(x, y)
+        return (ax <= self.size[0] / 2) & (ay <= self.size[1] / 2)
 
     def distance(self, x: float, y: float) -> float:
         """Euclidean distance from a road-frame point to the rectangle."""
@@ -144,6 +152,14 @@ class RectObstacle:
         hx, hy = self.size[0] / 2, self.size[1] / 2
         return self.center[0] - abs(c) * hx - abs(s) * hy
 
+    def _slabs(self, origin: tuple[float, float], x, y):
+        """Per-axis entry and exit (lo_x, hi_x, lo_y, hi_y) of the segments
+        from origin to each (x, y) point (see _slab); a segment meets the
+        rectangle exactly when max(lo_x, lo_y) <= min(hi_x, hi_y)."""
+        x0, y0 = self._to_local(origin[0], origin[1])
+        x1, y1 = self._to_local(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return (*_slab(x0, x1, self.size[0] / 2), *_slab(y0, y1, self.size[1] / 2))
+
     def blocks_segment(self, origin: tuple[float, float], x, y):
         """Vectorized slab test: does the segment from origin to each
         (x, y) point intersect this rectangle? Touching counts. x and y
@@ -154,11 +170,8 @@ class RectObstacle:
         cost one vector per axis until the final comparison. max and min
         are exact, so combining last gives the same booleans as clipping
         one axis after the other."""
-        x0, y0 = self._to_local(origin[0], origin[1])
-        x1, y1 = self._to_local(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        hit_x, lo_x, hi_x = _slab(x0, x1, self.size[0] / 2)
-        hit_y, lo_y, hi_y = _slab(y0, y1, self.size[1] / 2)
-        return (np.maximum(lo_x, lo_y) <= np.minimum(hi_x, hi_y)) & hit_x & hit_y
+        lo_x, hi_x, lo_y, hi_y = self._slabs(origin, x, y)
+        return np.maximum(lo_x, lo_y) <= np.minimum(hi_x, hi_y)
 
     def blocks_sight_line(
         self, origin: tuple[float, float], target: tuple[float, float]
@@ -235,6 +248,44 @@ def _out_of_view(obstacle: RectObstacle, ex: float, ey: float) -> bool:
     return dx + rx < 0.0 or dx - rx > FORWARD_RANGE or abs(dy) - ry > LATERAL_RANGE
 
 
+def _span(a, b) -> slice:
+    """Grid slice from the first to the last index where a <= b, for a and
+    b that vary along one grid axis only, as a road-aligned obstacle's row
+    and column vectors do; the whole axis when a varies along both, as a
+    rotated obstacle's full-grid arrays do."""
+    if 1 not in a.shape:
+        return slice(None)
+    live = np.flatnonzero(a <= b)
+    return slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
+
+
+def _shadow(obstacle: RectObstacle, origin: tuple[float, float], gx, gy):
+    """(rows, cols, blocked): a grid window and which of its cells have
+    their sight line from origin cut by the obstacle, as blocks_segment
+    decides. A cell can be blocked only if its row's and its column's slab
+    intervals are both non-empty, since max(lo_x, lo_y) >= lo_x > hi_x >=
+    min(hi_x, hi_y) otherwise; the window spans the first to the last
+    such row and column. A rotated obstacle's window is the whole grid.
+    The full-size slab arrays of a rotated obstacle are freed on return,
+    before _body allocates its own."""
+    lo_x, hi_x, lo_y, hi_y = obstacle._slabs(origin, gx, gy)
+    rows, cols = _span(lo_x, hi_x), _span(lo_y, hi_y)
+    return rows, cols, np.maximum(lo_x[rows], lo_y[:, cols]) <= np.minimum(hi_x[rows], hi_y[:, cols])
+
+
+def _body(obstacle: RectObstacle, gx, gy):
+    """(rows, cols, inside): a grid window and which of its cells lie
+    inside the obstacle, as contains decides. A road-aligned obstacle's
+    cells fill their window: gx - cx never decreases down the rows, since
+    rounding is monotone, so the rows with |gx - cx| <= hx form one run,
+    and so do the columns. A rotated obstacle's window is the whole grid."""
+    ax, ay = obstacle._offsets(gx, gy)
+    hx, hy = obstacle.size[0] / 2, obstacle.size[1] / 2
+    if 1 not in ax.shape:
+        return slice(None), slice(None), (ax <= hx) & (ay <= hy)
+    return _span(ax, hx), _span(ay, hy), True
+
+
 def build_grid(scene: Scene, pose: tuple[float, float, float]) -> np.ndarray:
     """Ternary occupancy grid for an ego pose (north, east, heading).
 
@@ -243,10 +294,14 @@ def build_grid(scene: Scene, pose: tuple[float, float, float]) -> np.ndarray:
     of FREE / OCCUPIED / UNOBSERVABLE.
 
     Cell centres enter as a column of 210 rows and a row of 48 columns.
-    For a road-aligned obstacle (yaw 0) contains and blocks_segment keep
-    them a 210-vector and a 48-vector until their final comparison, so
-    such an obstacle costs two vectors plus one (210, 48) compare; the
-    booleans are those of the rotated full-grid test (see blocks_segment).
+    For a road-aligned obstacle (yaw 0) the slab test and the inside test
+    keep them a 210-vector and a 48-vector per axis (see blocks_segment),
+    and each per-cell test runs only on the window of rows and columns
+    that can hold a True (_shadow); the obstacle's own cells fill one
+    slice (_body). Every cell outside a window is left as it is. A
+    rotated obstacle's window is the whole grid. Shadows are written
+    before bodies, so a cell inside any obstacle is OCCUPIED even where
+    another one shadows it.
     """
     ex, ey = _ego_xy(scene, pose)
     grid = np.zeros((GRID_LENGTH, GRID_WIDTH), dtype=np.uint8)
@@ -254,16 +309,16 @@ def build_grid(scene: Scene, pose: tuple[float, float, float]) -> np.ndarray:
     if not in_view:
         return grid
     # Cell centres as a column of rows and a row of columns; every
-    # per-cell expression below broadcasts them to the full grid.
+    # per-cell expression below broadcasts them to the window.
     gx = (ex + _ROW_OFFSETS)[:, None]
     gy = (ey + _COL_OFFSETS)[None, :]
-    occupied = np.zeros(grid.shape, dtype=bool)
-    blocked = np.zeros(grid.shape, dtype=bool)
+    bodies = []
     for obstacle in in_view:
-        occupied |= obstacle.contains(gx, gy)
-        blocked |= obstacle.blocks_segment((ex, ey), gx, gy)
-    grid[blocked] = UNOBSERVABLE
-    grid[occupied] = OCCUPIED
+        rows, cols, shadow = _shadow(obstacle, (ex, ey), gx, gy)
+        np.copyto(grid[rows, cols], UNOBSERVABLE, where=shadow)
+        bodies.append(_body(obstacle, gx, gy))
+    for rows, cols, inside in bodies:
+        np.copyto(grid[rows, cols], OCCUPIED, where=inside)
     return grid
 
 

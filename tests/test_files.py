@@ -42,10 +42,25 @@ BAD_VALUES = [
     ("model", "discount: high\n", "discount"),
     ("model", "occluded_bins: [0, 50, 60]\n", "occluded_bins"),
     ("vehicle", "mass: heavy\n", "mass"),
+    # the road bounds go to the Scene field lateral_bounds
+    ("scene", "road:\n  bounds: 5\n", "bounds"),
+]
+
+# Values that Python's own conversion would take but the field's type does
+# not: a string for a bool (bool("false") is True), a fraction for an int
+# (int(3.9) is 3).
+STRICT_VALUES = [
+    ("scene", "pedestrian:\n  present: 'false'\n  position: [40.0, 1.0]\n", "present"),
+    ("scenario", "scene: {scene}\nseed: 3.9\n", "seed"),
+    ("model", "occluded_bins: [0, -0.5]\n", "occluded_bins"),
 ]
 
 
-@pytest.mark.parametrize("what, text, key", BAD_VALUES, ids=[f"{w}-{k}" for w, _, k in BAD_VALUES])
+@pytest.mark.parametrize(
+    "what, text, key",
+    BAD_VALUES + STRICT_VALUES,
+    ids=[f"{w}-{k}" for w, _, k in BAD_VALUES] + [f"strict-{w}-{k}" for w, _, k in STRICT_VALUES],
+)
 def test_bad_value_names_the_file_and_key(tmp_path, repo_root, what, text, key):
     dest = tmp_path / f"{what}.yaml"
     dest.write_text(text.format(scene=repo_root / "configs" / "scene_exposed.yaml"))
@@ -64,10 +79,18 @@ def test_scenario_values_convert_to_their_types(tmp_path, repo_root):
 
 def test_model_values_convert_to_their_types(tmp_path):
     dest = tmp_path / "model.yaml"
-    dest.write_text("discount: '0.9'\ncrosswalk_bin: '70'\noccluded_bins: ['0', 40]\nreward_goal: 100\n")
+    dest.write_text("discount: '0.9'\ncrosswalk_bin: '70'\noccluded_bins: ['0', 40.0]\nreward_goal: 100\n")
     cfg = load_model_config(dest)
     assert (cfg.discount, cfg.crosswalk_bin, cfg.occluded_bins) == (0.9, 70, (0, 40))
-    assert type(cfg.reward_goal) is float
+    assert type(cfg.reward_goal) is float and type(cfg.occluded_bins[1]) is int
+
+
+def test_scene_values_convert_to_their_types(tmp_path):
+    dest = tmp_path / "scene.yaml"
+    dest.write_text("road:\n  bounds: [-2, '5']\npedestrian:\n  present: false\n")
+    scene = load_scene(dest)
+    assert scene.lateral_bounds == (-2.0, 5.0) and scene.pedestrian.present is False
+    assert all(type(b) is float for b in scene.lateral_bounds)
 
 
 @pytest.mark.parametrize("what", LOADERS)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from crosswalk_sim.control import build_avoidance_path
+from crosswalk_sim.files import load_trace_csv
 from crosswalk_sim.path import Path, PathProjection, resample_by_arc
 
 
@@ -138,3 +140,150 @@ def test_projection_is_frozen():
     proj = PathProjection(s=1.0, e=0.5, clamped=False)
     with pytest.raises(Exception):
         proj.s = 2.0
+
+
+# --- windowed search against the full scan ----------------------------------
+
+
+def full_scan(path: Path, north: float, east: float) -> PathProjection:
+    """The projection as first written: every segment at once in numpy,
+    the first of the closest ones winning."""
+    qn = north - path.north[:-1]
+    qe = east - path.east[:-1]
+    dn, de = np.diff(path.north), np.diff(path.east)
+    seg_len = np.hypot(dn, de)
+    t_raw = (qn * dn + qe * de) / (seg_len**2)
+    t = np.clip(t_raw, 0.0, 1.0)
+    cn = qn - t * dn
+    ce = qe - t * de
+    d2 = cn * cn + ce * ce
+    k = int(np.argmin(d2))
+    s = float(path.s[k] + t[k] * seg_len[k])
+    tn = dn[k] / seg_len[k]
+    te = de[k] / seg_len[k]
+    e = float(cn[k] * te - ce[k] * tn)
+    clamped = (k == 0 and t_raw[0] < 0.0) or (k == len(t) - 1 and t_raw[-1] > 1.0)
+    return PathProjection(s=s, e=e, clamped=bool(clamped))
+
+
+def bits(proj: PathProjection):
+    return np.float64(proj.s).tobytes(), np.float64(proj.e).tobytes(), proj.clamped
+
+
+def count_full_scans(monkeypatch) -> list:
+    """Count the calls of Path._scan, the fallback of project."""
+    calls = []
+    scan = Path._scan
+
+    def counted(self, north, east):
+        calls.append((north, east))
+        return scan(self, north, east)
+
+    monkeypatch.setattr(Path, "_scan", counted)
+    return calls
+
+
+def hairpin() -> Path:
+    """North along east = 0, a half turn of radius 1, and back south along
+    east = 2: every point between the legs is about as close to both."""
+    up = np.arange(0.0, 20.0, 0.25)
+    turn = np.linspace(np.pi, 0.0, 13)[1:-1]
+    north = np.concatenate([up, 20.0 + np.sin(turn), up[::-1]])
+    east = np.concatenate([np.zeros_like(up), 1.0 + np.cos(turn), np.full_like(up, 2.0)])
+    return Path(north, east)
+
+
+def test_project_equals_full_scan_on_shipped_runs(repo_root, scenario_configs, monkeypatch):
+    # Every control-step position of the six committed runs, projected in
+    # the order the run projected them; the window must settle almost
+    # every step without the full scan.
+    scans = count_full_scans(monkeypatch)
+    steps = 0
+    for name, cfg in scenario_configs.items():
+        path = build_avoidance_path(cfg.scene)
+        trace = load_trace_csv(repo_root / "results" / name / "trace.csv")
+        for north, east in zip(trace.column("north").tolist(), trace.column("east").tolist()):
+            assert bits(path.project(north, east)) == bits(full_scan(path, north, east))
+            steps += 1
+    assert steps == 8434
+    assert len(scans) <= 6 * 2
+
+
+def test_project_hairpin_other_leg():
+    # After projecting onto the northbound leg, a point 0.4 m from the
+    # southbound leg (and 1.6 m from this one) lies outside any window
+    # around the last projection, whose closest segment is 1.6 m away.
+    path = hairpin()
+    near = path.project(10.1, 0.3)
+    assert bits(near) == bits(full_scan(path, 10.1, 0.3))
+    other = path.project(10.1, 1.6)
+    assert bits(other) == bits(full_scan(path, 10.1, 1.6))
+    assert near.s < 20.0 < other.s
+
+
+def test_project_tie_goes_to_the_lower_segment(monkeypatch):
+    # (10.125, 1.0) is exactly 1 m from the middle of a segment of each
+    # leg; the full scan takes the first, northbound one, whichever leg
+    # the last projection was on.
+    path = hairpin()
+    for north, east in ((10.125, 0.2), (10.125, 1.8)):
+        path.project(north, east)
+        proj = path.project(10.125, 1.0)
+        assert bits(proj) == bits(full_scan(path, 10.125, 1.0))
+        assert proj.s == 10.125 and proj.e == -1.0
+
+
+def test_project_path_coming_back_near_itself():
+    # A loop whose end passes 0.1 m from its start.
+    turn = np.linspace(0.0, 1.97 * np.pi, 300)
+    path = Path(10.0 * np.sin(turn), 10.0 - 10.0 * np.cos(turn))
+    for north, east in [(0.0, 0.0), (-0.5, -0.05), (-1.9, -0.2), (0.5, 0.1), (-1.0, -0.1)]:
+        assert bits(path.project(north, east)) == bits(full_scan(path, north, east))
+
+
+def test_project_past_both_ends():
+    path = curved_path()
+    end_n, end_e = path.point_at(path.length)
+    queries = [(-3.0, 0.5), (-0.5, -2.0), (end_n + 2.0, end_e), (end_n + 0.5, end_e + 3.0)]
+    for north, east in queries + queries[::-1]:
+        proj = path.project(north, east)
+        assert proj.clamped
+        assert bits(proj) == bits(full_scan(path, north, east))
+
+
+def test_project_keeps_the_sign_of_zero():
+    # On the first vertex of a north-west segment, from north = -0.0, the
+    # segment parameter is -0.0; np.clip keeps that sign, and through it
+    # the full scan returns e = -0.0.
+    north = np.arange(0.0, 10.0)
+    path = Path(north, -north)
+    proj = path.project(-0.0, 0.0)
+    assert bits(proj) == bits(full_scan(path, -0.0, 0.0))
+    assert np.signbit(proj.e)
+
+
+def test_project_does_not_depend_on_call_history():
+    rng = np.random.default_rng(17)
+    for path in (curved_path(), hairpin()):
+        start, end = path.point_at(0.0), path.point_at(path.length)
+        queries = [start, end] + [
+            tuple(np.array(path.point_at(s)) + rng.uniform(-1.5, 1.5, 2)) for s in rng.uniform(0.0, path.length, 40)
+        ]
+        expected = [bits(full_scan(path, *q)) for q in queries]
+        for before in queries[:8]:
+            for q, want in zip(queries, expected):
+                path.project(*before)
+                assert bits(path.project(*q)) == want
+
+
+def test_project_random_polylines_equal_full_scan():
+    # Random walks with sharp turns, queried along themselves and off them.
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(2, 80))
+        heading = np.cumsum(rng.uniform(-2.5, 2.5, n))
+        step = rng.uniform(0.05, 1.0, n)
+        path = Path(np.cumsum(step * np.cos(heading)), np.cumsum(step * np.sin(heading)))
+        for s in np.sort(rng.uniform(-1.0, path.length + 1.0, 60)):
+            north, east = np.array(path.point_at(s)) + rng.normal(0.0, 0.5, 2)
+            assert bits(path.project(north, east)) == bits(full_scan(path, north, east))

@@ -325,6 +325,80 @@ def test_road_aligned_equals_rotated_reference(lattice):
     assert on_edge and inside and visible == {False, True}
 
 
+def _reference_grid(scene: Scene, pose) -> np.ndarray:
+    """The grid from the rotate-then-np.where reference, one full-grid
+    mask per obstacle."""
+    ex, ey = scene.road.to_road(pose[0], pose[1])
+    gx = (ex + (np.arange(GRID_LENGTH) + 0.5) / CELLS_PER_M)[:, None]
+    gy = (ey + (np.arange(GRID_WIDTH) - GRID_WIDTH / 2 + 0.5) / CELLS_PER_M)[None, :]
+    grid = np.zeros((GRID_LENGTH, GRID_WIDTH), dtype=np.uint8)
+    for ob in scene.obstacles:
+        grid[_reference_blocks_segment(ob, (ex, ey), gx, gy)] = UNOBSERVABLE
+    for ob in scene.obstacles:
+        grid[_reference_contains(ob, gx, gy)] = OCCUPIED
+    return grid
+
+
+_THIRD, _SIXTH = 1 / 3, 1 / 6
+
+# Road-aligned scenes whose shadow or body windows reach the edges of the
+# grid, with the ego position and the first and last row and column that
+# are not FREE.
+WINDOW_CASES = {
+    "row-0": ((RectObstacle((0.5, 1.0), (1.0, 1.0)),), (0.0, 0.0), (0, 46, 25, 47)),
+    # body in the last row only, and no cell left to shadow behind it
+    "row-209-no-shadow": ((RectObstacle((70.0, 0.0), (0.4, 2.0)),), (0.0, 0.0), (209, 209, 21, 26)),
+    "col-0": ((RectObstacle((20.0, -7.5), (4.0, 2.0)),), (0.0, 0.0), (54, 79, 0, 4)),
+    "col-47": ((RectObstacle((20.0, 7.5), (4.0, 2.0)),), (0.0, 0.0), (54, 79, 43, 47)),
+    "both-cols": ((RectObstacle((10.0, 0.0), (2.0, 6.2)),), (0.0, 0.0), (27, 209, 0, 47)),
+    "ego-in-x-span": ((RectObstacle((0.0, 3.0), (4.0, 2.0)),), (0.0, 0.0), (0, 23, 30, 47)),
+    "ego-in-y-span": ((RectObstacle((10.0, 0.5), (2.0, 2.0)),), (0.0, 0.0), (27, 209, 12, 47)),
+    "ego-in-both": ((RectObstacle((0.5, 0.2), (3.0, 2.0)),), (0.0, 0.0), (0, 209, 0, 47)),
+    "overlapping": (
+        (RectObstacle((20.0, 1.0), (4.0, 2.0)), RectObstacle((21.0, 2.0), (4.0, 2.0))),
+        (0.0, 0.0),
+        (54, 209, 24, 47),
+    ),
+    "with-rotated": (
+        (RectObstacle((20.0, 1.1), (4.0, 2.0)), RectObstacle((35.0, -3.0), (3.0, 1.5), yaw=0.4)),
+        (0.0, 0.0),
+        (54, 209, 0, 47),
+    ),
+    # faces on cell centres: lattice centres, sizes and ego positions
+    "faces-third": (
+        (RectObstacle((10 * _THIRD, -9 * _THIRD), (9 * _THIRD, 3 * _THIRD)),), (0.0, 0.0), (5, 44, 0, 16),
+    ),
+    "faces-sixth": (
+        (RectObstacle((27 * _SIXTH, -15 * _SIXTH), (6 * _SIXTH, 6 * _SIXTH)),), (-_SIXTH, -_SIXTH), (12, 65, 0, 18),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_road_aligned_windows_match_references(case):
+    # build_grid runs the per-cell tests of a road-aligned obstacle only on
+    # the window of rows and columns that can hold a True; cells outside
+    # it are never written, so a window cut one row or column short shows
+    # as a difference at the grid's edge.
+    obstacles, (ex, ey), box = WINDOW_CASES[case]
+    scene = Scene(obstacles=obstacles)
+    north, east = scene.road.to_inertial(ex, ey)
+    pose = (float(north), float(east), 0.0)
+    grid = build_grid(scene, pose)
+    assert np.array_equal(grid, _reference_grid(scene, pose))
+    assert np.array_equal(grid, oracle_grid(scene, pose))
+    rows, cols = np.nonzero(grid)
+    assert (rows.min(), rows.max(), cols.min(), cols.max()) == box
+    if case == "row-209-no-shadow":
+        assert count_unobservable(grid) == 0
+    if case.startswith("faces"):
+        gx = ex + (np.arange(GRID_LENGTH) + 0.5) / CELLS_PER_M
+        gy = ey + (np.arange(GRID_WIDTH) - GRID_WIDTH / 2 + 0.5) / CELLS_PER_M
+        ob = obstacles[0]
+        assert (np.abs(gx - ob.center[0]) == ob.size[0] / 2).any()
+        assert (np.abs(gy - ob.center[1]) == ob.size[1] / 2).any()
+
+
 def test_occupied_wins_over_unobservable():
     near = RectObstacle(center=(10.0, 0.0), size=(1.0, 1.0))
     far = RectObstacle(center=(20.0, 0.0), size=(2.0, 2.0))
