@@ -30,7 +30,6 @@ from .files import (
     export_trace,
     load_scenario,
     load_scene,
-    load_vehicle_params,
 )
 from .harness import run_batch, run_scenario
 from .path import Path, PathProjection

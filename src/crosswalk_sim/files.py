@@ -1,5 +1,5 @@
 """Every file format the simulator reads or writes, except the policy file
-(`qmdp`): the scene, scenario, model and vehicle YAML, and the trace and
+(`qmdp`): the scene, scenario and model YAML, and the trace and
 plot-panel CSV/JSON of a run.
 
 Every config loader goes through `_read` and `_given`, so they share one
@@ -14,13 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 import numpy as np
 import yaml
 
-from .dynamics import VehicleParams
 from .pomdp import ModelConfig
 from .world import Crosswalk, Pedestrian, RectObstacle, RoadFrame, Scene
 
@@ -48,7 +47,6 @@ class ScenarioConfig:
     """Everything needed to reproduce one closed-loop run."""
 
     scene: Scene
-    vehicle: VehicleParams = field(default_factory=VehicleParams)
     policy: str = "oracle"
     v_desired: float = 10.0
     duration: float = 15.0
@@ -165,12 +163,6 @@ def load_scene(source) -> Scene:
     )
 
 
-def load_vehicle_params(source) -> VehicleParams:
-    """Load VehicleParams from a YAML mapping of field: value."""
-    data = _read(source, "vehicle", VehicleParams.__dataclass_fields__)
-    return VehicleParams(**_given(data, source, VehicleParams))
-
-
 def load_model_config(source) -> ModelConfig:
     """Load a ModelConfig from a YAML mapping of field: value."""
     data = _read(source, "model", ModelConfig.__dataclass_fields__)
@@ -180,7 +172,7 @@ def load_model_config(source) -> ModelConfig:
 # Scenario YAML keys are the ScenarioConfig fields, with `model` (a file)
 # in place of `model_config`. The references name other files and resolve
 # relative to the scenario file.
-_SCENARIO_REFS = ("scene", "vehicle", "model", "policy_file")
+_SCENARIO_REFS = ("scene", "model", "policy_file")
 _SCENARIO_KEYS = frozenset(ScenarioConfig.__dataclass_fields__) - {"model_config"} | {"model"}
 _SCENARIO_FIELDS = {key: key for key in _SCENARIO_KEYS - set(_SCENARIO_REFS)}
 
@@ -195,7 +187,6 @@ def load_scenario(source) -> ScenarioConfig:
     refs = {key: path.parent / str(data[key]) for key in _SCENARIO_REFS if key in data}
     return ScenarioConfig(
         scene=load_scene(refs["scene"]),
-        vehicle=load_vehicle_params(refs["vehicle"]) if "vehicle" in refs else VehicleParams(),
         model_config=load_model_config(refs["model"]) if "model" in refs else None,
         policy_file=str(refs["policy_file"]) if "policy_file" in refs else None,
         **{"name": path.stem, **_given(data, path, ScenarioConfig, _SCENARIO_FIELDS)},

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import world
 from .control import build_avoidance_path, speed_control, steer_control
-from .dynamics import VehicleState, step_dynamics
+from .dynamics import VehicleParams, VehicleState, step_dynamics
 from .executor import (
     STOP_DECEL,
     STOP_MARGIN,
@@ -45,6 +45,7 @@ from .files import (
 )
 from .pomdp import (
     ACTION_SCALES,
+    CELL_LENGTH,
     EPOCH,
     NUM_D,
     NUM_V,
@@ -111,7 +112,7 @@ def run_scenario(
     (slowest option).
     """
     scene = config.scene
-    params = config.vehicle
+    params = VehicleParams()
     path = build_avoidance_path(scene)
     crosswalk_s = world.crosswalk_path_distance(scene, path)
 
@@ -241,12 +242,12 @@ def derive_model_config(scene: Scene, base: ModelConfig | None = None) -> ModelC
     cfg = base or ModelConfig()
     path = build_avoidance_path(scene)
     crosswalk_s = world.crosswalk_path_distance(scene, path)
-    crosswalk_bin = min(int(round(crosswalk_s / cfg.cell_length)), NUM_D - 1)
+    crosswalk_bin = min(int(round(crosswalk_s / CELL_LENGTH)), NUM_D - 1)
     band = world.crosswalk_occlusion_band(scene, path)
     if band is None:
         occluded = (1, 0)  # lo > hi: no bin is shadowed
     else:
-        occluded = occluded_bins_from_band(band[0], band[1], cfg.cell_length)
+        occluded = occluded_bins_from_band(*band)
     return replace(cfg, crosswalk_bin=crosswalk_bin, occluded_bins=occluded)
 
 

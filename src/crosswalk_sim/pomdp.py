@@ -5,6 +5,9 @@ path (0..120, 0.5 m each, 120 terminal/absorbing), and whether a pedestrian
 crossing is active. Actions are speed scales 0.0..1.0 in steps of 0.1.
 Observations pair the binned unobservable-cell count with a boolean
 pedestrian detection flag. One transition spans EPOCH seconds.
+
+The chains, rewards and observation likelihoods are module constants;
+ModelConfig holds only what differs between solves.
 """
 
 from __future__ import annotations
@@ -26,6 +29,19 @@ TERMINAL_D = NUM_D - 1
 EPOCH = 0.5  # s between decisions
 
 ACTION_SCALES = tuple(k / 10 for k in range(NUM_ACTIONS))
+
+CELL_LENGTH = 0.5  # m per distance bin
+SPEED_UNIT = 1.0  # m/s per speed bin
+P_ADAPT = 0.75  # chance the speed moves one bin toward the command
+ADVANCE_SPREAD = (0.15, 0.7, 0.15)  # chances of the -1/0/+1 cell smear
+CROSSING_PERSIST = 0.95  # crossing stays active between epochs
+CROSSING_ONSET = 0.05  # crossing starts between epochs
+REWARD_GOAL = 100.0
+REWARD_CROSSING = -50.0
+REWARD_SPEEDING = -5.0
+SPEEDING_BIN = 6  # speed bins above this are penalized in the occluded band
+DETECT_GIVEN_CROSSING = 0.8
+DETECT_GIVEN_CLEAR = 0.5
 
 
 def state_index(v: int, d: int, c: int) -> int:
@@ -53,39 +69,14 @@ def obs_index(count_bin: int, detected: bool) -> int:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Free parameters of the crosswalk POMDP."""
+    """The parameters that differ between solves: the discount, and the
+    scene geometry that harness.derive_model_config works out per scene."""
 
-    cell_length: float = 0.5  # m per distance bin
-    speed_unit: float = 1.0  # m/s per speed bin
-    p_adapt: float = 0.75  # chance the speed moves one bin toward the command
-    advance_spread: tuple[float, float, float] = (0.15, 0.7, 0.15)
-    crossing_persist: float = 0.95  # crossing stays active between epochs
-    crossing_onset: float = 0.05  # crossing starts between epochs
     discount: float = 0.95
     crosswalk_bin: int = 80
     occluded_bins: tuple[int, int] = (0, 68)  # inclusive band of shadowed d bins
-    reward_goal: float = 100.0
-    reward_crossing: float = -50.0
-    reward_speeding: float = -5.0
-    speeding_bin: int = 6  # speed bins above this are penalized in the band
-    detect_given_crossing: float = 0.8
-    detect_given_clear: float = 0.5
 
     def __post_init__(self):
-        for name in ("cell_length", "speed_unit"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if abs(sum(self.advance_spread) - 1.0) > 1e-12:
-            raise ValueError("advance_spread must sum to 1")
-        for p in (
-            self.p_adapt,
-            self.crossing_persist,
-            self.crossing_onset,
-            self.detect_given_crossing,
-            self.detect_given_clear,
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
         if not 0.0 < self.discount < 1.0:
             raise ValueError("discount must lie in (0, 1)")
         if not 0 <= self.crosswalk_bin < NUM_D:
@@ -128,7 +119,7 @@ class PomdpModel:
         )
 
 
-def _distance_kernel(cfg: ModelConfig):
+def _distance_kernel():
     """Next-distance targets of every non-terminal (d, v) row, in row order
     d * NUM_V + v: three ascending slots for the advance smeared by -1/0/+1
     cells and clamped at TERMINAL_D. A slot whose target equals the next
@@ -136,11 +127,11 @@ def _distance_kernel(cfg: ModelConfig):
     the slots that remain. A stationary row keeps d with probability one."""
     d = np.repeat(np.arange(TERMINAL_D), NUM_V)
     advance = np.tile(
-        [int(round(v * cfg.speed_unit * EPOCH / cfg.cell_length)) for v in range(NUM_V)],
+        [int(round(v * SPEED_UNIT * EPOCH / CELL_LENGTH)) for v in range(NUM_V)],
         TERMINAL_D,
     )[:, None]
     targets = np.where(advance == 0, d[:, None], np.minimum(d[:, None] + advance + (-1, 0, 1), TERMINAL_D))
-    probs = np.where(advance == 0, (0.0, 0.0, 1.0), cfg.advance_spread)
+    probs = np.where(advance == 0, (0.0, 0.0, 1.0), ADVANCE_SPREAD)
     keep = np.ones(targets.shape, dtype=bool)
     keep[:, :2] = targets[:, :2] != targets[:, 1:]
     for k in (1, 2):
@@ -149,13 +140,13 @@ def _distance_kernel(cfg: ModelConfig):
     return targets, probs, keep
 
 
-def _speed_kernel(command: int, p_adapt: float) -> np.ndarray:
+def _speed_kernel(command: int) -> np.ndarray:
     """(v, v') probabilities under one command: the speed moves one bin
-    toward the command with p_adapt and stays once it is there."""
+    toward the command with P_ADAPT and stays once it is there."""
     v = np.arange(NUM_V)
     kernel = np.zeros((NUM_V, NUM_V))
-    kernel[v, v] = 1.0 - p_adapt
-    kernel[v, v + np.sign(command - v)] = p_adapt
+    kernel[v, v] = 1.0 - P_ADAPT
+    kernel[v, v + np.sign(command - v)] = P_ADAPT
     kernel[command, command] = 1.0
     return kernel
 
@@ -185,12 +176,12 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     v, d, c = s % NUM_V, (s // NUM_V) % NUM_D, s // (NUM_V * NUM_D)
     terminal = d == TERMINAL_D
 
-    p_cross = np.array([cfg.crossing_onset, cfg.crossing_persist])
+    p_cross = np.array([CROSSING_ONSET, CROSSING_PERSIST])
     crossing = np.column_stack((1.0 - p_cross, p_cross))  # C[c, c']
     loops = sparse.diags(terminal.astype(float))
-    dist = _distance_kernel(cfg)
+    dist = _distance_kernel()
     mats = tuple(
-        sparse.kron(crossing, _motion_matrix(dist, _speed_kernel(a, cfg.p_adapt)), format="csr") + loops
+        sparse.kron(crossing, _motion_matrix(dist, _speed_kernel(a)), format="csr") + loops
         for a in range(NUM_ACTIONS)
     )
 
@@ -199,15 +190,15 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     goal_prob = np.where(d_targets[:, 2] == TERMINAL_D, d_probs[:, 2], 0.0)
     zone_lo, zone_hi = cfg.occluded_bins
     base = np.zeros(NUM_STATES)
-    base[(v > cfg.speeding_bin) & (zone_lo <= d) & (d <= zone_hi)] += cfg.reward_speeding
-    base[~terminal] += cfg.reward_goal * np.tile(goal_prob, NUM_CROSSING)
-    crossing_pen = np.where((c == 1) & (d <= cfg.crosswalk_bin), cfg.reward_crossing, 0.0)
+    base[(v > SPEEDING_BIN) & (zone_lo <= d) & (d <= zone_hi)] += REWARD_SPEEDING
+    base[~terminal] += REWARD_GOAL * np.tile(goal_prob, NUM_CROSSING)
+    crossing_pen = np.where((c == 1) & (d <= cfg.crosswalk_bin), REWARD_CROSSING, 0.0)
     rewards = np.repeat((base + crossing_pen)[:, None], NUM_ACTIONS, axis=1)
     rewards[:, 0] = base  # holding a zero command is exempt from the crossing penalty
     rewards[terminal] = 0.0
 
     # the count bin is uniform; only the detection flag depends on c
-    p_detect = np.where(c == 1, cfg.detect_given_crossing, cfg.detect_given_clear)[:, None]
+    p_detect = np.where(c == 1, DETECT_GIVEN_CROSSING, DETECT_GIVEN_CLEAR)[:, None]
     observation = np.repeat(np.hstack((1.0 - p_detect, p_detect)) / NUM_COUNT_BINS, NUM_COUNT_BINS, axis=1)
 
     return PomdpModel(
@@ -219,8 +210,8 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     )
 
 
-def occluded_bins_from_band(s_lo: float, s_hi: float, cell_length: float = 0.5) -> tuple[int, int]:
+def occluded_bins_from_band(s_lo: float, s_hi: float) -> tuple[int, int]:
     """Convert a shadowed path-distance interval in meters to d-bin bounds."""
-    lo = max(int(np.floor(s_lo / cell_length)), 0)
-    hi = min(int(np.ceil(s_hi / cell_length)), NUM_D - 1)
+    lo = max(int(np.floor(s_lo / CELL_LENGTH)), 0)
+    hi = min(int(np.ceil(s_hi / CELL_LENGTH)), NUM_D - 1)
     return lo, hi

@@ -105,26 +105,32 @@ def save_policy(policy: AlphaVectorPolicy, destination) -> None:
 
 
 def load_policy(source) -> AlphaVectorPolicy:
-    """Read a policy written by save_policy; rejects unknown formats."""
+    """Read a policy written by save_policy; rejects unknown formats. A
+    malformed file raises ValueError naming the file."""
     with open(source, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != POLICY_FORMAT:
-        raise ValueError(f"not a {POLICY_FORMAT} file")
-    header = dict(ln.split(maxsplit=1) for ln in lines[1:3])
+        raise ValueError(f"{source}: not a {POLICY_FORMAT} file")
+    if len(lines) < 4:
+        raise ValueError(f"{source}: truncated policy file")
     try:
+        header = dict(ln.split(maxsplit=1) for ln in lines[1:3])
         num_actions = int(header["actions"])
         num_states = int(header["states"])
     except (KeyError, ValueError) as exc:
-        raise ValueError("malformed policy header") from exc
+        raise ValueError(f"{source}: malformed policy header") from exc
     if not lines[3].startswith("scales "):
-        raise ValueError("missing scales line")
-    scales = tuple(float(x) for x in lines[3].split()[1:])
+        raise ValueError(f"{source}: missing scales line")
+    try:
+        scales = tuple(float(x) for x in lines[3].split()[1:])
+        rows = [[float(x) for x in ln.split()] for ln in lines[4:]]
+    except ValueError as exc:
+        raise ValueError(f"{source}: non-numeric policy value") from exc
     if len(scales) != num_actions:
-        raise ValueError("scale count does not match actions")
-    body = lines[4:]
-    if len(body) != num_actions:
-        raise ValueError("alpha row count does not match actions")
-    alphas = np.array([[float(x) for x in ln.split()] for ln in body])
-    if alphas.shape != (num_actions, num_states):
-        raise ValueError("alpha matrix shape mismatch")
+        raise ValueError(f"{source}: scale count does not match actions")
+    if len(rows) != num_actions:
+        raise ValueError(f"{source}: alpha row count does not match actions")
+    if any(len(row) != num_states for row in rows):
+        raise ValueError(f"{source}: alpha matrix shape mismatch")
+    alphas = np.array(rows, dtype=float).reshape(num_actions, num_states)
     return AlphaVectorPolicy(alphas=alphas, scales=scales)

@@ -16,7 +16,6 @@ from crosswalk_sim.dynamics import (
     brush_tire_lateral,
     step_dynamics,
 )
-from crosswalk_sim.files import load_vehicle_params
 from crosswalk_sim.path import Path
 
 PARAMS = VehicleParams()
@@ -183,20 +182,3 @@ def test_params_validation():
 
 def test_normal_loads_sum_to_weight():
     assert PARAMS.fz_front + PARAMS.fz_rear == pytest.approx(PARAMS.mass * 9.81)
-
-
-def test_load_vehicle_params_round_trip(repo_root):
-    loaded = load_vehicle_params(repo_root / "configs" / "vehicle.yaml")
-    assert loaded == PARAMS
-
-
-def test_load_vehicle_params_rejects_unknown_key(tmp_path):
-    dest = tmp_path / "vehicle.yaml"
-    dest.write_text("mass: 1500\nwingspan: 3\n")
-    with pytest.raises(ValueError):
-        load_vehicle_params(dest)
-
-
-def test_load_vehicle_params_missing_file(repo_root):
-    with pytest.raises(FileNotFoundError):
-        load_vehicle_params(repo_root / "configs" / "vehicel.yaml")

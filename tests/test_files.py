@@ -1,5 +1,5 @@
-"""Config loaders: one error rule for the scene, scenario, model and
-vehicle files."""
+"""Config loaders: one error rule for the scene, scenario and model
+files."""
 
 from __future__ import annotations
 
@@ -8,13 +8,12 @@ import re
 import pytest
 import yaml
 
-from crosswalk_sim.files import load_model_config, load_scenario, load_scene, load_vehicle_params
+from crosswalk_sim.files import load_model_config, load_scenario, load_scene
 
 LOADERS = {
     "scene": load_scene,
     "scenario": load_scenario,
     "model": load_model_config,
-    "vehicle": load_vehicle_params,
 }
 
 BAD_FILES = {
@@ -41,7 +40,6 @@ BAD_VALUES = [
     ("scenario", "scene: {scene}\nv_desired: fast\n", "v_desired"),
     ("model", "discount: high\n", "discount"),
     ("model", "occluded_bins: [0, 50, 60]\n", "occluded_bins"),
-    ("vehicle", "mass: heavy\n", "mass"),
     # the road bounds go to the Scene field lateral_bounds
     ("scene", "road:\n  bounds: 5\n", "bounds"),
 ]
@@ -79,10 +77,10 @@ def test_scenario_values_convert_to_their_types(tmp_path, repo_root):
 
 def test_model_values_convert_to_their_types(tmp_path):
     dest = tmp_path / "model.yaml"
-    dest.write_text("discount: '0.9'\ncrosswalk_bin: '70'\noccluded_bins: ['0', 40.0]\nreward_goal: 100\n")
+    dest.write_text("discount: '0.9'\ncrosswalk_bin: '70'\noccluded_bins: ['0', 40.0]\n")
     cfg = load_model_config(dest)
     assert (cfg.discount, cfg.crosswalk_bin, cfg.occluded_bins) == (0.9, 70, (0, 40))
-    assert type(cfg.reward_goal) is float and type(cfg.occluded_bins[1]) is int
+    assert type(cfg.crosswalk_bin) is int and type(cfg.occluded_bins[1]) is int
 
 
 def test_scene_values_convert_to_their_types(tmp_path):
@@ -99,15 +97,7 @@ def test_missing_config_file(tmp_path, what):
         LOADERS[what](tmp_path / "absent.yaml")
 
 
-def test_key_value_vehicle_file_is_not_a_mapping(tmp_path):
-    # The retired `key = value` vehicle format reads as one YAML string.
-    dest = tmp_path / "vehicle.cfg"
-    dest.write_text("# vehicle\nmass = 1500.0\nfriction = 0.9\n")
-    with pytest.raises(ValueError, match=re.escape(f"{dest}: vehicle must be a mapping")):
-        load_vehicle_params(dest)
-
-
-@pytest.mark.parametrize("key", ["scene", "vehicle", "model", "policy_file"])
+@pytest.mark.parametrize("key", ["scene", "model", "policy_file"])
 def test_empty_scenario_reference_names_the_key(tmp_path, repo_root, key):
     doc = {"scene": str(repo_root / "configs" / "scene_exposed.yaml"), key: None}
     dest = tmp_path / "scenario.yaml"

@@ -22,7 +22,7 @@ from crosswalk_sim.files import (
     load_trace_csv,
 )
 from crosswalk_sim.harness import CONTROL_DT, run_scenario
-from crosswalk_sim.pomdp import EPOCH
+from crosswalk_sim.pomdp import EPOCH, ModelConfig
 from crosswalk_sim.qmdp import load_policy
 from crosswalk_sim.world import Pedestrian, RectObstacle, Scene
 
@@ -220,7 +220,6 @@ def test_scenario_config_validation(exposed_scene):
 def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
     doc = {
         "scene": str(repo_root / "configs" / "scene_exposed.yaml"),
-        "vehicle": str(repo_root / "configs" / "vehicle.yaml"),
         "policy": "baseline",
         "v_desired": 8.0,
         "duration": 4.0,
@@ -236,7 +235,7 @@ def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
     assert cfg.scene.pedestrian.present
 
 
-@pytest.mark.parametrize("key", ["stop_margn", "kp", "control_dt", "decision_period"])
+@pytest.mark.parametrize("key", ["stop_margn", "kp", "control_dt", "decision_period", "vehicle"])
 def test_load_scenario_rejects_unknown_key(tmp_path, repo_root, key):
     doc = {
         "scene": str(repo_root / "configs" / "scene_exposed.yaml"),
@@ -296,9 +295,20 @@ def test_load_model_config_rejects_epoch(tmp_path):
 
 def test_load_model_config_types(repo_root):
     cfg = load_model_config(repo_root / "configs" / "pomdp.yaml")
-    assert cfg.discount == 0.995
-    assert cfg.occluded_bins == (0, 50)
-    assert cfg.advance_spread == (0.15, 0.7, 0.15)
+    assert cfg == ModelConfig(discount=0.995, crosswalk_bin=80, occluded_bins=(0, 50))
+
+
+def test_derive_model_config(repo_root, hidden_scene, exposed_scene):
+    # both shipped scenes give the geometry configs/pomdp.yaml carries, and
+    # the base config's discount is kept
+    shipped = load_model_config(repo_root / "configs" / "pomdp.yaml")
+    base = ModelConfig(discount=0.9, crosswalk_bin=3, occluded_bins=(7, 9))
+    for scene in (hidden_scene, exposed_scene):
+        derived = harness.derive_model_config(scene, base)
+        assert derived == ModelConfig(discount=0.9, crosswalk_bin=80, occluded_bins=(0, 50))
+        assert harness.derive_model_config(scene, shipped) == shipped
+    # with no obstacle nothing is shadowed: the empty band lo > hi
+    assert harness.derive_model_config(Scene()).occluded_bins == (1, 0)
 
 
 def test_harness_binds_the_names_perfbench_reads():

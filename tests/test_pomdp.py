@@ -9,6 +9,10 @@ import pytest
 
 from crosswalk_sim.pomdp import (
     ACTION_SCALES,
+    ADVANCE_SPREAD,
+    CELL_LENGTH,
+    CROSSING_ONSET,
+    CROSSING_PERSIST,
     EPOCH,
     NUM_ACTIONS,
     NUM_COUNT_BINS,
@@ -16,6 +20,12 @@ from crosswalk_sim.pomdp import (
     NUM_OBS,
     NUM_STATES,
     NUM_V,
+    P_ADAPT,
+    REWARD_CROSSING,
+    REWARD_GOAL,
+    REWARD_SPEEDING,
+    SPEED_UNIT,
+    SPEEDING_BIN,
     TERMINAL_D,
     ModelConfig,
     PomdpModel,
@@ -27,14 +37,14 @@ from crosswalk_sim.pomdp import (
 )
 
 
-def expected_distance(d, v, cfg: ModelConfig) -> dict[int, float]:
+def expected_distance(d, v) -> dict[int, float]:
     """Next distance bins from a non-terminal d at speed bin v: the advance
     smeared by -1/0/+1 cells and clamped at the terminal bin."""
-    advance = int(round(v * cfg.speed_unit * EPOCH / cfg.cell_length))
+    advance = int(round(v * SPEED_UNIT * EPOCH / CELL_LENGTH))
     if advance == 0:
         return {d: 1.0}
     dist: dict[int, float] = {}
-    for off, p in zip((-1, 0, 1), cfg.advance_spread):
+    for off, p in zip((-1, 0, 1), ADVANCE_SPREAD):
         t = min(d + advance + off, TERMINAL_D)
         dist[t] = dist.get(t, 0.0) + p
     return dist
@@ -52,18 +62,18 @@ def expected_rewards(cfg: ModelConfig) -> np.ndarray:
         if d == TERMINAL_D:
             continue
         base = 0.0
-        if v > cfg.speeding_bin and lo <= d <= hi:
-            base += cfg.reward_speeding
-        base += cfg.reward_goal * expected_distance(d, v, cfg).get(TERMINAL_D, 0.0)
-        penalty = cfg.reward_crossing if c == 1 and d <= cfg.crosswalk_bin else 0.0
+        if v > SPEEDING_BIN and lo <= d <= hi:
+            base += REWARD_SPEEDING
+        base += REWARD_GOAL * expected_distance(d, v).get(TERMINAL_D, 0.0)
+        penalty = REWARD_CROSSING if c == 1 and d <= cfg.crosswalk_bin else 0.0
         rewards[s, 0] = base + 0.0
         rewards[s, 1:] = base + penalty
     return rewards
 
 
-def expected_row(v, d, c, a, cfg: ModelConfig) -> dict[int, float]:
+def expected_row(v, d, c, a) -> dict[int, float]:
     """Independent enumeration of one transition row from the documented
-    semantics: speed adapts one bin toward the command with p_adapt, the
+    semantics: speed adapts one bin toward the command with P_ADAPT, the
     distance advances by the current speed with a +/-1 cell smear, and the
     crossing flag follows its own two-state chain."""
     if d == TERMINAL_D:
@@ -72,9 +82,9 @@ def expected_row(v, d, c, a, cfg: ModelConfig) -> dict[int, float]:
         speed = {v: 1.0}
     else:
         nxt = v + 1 if a > v else v - 1
-        speed = {nxt: cfg.p_adapt, v: 1.0 - cfg.p_adapt}
-    dist = expected_distance(d, v, cfg)
-    p_active = cfg.crossing_persist if c == 1 else cfg.crossing_onset
+        speed = {nxt: P_ADAPT, v: 1.0 - P_ADAPT}
+    dist = expected_distance(d, v)
+    p_active = CROSSING_PERSIST if c == 1 else CROSSING_ONSET
     cross = {1: p_active, 0: 1.0 - p_active}
     row: dict[int, float] = {}
     for vn, pv in speed.items():
@@ -177,7 +187,7 @@ def test_terminal_rows_self_loop(crosswalk_model):
     assert set(np.nonzero(crosswalk_model.terminal)[0]) == terminal_states
 
 
-def test_random_rows_match_enumeration(crosswalk_model, model_config):
+def test_random_rows_match_enumeration(crosswalk_model):
     rng = np.random.default_rng(11)
     for _ in range(300):
         v = int(rng.integers(NUM_V))
@@ -185,7 +195,7 @@ def test_random_rows_match_enumeration(crosswalk_model, model_config):
         c = int(rng.integers(2))
         a = int(rng.integers(NUM_ACTIONS))
         got = row_as_dict(crosswalk_model, state_index(v, d, c), a)
-        want = expected_row(v, d, c, a, model_config)
+        want = expected_row(v, d, c, a)
         assert got == want
 
 
@@ -215,18 +225,12 @@ def test_speed_changes_at_most_one_bin(crosswalk_model):
 
 # Configurations whose model is pinned by digest: the shipped and default
 # ones, an empty and an out-of-range occluded band (occluded_bins_from_band
-# can return an empty one), no speeding penalty, a penalty only at d = 0,
-# advances that merge differently, and probability-zero speed and crossing
-# moves.
+# can return an empty one), and a crossing penalty only at d = 0.
 EDGE_CONFIGS = {
     "default": {},
     "occluded_empty": {"occluded_bins": (0, -3)},
     "occluded_wide": {"occluded_bins": (-5, 200)},
-    "speeding_10": {"speeding_bin": 10},
     "crosswalk_0": {"crosswalk_bin": 0},
-    "epoch_07": {"speed_unit": 1.4, "advance_spread": (0.2, 0.5, 0.3)},  # advances of a 0.7 s epoch
-    "p_adapt_1": {"p_adapt": 1.0},
-    "crossing_certain": {"crossing_onset": 0.0, "crossing_persist": 1.0},
 }
 
 # SHA-256 of model_digest, taken from the state-by-state loop build that
@@ -236,11 +240,7 @@ MODEL_DIGESTS = {
     "default": "6bd4762973815e4972376b4fa98d43d933f401109b8675ff852cccde38d672bb",
     "occluded_empty": "f8aa6d6148b52376407fb67dcee6fcbfcbb16c6753489e1449e58687bea2b3fc",
     "occluded_wide": "583301cdc6aa8213b7d4394331fbf0763ae70229baecbe68c5825e2deeaad56c",
-    "speeding_10": "f8aa6d6148b52376407fb67dcee6fcbfcbb16c6753489e1449e58687bea2b3fc",
     "crosswalk_0": "1aeacce1f0b5e855e6126102e3d2371219c55a5bf90899b2fb3fb82dde1491fa",
-    "epoch_07": "f9e02b3cc97d48ac2229b2d6292a41ca72242603eba667efcb626959a8053499",
-    "p_adapt_1": "4bb7927910d7f9e96b66f19fd16d251832fc4232f52ecd9df4950c2a0b71807d",
-    "crossing_certain": "dc81365966fd8f4c2718d1dd4aca473ab215330c596f41992273ea18578dd931",
 }
 
 
@@ -347,12 +347,10 @@ def test_reward_goal_bonus_certain_entry(crosswalk_model):
     assert {state_tuple(t)[1] for t in row} == {TERMINAL_D}
 
 
-def test_reward_goal_bonus_partial_entry(crosswalk_model, model_config):
+def test_reward_goal_bonus_partial_entry(crosswalk_model):
     # from d=116 at v=3 only the +1 smear offset reaches the terminal bin
     s = state_index(3, 116, 0)
-    assert crosswalk_model.rewards[s, 0] == pytest.approx(
-        100.0 * model_config.advance_spread[2]
-    )
+    assert crosswalk_model.rewards[s, 0] == pytest.approx(100.0 * ADVANCE_SPREAD[2])
 
 
 def test_reward_bounds(crosswalk_model):
@@ -364,17 +362,10 @@ def test_reward_bounds(crosswalk_model):
 
 
 def test_model_config_validation():
-    with pytest.raises(ValueError):
-        ModelConfig(advance_spread=(0.2, 0.2, 0.2))
-    with pytest.raises(ValueError):
-        ModelConfig(p_adapt=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="discount"):
         ModelConfig(discount=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="crosswalk_bin"):
         ModelConfig(crosswalk_bin=NUM_D)
-    for name, value in (("cell_length", 0.0), ("speed_unit", -1.0)):
-        with pytest.raises(ValueError, match=name):
-            ModelConfig(**{name: value})
 
 
 def test_occluded_bins_from_band():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -259,6 +260,25 @@ def test_load_rejects_foreign_files(tmp_path):
     truncated.write_text("alpha-policy-v1\nactions 2\nstates 3\nscales 0 1\n0 0 0\n")
     with pytest.raises(ValueError):
         load_policy(truncated)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        # cut after the counts: no scales line and no alpha rows
+        ("alpha-policy-v1\nactions 2\nstates 3\n", "truncated policy file"),
+        # a header line with its count missing
+        ("alpha-policy-v1\nactions\nstates 3\nscales 0 1\n0 0 0\n0 0 0\n", "malformed policy header"),
+        ("alpha-policy-v1\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 x 0\n", "non-numeric policy value"),
+        ("alpha-policy-v1\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 0\n", "alpha matrix shape mismatch"),
+    ],
+    ids=["truncated", "one-token-header", "non-numeric", "ragged-row"],
+)
+def test_load_rejects_malformed_files_naming_them(tmp_path, text, reason):
+    bad = tmp_path / "policy.txt"
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: {reason}")):
+        load_policy(bad)
 
 
 def test_full_model_policy_round_trip(tmp_path, policy):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,8 +38,22 @@ from crosswalk_sim.path import Path
 # Scalar math throughout, and segment/rectangle intersection decided with
 # orientation tests rather than the implementation's slab clipping.
 
+# Relative error bound of the float orientation determinant (Shewchuk's
+# ccwerrboundA): beyond it the float sign is the exact sign.
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+
 
 def _orient(p, q, r):
+    """Orientation of r against the line p-q, with the exact sign for the
+    float inputs: the float determinant, or its exact rational value when
+    the float one is within rounding of zero."""
+    px, py = p
+    left = (q[0] - px) * (r[1] - py)
+    right = (q[1] - py) * (r[0] - px)
+    det = left - right
+    if abs(det) > _ORIENT_ERR * (abs(left) + abs(right)):
+        return det
+    p, q, r = ((Fraction(x), Fraction(y)) for x, y in (p, q, r))
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
@@ -51,6 +66,8 @@ def _on_segment(p, q, r):
 
 def _segments_intersect(a, b, c, d):
     o1, o2 = _orient(a, b, c), _orient(a, b, d)
+    if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
+        return False  # c-d lies strictly on one side of the line a-b
     o3, o4 = _orient(c, d, a), _orient(c, d, b)
     if ((o1 > 0) != (o2 > 0)) and ((o3 > 0) != (o4 > 0)) and 0 not in (o1, o2, o3, o4):
         return True
@@ -339,6 +356,27 @@ def _reference_grid(scene: Scene, pose) -> np.ndarray:
     return grid
 
 
+# Sight lines passing this close to an obstacle corner are left undecided
+# between the float grid and the exact oracle, the tangency rule of
+# perfbench/checks.py.
+TANGENCY_EPS = 1e-9
+
+
+def _grazing(scene: Scene, pose) -> np.ndarray:
+    """Cells whose sight line from the ego passes within TANGENCY_EPS of an
+    obstacle corner."""
+    ex, ey = scene.road.to_road(pose[0], pose[1])
+    dx = ((np.arange(GRID_LENGTH) + 0.5) / CELLS_PER_M)[:, None]
+    dy = ((np.arange(GRID_WIDTH) - GRID_WIDTH / 2 + 0.5) / CELLS_PER_M)[None, :]
+    grazing = np.zeros((GRID_LENGTH, GRID_WIDTH), dtype=bool)
+    for ob in scene.obstacles:
+        for cx, cy in _rect_corners(ob):
+            cx, cy = cx - ex, cy - ey
+            t = np.clip((cx * dx + cy * dy) / (dx**2 + dy**2), 0.0, 1.0)
+            grazing |= np.hypot(cx - t * dx, cy - t * dy) < TANGENCY_EPS
+    return grazing
+
+
 _THIRD, _SIXTH = 1 / 3, 1 / 6
 
 # Road-aligned scenes whose shadow or body windows reach the edges of the
@@ -386,7 +424,9 @@ def test_road_aligned_windows_match_references(case):
     pose = (float(north), float(east), 0.0)
     grid = build_grid(scene, pose)
     assert np.array_equal(grid, _reference_grid(scene, pose))
-    assert np.array_equal(grid, oracle_grid(scene, pose))
+    # the exact oracle may differ where a sight line meets a corner
+    grazing = _grazing(scene, pose)
+    assert np.array_equal(grid[~grazing], oracle_grid(scene, pose)[~grazing])
     rows, cols = np.nonzero(grid)
     assert (rows.min(), rows.max(), cols.min(), cols.max()) == box
     if case == "row-209-no-shadow":
@@ -397,6 +437,22 @@ def test_road_aligned_windows_match_references(case):
         ob = obstacles[0]
         assert (np.abs(gx - ob.center[0]) == ob.size[0] / 2).any()
         assert (np.abs(gy - ob.center[1]) == ob.size[1] / 2).any()
+
+
+def test_sight_lines_through_corners():
+    # From the origin, 40 sight lines pass exactly through a corner in real
+    # numbers, among them those to rows 70 - 3k, columns k and 47 - k
+    # through (9, -3) and (9, 3). The exact oracle decides each on the float
+    # cell centres; build_grid's float slab test may call a near miss of
+    # about 3e-16 m a touch, as at (37, 11) and (37, 36), so those cells
+    # alone may differ.
+    scene = Scene(obstacles=(RectObstacle(center=(10.0, 0.0), size=(2.0, 6.0)),))
+    pose = (0.0, 0.0, 0.0)
+    grid = build_grid(scene, pose)
+    assert np.array_equal(grid, _reference_grid(scene, pose))
+    grazing = _grazing(scene, pose)
+    assert grazing.sum() == 40 and grazing[37, 11] and grazing[37, 36]
+    assert np.array_equal(grid[~grazing], oracle_grid(scene, pose)[~grazing])
 
 
 def test_occupied_wins_over_unobservable():
