@@ -52,14 +52,12 @@ def main() -> int:
         "--out", default=REPO / "results", type=Path,
         help="output directory (default: results/)",
     )
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args()
 
-    written = run_batch(args.configs, args.out, fmt=args.format)
+    written = run_batch(args.configs, args.out)
     print(f"\n{len(written)} runs written under {args.out}\n")
-    if args.format == "csv":
-        for dest in written:
-            print(summarize(Path(dest)))
+    for dest in written:
+        print(summarize(Path(dest)))
     return 0
 
 

@@ -8,7 +8,6 @@ visibility.
 """
 
 from .dynamics import (
-    VehicleParams,
     VehicleState,
     allocate_longitudinal,
     brush_tire_lateral,

@@ -46,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one scenario config")
     p_run.add_argument("--scenario", required=True, help="scenario YAML")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--policy", help="override the policy file for pomdp runs")
     p_run.add_argument("--seed", type=int, help="override the scenario seed")
     p_run.set_defaults(func=_cmd_run)
@@ -54,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="run every scenario YAML in a directory")
     p_batch.add_argument("--dir", required=True, help="directory of scenario YAMLs")
     p_batch.add_argument("--out", required=True, help="output directory")
-    p_batch.add_argument("--format", choices=("csv", "json"), default="csv")
     p_batch.set_defaults(func=_cmd_batch)
 
     p_grid = sub.add_parser("grid-dump", help="rasterize the occupancy grid for a pose")
@@ -102,7 +100,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     trace = run_scenario(config)
-    dest = export_run(trace, config.scene, args.out, args.format)
+    dest = export_run(trace, config.scene, args.out)
     log.info(
         "%s: terminated by %s after %d steps -> %s",
         config.name,
@@ -114,7 +112,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    written = run_batch(args.dir, args.out, args.format)
+    written = run_batch(args.dir, args.out)
     log.info("wrote %d traces under %s", len(written), args.out)
     return 0
 

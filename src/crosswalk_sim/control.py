@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 
-from .dynamics import VehicleParams, VehicleState
+from .dynamics import MAX_STEER, WHEELBASE, VehicleState
 from .path import SAMPLE_SPACING, Path, resample_by_arc
 from .world import Scene
 
 AX_LIMIT = 3.0  # m/s^2, symmetric accel/brake authority
+SPEED_GAIN = 2.0  # 1/s, proportional gain of the speed tracker
+AVOID_MARGIN = 2.45  # m the avoidance path clears a blocking obstacle's left edge by
 
 PATH_LENGTH = 60.0  # m
 LEAD_IN = 20.0  # m over which the path ramps out to its offset
@@ -27,20 +29,14 @@ class InfeasiblePathError(ValueError):
     """The avoidance offset cannot fit inside the road bounds."""
 
 
-def speed_control(
-    v_desired: float,
-    scale: float,
-    ux: float,
-    kp: float = 2.0,
-    ax_limit: float = AX_LIMIT,
-) -> float:
+def speed_control(v_desired: float, scale: float, ux: float) -> float:
     """Proportional speed tracking toward scale * v_desired, saturated at
-    +/- ax_limit."""
-    ax = kp * (scale * v_desired - ux)
-    return float(min(max(ax, -ax_limit), ax_limit))
+    +/- AX_LIMIT."""
+    ax = SPEED_GAIN * (scale * v_desired - ux)
+    return float(min(max(ax, -AX_LIMIT), AX_LIMIT))
 
 
-def steer_control(state: VehicleState, path: Path, params: VehicleParams) -> float:
+def steer_control(state: VehicleState, path: Path) -> float:
     """Pure-pursuit steering toward a speed-proportional lookahead point.
 
     The lookahead target is clamped to the path end and the command to the
@@ -57,19 +53,19 @@ def steer_control(state: VehicleState, path: Path, params: VehicleParams) -> flo
     bearing = math.atan2(de, dn)
     err = _wrap_angle(bearing - state.psi)
     curvature = 2.0 * math.sin(err) / dist
-    steer = math.atan(params.wheelbase * curvature)
-    return float(min(max(steer, -params.max_steer), params.max_steer))
+    steer = math.atan(WHEELBASE * curvature)
+    return float(min(max(steer, -MAX_STEER), MAX_STEER))
 
 
 def _wrap_angle(angle: float) -> float:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def build_avoidance_path(scene: Scene, margin: float = 2.45) -> Path:
+def build_avoidance_path(scene: Scene) -> Path:
     """Fixed 60 m reference path that swings left around any obstacle
     blocking the ego lane and returns to the lane center.
 
-    The lateral offset clears the widest blocking obstacle by margin,
+    The lateral offset clears the widest blocking obstacle by AVOID_MARGIN,
     ramping with smooth cosine blends; with no blocking obstacle the path
     is straight. Raises InfeasiblePathError when the offset would leave
     the road bounds.
@@ -84,7 +80,7 @@ def build_avoidance_path(scene: Scene, margin: float = 2.45) -> Path:
     if not blocking:
         ys = np.zeros_like(dense_x)
     else:
-        offset = max(_left_edge(ob) for ob in blocking) + margin
+        offset = max(_left_edge(ob) for ob in blocking) + AVOID_MARGIN
         if offset > scene.lateral_bounds[1] - 0.2:
             raise InfeasiblePathError(
                 f"needed lateral offset {offset:.2f} m exceeds the road bounds"

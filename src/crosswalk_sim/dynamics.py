@@ -20,47 +20,22 @@ GRAVITY = 9.81  # m/s^2
 MAX_STEP = 0.1  # s, largest integration step the fixed-step RK4 accepts
 SLIP_SPEED_FLOOR = 0.5  # m/s, floor on the speed used in slip-angle kinematics
 
+# The one vehicle every run drives (SI units). A and B are the distances
+# from the center of gravity to the front and rear axle. Drive force goes to
+# the front axle; brake force is split front/rear by FRONT_BRAKE_FRACTION.
+MASS = 1500.0  # kg
+YAW_INERTIA = 2250.0  # kg m^2
+A = 1.2  # m
+B = 1.5  # m
+CAF = 110000.0  # front cornering stiffness, N/rad
+CAR = 120000.0  # rear cornering stiffness, N/rad
+FRICTION = 0.9
+FRONT_BRAKE_FRACTION = 0.7
+MAX_STEER = math.pi / 6  # rad
 
-@dataclass(frozen=True)
-class VehicleParams:
-    """Parameters of the single-track model (SI units).
-
-    a and b are the distances from the center of gravity to the front and
-    rear axle. Drive force goes to the front axle; brake force is split
-    front/rear by front_brake_fraction.
-    """
-
-    mass: float = 1500.0
-    yaw_inertia: float = 2250.0
-    a: float = 1.2
-    b: float = 1.5
-    caf: float = 110000.0  # front cornering stiffness, N/rad
-    car: float = 120000.0  # rear cornering stiffness, N/rad
-    friction: float = 0.9
-    front_brake_fraction: float = 0.7
-    max_steer: float = math.pi / 6
-
-    def __post_init__(self):
-        if min(self.mass, self.yaw_inertia, self.a, self.b, self.caf, self.car) <= 0:
-            raise ValueError("masses, lengths and stiffnesses must be positive")
-        if not 0.0 < self.friction <= 2.0:
-            raise ValueError("friction out of range")
-        if not 0.0 <= self.front_brake_fraction <= 1.0:
-            raise ValueError("front_brake_fraction must lie in [0, 1]")
-
-    @property
-    def wheelbase(self) -> float:
-        return self.a + self.b
-
-    @property
-    def fz_front(self) -> float:
-        """Static front-axle normal load."""
-        return self.mass * GRAVITY * self.b / self.wheelbase
-
-    @property
-    def fz_rear(self) -> float:
-        """Static rear-axle normal load."""
-        return self.mass * GRAVITY * self.a / self.wheelbase
+WHEELBASE = A + B
+FZ_FRONT = MASS * GRAVITY * B / WHEELBASE  # static front-axle normal load, N
+FZ_REAR = MASS * GRAVITY * A / WHEELBASE  # static rear-axle normal load, N
 
 
 @dataclass(frozen=True)
@@ -98,22 +73,22 @@ def brush_tire_lateral(alpha: float, fz: float, c_alpha: float, mu: float) -> fl
     )
 
 
-def allocate_longitudinal(ax_command: float, params: VehicleParams) -> tuple[float, float]:
+def allocate_longitudinal(ax_command: float) -> tuple[float, float]:
     """Split a commanded acceleration into front/rear axle forces.
 
     Drive force is front-only (front wheel drive); brake force is split by
-    params.front_brake_fraction. The forces always sum to mass * ax_command.
+    FRONT_BRAKE_FRACTION. The forces always sum to MASS * ax_command.
     """
     if not math.isfinite(ax_command):
         raise ValueError("ax_command must be finite")
-    total = params.mass * ax_command
+    total = MASS * ax_command
     if ax_command >= 0.0:
         return total, 0.0
-    front = params.front_brake_fraction * total
+    front = FRONT_BRAKE_FRACTION * total
     return front, total - front
 
 
-def _derivatives(y, steer: float, ax_command: float, params: VehicleParams):
+def _derivatives(y, steer: float, ax_command: float):
     uy, r, ux, psi = y[0], y[1], y[2], y[3]
     ux_eff = max(ux, 0.0)
     # Brakes hold rather than push the vehicle backwards.
@@ -122,24 +97,23 @@ def _derivatives(y, steer: float, ax_command: float, params: VehicleParams):
     # Slip angles use a floored speed: the lateral modes stiffen as 1/ux,
     # which would destabilise fixed-step integration near standstill.
     ux_slip = max(ux_eff, SLIP_SPEED_FLOOR)
-    alpha_f = math.atan2(uy + params.a * r, ux_slip) - steer
-    alpha_r = math.atan2(uy - params.b * r, ux_slip)
-    fyf = brush_tire_lateral(alpha_f, params.fz_front, params.caf, params.friction)
-    fyr = brush_tire_lateral(alpha_r, params.fz_rear, params.car, params.friction)
+    alpha_f = math.atan2(uy + A * r, ux_slip) - steer
+    alpha_r = math.atan2(uy - B * r, ux_slip)
+    fyf = brush_tire_lateral(alpha_f, FZ_FRONT, CAF, FRICTION)
+    fyr = brush_tire_lateral(alpha_r, FZ_REAR, CAR, FRICTION)
     # Below the floor the tires are barely rolling; fade their lateral
     # force out linearly so standstill is an equilibrium even under steer.
     if ux_eff < SLIP_SPEED_FLOOR:
         taper = ux_eff / SLIP_SPEED_FLOOR
         fyf *= taper
         fyr *= taper
-    fxf, fxr = allocate_longitudinal(ax_command, params)
-    m = params.mass
+    fxf, fxr = allocate_longitudinal(ax_command)
     cos_d = math.cos(steer)
     sin_d = math.sin(steer)
     front_lat = fyf * cos_d + fxf * sin_d
-    duy = (front_lat + fyr) / m - r * ux
-    dr = (params.a * front_lat - params.b * fyr) / params.yaw_inertia
-    dux = (fxf * cos_d - fyf * sin_d + fxr) / m + r * uy
+    duy = (front_lat + fyr) / MASS - r * ux
+    dr = (A * front_lat - B * fyr) / YAW_INERTIA
+    dux = (fxf * cos_d - fyf * sin_d + fxr) / MASS + r * uy
     dpsi = r
     dn = ux * math.cos(psi) - uy * math.sin(psi)
     de = ux * math.sin(psi) + uy * math.cos(psi)
@@ -151,7 +125,6 @@ def step_dynamics(
     steer: float,
     ax_command: float,
     dt: float,
-    params: VehicleParams,
     path: Path,
 ) -> VehicleState:
     """Advance the vehicle one fixed RK4 step and re-project onto the path.
@@ -165,13 +138,13 @@ def step_dynamics(
         raise ValueError("steer and ax_command must be finite")
 
     y0 = (state.uy, state.r, state.ux, state.psi, state.north, state.east)
-    k1 = _derivatives(y0, steer, ax_command, params)
+    k1 = _derivatives(y0, steer, ax_command)
     y1 = tuple(y0[i] + 0.5 * dt * k1[i] for i in range(6))
-    k2 = _derivatives(y1, steer, ax_command, params)
+    k2 = _derivatives(y1, steer, ax_command)
     y2 = tuple(y0[i] + 0.5 * dt * k2[i] for i in range(6))
-    k3 = _derivatives(y2, steer, ax_command, params)
+    k3 = _derivatives(y2, steer, ax_command)
     y3 = tuple(y0[i] + dt * k3[i] for i in range(6))
-    k4 = _derivatives(y3, steer, ax_command, params)
+    k4 = _derivatives(y3, steer, ax_command)
     out = [
         y0[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
         for i in range(6)

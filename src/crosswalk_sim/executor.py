@@ -87,14 +87,14 @@ def baseline_scale(unobservable_count: int) -> float:
     return (NUM_COUNT_BINS - 1 - b) / (NUM_COUNT_BINS - 1)
 
 
-def stopping_scale(speed_limit_dist: float, v_desired: float, decel: float) -> float:
-    """Scale that tracks a constant-deceleration ramp to rest over the
-    given distance. Zero at and past the stop point."""
-    if v_desired <= 0 or decel <= 0:
-        raise ValueError("v_desired and decel must be positive")
+def stopping_scale(speed_limit_dist: float, v_desired: float) -> float:
+    """Scale that tracks a STOP_DECEL ramp to rest over the given distance.
+    Zero at and past the stop point."""
+    if v_desired <= 0:
+        raise ValueError("v_desired must be positive")
     if speed_limit_dist <= 0.0:
         return 0.0
-    return min(1.0, math.sqrt(2.0 * decel * speed_limit_dist) / v_desired)
+    return min(1.0, math.sqrt(2.0 * STOP_DECEL * speed_limit_dist) / v_desired)
 
 
 def oracle_scale(scene: Scene, state: VehicleState, crosswalk_s: float, v_desired: float) -> float:
@@ -106,4 +106,4 @@ def oracle_scale(scene: Scene, state: VehicleState, crosswalk_s: float, v_desire
     """
     if not scene.pedestrian.present or state.s >= crosswalk_s:
         return 1.0
-    return stopping_scale(crosswalk_s - STOP_MARGIN - state.s, v_desired, STOP_DECEL)
+    return stopping_scale(crosswalk_s - STOP_MARGIN - state.s, v_desired)

@@ -1,6 +1,6 @@
 """Every file format the simulator reads or writes, except the policy file
 (`qmdp`): the scene, scenario and model YAML, and the trace and
-plot-panel CSV/JSON of a run.
+plot-panel CSV of a run.
 
 Every config loader goes through `_read` and `_given`, so they share one
 error rule: an unknown key, an unconvertible value, a non-mapping or an
@@ -12,7 +12,7 @@ writes floats with %.17g so they read back exactly.
 from __future__ import annotations
 
 import csv
-import json
+import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path as FsPath
@@ -44,7 +44,8 @@ TRACE_FIELDS = (
 
 @dataclass
 class ScenarioConfig:
-    """Everything needed to reproduce one closed-loop run."""
+    """Everything needed to reproduce one closed-loop run. v_desired and
+    duration must be finite and positive."""
 
     scene: Scene
     policy: str = "oracle"
@@ -57,9 +58,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.policy not in POLICY_KINDS:
-            raise ValueError(f"policy must be one of {POLICY_KINDS}")
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+            raise ValueError(f"bad value for key 'policy': must be one of {POLICY_KINDS}")
+        for key in ("v_desired", "duration"):
+            value = getattr(self, key)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"bad value for key {key!r}: {value!r} is not finite and positive")
 
 
 @dataclass
@@ -185,12 +188,16 @@ def load_scenario(source) -> ScenarioConfig:
         if key in data and data[key] is None:
             raise ValueError(f"{path}: empty scenario key {key!r}")
     refs = {key: path.parent / str(data[key]) for key in _SCENARIO_REFS if key in data}
-    return ScenarioConfig(
+    fields = dict(
         scene=load_scene(refs["scene"]),
         model_config=load_model_config(refs["model"]) if "model" in refs else None,
         policy_file=str(refs["policy_file"]) if "policy_file" in refs else None,
         **{"name": path.stem, **_given(data, path, ScenarioConfig, _SCENARIO_FIELDS)},
     )
+    try:
+        return ScenarioConfig(**fields)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 # --- run output -------------------------------------------------------------
@@ -212,24 +219,17 @@ def _rows(trace: Trace, names):
     return zip(*(trace.columns[name].tolist() for name in names))
 
 
-def export_trace(trace: Trace, fmt: str = "csv", destination=None) -> str:
-    """Write a trace as CSV (metadata in comment lines) or JSON."""
+def export_trace(trace: Trace, fmt: str, destination) -> str:
+    """Write a trace as CSV, its metadata in comment lines."""
+    # CSV is the one trace format; fmt stays in the signature because
+    # perfbench/workloads.py calls export_trace(trace, "csv", dest).
+    if fmt != "csv":
+        raise ValueError("fmt must be 'csv'")
     if destination is None:
         raise ValueError("destination required")
-    if fmt == "csv":
-        comments = [f"termination: {trace.termination}"]
-        comments += [f"{key}: {trace.metadata[key]}" for key in sorted(trace.metadata)]
-        return _write_csv(destination, TRACE_FIELDS, _rows(trace, TRACE_FIELDS), comments)
-    if fmt != "json":
-        raise ValueError("fmt must be 'csv' or 'json'")
-    payload = {
-        "metadata": trace.metadata,
-        "termination": trace.termination,
-        "columns": {name: trace.columns[name].tolist() for name in TRACE_FIELDS},
-    }
-    with open(destination, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-    return str(destination)
+    comments = [f"termination: {trace.termination}"]
+    comments += [f"{key}: {trace.metadata[key]}" for key in sorted(trace.metadata)]
+    return _write_csv(destination, TRACE_FIELDS, _rows(trace, TRACE_FIELDS), comments)
 
 
 def load_trace_csv(source) -> Trace:
@@ -305,8 +305,8 @@ def _outline(scene: Scene):
         yield kind, float(n), float(e)
 
 
-def export_run(trace: Trace, scene: Scene, out_dir, fmt: str = "csv") -> str:
-    """Write a run's plot panels and its trace (trace.csv or trace.json)
-    into out_dir; returns the trace path."""
+def export_run(trace: Trace, scene: Scene, out_dir) -> str:
+    """Write a run's plot panels and its trace.csv into out_dir; returns
+    the trace path."""
     export_plot_data(trace, out_dir, scene=scene)
-    return export_trace(trace, fmt, FsPath(out_dir) / f"trace.{fmt}")
+    return export_trace(trace, "csv", FsPath(out_dir) / "trace.csv")

@@ -17,9 +17,8 @@ import numpy as np
 
 from . import world
 from .control import build_avoidance_path, speed_control, steer_control
-from .dynamics import VehicleParams, VehicleState, step_dynamics
+from .dynamics import VehicleState, step_dynamics
 from .executor import (
-    STOP_DECEL,
     STOP_MARGIN,
     SensorReading,
     ZeroBeliefError,
@@ -94,7 +93,7 @@ class _BaselinePolicy:
                 if needed <= YIELD_GATE_DECEL:
                     self.engaged = True
         if self.engaged and not past:
-            ramp = stopping_scale(self.stop_s - state.s, self.v_desired, STOP_DECEL)
+            ramp = stopping_scale(self.stop_s - state.s, self.v_desired)
             scale = min(scale, _quantize_down(ramp, 9))
         return scale
 
@@ -112,7 +111,6 @@ def run_scenario(
     (slowest option).
     """
     scene = config.scene
-    params = VehicleParams()
     path = build_avoidance_path(scene)
     crosswalk_s = world.crosswalk_path_distance(scene, path)
 
@@ -167,7 +165,7 @@ def run_scenario(
                 p_crossing = _p_crossing(belief)
 
         ax = speed_control(config.v_desired, scale, state.ux)
-        steer = steer_control(state, path, params)
+        steer = steer_control(state, path)
 
         rows["time"].append(t)
         rows["north"].append(state.north)
@@ -183,7 +181,7 @@ def run_scenario(
         rows["detected"].append(float(detected))
         rows["p_crossing"].append(p_crossing)
 
-        state = step_dynamics(state, steer, ax, CONTROL_DT, params, path)
+        state = step_dynamics(state, steer, ax, CONTROL_DT, path)
 
         if state.s >= path.length - 0.5:
             termination = "path_end"
@@ -251,7 +249,7 @@ def derive_model_config(scene: Scene, base: ModelConfig | None = None) -> ModelC
     return replace(cfg, crosswalk_bin=crosswalk_bin, occluded_bins=occluded)
 
 
-def run_batch(config_dir, out_dir, fmt: str = "csv") -> list[str]:
+def run_batch(config_dir, out_dir) -> list[str]:
     """Run every scenario YAML in a directory; one output folder per run."""
     config_dir = FsPath(config_dir)
     out_dir = FsPath(out_dir)
@@ -269,7 +267,7 @@ def run_batch(config_dir, out_dir, fmt: str = "csv") -> list[str]:
                 solved[key] = solve_policy(key)
             model, policy = solved[key]
         trace = run_scenario(config, model=model, policy=policy)
-        dest = export_run(trace, config.scene, out_dir / cfg_path.stem, fmt)
+        dest = export_run(trace, config.scene, out_dir / cfg_path.stem)
         log.info("%s: %s after %.2f s", cfg_path.stem, trace.termination, len(trace) * CONTROL_DT)
         written.append(dest)
     return written

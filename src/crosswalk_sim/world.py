@@ -356,19 +356,25 @@ def grid_to_text(grid: np.ndarray) -> str:
 
 
 CROSSWALK_SAMPLE_STEP = 0.5  # m between sampled points of the crosswalk line
+# m the crosswalk line reaches past each road edge. A pedestrian waits on the
+# curb before crossing: the hidden scene's pedestrian stands at y = -2.6 m,
+# 0.8 m outside the -1.8 m edge, and 1.0 m covers that with a margin.
+SIDEWALK_WIDTH = 1.0
 
 
 def crosswalk_occlusion_band(scene: Scene, path: Path) -> tuple[float, float] | None:
     """Range of path distances from which part of the crosswalk is hidden.
 
     Yields (s_lo, s_hi) over the path samples where at least one point of
-    the crosswalk line has its sight line cut by an obstacle, or None when
-    the crosswalk is visible from everywhere. Only path points before the
+    the crosswalk line, which runs across the road and SIDEWALK_WIDTH onto
+    each curb, has its sight line cut by an obstacle, or None when the
+    crosswalk is visible from everywhere. Only path points before the
     crosswalk are considered.
     """
     if not scene.obstacles:
         return None
-    y_lo, y_hi = scene.lateral_bounds
+    y_lo = scene.lateral_bounds[0] - SIDEWALK_WIDTH
+    y_hi = scene.lateral_bounds[1] + SIDEWALK_WIDTH
     n_samples = max(int(round((y_hi - y_lo) / CROSSWALK_SAMPLE_STEP)) + 1, 2)
     cw_y = np.linspace(y_lo, y_hi, n_samples)
     cw_x = np.full_like(cw_y, scene.crosswalk.distance)

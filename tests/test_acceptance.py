@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from crosswalk_sim.control import build_avoidance_path
-from crosswalk_sim.dynamics import VehicleParams, VehicleState, brush_tire_lateral, step_dynamics
+from crosswalk_sim.dynamics import VehicleState, brush_tire_lateral, step_dynamics
 from crosswalk_sim.executor import belief_update, init_belief
 from crosswalk_sim.files import TRACE_FIELDS, ScenarioConfig
 from crosswalk_sim.harness import run_scenario
@@ -237,7 +237,6 @@ def test_criterion_10_invariant_suite(crosswalk_model, exposed_scene):
             assert abs(force) <= mu * fz + 1e-9
 
         # determinism: 1000 repeated dynamics steps are bit-identical
-        params = VehicleParams()
         north = np.arange(0.0, 100.25, 0.25)
         from crosswalk_sim.path import Path
 
@@ -253,8 +252,8 @@ def test_criterion_10_invariant_suite(crosswalk_model, exposed_scene):
             )
             steer = float(rng.uniform(-0.4, 0.4))
             ax = float(rng.uniform(-3, 3))
-            once = step_dynamics(state, steer, ax, 0.01, params, path)
-            twice = step_dynamics(state, steer, ax, 0.01, params, path)
+            once = step_dynamics(state, steer, ax, 0.01, path)
+            twice = step_dynamics(state, steer, ax, 0.01, path)
             assert once == twice
 
         # determinism of a full closed-loop run

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from crosswalk_sim.control import (
+    AVOID_MARGIN,
+    AX_LIMIT,
+    SPEED_GAIN,
     InfeasiblePathError,
     build_avoidance_path,
     speed_control,
     steer_control,
 )
-from crosswalk_sim.dynamics import VehicleParams, VehicleState, step_dynamics
+from crosswalk_sim.dynamics import MAX_STEER, VehicleState, step_dynamics
 from crosswalk_sim.path import Path
 from crosswalk_sim.world import RectObstacle, Scene
-
-PARAMS = VehicleParams()
 
 
 def road_y(scene: Scene, path: Path) -> np.ndarray:
@@ -31,14 +32,13 @@ def test_speed_control_zero_error():
 
 
 def test_speed_control_proportional_region():
-    assert speed_control(10.0, 0.8, 7.0, kp=1.0) == pytest.approx(1.0)
-    assert speed_control(10.0, 0.8, 7.0, kp=2.0) == pytest.approx(2.0)
+    assert speed_control(10.0, 0.8, 7.5) == pytest.approx(0.5 * SPEED_GAIN)
+    assert speed_control(10.0, 0.8, 8.5) == pytest.approx(-0.5 * SPEED_GAIN)
 
 
 def test_speed_control_saturates():
-    assert speed_control(10.0, 0.0, 5.0, kp=1.0) == -3.0
-    assert speed_control(10.0, 1.0, 2.0, kp=1.0) == 3.0
-    assert speed_control(10.0, 1.0, 2.0, kp=1.0, ax_limit=2.0) == 2.0
+    assert speed_control(10.0, 0.0, 5.0) == -AX_LIMIT
+    assert speed_control(10.0, 1.0, 2.0) == AX_LIMIT
 
 
 # --- steering ------------------------------------------------------------------
@@ -52,28 +52,28 @@ def straight_path(length: float = 100.0) -> Path:
 def test_steer_zero_on_path():
     path = straight_path()
     state = VehicleState(ux=5.0, north=10.0, east=0.0, s=10.0, e=0.0)
-    assert steer_control(state, path, PARAMS) == 0.0
+    assert steer_control(state, path) == 0.0
 
 
 def test_steer_sign_corrects_left_offset():
     # left of a northbound path means east < 0; positive steer turns east
     path = straight_path()
     state = VehicleState(ux=5.0, north=10.0, east=-1.0, s=10.0, e=1.0)
-    assert steer_control(state, path, PARAMS) > 0.0
+    assert steer_control(state, path) > 0.0
     mirrored = VehicleState(ux=5.0, north=10.0, east=1.0, s=10.0, e=-1.0)
-    assert steer_control(mirrored, path, PARAMS) < 0.0
+    assert steer_control(mirrored, path) < 0.0
 
 
 def test_steer_clamped_to_vehicle_limit():
     path = straight_path()
     state = VehicleState(ux=5.0, north=10.0, east=-8.0, s=10.0, e=8.0)
-    assert abs(steer_control(state, path, PARAMS)) <= PARAMS.max_steer
+    assert abs(steer_control(state, path)) <= MAX_STEER
 
 
 def test_steer_at_path_end_is_finite():
     path = straight_path(20.0)
     state = VehicleState(ux=3.0, north=20.0, east=0.0, s=20.0, e=0.0)
-    assert steer_control(state, path, PARAMS) == 0.0
+    assert steer_control(state, path) == 0.0
 
 
 def test_closed_loop_lane_change_tracking(hidden_scene):
@@ -82,9 +82,9 @@ def test_closed_loop_lane_change_tracking(hidden_scene):
     state = VehicleState(ux=5.0)
     errors = []
     for _ in range(1150):
-        steer = steer_control(state, path, PARAMS)
-        ax = speed_control(5.0, 1.0, state.ux, kp=2.0)
-        state = step_dynamics(state, steer, ax, 0.01, PARAMS, path)
+        steer = steer_control(state, path)
+        ax = speed_control(5.0, 1.0, state.ux)
+        state = step_dynamics(state, steer, ax, 0.01, path)
         errors.append(abs(state.e))
         if state.s >= path.length - 1.0:
             break
@@ -107,7 +107,7 @@ def test_swing_clears_centered_obstacle():
     scene = Scene(obstacles=(RectObstacle(center=(35.0, 0.0), size=(4.0, width)),))
     path = build_avoidance_path(scene)
     ys = road_y(scene, path)
-    assert ys.max() >= width / 2 + 2.45 - 1e-6
+    assert ys.max() >= width / 2 + AVOID_MARGIN - 1e-6
     assert path.length == pytest.approx(60.0, abs=0.1)
     # returns to the lane center by the end
     assert abs(ys[-1]) < 0.05
@@ -129,9 +129,11 @@ def test_path_curvature_bounded(hidden_scene):
 
 
 def test_offset_scales_with_margin(hidden_scene):
-    tight = build_avoidance_path(hidden_scene, margin=1.0)
-    wide = build_avoidance_path(hidden_scene, margin=3.0)
-    assert road_y(hidden_scene, wide).max() > road_y(hidden_scene, tight).max()
+    # the path's widest swing is the parked vehicle's left edge plus the margin
+    (parked,) = hidden_scene.obstacles
+    edge = max(y for _, y in parked.corners())
+    peak = road_y(hidden_scene, build_avoidance_path(hidden_scene)).max()
+    assert peak == pytest.approx(edge + AVOID_MARGIN, abs=1e-9)
 
 
 def test_infeasible_offset_raises():

@@ -10,15 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosswalk_sim.dynamics import (
-    VehicleParams,
+    FZ_FRONT,
+    FZ_REAR,
+    GRAVITY,
+    MASS,
+    WHEELBASE,
     VehicleState,
     allocate_longitudinal,
     brush_tire_lateral,
     step_dynamics,
 )
 from crosswalk_sim.path import Path
-
-PARAMS = VehicleParams()
 
 
 def straight_path(length: float = 300.0) -> Path:
@@ -80,11 +82,11 @@ def test_tire_input_validation():
 
 
 def test_allocation_examples():
-    assert allocate_longitudinal(0.0, PARAMS) == (0.0, 0.0)
+    assert allocate_longitudinal(0.0) == (0.0, 0.0)
     # drive is front-only: +2 m/s^2 at 1500 kg -> 3000 N front
-    assert allocate_longitudinal(2.0, PARAMS) == (3000.0, 0.0)
+    assert allocate_longitudinal(2.0) == (3000.0, 0.0)
     # braking splits 70/30: -2 m/s^2 -> (-2100, -900)
-    front, rear = allocate_longitudinal(-2.0, PARAMS)
+    front, rear = allocate_longitudinal(-2.0)
     assert front == pytest.approx(-2100.0)
     assert rear == pytest.approx(-900.0)
 
@@ -92,8 +94,8 @@ def test_allocation_examples():
 @settings(max_examples=200, deadline=None)
 @given(ax=st.floats(-8.0, 8.0))
 def test_allocation_sums_to_total(ax):
-    front, rear = allocate_longitudinal(ax, PARAMS)
-    assert front + rear == pytest.approx(PARAMS.mass * ax, abs=1e-9)
+    front, rear = allocate_longitudinal(ax)
+    assert front + rear == pytest.approx(MASS * ax, abs=1e-9)
 
 
 # --- integration ----------------------------------------------------------
@@ -103,7 +105,7 @@ def test_rest_is_an_equilibrium():
     path = straight_path()
     state = VehicleState()
     for _ in range(50):
-        state = step_dynamics(state, 0.0, 0.0, 0.01, PARAMS, path)
+        state = step_dynamics(state, 0.0, 0.0, 0.01, path)
     assert state == VehicleState()
 
 
@@ -111,7 +113,7 @@ def test_unit_acceleration_for_one_second():
     path = straight_path()
     state = VehicleState()
     for _ in range(100):
-        state = step_dynamics(state, 0.0, 1.0, 0.01, PARAMS, path)
+        state = step_dynamics(state, 0.0, 1.0, 0.01, path)
     assert state.ux == pytest.approx(1.0, abs=1e-6)
     assert state.uy == pytest.approx(0.0, abs=1e-12)
     assert state.r == pytest.approx(0.0, abs=1e-12)
@@ -128,10 +130,10 @@ def test_steady_state_yaw_rate_matches_kinematics():
     rates = []
     for i in range(600):
         ax = 2.0 * (5.0 - state.ux)
-        state = step_dynamics(state, steer, ax, 0.01, PARAMS, path)
+        state = step_dynamics(state, steer, ax, 0.01, path)
         if i >= 500:
             rates.append(state.r)
-    expected = 5.0 * steer / PARAMS.wheelbase
+    expected = 5.0 * steer / WHEELBASE
     assert np.mean(rates) == pytest.approx(expected, rel=0.05)
 
 
@@ -140,7 +142,7 @@ def test_braking_never_reverses():
     state = VehicleState(ux=0.5)
     speeds = []
     for _ in range(100):
-        state = step_dynamics(state, 0.0, -3.0, 0.01, PARAMS, path)
+        state = step_dynamics(state, 0.0, -3.0, 0.01, path)
         speeds.append(state.ux)
     assert min(speeds) >= 0.0
     assert state.ux == 0.0
@@ -151,7 +153,7 @@ def test_standstill_stays_put_under_brakes_and_steer():
     path = straight_path()
     state = VehicleState()
     for _ in range(200):
-        state = step_dynamics(state, 0.3, -2.0, 0.01, PARAMS, path)
+        state = step_dynamics(state, 0.3, -2.0, 0.01, path)
     assert state.ux == 0.0
     assert abs(state.uy) < 1e-9
     assert abs(state.north) < 1e-9
@@ -161,24 +163,15 @@ def test_step_validation():
     path = straight_path()
     state = VehicleState()
     with pytest.raises(ValueError):
-        step_dynamics(state, 0.0, 0.0, 0.2, PARAMS, path)
+        step_dynamics(state, 0.0, 0.0, 0.2, path)
     with pytest.raises(ValueError):
-        step_dynamics(state, 0.0, 0.0, 0.0, PARAMS, path)
+        step_dynamics(state, 0.0, 0.0, 0.0, path)
     with pytest.raises(ValueError):
-        step_dynamics(state, math.nan, 0.0, 0.01, PARAMS, path)
+        step_dynamics(state, math.nan, 0.0, 0.01, path)
 
 
 # --- parameters -----------------------------------------------------------
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        VehicleParams(mass=-1.0)
-    with pytest.raises(ValueError):
-        VehicleParams(friction=0.0)
-    with pytest.raises(ValueError):
-        VehicleParams(front_brake_fraction=1.5)
-
-
 def test_normal_loads_sum_to_weight():
-    assert PARAMS.fz_front + PARAMS.fz_rear == pytest.approx(PARAMS.mass * 9.81)
+    assert FZ_FRONT + FZ_REAR == pytest.approx(MASS * GRAVITY)

@@ -9,6 +9,7 @@ import pytest
 
 from crosswalk_sim.dynamics import VehicleState
 from crosswalk_sim.executor import (
+    STOP_DECEL,
     SensorReading,
     ZeroBeliefError,
     baseline_scale,
@@ -188,14 +189,14 @@ def test_baseline_scale_monotone():
 
 
 def test_stopping_scale_rules():
-    assert stopping_scale(-1.0, 10.0, 2.0) == 0.0
-    assert stopping_scale(0.0, 10.0, 2.0) == 0.0
-    assert stopping_scale(25.0, 10.0, 2.0) == 1.0  # sqrt(100)/10
-    assert stopping_scale(12.5, 10.0, 2.0) == pytest.approx(math.sqrt(50.0) / 10.0)
+    # STOP_DECEL is 2 m/s^2, so the ramp reaches 10 m/s 25 m before the stop
+    assert STOP_DECEL == 2.0
+    assert stopping_scale(-1.0, 10.0) == 0.0
+    assert stopping_scale(0.0, 10.0) == 0.0
+    assert stopping_scale(25.0, 10.0) == 1.0  # sqrt(100)/10
+    assert stopping_scale(12.5, 10.0) == pytest.approx(math.sqrt(50.0) / 10.0)
     with pytest.raises(ValueError):
-        stopping_scale(5.0, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        stopping_scale(5.0, 10.0, -1.0)
+        stopping_scale(5.0, 0.0)
 
 
 def test_stopping_scale_kinematic_bound():
@@ -203,9 +204,8 @@ def test_stopping_scale_kinematic_bound():
     for _ in range(500):
         dist = float(rng.uniform(0.01, 60.0))
         v_des = float(rng.uniform(1.0, 15.0))
-        decel = float(rng.uniform(0.5, 4.0))
-        v_cmd = stopping_scale(dist, v_des, decel) * v_des
-        assert v_cmd**2 / (2.0 * decel) <= dist + 1e-9
+        v_cmd = stopping_scale(dist, v_des) * v_des
+        assert v_cmd**2 / (2.0 * STOP_DECEL) <= dist + 1e-9
 
 
 def test_oracle_scale_rules(hidden_scene):

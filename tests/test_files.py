@@ -54,10 +54,22 @@ STRICT_VALUES = [
 ]
 
 
+# Values that convert to the field's type but lie outside its range: a
+# scenario's speed and duration must be finite and positive.
+RANGE_VALUES = [
+    ("scenario", "scene: {scene}\nv_desired: -5.0\n", "v_desired"),
+    ("scenario", "scene: {scene}\nv_desired: .nan\n", "v_desired"),
+    ("scenario", "scene: {scene}\nduration: .inf\n", "duration"),
+    ("scenario", "scene: {scene}\nduration: 0\n", "duration"),
+]
+
+
 @pytest.mark.parametrize(
     "what, text, key",
-    BAD_VALUES + STRICT_VALUES,
-    ids=[f"{w}-{k}" for w, _, k in BAD_VALUES] + [f"strict-{w}-{k}" for w, _, k in STRICT_VALUES],
+    BAD_VALUES + STRICT_VALUES + RANGE_VALUES,
+    ids=[f"{w}-{k}" for w, _, k in BAD_VALUES]
+    + [f"strict-{w}-{k}" for w, _, k in STRICT_VALUES]
+    + [f"range-{w}-{k}-{t.split(': ')[-1].strip()}" for w, t, k in RANGE_VALUES],
 )
 def test_bad_value_names_the_file_and_key(tmp_path, repo_root, what, text, key):
     dest = tmp_path / f"{what}.yaml"

@@ -595,7 +595,28 @@ def test_occlusion_band(hidden_scene):
     assert band is not None
     lo, hi = band
     assert lo == 0.0
-    assert 20.0 < hi < 26.0
+    # the line is hidden from 0 m until the curb past the right road edge,
+    # where the pedestrian waits, comes into view
+    assert hi == pytest.approx(30.75, abs=0.01)
+
+
+@pytest.mark.parametrize("scene_file", ["scene_hidden.yaml", "scene_exposed.yaml"])
+def test_occlusion_band_covers_hidden_pedestrian(repo_root, scene_file):
+    # Every path point short of the crosswalk from which the pedestrian is
+    # hidden must lie inside the band the model's occluded bins come from.
+    scene = load_scene(repo_root / "configs" / scene_file)
+    path = build_avoidance_path(scene)
+    lo, hi = crosswalk_occlusion_band(scene, path)
+    px, _ = scene.road.to_road(path.north, path.east)
+    hidden = [
+        float(s)
+        for s, x, n, e in zip(path.s, px, path.north, path.east)
+        if x < scene.crosswalk.distance
+        and not pedestrian_visible(scene, (float(n), float(e), path.heading_at(float(s))))
+    ]
+    assert all(lo <= s <= hi for s in hidden), (min(hidden), max(hidden), (lo, hi))
+    if scene_file == "scene_hidden.yaml":
+        assert max(hidden) > 30.0  # hidden until about 30.5 m along the path
 
 
 def test_occlusion_band_empty_scene():
