@@ -9,8 +9,8 @@ import time
 
 from . import world
 from .files import export_run, load_model_config, load_scenario, load_scene
-from .harness import derive_model_config, run_batch, run_scenario, solve_policy
-from .pomdp import ModelConfig
+from .harness import run_batch, run_scenario, solve_policy
+from .pomdp import derive_model_config
 from .qmdp import save_policy
 from .world import build_grid, grid_to_text
 
@@ -37,9 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve the crosswalk model, save the policy")
     p_solve.add_argument("--model", help="model config YAML (defaults built in)")
-    p_solve.add_argument(
-        "--scene", help="scene YAML; derives the crosswalk bin and occluded band"
-    )
+    p_solve.add_argument("--scene", required=True, help="scene YAML; gives the crosswalk bin and occluded band")
     p_solve.add_argument("--out", required=True, help="policy file destination")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -47,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True, help="scenario YAML")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--policy", help="override the policy file for pomdp runs")
-    p_run.add_argument("--seed", type=int, help="override the scenario seed")
     p_run.set_defaults(func=_cmd_run)
 
     p_batch = sub.add_parser("batch", help="run every scenario YAML in a directory")
@@ -70,15 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    cfg = load_model_config(args.model) if args.model else ModelConfig()
-    if args.scene:
-        scene = load_scene(args.scene)
-        cfg = derive_model_config(scene, cfg)
-        log.info(
-            "scene geometry: crosswalk bin %d, occluded bins %s",
-            cfg.crosswalk_bin,
-            cfg.occluded_bins,
-        )
+    base = load_model_config(args.model) if args.model else None
+    cfg = derive_model_config(load_scene(args.scene), base)
+    log.info(
+        "scene geometry: crosswalk bin %d, occluded bins %s",
+        cfg.crosswalk_bin,
+        cfg.occluded_bins,
+    )
     started = time.perf_counter()
     model, policy = solve_policy(cfg)
     elapsed = time.perf_counter() - started
@@ -97,8 +92,6 @@ def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
     if args.policy:
         config.policy_file = args.policy
-    if args.seed is not None:
-        config.seed = args.seed
     trace = run_scenario(config)
     dest = export_run(trace, config.scene, args.out)
     log.info(

@@ -2,11 +2,12 @@
 (`qmdp`): the scene, scenario and model YAML, and the trace and
 plot-panel CSV of a run.
 
-Every config loader goes through `_read` and `_given`, so they share one
-error rule: an unknown key, an unconvertible value, a non-mapping or an
-empty file raises ValueError naming the file and the key, and a missing
-file raises FileNotFoundError. Every CSV goes through `_write_csv`, which
-writes floats with %.17g so they read back exactly.
+Every config loader goes through `_read`, `_given` and `_build`, so they
+share one error rule: an unknown key, an unconvertible or out-of-range
+value, a non-mapping or an empty file raises ValueError naming the file
+and the key, and a missing file raises FileNotFoundError. Every CSV goes
+through `_write_csv`, which writes floats with %.17g so they read back
+exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path as FsPath
 import numpy as np
 import yaml
 
-from .pomdp import ModelConfig
+from .pomdp import ModelConfig, derive_model_config
 from .world import Crosswalk, Pedestrian, RectObstacle, RoadFrame, Scene
 
 POLICY_KINDS = ("oracle", "baseline", "pomdp")
@@ -45,7 +46,8 @@ TRACE_FIELDS = (
 @dataclass
 class ScenarioConfig:
     """Everything needed to reproduce one closed-loop run. v_desired and
-    duration must be finite and positive."""
+    duration must be finite and positive. A pomdp run's model_config
+    takes its geometry from the scene (pomdp.derive_model_config)."""
 
     scene: Scene
     policy: str = "oracle"
@@ -63,6 +65,8 @@ class ScenarioConfig:
             value = getattr(self, key)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"bad value for key {key!r}: {value!r} is not finite and positive")
+        if self.policy == "pomdp":
+            self.model_config = derive_model_config(self.scene, self.model_config)
 
 
 @dataclass
@@ -133,6 +137,15 @@ def _given(data: dict, source, cls, fields=None) -> dict:
     return given
 
 
+def _build(cls, source, kwargs: dict):
+    """cls(**kwargs); a ValueError its validation raises, such as a value
+    out of range, is raised again naming the file."""
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from None
+
+
 def _read(source, what: str, allowed, required: tuple[str, ...] = ()) -> dict:
     """The top-level mapping of a YAML config file, checked by _checked.
     An empty file raises ValueError naming the file."""
@@ -149,7 +162,7 @@ def load_scene(source) -> Scene:
     data = _read(source, "scene", ("road", "obstacles", "crosswalk", "pedestrian"))
     road = _checked(data.get("road"), ("origin", "heading", "bounds", "lane_width"), "road", source)
     obstacles = tuple(
-        RectObstacle(**_given(
+        _build(RectObstacle, source, _given(
             _checked(item, ("center", "size", "yaw"), "obstacle", source, ("center", "size")),
             source, RectObstacle,
         ))
@@ -157,26 +170,27 @@ def load_scene(source) -> Scene:
     )
     cw = _checked(data.get("crosswalk"), ("distance", "width"), "crosswalk", source)
     ped = _checked(data.get("pedestrian"), ("present", "position"), "pedestrian", source)
-    return Scene(
+    return _build(Scene, source, dict(
         road=RoadFrame(**_given(road, source, RoadFrame)),
         obstacles=obstacles,
         crosswalk=Crosswalk(**_given(cw, source, Crosswalk)),
         pedestrian=Pedestrian(**_given(ped, source, Pedestrian)),
         **_given(road, source, Scene, {"bounds": "lateral_bounds", "lane_width": "lane_width"}),
-    )
+    ))
 
 
 def load_model_config(source) -> ModelConfig:
-    """Load a ModelConfig from a YAML mapping of field: value."""
-    data = _read(source, "model", ModelConfig.__dataclass_fields__)
-    return ModelConfig(**_given(data, source, ModelConfig))
+    """Load a ModelConfig from a YAML mapping that sets only `discount`;
+    a pomdp scenario derives the geometry from its scene."""
+    data = _read(source, "model", ("discount",))
+    return _build(ModelConfig, source, _given(data, source, ModelConfig))
 
 
-# Scenario YAML keys are the ScenarioConfig fields, with `model` (a file)
-# in place of `model_config`. The references name other files and resolve
-# relative to the scenario file.
+# Scenario YAML keys are the ScenarioConfig fields but `name` (the file
+# stem), with `model` (a file) in place of `model_config`. The references
+# name other files and resolve relative to the scenario file.
 _SCENARIO_REFS = ("scene", "model", "policy_file")
-_SCENARIO_KEYS = frozenset(ScenarioConfig.__dataclass_fields__) - {"model_config"} | {"model"}
+_SCENARIO_KEYS = frozenset(ScenarioConfig.__dataclass_fields__) - {"model_config", "name"} | {"model"}
 _SCENARIO_FIELDS = {key: key for key in _SCENARIO_KEYS - set(_SCENARIO_REFS)}
 
 
@@ -192,12 +206,10 @@ def load_scenario(source) -> ScenarioConfig:
         scene=load_scene(refs["scene"]),
         model_config=load_model_config(refs["model"]) if "model" in refs else None,
         policy_file=str(refs["policy_file"]) if "policy_file" in refs else None,
-        **{"name": path.stem, **_given(data, path, ScenarioConfig, _SCENARIO_FIELDS)},
+        name=path.stem,
+        **_given(data, path, ScenarioConfig, _SCENARIO_FIELDS),
     )
-    try:
-        return ScenarioConfig(**fields)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+    return _build(ScenarioConfig, path, fields)
 
 
 # --- run output -------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import replace
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -44,14 +43,12 @@ from .files import (
 )
 from .pomdp import (
     ACTION_SCALES,
-    CELL_LENGTH,
     EPOCH,
     NUM_D,
     NUM_V,
     ModelConfig,
     PomdpModel,
     build_crosswalk_model,
-    occluded_bins_from_band,
 )
 from .qmdp import AlphaVectorPolicy, extract_alphas, load_policy, value_iteration
 from .world import Scene
@@ -107,8 +104,7 @@ def run_scenario(
 
     For the pomdp policy a solved alpha-vector policy is required: pass it
     in together with the model it was solved on, point config.policy_file
-    at a saved one, or leave both unset to solve from config.model_config
-    (slowest option).
+    at a saved one, or leave both unset to solve it here (slowest option).
     """
     scene = config.scene
     path = build_avoidance_path(scene)
@@ -218,7 +214,7 @@ def _p_crossing(belief: np.ndarray) -> float:
     return float(belief[NUM_D * NUM_V :].sum())
 
 
-def solve_policy(config: ModelConfig | None = None) -> tuple[PomdpModel, AlphaVectorPolicy]:
+def solve_policy(config: ModelConfig) -> tuple[PomdpModel, AlphaVectorPolicy]:
     """Build the crosswalk model and solve it for its QMDP alpha vectors."""
     model = build_crosswalk_model(config)
     return model, extract_alphas(value_iteration(model), ACTION_SCALES)
@@ -234,21 +230,6 @@ def _near_obstacle(scene: Scene, state: VehicleState) -> bool:
     )
 
 
-def derive_model_config(scene: Scene, base: ModelConfig | None = None) -> ModelConfig:
-    """Fill the geometry-dependent fields of a model config from a scene:
-    the crosswalk distance bin and the occluded distance band."""
-    cfg = base or ModelConfig()
-    path = build_avoidance_path(scene)
-    crosswalk_s = world.crosswalk_path_distance(scene, path)
-    crosswalk_bin = min(int(round(crosswalk_s / CELL_LENGTH)), NUM_D - 1)
-    band = world.crosswalk_occlusion_band(scene, path)
-    if band is None:
-        occluded = (1, 0)  # lo > hi: no bin is shadowed
-    else:
-        occluded = occluded_bins_from_band(*band)
-    return replace(cfg, crosswalk_bin=crosswalk_bin, occluded_bins=occluded)
-
-
 def run_batch(config_dir, out_dir) -> list[str]:
     """Run every scenario YAML in a directory; one output folder per run."""
     config_dir = FsPath(config_dir)
@@ -262,7 +243,7 @@ def run_batch(config_dir, out_dir) -> list[str]:
         config = load_scenario(cfg_path)
         model = policy = None
         if config.policy == "pomdp" and not config.policy_file:
-            key = config.model_config or ModelConfig()
+            key = config.model_config
             if key not in solved:
                 solved[key] = solve_policy(key)
             model, policy = solved[key]

@@ -12,12 +12,13 @@ ModelConfig holds only what differs between solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 
-from .world import NUM_COUNT_BINS
+from .control import build_avoidance_path
+from .world import NUM_COUNT_BINS, Scene, crosswalk_occlusion_band, crosswalk_path_distance
 
 NUM_V = 11
 NUM_D = 121
@@ -70,7 +71,7 @@ def obs_index(count_bin: int, detected: bool) -> int:
 @dataclass(frozen=True)
 class ModelConfig:
     """The parameters that differ between solves: the discount, and the
-    scene geometry that harness.derive_model_config works out per scene."""
+    scene geometry that derive_model_config works out per scene."""
 
     discount: float = 0.95
     crosswalk_bin: int = 80
@@ -78,9 +79,9 @@ class ModelConfig:
 
     def __post_init__(self):
         if not 0.0 < self.discount < 1.0:
-            raise ValueError("discount must lie in (0, 1)")
+            raise ValueError(f"bad value for key 'discount': {self.discount!r} does not lie in (0, 1)")
         if not 0 <= self.crosswalk_bin < NUM_D:
-            raise ValueError("crosswalk_bin out of range")
+            raise ValueError(f"bad value for key 'crosswalk_bin': {self.crosswalk_bin!r} is out of range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,3 +216,17 @@ def occluded_bins_from_band(s_lo: float, s_hi: float) -> tuple[int, int]:
     lo = max(int(np.floor(s_lo / CELL_LENGTH)), 0)
     hi = min(int(np.ceil(s_hi / CELL_LENGTH)), NUM_D - 1)
     return lo, hi
+
+
+def derive_model_config(scene: Scene, base: ModelConfig | None = None) -> ModelConfig:
+    """Fill the geometry-dependent fields of a model config from a scene:
+    the crosswalk distance bin and the occluded distance band (empty,
+    lo > hi, when nothing is shadowed). Raises InfeasiblePathError when
+    the scene leaves no room for the avoidance path."""
+    cfg = base or ModelConfig()
+    path = build_avoidance_path(scene)
+    crosswalk_s = crosswalk_path_distance(scene, path)
+    crosswalk_bin = min(int(round(crosswalk_s / CELL_LENGTH)), NUM_D - 1)
+    band = crosswalk_occlusion_band(scene, path)
+    occluded = (1, 0) if band is None else occluded_bins_from_band(*band)
+    return replace(cfg, crosswalk_bin=crosswalk_bin, occluded_bins=occluded)

@@ -101,7 +101,7 @@ class RectObstacle:
 
     def __post_init__(self):
         if self.size[0] <= 0 or self.size[1] <= 0:
-            raise ValueError("obstacle extents must be positive")
+            raise ValueError(f"bad value for key 'size': {self.size!r} is not positive")
 
     def _to_local(self, x, y):
         """Rectangle-frame coordinates of road-frame floats or arrays;
@@ -162,8 +162,8 @@ class RectObstacle:
 
     def blocks_segment(self, origin: tuple[float, float], x, y):
         """Vectorized slab test: does the segment from origin to each
-        (x, y) point intersect this rectangle? Touching counts. x and y
-        broadcast against each other.
+        (x, y) point intersect this rectangle? Touching counts. x, y and
+        the two origin coordinates broadcast against each other.
 
         Each axis is clipped on its own (_slab) and the two are combined
         last, so for a road-aligned rectangle a row of x and a column of y
@@ -221,12 +221,12 @@ class Scene:
 
     def __post_init__(self):
         if self.lateral_bounds[0] >= self.lateral_bounds[1]:
-            raise ValueError("lateral_bounds must be ordered")
+            raise ValueError(f"bad value for key 'lateral_bounds': {self.lateral_bounds!r} is not ordered")
         if self.pedestrian.present:
             px = self.pedestrian.position[0]
             half = self.crosswalk.width / 2
             if abs(px - self.crosswalk.distance) > half:
-                raise ValueError("pedestrian must stand inside the crosswalk band")
+                raise ValueError(f"bad value for key 'position': {px!r} is outside the crosswalk band")
 
 
 def _ego_xy(scene: Scene, pose) -> tuple[float, float]:
@@ -369,7 +369,9 @@ def crosswalk_occlusion_band(scene: Scene, path: Path) -> tuple[float, float] | 
     the crosswalk line, which runs across the road and SIDEWALK_WIDTH onto
     each curb, has its sight line cut by an obstacle, or None when the
     crosswalk is visible from everywhere. Only path points before the
-    crosswalk are considered.
+    crosswalk are considered. The points enter blocks_segment as one
+    column of origins, whose elementwise arithmetic gives each point the
+    booleans a scalar origin would.
     """
     if not scene.obstacles:
         return None
@@ -379,19 +381,15 @@ def crosswalk_occlusion_band(scene: Scene, path: Path) -> tuple[float, float] | 
     cw_y = np.linspace(y_lo, y_hi, n_samples)
     cw_x = np.full_like(cw_y, scene.crosswalk.distance)
     px, py = scene.road.to_road(path.north, path.east)
-    shadowed = []
-    for k in range(len(px)):
-        if px[k] >= scene.crosswalk.distance:
-            continue
-        origin = (float(px[k]), float(py[k]))
-        hit = np.zeros(cw_y.shape, dtype=bool)
-        for obstacle in scene.obstacles:
-            hit |= obstacle.blocks_segment(origin, cw_x, cw_y)
-        if hit.any():
-            shadowed.append(float(path.s[k]))
-    if not shadowed:
+    ahead = px < scene.crosswalk.distance
+    origin = (px[ahead][:, None], py[ahead][:, None])
+    hit = np.zeros((int(ahead.sum()), n_samples), dtype=bool)
+    for obstacle in scene.obstacles:
+        hit |= obstacle.blocks_segment(origin, cw_x, cw_y)
+    shadowed = path.s[ahead][hit.any(axis=1)]
+    if not shadowed.size:
         return None
-    return min(shadowed), max(shadowed)
+    return float(shadowed.min()), float(shadowed.max())
 
 
 def crosswalk_path_distance(scene: Scene, path: Path) -> float:

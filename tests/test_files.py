@@ -39,7 +39,6 @@ BAD_VALUES = [
     ("scene", "obstacles:\n  - center: 5\n    size: [1.0, 1.0]\n", "center"),
     ("scenario", "scene: {scene}\nv_desired: fast\n", "v_desired"),
     ("model", "discount: high\n", "discount"),
-    ("model", "occluded_bins: [0, 50, 60]\n", "occluded_bins"),
     # the road bounds go to the Scene field lateral_bounds
     ("scene", "road:\n  bounds: 5\n", "bounds"),
 ]
@@ -50,17 +49,21 @@ BAD_VALUES = [
 STRICT_VALUES = [
     ("scene", "pedestrian:\n  present: 'false'\n  position: [40.0, 1.0]\n", "present"),
     ("scenario", "scene: {scene}\nseed: 3.9\n", "seed"),
-    ("model", "occluded_bins: [0, -0.5]\n", "occluded_bins"),
 ]
 
 
 # Values that convert to the field's type but lie outside its range: a
-# scenario's speed and duration must be finite and positive.
+# scenario's speed and duration must be finite and positive, the road
+# bounds ordered, an obstacle's extents positive and the discount in (0, 1).
+# The validation names the field, here lateral_bounds for the file's bounds.
 RANGE_VALUES = [
     ("scenario", "scene: {scene}\nv_desired: -5.0\n", "v_desired"),
     ("scenario", "scene: {scene}\nv_desired: .nan\n", "v_desired"),
     ("scenario", "scene: {scene}\nduration: .inf\n", "duration"),
     ("scenario", "scene: {scene}\nduration: 0\n", "duration"),
+    ("scene", "road:\n  bounds: [5.0, -2.0]\n", "lateral_bounds"),
+    ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [0.0, 1.0]\n", "size"),
+    ("model", "discount: 1.5\n", "discount"),
 ]
 
 
@@ -89,10 +92,9 @@ def test_scenario_values_convert_to_their_types(tmp_path, repo_root):
 
 def test_model_values_convert_to_their_types(tmp_path):
     dest = tmp_path / "model.yaml"
-    dest.write_text("discount: '0.9'\ncrosswalk_bin: '70'\noccluded_bins: ['0', 40.0]\n")
+    dest.write_text("discount: '0.9'\n")
     cfg = load_model_config(dest)
-    assert (cfg.discount, cfg.crosswalk_bin, cfg.occluded_bins) == (0.9, 70, (0, 40))
-    assert type(cfg.crosswalk_bin) is int and type(cfg.occluded_bins[1]) is int
+    assert cfg.discount == 0.9 and type(cfg.discount) is float
 
 
 def test_scene_values_convert_to_their_types(tmp_path):
@@ -107,6 +109,17 @@ def test_scene_values_convert_to_their_types(tmp_path):
 def test_missing_config_file(tmp_path, what):
     with pytest.raises(FileNotFoundError):
         LOADERS[what](tmp_path / "absent.yaml")
+
+
+def test_infeasible_pomdp_scene_names_the_scenario_file(tmp_path):
+    # an occluder reaching 3.0 m left of the lane centre leaves no room to
+    # swing around it inside the 5.4 m road edge, and a pomdp scenario
+    # derives its model geometry from that path on load
+    (tmp_path / "scene.yaml").write_text("obstacles:\n  - center: [33.0, 1.0]\n    size: [6.0, 4.0]\n")
+    dest = tmp_path / "scenario.yaml"
+    dest.write_text("scene: scene.yaml\npolicy: pomdp\n")
+    with pytest.raises(ValueError, match=re.escape(f"{dest}: needed lateral offset")):
+        load_scenario(dest)
 
 
 @pytest.mark.parametrize("key", ["scene", "model", "policy_file"])

@@ -22,7 +22,7 @@ from crosswalk_sim.files import (
     load_trace_csv,
 )
 from crosswalk_sim.harness import CONTROL_DT, run_scenario
-from crosswalk_sim.pomdp import EPOCH, ModelConfig
+from crosswalk_sim.pomdp import EPOCH, ModelConfig, derive_model_config
 from crosswalk_sim.qmdp import load_policy
 from crosswalk_sim.world import Pedestrian, RectObstacle, Scene
 
@@ -230,7 +230,7 @@ def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
     assert cfg.scene.pedestrian.present
 
 
-@pytest.mark.parametrize("key", ["stop_margn", "kp", "control_dt", "decision_period", "vehicle"])
+@pytest.mark.parametrize("key", ["stop_margn", "kp", "control_dt", "decision_period", "vehicle", "name"])
 def test_load_scenario_rejects_unknown_key(tmp_path, repo_root, key):
     doc = {
         "scene": str(repo_root / "configs" / "scene_exposed.yaml"),
@@ -288,22 +288,46 @@ def test_load_model_config_rejects_epoch(tmp_path):
         load_model_config(dest)
 
 
+@pytest.mark.parametrize("key", ["crosswalk_bin", "occluded_bins"])
+def test_load_model_config_rejects_geometry(tmp_path, key):
+    # the geometry comes from each scenario's scene, never from the file
+    dest = tmp_path / "model.yaml"
+    dest.write_text(f"discount: 0.995\n{key}: 80\n")
+    with pytest.raises(ValueError, match=re.escape(f"{dest}: unknown model key '{key}'")):
+        load_model_config(dest)
+
+
 def test_load_model_config_types(repo_root):
     cfg = load_model_config(repo_root / "configs" / "pomdp.yaml")
-    assert cfg == ModelConfig(discount=0.995, crosswalk_bin=80, occluded_bins=(0, 62))
+    assert cfg == ModelConfig(discount=0.995)
 
 
-def test_derive_model_config(repo_root, hidden_scene, exposed_scene):
-    # both shipped scenes give the geometry configs/pomdp.yaml carries, and
-    # the base config's discount is kept
-    shipped = load_model_config(repo_root / "configs" / "pomdp.yaml")
+def test_derive_model_config(scenario_configs, hidden_scene, exposed_scene):
+    # both shipped scenes give the geometry the shipped pomdp scenarios
+    # load with, and the base config's discount is kept
+    shipped = scenario_configs["pomdp_hidden"].model_config
+    assert scenario_configs["pomdp_exposed"].model_config == shipped
     base = ModelConfig(discount=0.9, crosswalk_bin=3, occluded_bins=(7, 9))
     for scene in (hidden_scene, exposed_scene):
-        derived = harness.derive_model_config(scene, base)
+        derived = derive_model_config(scene, base)
         assert derived == ModelConfig(discount=0.9, crosswalk_bin=80, occluded_bins=(0, 62))
-        assert harness.derive_model_config(scene, shipped) == shipped
+        assert derive_model_config(scene, shipped) == shipped
     # with no obstacle nothing is shadowed: the empty band lo > hi
-    assert harness.derive_model_config(Scene()).occluded_bins == (1, 0)
+    assert derive_model_config(Scene()).occluded_bins == (1, 0)
+
+
+def test_load_scenario_derives_model_geometry(tmp_path, repo_root):
+    # the hidden scene with its crosswalk and pedestrian moved to x = 30 m:
+    # the planner's bins follow the scene, not a configured value
+    scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
+    scene["crosswalk"]["distance"] = 30.0
+    scene["pedestrian"]["position"][0] = 30.0
+    (tmp_path / "scene.yaml").write_text(yaml.safe_dump(scene))
+    doc = {"scene": "scene.yaml", "model": str(repo_root / "configs" / "pomdp.yaml"), "policy": "pomdp"}
+    dest = tmp_path / "moved.yaml"
+    dest.write_text(yaml.safe_dump(doc))
+    cfg = load_scenario(dest).model_config
+    assert (cfg.discount, cfg.crosswalk_bin, cfg.occluded_bins) == (0.995, 60, (0, 60))
 
 
 def test_harness_binds_the_names_perfbench_reads():
@@ -334,6 +358,8 @@ def test_cli_solve_and_run(tmp_path, repo_root):
             "solve",
             "--model",
             str(repo_root / "configs" / "pomdp.yaml"),
+            "--scene",
+            str(repo_root / "configs" / "scene_exposed.yaml"),
             "--out",
             str(policy_file),
         ]
@@ -366,6 +392,24 @@ def test_cli_solve_and_run(tmp_path, repo_root):
     trace = load_trace_csv(out_dir / "trace.csv")
     assert len(trace) == 150
     assert (out_dir / "speed_vs_time.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--model", "configs/pomdp.yaml", "--out", "policy.txt"],
+        ["run", "--scenario", "configs/scenarios/oracle_hidden.yaml", "--out", "out", "--seed", "3"],
+    ],
+    ids=["solve-without-scene", "run-seed"],
+)
+def test_cli_usage_errors(tmp_path, monkeypatch, argv):
+    # solve has no crosswalk to plan for without a scene, and run has no
+    # seed to override
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_batch(tmp_path, repo_root):

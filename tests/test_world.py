@@ -11,10 +11,12 @@ import pytest
 
 from crosswalk_sim.world import (
     CELLS_PER_M,
+    CROSSWALK_SAMPLE_STEP,
     FREE,
     GRID_LENGTH,
     GRID_WIDTH,
     OCCUPIED,
+    SIDEWALK_WIDTH,
     UNOBSERVABLE,
     Crosswalk,
     Pedestrian,
@@ -31,7 +33,7 @@ from crosswalk_sim.world import (
 )
 from crosswalk_sim.files import load_scene
 from crosswalk_sim.control import build_avoidance_path
-from crosswalk_sim.path import Path
+from crosswalk_sim.path import SAMPLE_SPACING, Path
 
 
 # --- independent geometry oracle -------------------------------------------
@@ -623,6 +625,56 @@ def test_occlusion_band_empty_scene():
     north = np.arange(0.0, 60.1, 0.25)
     path = Path(north, np.zeros_like(north))
     assert crosswalk_occlusion_band(Scene(), path) is None
+
+
+def _reference_occlusion_band(scene: Scene, path: Path):
+    """crosswalk_occlusion_band as first written: one blocks_segment call
+    per path point before the crosswalk and per obstacle, with the point
+    as a scalar origin."""
+    if not scene.obstacles:
+        return None
+    y_lo = scene.lateral_bounds[0] - SIDEWALK_WIDTH
+    y_hi = scene.lateral_bounds[1] + SIDEWALK_WIDTH
+    n_samples = max(int(round((y_hi - y_lo) / CROSSWALK_SAMPLE_STEP)) + 1, 2)
+    cw_y = np.linspace(y_lo, y_hi, n_samples)
+    cw_x = np.full_like(cw_y, scene.crosswalk.distance)
+    px, py = scene.road.to_road(path.north, path.east)
+    shadowed = []
+    for k in range(len(px)):
+        if px[k] >= scene.crosswalk.distance:
+            continue
+        origin = (float(px[k]), float(py[k]))
+        hit = np.zeros(cw_y.shape, dtype=bool)
+        for obstacle in scene.obstacles:
+            hit |= obstacle.blocks_segment(origin, cw_x, cw_y)
+        if hit.any():
+            shadowed.append(float(path.s[k]))
+    if not shadowed:
+        return None
+    return min(shadowed), max(shadowed)
+
+
+def test_occlusion_band_matches_per_point_reference(repo_root):
+    # The shipped scenes on their avoidance paths, then seeded scenes with
+    # 1-3 rotated obstacles on random road frames, each on a wiggly path
+    # that may start past the crosswalk.
+    cases = []
+    for name in ("scene_hidden.yaml", "scene_exposed.yaml"):
+        scene = load_scene(repo_root / "configs" / name)
+        cases.append((scene, build_avoidance_path(scene)))
+    rng = np.random.default_rng(12)
+    x = np.arange(0.0, 70.0, SAMPLE_SPACING)
+    for _ in range(150):
+        scene, _ = random_scene(rng)
+        scene = dataclasses.replace(scene, crosswalk=Crosswalk(distance=float(rng.uniform(-5.0, 65.0))))
+        y = float(rng.uniform(0.5, 3.0)) * np.sin(x / float(rng.uniform(3.0, 10.0)))
+        cases.append((scene, Path(*scene.road.to_inertial(x, y))))
+    shadowed = 0
+    for scene, path in cases:
+        band = crosswalk_occlusion_band(scene, path)
+        assert band == _reference_occlusion_band(scene, path)
+        shadowed += band is not None
+    assert shadowed >= len(cases) // 4  # most comparisons see a shadow
 
 
 def test_scene_validation():
