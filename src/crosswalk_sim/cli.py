@@ -77,7 +77,7 @@ def _cmd_solve(args) -> int:
     started = time.perf_counter()
     model, policy = solve_policy(cfg)
     elapsed = time.perf_counter() - started
-    save_policy(policy, args.out)
+    save_policy(policy, args.out, cfg)
     log.info(
         "solved %d states x %d actions in %.2f s -> %s",
         model.num_states,

@@ -52,6 +52,29 @@ class VehicleState:
     e: float = 0.0  # lateral path offset (m), positive left of path
 
 
+def _tire(fz: float, c_alpha: float, mu: float):
+    """The unchecked lateral force curve of one tire as a function of the
+    slip angle, its constants worked out once. Python multiplies left to
+    right, so k2 * abs(z) * z is the written-out formula's
+    c_alpha**2 / (3 mu fz) * abs(z) * z to the bit, and so is k3 * z**3."""
+    z_slide = 3.0 * mu * fz / c_alpha
+    mu_fz = mu * fz
+    k2 = c_alpha**2 / (3.0 * mu * fz)
+    k3 = c_alpha**3 / (27.0 * mu**2 * fz**2)
+
+    def lateral(alpha: float) -> float:
+        z = math.tan(alpha)
+        if abs(z) >= z_slide:
+            return -math.copysign(mu_fz, z)
+        return -c_alpha * z + k2 * abs(z) * z - k3 * z**3
+
+    return lateral
+
+
+_front_lateral = _tire(FZ_FRONT, CAF, FRICTION)
+_rear_lateral = _tire(FZ_REAR, CAR, FRICTION)
+
+
 def brush_tire_lateral(alpha: float, fz: float, c_alpha: float, mu: float) -> float:
     """Lateral force of a brush tire at slip angle alpha.
 
@@ -62,15 +85,7 @@ def brush_tire_lateral(alpha: float, fz: float, c_alpha: float, mu: float) -> fl
         raise ValueError("tire inputs must be finite")
     if fz <= 0 or c_alpha <= 0 or mu <= 0:
         raise ValueError("fz, c_alpha and mu must be positive")
-    z = math.tan(alpha)
-    z_slide = 3.0 * mu * fz / c_alpha
-    if abs(z) >= z_slide:
-        return -math.copysign(mu * fz, z)
-    return (
-        -c_alpha * z
-        + c_alpha**2 / (3.0 * mu * fz) * abs(z) * z
-        - c_alpha**3 / (27.0 * mu**2 * fz**2) * z**3
-    )
+    return _tire(fz, c_alpha, mu)(alpha)
 
 
 def allocate_longitudinal(ax_command: float) -> tuple[float, float]:
@@ -88,36 +103,37 @@ def allocate_longitudinal(ax_command: float) -> tuple[float, float]:
     return front, total - front
 
 
-def _derivatives(y, steer: float, ax_command: float):
-    uy, r, ux, psi = y[0], y[1], y[2], y[3]
-    ux_eff = max(ux, 0.0)
+def _derivatives(uy, r, ux, psi, steer, cos_d, sin_d, ax_command, drive):
+    """(duy, dr, dux, dpsi, dn, de) at one RK4 stage; cos_d and sin_d are
+    those of steer, and drive is allocate_longitudinal(ax_command)."""
+    ux_eff = 0.0 if ux < 0.0 else ux  # max(ux, 0.0), -0.0 and NaN included
     # Brakes hold rather than push the vehicle backwards.
     if ux_eff == 0.0 and ax_command < 0.0:
-        ax_command = 0.0
+        fxf, fxr = 0.0, 0.0  # allocate_longitudinal(0.0)
+    else:
+        fxf, fxr = drive
     # Slip angles use a floored speed: the lateral modes stiffen as 1/ux,
     # which would destabilise fixed-step integration near standstill.
-    ux_slip = max(ux_eff, SLIP_SPEED_FLOOR)
-    alpha_f = math.atan2(uy + A * r, ux_slip) - steer
-    alpha_r = math.atan2(uy - B * r, ux_slip)
-    fyf = brush_tire_lateral(alpha_f, FZ_FRONT, CAF, FRICTION)
-    fyr = brush_tire_lateral(alpha_r, FZ_REAR, CAR, FRICTION)
+    ux_slip = SLIP_SPEED_FLOOR if ux_eff < SLIP_SPEED_FLOOR else ux_eff
+    fyf = _front_lateral(math.atan2(uy + A * r, ux_slip) - steer)
+    fyr = _rear_lateral(math.atan2(uy - B * r, ux_slip))
     # Below the floor the tires are barely rolling; fade their lateral
     # force out linearly so standstill is an equilibrium even under steer.
     if ux_eff < SLIP_SPEED_FLOOR:
         taper = ux_eff / SLIP_SPEED_FLOOR
         fyf *= taper
         fyr *= taper
-    fxf, fxr = allocate_longitudinal(ax_command)
-    cos_d = math.cos(steer)
-    sin_d = math.sin(steer)
     front_lat = fyf * cos_d + fxf * sin_d
-    duy = (front_lat + fyr) / MASS - r * ux
-    dr = (A * front_lat - B * fyr) / YAW_INERTIA
-    dux = (fxf * cos_d - fyf * sin_d + fxr) / MASS + r * uy
-    dpsi = r
-    dn = ux * math.cos(psi) - uy * math.sin(psi)
-    de = ux * math.sin(psi) + uy * math.cos(psi)
-    return (duy, dr, dux, dpsi, dn, de)
+    cos_p = math.cos(psi)
+    sin_p = math.sin(psi)
+    return (
+        (front_lat + fyr) / MASS - r * ux,
+        (A * front_lat - B * fyr) / YAW_INERTIA,
+        (fxf * cos_d - fyf * sin_d + fxr) / MASS + r * uy,
+        r,
+        ux * cos_p - uy * sin_p,
+        ux * sin_p + uy * cos_p,
+    )
 
 
 def step_dynamics(
@@ -137,27 +153,38 @@ def step_dynamics(
     if not all(map(math.isfinite, (steer, ax_command))):
         raise ValueError("steer and ax_command must be finite")
 
-    y0 = (state.uy, state.r, state.ux, state.psi, state.north, state.east)
-    k1 = _derivatives(y0, steer, ax_command)
-    y1 = tuple(y0[i] + 0.5 * dt * k1[i] for i in range(6))
-    k2 = _derivatives(y1, steer, ax_command)
-    y2 = tuple(y0[i] + 0.5 * dt * k2[i] for i in range(6))
-    k3 = _derivatives(y2, steer, ax_command)
-    y3 = tuple(y0[i] + dt * k3[i] for i in range(6))
-    k4 = _derivatives(y3, steer, ax_command)
-    out = [
-        y0[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        for i in range(6)
-    ]
-    out[2] = max(out[2], 0.0)
-    proj = path.project(out[4], out[5])
+    # Steer and the command hold over the step, so every stage shares them.
+    cos_d, sin_d, drive = math.cos(steer), math.sin(steer), allocate_longitudinal(ax_command)
+    half = 0.5 * dt
+    uy, r, ux, psi, north, east = state.uy, state.r, state.ux, state.psi, state.north, state.east
+    k1uy, k1r, k1ux, k1psi, k1n, k1e = _derivatives(
+        uy, r, ux, psi,
+        steer, cos_d, sin_d, ax_command, drive,
+    )
+    k2uy, k2r, k2ux, k2psi, k2n, k2e = _derivatives(
+        uy + half * k1uy, r + half * k1r, ux + half * k1ux, psi + half * k1psi,
+        steer, cos_d, sin_d, ax_command, drive,
+    )
+    k3uy, k3r, k3ux, k3psi, k3n, k3e = _derivatives(
+        uy + half * k2uy, r + half * k2r, ux + half * k2ux, psi + half * k2psi,
+        steer, cos_d, sin_d, ax_command, drive,
+    )
+    k4uy, k4r, k4ux, k4psi, k4n, k4e = _derivatives(
+        uy + dt * k3uy, r + dt * k3r, ux + dt * k3ux, psi + dt * k3psi,
+        steer, cos_d, sin_d, ax_command, drive,
+    )
+    sixth = dt / 6.0
+    ux_new = ux + sixth * (k1ux + 2.0 * k2ux + 2.0 * k3ux + k4ux)
+    north_new = north + sixth * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
+    east_new = east + sixth * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
+    proj = path.project(north_new, east_new)
     return VehicleState(
-        uy=out[0],
-        r=out[1],
-        ux=out[2],
-        psi=out[3],
-        north=out[4],
-        east=out[5],
+        uy=uy + sixth * (k1uy + 2.0 * k2uy + 2.0 * k3uy + k4uy),
+        r=r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
+        ux=0.0 if ux_new < 0.0 else ux_new,  # max(ux_new, 0.0)
+        psi=psi + sixth * (k1psi + 2.0 * k2psi + 2.0 * k3psi + k4psi),
+        north=north_new,
+        east=east_new,
         s=proj.s,
         e=proj.e,
     )

@@ -216,14 +216,20 @@ def load_scenario(source) -> ScenarioConfig:
 
 
 def _write_csv(dest, header, rows, comments=()) -> str:
-    """Write '# '-prefixed comment lines, a header and rows; floats are
-    written with %.17g, strings as they are."""
+    """Write '# '-prefixed comment lines ending in LF, then a header and
+    rows ending in CRLF, fields joined by commas. Floats are written with
+    %.17g, strings as they are: no field may hold a comma, a quote or a
+    line break, which the csv module would quote. Every row is a tuple
+    with the first row's field types."""
+    rows = iter(rows)
+    first = next(rows, None)
     with open(dest, "w", encoding="utf-8", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([v if isinstance(v, str) else f"{v:.17g}" for v in row] for row in rows)
+        fh.writelines(f"# {line}\n" for line in comments)
+        fh.write(",".join(header) + "\r\n")
+        if first is not None:
+            line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\r\n"
+            fh.write(line % first)
+            fh.writelines(line % row for row in rows)
     return str(dest)
 
 

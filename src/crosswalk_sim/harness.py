@@ -105,6 +105,8 @@ def run_scenario(
     For the pomdp policy a solved alpha-vector policy is required: pass it
     in together with the model it was solved on, point config.policy_file
     at a saved one, or leave both unset to solve it here (slowest option).
+    A policy file solved for another model config than the scenario
+    derives raises ValueError naming the file.
     """
     scene = config.scene
     path = build_avoidance_path(scene)
@@ -114,7 +116,7 @@ def run_scenario(
     if config.policy == "pomdp":
         if policy is None:
             if config.policy_file:
-                policy = load_policy(config.policy_file)
+                policy = load_policy(config.policy_file, config.model_config)
             else:
                 model, policy = solve_policy(config.model_config)
         if model is None:

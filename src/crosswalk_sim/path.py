@@ -58,6 +58,8 @@ class Path:
         self._east_list = east.tolist()
         self._segments = list(zip(dn.tolist(), de.tolist(), seg_len.tolist(), self._seg_len2.tolist()))
         self._last = 0  # segment of the last projection, where project looks first
+        self._slack = MARGIN * self._s_list[-1]
+        self._runs = {}  # _beyond's runs of each window (a, b), built on first use
 
     @property
     def length(self) -> float:
@@ -153,11 +155,24 @@ class Path:
         R = max(s[m] - s[i], s[j] - s[m]) of its middle vertex m, since a
         path is never shorter than the chord, so each of its points is at
         least D - R from the query, with D the distance to vertex m. Every
-        run must clear dist by MARGIN times the lengths involved.
+        run must clear dist by MARGIN times the lengths involved. The runs
+        depend only on the window, so each window's are worked out once.
         """
+        floor = dist * (1.0 + MARGIN) + self._slack
+        runs = self._runs.get((a, b))
+        if runs is None:
+            runs = self._runs[(a, b)] = self._window_runs(a, b)
+        for mn, me, bound in runs:
+            clear = math.hypot(north - mn, east - me) * (1.0 - MARGIN)
+            if not clear > bound + floor:  # NaN fails too
+                return False
+        return True
+
+    def _window_runs(self, a: int, b: int) -> list[tuple[float, float, float]]:
+        """(north, east, R * (1 + MARGIN)) of the middle vertex m of each
+        run outside the window a..b-1, as _beyond uses them."""
         n = len(self._segments)
         s, pn, pe = self._s_list, self._north_list, self._east_list
-        floor = dist * (1.0 + MARGIN) + MARGIN * s[-1]
         runs = []
         size, j = b - a, a
         while j > 0:
@@ -167,13 +182,12 @@ class Path:
         while i < n:
             runs.append((i, min(i + size, n)))
             size, i = 2 * size, runs[-1][1]
+        out = []
         for i, j in runs:
             m = (i + j) // 2
             reach = max(s[m] - s[i], s[j] - s[m])
-            clear = math.hypot(north - pn[m], east - pe[m]) * (1.0 - MARGIN)
-            if not clear > reach * (1.0 + MARGIN) + floor:  # NaN fails too
-                return False
-        return True
+            out.append((pn[m], pe[m], reach * (1.0 + MARGIN)))
+        return out
 
 
 def _interp(x: float, xp: list, fp: list, j: int) -> float:

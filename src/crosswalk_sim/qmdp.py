@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pomdp import PomdpModel
+from .pomdp import ModelConfig, PomdpModel
 
 BELIEF_TOL = 1e-9
 
-POLICY_FORMAT = "alpha-policy-v1"
+POLICY_FORMAT = "alpha-policy-v2"
 
 
 class ValueIterationError(RuntimeError):
@@ -86,14 +86,17 @@ def best_action(policy: AlphaVectorPolicy, belief: np.ndarray) -> int:
     return int(np.argmax(scores))
 
 
-def save_policy(policy: AlphaVectorPolicy, destination) -> None:
-    """Write a policy to a versioned plain-text file.
+def save_policy(policy: AlphaVectorPolicy, destination, config: ModelConfig) -> None:
+    """Write a policy solved for config to a versioned plain-text file.
 
-    Layout: a format line, counts, the action scale labels, then one line
+    Layout: a format line, the model line (config's discount, crosswalk
+    bin and occluded band), counts, the action scale labels, then one line
     of '%.17g' state values per action. Floats round-trip exactly.
     """
+    lo, hi = config.occluded_bins
     lines = [
         POLICY_FORMAT,
+        f"model discount {config.discount:.17g} crosswalk_bin {config.crosswalk_bin} occluded_bins {lo} {hi}",
         f"actions {policy.alphas.shape[0]}",
         f"states {policy.alphas.shape[1]}",
         "scales " + " ".join(f"{s:.17g}" for s in policy.scales),
@@ -104,26 +107,30 @@ def save_policy(policy: AlphaVectorPolicy, destination) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_policy(source) -> AlphaVectorPolicy:
-    """Read a policy written by save_policy; rejects unknown formats. A
-    malformed file raises ValueError naming the file."""
+def load_policy(source, config: ModelConfig) -> AlphaVectorPolicy:
+    """Read a policy written by save_policy for config; rejects unknown
+    formats. A malformed file, or one solved for another model config,
+    raises ValueError naming the file."""
     with open(source, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != POLICY_FORMAT:
         raise ValueError(f"{source}: not a {POLICY_FORMAT} file")
-    if len(lines) < 4:
+    if len(lines) < 5:
         raise ValueError(f"{source}: truncated policy file")
+    solved_for = _model_line(source, lines[1])
+    if solved_for != config:
+        raise ValueError(f"{source}: policy solved for {solved_for}, not for {config}")
     try:
-        header = dict(ln.split(maxsplit=1) for ln in lines[1:3])
+        header = dict(ln.split(maxsplit=1) for ln in lines[2:4])
         num_actions = int(header["actions"])
         num_states = int(header["states"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{source}: malformed policy header") from exc
-    if not lines[3].startswith("scales "):
+    if not lines[4].startswith("scales "):
         raise ValueError(f"{source}: missing scales line")
     try:
-        scales = tuple(float(x) for x in lines[3].split()[1:])
-        rows = [[float(x) for x in ln.split()] for ln in lines[4:]]
+        scales = tuple(float(x) for x in lines[4].split()[1:])
+        rows = [[float(x) for x in ln.split()] for ln in lines[5:]]
     except ValueError as exc:
         raise ValueError(f"{source}: non-numeric policy value") from exc
     if len(scales) != num_actions:
@@ -134,3 +141,14 @@ def load_policy(source) -> AlphaVectorPolicy:
         raise ValueError(f"{source}: alpha matrix shape mismatch")
     alphas = np.array(rows, dtype=float).reshape(num_actions, num_states)
     return AlphaVectorPolicy(alphas=alphas, scales=scales)
+
+
+def _model_line(source, line: str) -> ModelConfig:
+    """The ModelConfig a save_policy model line records."""
+    try:
+        tag, k1, discount, k2, crosswalk_bin, k3, lo, hi = line.split()
+        if (tag, k1, k2, k3) != ("model", "discount", "crosswalk_bin", "occluded_bins"):
+            raise ValueError(line)
+        return ModelConfig(float(discount), int(crosswalk_bin), (int(lo), int(hi)))
+    except ValueError as exc:
+        raise ValueError(f"{source}: malformed model line") from exc

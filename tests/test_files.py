@@ -1,14 +1,18 @@
 """Config loaders: one error rule for the scene, scenario and model
-files."""
+files. The CSV writer: the bytes the csv module writes."""
 
 from __future__ import annotations
 
+import csv
+import math
 import re
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crosswalk_sim.files import load_model_config, load_scenario, load_scene
+from crosswalk_sim.files import _outline, _write_csv, load_model_config, load_scenario, load_scene
 
 LOADERS = {
     "scene": load_scene,
@@ -129,3 +133,58 @@ def test_empty_scenario_reference_names_the_key(tmp_path, repo_root, key):
     dest.write_text(yaml.safe_dump(doc))
     with pytest.raises(ValueError, match=re.escape(f"{dest}: empty scenario key '{key}'")):
         load_scenario(dest)
+
+
+# --- CSV writer -------------------------------------------------------------
+
+
+def reference_csv(dest, header, rows, comments=()):
+    """The writer as first written: csv.writer, each float as f"{v:.17g}"."""
+    with open(dest, "w", encoding="utf-8", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, str) else f"{v:.17g}" for v in row] for row in rows)
+
+
+def assert_same_bytes(tmp_path, header, rows, comments=()):
+    rows = list(rows)
+    _write_csv(tmp_path / "got.csv", header, iter(rows), comments)
+    reference_csv(tmp_path / "want.csv", header, rows, comments)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e22, 1e-7, 0.1, 1 / 3, 2.0**53 + 2)
+
+
+def test_csv_special_values_and_ints(tmp_path):
+    rows = [(v, -v, 7) for v in SPECIAL] + [(3, -12, 2**60 + 1)]
+    assert_same_bytes(tmp_path, ("a", "b", "n"), rows, ["termination: duration", "seed: 0"])
+
+
+def test_csv_scene_outline(tmp_path, hidden_scene, exposed_scene):
+    for scene in (hidden_scene, exposed_scene):
+        assert_same_bytes(tmp_path, ("kind", "north", "east"), _outline(scene))
+
+
+def test_csv_zero_rows(tmp_path):
+    assert_same_bytes(tmp_path, ("time", "ux"), [], ["termination: duration"])
+    assert (tmp_path / "got.csv").read_bytes() == b"# termination: duration\ntime,ux\r\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.text(st.characters(categories=["L", "N"]) | st.sampled_from("_-. "), min_size=1, max_size=12),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(allow_nan=True, allow_infinity=True, width=32),
+            st.integers(-(2**70), 2**70),
+        ),
+        max_size=30,
+    ),
+    comments=st.lists(st.text(st.characters(exclude_categories=["Cs", "Cc", "Zl", "Zp"]), max_size=20), max_size=3),
+)
+def test_csv_matches_csv_module(tmp_path_factory, rows, comments):
+    assert_same_bytes(tmp_path_factory.mktemp("csv"), ("kind", "x", "y", "n"), rows, comments)

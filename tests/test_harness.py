@@ -19,11 +19,12 @@ from crosswalk_sim.files import (
     export_trace,
     load_model_config,
     load_scenario,
+    load_scene,
     load_trace_csv,
 )
 from crosswalk_sim.harness import CONTROL_DT, run_scenario
 from crosswalk_sim.pomdp import EPOCH, ModelConfig, derive_model_config
-from crosswalk_sim.qmdp import load_policy
+from crosswalk_sim.qmdp import load_policy, save_policy
 from crosswalk_sim.world import Pedestrian, RectObstacle, Scene
 
 
@@ -365,7 +366,11 @@ def test_cli_solve_and_run(tmp_path, repo_root):
         ]
     )
     assert rc == 0
-    policy = load_policy(policy_file)
+    solved_for = derive_model_config(
+        load_scene(repo_root / "configs" / "scene_exposed.yaml"),
+        load_model_config(repo_root / "configs" / "pomdp.yaml"),
+    )
+    policy = load_policy(policy_file, solved_for)
     assert policy.alphas.shape == (11, 2662)
 
     scenario = {
@@ -392,6 +397,33 @@ def test_cli_solve_and_run(tmp_path, repo_root):
     trace = load_trace_csv(out_dir / "trace.csv")
     assert len(trace) == 150
     assert (out_dir / "speed_vs_time.csv").exists()
+
+
+@pytest.mark.parametrize("via", ["policy_file", "cli"])
+def test_policy_for_another_geometry_is_refused(tmp_path, repo_root, policy, model_config, via):
+    # a policy solved for the hidden scene (crosswalk bin 80, band (0, 62)),
+    # run on the hidden scene with its crosswalk moved to x = 30 m, whose
+    # scenario derives bin 60 and band (0, 60)
+    policy_file = tmp_path / "hidden.policy"
+    save_policy(policy, policy_file, model_config)
+    scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
+    scene["crosswalk"]["distance"] = 30.0
+    scene["pedestrian"]["position"][0] = 30.0
+    (tmp_path / "scene.yaml").write_text(yaml.safe_dump(scene))
+    doc = {"scene": "scene.yaml", "model": str(repo_root / "configs" / "pomdp.yaml"), "policy": "pomdp"}
+    if via == "policy_file":
+        doc["policy_file"] = policy_file.name
+    dest = tmp_path / "moved.yaml"
+    dest.write_text(yaml.safe_dump(doc))
+    derived = ModelConfig(discount=0.995, crosswalk_bin=60, occluded_bins=(0, 60))
+    assert load_scenario(dest).model_config == derived
+    refused = re.escape(f"{policy_file}: policy solved for {model_config}, not for {derived}")
+    with pytest.raises(ValueError, match=refused):
+        if via == "policy_file":
+            run_scenario(load_scenario(dest))
+        else:
+            cli_main(["run", "--scenario", str(dest), "--out", str(tmp_path / "out"), "--policy", str(policy_file)])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -287,3 +287,21 @@ def test_project_random_polylines_equal_full_scan():
         for s in np.sort(rng.uniform(-1.0, path.length + 1.0, 60)):
             north, east = np.array(path.point_at(s)) + rng.normal(0.0, 0.5, 2)
             assert bits(path.project(north, east)) == bits(full_scan(path, north, east))
+
+
+def test_project_warm_window_cache_equals_fresh_path():
+    # _beyond keeps each window's runs on the Path. One Path driven along
+    # a random polyline and back again, reusing them, must give the bits
+    # of a fresh Path, with nothing cached, for every query.
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        n = int(rng.integers(2, 120))
+        heading = np.cumsum(rng.uniform(-1.0, 1.0, n))
+        step = rng.uniform(0.05, 1.0, n)
+        path = Path(np.cumsum(step * np.cos(heading)), np.cumsum(step * np.sin(heading)))
+        svals = np.sort(rng.uniform(-1.0, path.length + 1.0, 150))
+        queries = [np.array(path.point_at(s)) + rng.normal(0.0, 0.3, 2) for s in svals]
+        for north, east in queries + queries[::-1]:
+            fresh = Path(path.north, path.east)
+            assert bits(path.project(north, east)) == bits(fresh.project(north, east))
+        assert len(path._runs) < len(queries)

@@ -240,13 +240,17 @@ def test_belief_validation():
 # --- persistence -----------------------------------------------------------------
 
 
+MODEL_LINE = "model discount 0.94999999999999996 crosswalk_bin 80 occluded_bins 0 68"  # ModelConfig()
+
+
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     q = rng.normal(size=(50, 11)) * 100
     policy = extract_alphas(q, tuple(k / 10 for k in range(11)))
     dest = tmp_path / "policy.txt"
-    save_policy(policy, dest)
-    loaded = load_policy(dest)
+    save_policy(policy, dest, ModelConfig())
+    assert dest.read_text().splitlines()[:2] == ["alpha-policy-v2", MODEL_LINE]
+    loaded = load_policy(dest, ModelConfig())
     assert np.array_equal(loaded.alphas, policy.alphas)  # bit-exact floats
     assert loaded.scales == policy.scales
 
@@ -255,35 +259,60 @@ def test_load_rejects_foreign_files(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not-a-policy\n1 2 3\n")
     with pytest.raises(ValueError):
-        load_policy(bad)
+        load_policy(bad, ModelConfig())
     truncated = tmp_path / "trunc.txt"
-    truncated.write_text("alpha-policy-v1\nactions 2\nstates 3\nscales 0 1\n0 0 0\n")
+    truncated.write_text(f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 1\n0 0 0\n")
     with pytest.raises(ValueError):
-        load_policy(truncated)
+        load_policy(truncated, ModelConfig())
+    # the format before the model line: it records no model config
+    old = tmp_path / "v1.txt"
+    old.write_text("alpha-policy-v1\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 0 0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{old}: not a alpha-policy-v2 file")):
+        load_policy(old, ModelConfig())
 
 
 @pytest.mark.parametrize(
     "text, reason",
     [
         # cut after the counts: no scales line and no alpha rows
-        ("alpha-policy-v1\nactions 2\nstates 3\n", "truncated policy file"),
+        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\n", "truncated policy file"),
         # a header line with its count missing
-        ("alpha-policy-v1\nactions\nstates 3\nscales 0 1\n0 0 0\n0 0 0\n", "malformed policy header"),
-        ("alpha-policy-v1\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 x 0\n", "non-numeric policy value"),
-        ("alpha-policy-v1\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 0\n", "alpha matrix shape mismatch"),
+        (f"alpha-policy-v2\n{MODEL_LINE}\nactions\nstates 3\nscales 0 1\n0 0 0\n0 0 0\n", "malformed policy header"),
+        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 x 0\n", "non-numeric policy value"),
+        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 0\n", "alpha matrix shape mismatch"),
+        ("alpha-policy-v2\nmodel discount 0.95 crosswalk_bin 80\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 0 0\n",
+         "malformed model line"),
+        ("alpha-policy-v2\nmodel discount 0.95 crosswalk_bin 80.5 occluded_bins 0 68\nactions 2\nstates 3\n"
+         "scales 0 1\n0 0 0\n0 0 0\n", "malformed model line"),
     ],
-    ids=["truncated", "one-token-header", "non-numeric", "ragged-row"],
+    ids=["truncated", "one-token-header", "non-numeric", "ragged-row", "short-model-line", "fractional-bin"],
 )
 def test_load_rejects_malformed_files_naming_them(tmp_path, text, reason):
     bad = tmp_path / "policy.txt"
     bad.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{bad}: {reason}")):
-        load_policy(bad)
+        load_policy(bad, ModelConfig())
 
 
-def test_full_model_policy_round_trip(tmp_path, policy):
+@pytest.mark.parametrize(
+    "other",
+    [
+        ModelConfig(discount=0.995),
+        ModelConfig(crosswalk_bin=60),
+        ModelConfig(occluded_bins=(0, 62)),
+    ],
+    ids=["discount", "crosswalk-bin", "occluded-band"],
+)
+def test_load_rejects_policy_for_another_config(tmp_path, other):
+    dest = tmp_path / "policy.txt"
+    save_policy(extract_alphas(np.zeros((3, 11)), tuple(k / 10 for k in range(11))), dest, ModelConfig())
+    with pytest.raises(ValueError, match=re.escape(f"{dest}: policy solved for {ModelConfig()}, not for {other}")):
+        load_policy(dest, other)
+
+
+def test_full_model_policy_round_trip(tmp_path, policy, model_config):
     dest = tmp_path / "crosswalk_policy.txt"
-    save_policy(policy, dest)
-    loaded = load_policy(dest)
+    save_policy(policy, dest, model_config)
+    loaded = load_policy(dest, model_config)
     assert np.array_equal(loaded.alphas, policy.alphas)
     assert loaded.scales == policy.scales
