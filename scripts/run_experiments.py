@@ -3,9 +3,10 @@
 
 Executes every scenario under configs/scenarios/ (oracle, baseline, and
 pomdp policies, each against the hidden and the exposed pedestrian), writes
-trace CSVs plus plot-ready data under results/, and prints a one-line
-summary per run: termination reason, minimum/maximum speed, whether and
-when the vehicle crossed the crosswalk line, and where it came to rest.
+each run's trace.csv and scene_outline.csv under results/, and prints a
+one-line summary per run: termination reason, minimum/maximum speed,
+whether and when the vehicle crossed the crosswalk line, and where it came
+to rest.
 """
 
 import argparse

@@ -72,21 +72,21 @@ def build_avoidance_path(scene: Scene) -> Path:
     """
     half_lane = scene.lane_width / 2
     blocking = [
-        ob
+        ob.bounds
         for ob in scene.obstacles
-        if _lane_overlap(ob, half_lane) and ob.center[0] < PATH_LENGTH
+        if ob.bounds[3] > -half_lane and ob.bounds[1] < half_lane and ob.center[0] < PATH_LENGTH
     ]
     dense_x = np.arange(0.0, PATH_LENGTH + 5.0, 0.05)
     if not blocking:
         ys = np.zeros_like(dense_x)
     else:
-        offset = max(_left_edge(ob) for ob in blocking) + AVOID_MARGIN
+        offset = max(y_max for _, _, _, y_max in blocking) + AVOID_MARGIN
         if offset > scene.lateral_bounds[1] - 0.2:
             raise InfeasiblePathError(
                 f"needed lateral offset {offset:.2f} m exceeds the road bounds"
             )
-        x_first = min(_x_span(ob)[0] for ob in blocking)
-        x_last = max(_x_span(ob)[1] for ob in blocking)
+        x_first = min(x_min for x_min, _, _, _ in blocking)
+        x_last = max(x_max for _, _, x_max, _ in blocking)
         ramp_end = x_first - LEAD_GAP
         ramp_start = ramp_end - LEAD_IN
         if ramp_start < 0.0:
@@ -105,17 +105,3 @@ def _blend(x, lo: float, hi: float):
     """Cosine step from 0 before lo to 1 after hi."""
     u = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
     return 0.5 * (1.0 - np.cos(np.pi * u))
-
-
-def _lane_overlap(obstacle, half_lane: float) -> bool:
-    ys = [y for _, y in obstacle.corners()]
-    return max(ys) > -half_lane and min(ys) < half_lane
-
-
-def _left_edge(obstacle) -> float:
-    return max(y for _, y in obstacle.corners())
-
-
-def _x_span(obstacle) -> tuple[float, float]:
-    xs = [x for x, _ in obstacle.corners()]
-    return min(xs), max(xs)

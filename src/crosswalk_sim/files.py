@@ -1,6 +1,6 @@
 """Every file format the simulator reads or writes, except the policy file
 (`qmdp`): the scene, scenario and model YAML, and the trace and
-plot-panel CSV of a run.
+scene-outline CSV of a run.
 
 Every config loader goes through `_read`, `_given` and `_build`, so they
 share one error rule: an unknown key, an unconvertible or out-of-range
@@ -233,10 +233,6 @@ def _write_csv(dest, header, rows, comments=()) -> str:
     return str(dest)
 
 
-def _rows(trace: Trace, names):
-    return zip(*(trace.columns[name].tolist() for name in names))
-
-
 def export_trace(trace: Trace, fmt: str, destination) -> str:
     """Write a trace as CSV, its metadata in comment lines."""
     # CSV is the one trace format; fmt stays in the signature because
@@ -247,7 +243,8 @@ def export_trace(trace: Trace, fmt: str, destination) -> str:
         raise ValueError("destination required")
     comments = [f"termination: {trace.termination}"]
     comments += [f"{key}: {trace.metadata[key]}" for key in sorted(trace.metadata)]
-    return _write_csv(destination, TRACE_FIELDS, _rows(trace, TRACE_FIELDS), comments)
+    rows = zip(*(trace.columns[name].tolist() for name in TRACE_FIELDS))
+    return _write_csv(destination, TRACE_FIELDS, rows, comments)
 
 
 def load_trace_csv(source) -> Trace:
@@ -287,24 +284,14 @@ def _parse_meta(val: str):
     return val
 
 
-# Plot panels: file name and the trace columns it holds, in order.
-_PANELS = (
-    ("overhead.csv", ("north", "east", "s", "e")),
-    ("speed_vs_time.csv", ("time", "ux", "scale")),
-    ("unobservable_vs_time.csv", ("time", "unobservable", "detected")),
-)
-
-
-def export_plot_data(trace: Trace, out_dir, scene: Scene | None = None) -> list[str]:
-    """Write plot-ready CSV panels: overhead view, speed vs time and
-    unobservable count vs time, plus the scene outline when a scene is
-    given. Returns the written paths."""
+def export_plot_data(trace: Trace, out_dir, scene: Scene) -> list[str]:
+    """Write scene_outline.csv, the one plot input a trace does not hold;
+    per-step plots read trace.csv's columns. Returns the written paths."""
+    # trace stays in the signature because perfbench/workloads.py calls
+    # export_plot_data(trace, dest, scene=...).
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = [_write_csv(out / name, names, _rows(trace, names)) for name, names in _PANELS]
-    if scene is not None:
-        written.append(_write_csv(out / "scene_outline.csv", ("kind", "north", "east"), _outline(scene)))
-    return written
+    return [_write_csv(out / "scene_outline.csv", ("kind", "north", "east"), _outline(scene))]
 
 
 def _outline(scene: Scene):
@@ -324,7 +311,7 @@ def _outline(scene: Scene):
 
 
 def export_run(trace: Trace, scene: Scene, out_dir) -> str:
-    """Write a run's plot panels and its trace.csv into out_dir; returns
+    """Write a run's scene outline and its trace.csv into out_dir; returns
     the trace path."""
     export_plot_data(trace, out_dir, scene=scene)
     return export_trace(trace, "csv", FsPath(out_dir) / "trace.csv")

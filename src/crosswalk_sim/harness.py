@@ -227,7 +227,7 @@ def _near_obstacle(scene: Scene, state: VehicleState) -> bool:
     it than PROXIMITY_DIST."""
     ex, ey = scene.road.to_road(state.north, state.east)
     return any(
-        float(ex) < ob.min_road_x() and ob.distance(float(ex), float(ey)) < PROXIMITY_DIST
+        float(ex) < ob.bounds[0] and ob.distance(float(ex), float(ey)) < PROXIMITY_DIST
         for ob in scene.obstacles
     )
 

@@ -48,15 +48,13 @@ class Path:
         seg_len = np.hypot(dn, de)
         if np.any(seg_len <= 0.0):
             raise ValueError("path contains repeated points")
-        self._dn = dn
-        self._de = de
-        self._seg_len2 = seg_len**2
         self.s = np.concatenate(([0.0], np.cumsum(seg_len)))
-        # Python-float copies for the scalar lookups of point_at and project.
+        # Python-float copies for the scalar lookups of point_at, heading_at
+        # and project.
         self._s_list = self.s.tolist()
         self._north_list = north.tolist()
         self._east_list = east.tolist()
-        self._segments = list(zip(dn.tolist(), de.tolist(), seg_len.tolist(), self._seg_len2.tolist()))
+        self._segments = list(zip(dn.tolist(), de.tolist(), seg_len.tolist(), (seg_len**2).tolist()))
         self._last = 0  # segment of the last projection, where project looks first
         self._slack = MARGIN * self._s_list[-1]
         self._runs = {}  # _beyond's runs of each window (a, b), built on first use
@@ -82,19 +80,19 @@ class Path:
 
     def heading_at(self, s: float) -> float:
         """Tangent direction at arc length s, measured from north toward east."""
-        i = int(np.clip(np.searchsorted(self.s, s, side="right") - 1, 0, len(self._dn) - 1))
-        return float(np.arctan2(self._de[i], self._dn[i]))
+        i = min(max(bisect.bisect_right(self._s_list, s) - 1, 0), len(self._segments) - 1)
+        dn, de, _, _ = self._segments[i]
+        return float(np.arctan2(de, dn))
 
     def project(self, north: float, east: float) -> PathProjection:
         """Closest-point projection of (north, east) onto the polyline.
 
         The closest segment is the first one with the least squared
-        distance d2 in the full scan (_scan). The segments within WINDOW
-        of the last projection's are tried first, in Python floats with
-        the same IEEE operations in the same order (_nearest); their
-        result stands only when _beyond proves every other segment
-        farther, and the full scan runs otherwise. So (s, e, clamped) are
-        the full scan's, bit for bit, whatever was projected before.
+        distance d2 over all segments (_nearest). The segments within
+        WINDOW of the last projection's are tried first; their result
+        stands only when _beyond proves every other segment farther, and
+        all segments are scanned otherwise. So (s, e, clamped) are the
+        full scan's, bit for bit, whatever was projected before.
         """
         north, east = float(north), float(east)
         if not (math.isfinite(north) and math.isfinite(east)):
@@ -103,7 +101,7 @@ class Path:
         b = min(self._last + WINDOW + 1, len(self._segments))
         d2, *found = self._nearest(north, east, a, b)
         if not self._beyond(north, east, a, b, math.sqrt(d2)):
-            found = self._scan(north, east)
+            _, *found = self._nearest(north, east, 0, len(self._segments))
         k, t_raw, t, cn, ce = found
         self._last = k
         dn, de, seg_len, _ = self._segments[k]
@@ -116,22 +114,10 @@ class Path:
         clamped = (k == 0 and t_raw < 0.0) or (k == len(self._segments) - 1 and t_raw > 1.0)
         return PathProjection(s=float(s), e=float(e), clamped=bool(clamped))
 
-    def _scan(self, north: float, east: float):
-        """(k, t_raw, t, cn, ce) of the closest segment k over all of them:
-        the raw and clipped segment parameter and the residual vector."""
-        qn = north - self.north[:-1]
-        qe = east - self.east[:-1]
-        t_raw = (qn * self._dn + qe * self._de) / self._seg_len2
-        t = np.clip(t_raw, 0.0, 1.0)
-        cn = qn - t * self._dn
-        ce = qe - t * self._de
-        d2 = cn * cn + ce * ce
-        k = int(np.argmin(d2))
-        return k, float(t_raw[k]), float(t[k]), float(cn[k]), float(ce[k])
-
     def _nearest(self, north: float, east: float, a: int, b: int):
-        """(d2, k, t_raw, t, cn, ce) of the closest of segments a..b-1,
-        computed as _scan computes them; the first one wins a tie."""
+        """(d2, k, t_raw, t, cn, ce) of the closest of segments a..b-1: the
+        squared distance, the raw and clipped segment parameter and the
+        residual vector; the first one wins a tie."""
         best = None
         for k in range(a, b):
             dn, de, _, seg_len2 = self._segments[k]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -146,11 +147,12 @@ class RectObstacle:
             for sx, sy in ((-1, -1), (-1, 1), (1, 1), (1, -1))
         ]
 
-    def min_road_x(self) -> float:
-        """Smallest along-road coordinate of the rectangle's corners."""
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        hx, hy = self.size[0] / 2, self.size[1] / 2
-        return self.center[0] - abs(c) * hx - abs(s) * hy
+    @cached_property
+    def bounds(self) -> tuple[float, float, float, float]:
+        """Road-aligned bounding box (x_min, y_min, x_max, y_max): the least
+        and greatest corner coordinates along and across the road."""
+        xs, ys = zip(*self.corners())
+        return min(xs), min(ys), max(xs), max(ys)
 
     def _slabs(self, origin: tuple[float, float], x, y):
         """Per-axis entry and exit (lo_x, hi_x, lo_y, hi_y) of the segments
@@ -236,16 +238,16 @@ def _ego_xy(scene: Scene, pose) -> tuple[float, float]:
 
 def _out_of_view(obstacle: RectObstacle, ex: float, ey: float) -> bool:
     """True when no sight line from the ego at (ex, ey) to a cell centre
-    can reach the obstacle: its road-aligned bounding box, grown by one
-    cell, lies wholly behind the ego, beyond the far edge or to one side
-    of the grid."""
-    c, s = abs(math.cos(obstacle.yaw)), abs(math.sin(obstacle.yaw))
-    hx, hy = obstacle.size[0] / 2, obstacle.size[1] / 2
-    rx = c * hx + s * hy + CELL_SIZE
-    ry = s * hx + c * hy + CELL_SIZE
-    dx = obstacle.center[0] - ex
-    dy = obstacle.center[1] - ey
-    return dx + rx < 0.0 or dx - rx > FORWARD_RANGE or abs(dy) - ry > LATERAL_RANGE
+    can reach the obstacle: its bounding box, grown by one cell, lies
+    wholly behind the ego, beyond the far edge or to one side of the
+    grid."""
+    x_min, y_min, x_max, y_max = obstacle.bounds
+    return (
+        x_max + CELL_SIZE < ex
+        or x_min - CELL_SIZE - ex > FORWARD_RANGE
+        or y_min - CELL_SIZE - ey > LATERAL_RANGE
+        or ey - y_max - CELL_SIZE > LATERAL_RANGE
+    )
 
 
 def _span(a, b) -> slice:

@@ -8,14 +8,19 @@ import pytest
 from crosswalk_sim.control import (
     AVOID_MARGIN,
     AX_LIMIT,
+    LEAD_GAP,
+    LEAD_IN,
+    PATH_LENGTH,
+    RETURN_LENGTH,
     SPEED_GAIN,
     InfeasiblePathError,
+    _blend,
     build_avoidance_path,
     speed_control,
     steer_control,
 )
 from crosswalk_sim.dynamics import MAX_STEER, VehicleState, step_dynamics
-from crosswalk_sim.path import Path
+from crosswalk_sim.path import SAMPLE_SPACING, Path, resample_by_arc
 from crosswalk_sim.world import RectObstacle, Scene
 
 
@@ -153,3 +158,59 @@ def test_shipped_scenes_share_one_path(hidden_scene, exposed_scene):
     pe = build_avoidance_path(exposed_scene)
     assert np.array_equal(ph.north, pe.north)
     assert np.array_equal(ph.east, pe.east)
+
+
+def corner_path(scene: Scene):
+    """The avoidance path's (north, east) samples as first written, each
+    obstacle's extent read off a fresh list of its corners; None when the
+    builder must raise."""
+    half_lane = scene.lane_width / 2
+    blocking = []
+    for ob in scene.obstacles:
+        ys = [y for _, y in ob.corners()]
+        if max(ys) > -half_lane and min(ys) < half_lane and ob.center[0] < PATH_LENGTH:
+            blocking.append(ob)
+    dense_x = np.arange(0.0, PATH_LENGTH + 5.0, 0.05)
+    if not blocking:
+        ys = np.zeros_like(dense_x)
+    else:
+        offset = max(max(y for _, y in ob.corners()) for ob in blocking) + AVOID_MARGIN
+        x_first = min(min(x for x, _ in ob.corners()) for ob in blocking)
+        x_last = max(max(x for x, _ in ob.corners()) for ob in blocking)
+        ramp_start = x_first - LEAD_GAP - LEAD_IN
+        if offset > scene.lateral_bounds[1] - 0.2 or ramp_start < 0.0:
+            return None
+        back_start = x_last + LEAD_GAP
+        ys = offset * _blend(dense_x, ramp_start, x_first - LEAD_GAP) * (
+            1.0 - _blend(dense_x, back_start, back_start + RETURN_LENGTH)
+        )
+    return scene.road.to_inertial(*resample_by_arc(dense_x, ys, SAMPLE_SPACING, PATH_LENGTH))
+
+
+def test_rotated_obstacles_path_matches_corner_extents_bitwise():
+    # Rotated obstacles in and beside the lane, on a road wide enough that
+    # most swings fit: the path built from each obstacle's cached bounds
+    # is the one its corners give, bit for bit, and the builder raises
+    # exactly where they say it must.
+    rng = np.random.default_rng(31)
+    built = 0
+    for _ in range(200):
+        obstacles = tuple(
+            RectObstacle(
+                center=(float(rng.uniform(25.0, 65.0)), float(rng.uniform(-4.0, 4.0))),
+                size=(float(rng.uniform(0.5, 6.0)), float(rng.uniform(0.5, 3.0))),
+                yaw=float(rng.uniform(-1.5, 1.5)),
+            )
+            for _ in range(int(rng.integers(1, 4)))
+        )
+        scene = Scene(lateral_bounds=(-1.8, 9.0), obstacles=obstacles)
+        want = corner_path(scene)
+        if want is None:
+            with pytest.raises(InfeasiblePathError):
+                build_avoidance_path(scene)
+            continue
+        path = build_avoidance_path(scene)
+        assert path.north.tobytes() == want[0].tobytes()
+        assert path.east.tobytes() == want[1].tobytes()
+        built += 1
+    assert 50 < built < 200

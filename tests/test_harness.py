@@ -148,15 +148,9 @@ def test_export_requires_destination(run_matrix):
 def test_export_plot_data(run_matrix, tmp_path, hidden_scene):
     trace = run_matrix["baseline_hidden"]
     written = export_plot_data(trace, tmp_path, scene=hidden_scene)
-    names = {p.rsplit("/", 1)[-1] for p in written}
-    assert names == {
-        "overhead.csv",
-        "speed_vs_time.csv",
-        "unobservable_vs_time.csv",
-        "scene_outline.csv",
-    }
-    overhead = (tmp_path / "overhead.csv").read_text().splitlines()
-    assert len(overhead) == len(trace) + 1
+    # The outline is the one plot input trace.csv does not hold.
+    assert written == [str(tmp_path / "scene_outline.csv")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene_outline.csv"]
     outline = (tmp_path / "scene_outline.csv").read_text()
     assert "obstacle" in outline and "crosswalk" in outline and "pedestrian" in outline
 
@@ -396,7 +390,7 @@ def test_cli_solve_and_run(tmp_path, repo_root):
     assert rc == 0
     trace = load_trace_csv(out_dir / "trace.csv")
     assert len(trace) == 150
-    assert (out_dir / "speed_vs_time.csv").exists()
+    assert sorted(p.name for p in out_dir.iterdir()) == ["scene_outline.csv", "trace.csv"]
 
 
 @pytest.mark.parametrize("via", ["policy_file", "cli"])

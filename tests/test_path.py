@@ -102,6 +102,29 @@ def test_heading_directions():
     assert east_path.heading_at(5.0) == pytest.approx(np.pi / 2)
 
 
+def numpy_heading_at(path: Path, s: float) -> float:
+    """heading_at as first written: the segment by np.searchsorted, clipped
+    to the segment range, and np.arctan2 over np.diff of the samples."""
+    dn, de = np.diff(path.north), np.diff(path.east)
+    i = int(np.clip(np.searchsorted(path.s, s, side="right") - 1, 0, len(dn) - 1))
+    return float(np.arctan2(de[i], dn[i]))
+
+
+def test_heading_at_matches_numpy_lookup_bitwise():
+    # At every sample, between samples, past both ends and at the special
+    # values: NaN and +inf land on the last segment, -inf and -0.0 on the
+    # first.
+    rng = np.random.default_rng(13)
+    north = np.cumsum(rng.uniform(0.05, 1.0, 60))
+    east = np.where(np.arange(60) % 4 == 0, -0.0, np.cumsum(rng.normal(0.0, 0.5, 60)))
+    for path in (curved_path(), hairpin(), Path(north, east)):
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, path.length, np.nextafter(path.length, 0.0)]
+        queries = np.concatenate([path.s, rng.uniform(-1.0, path.length + 1.0, 300), special])
+        for s in queries.tolist():
+            got = np.float64(path.heading_at(s)).tobytes()
+            assert got == np.float64(numpy_heading_at(path, s)).tobytes(), s
+
+
 def test_clamped_projection_past_ends():
     path = straight_path(10.0)
     before = path.project(-5.0, 0.5)
@@ -171,15 +194,17 @@ def bits(proj: PathProjection):
 
 
 def count_full_scans(monkeypatch) -> list:
-    """Count the calls of Path._scan, the fallback of project."""
+    """Count the calls of Path._nearest that span every segment, the
+    fallback of project."""
     calls = []
-    scan = Path._scan
+    nearest = Path._nearest
 
-    def counted(self, north, east):
-        calls.append((north, east))
-        return scan(self, north, east)
+    def counted(self, north, east, a, b):
+        if (a, b) == (0, len(self._segments)):
+            calls.append((north, east))
+        return nearest(self, north, east, a, b)
 
-    monkeypatch.setattr(Path, "_scan", counted)
+    monkeypatch.setattr(Path, "_nearest", counted)
     return calls
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crosswalk_sim import world
 from crosswalk_sim.world import (
     CELLS_PER_M,
     CROSSWALK_SAMPLE_STEP,
@@ -292,6 +293,52 @@ def test_grid_edge_of_view_matches_oracle(obstacle, touched):
     grid = build_grid(scene, pose)
     assert np.array_equal(grid, oracle_grid(scene, pose))
     assert np.count_nonzero(grid != FREE) == touched
+
+
+def test_bounds_are_corner_extremes():
+    rng = np.random.default_rng(37)
+    for yaw in [0.0, -0.0, math.pi / 2, math.pi] + rng.uniform(-math.pi, math.pi, 40).tolist():
+        ob = RectObstacle(
+            center=(float(rng.uniform(-5.0, 60.0)), float(rng.uniform(-7.0, 7.0))),
+            size=(float(rng.uniform(0.5, 6.0)), float(rng.uniform(0.5, 3.0))),
+            yaw=yaw,
+        )
+        xs = [x for x, _ in ob.corners()]
+        ys = [y for _, y in ob.corners()]
+        assert ob.bounds == (min(xs), min(ys), max(xs), max(ys))
+
+
+def test_out_of_view_cull_leaves_grid_unchanged(monkeypatch):
+    # Egos behind, beside and beyond yaw-0 and rotated obstacles, a third
+    # of them within a cell of the grid's edges around the first
+    # obstacle's bounding box: skipping the obstacles _out_of_view culls
+    # must give the grid of testing every obstacle.
+    rng = np.random.default_rng(41)
+    culled = 0
+    cases = []
+    for i in range(300):
+        scene, _ = random_scene(rng)
+        if i % 2:
+            aligned = tuple(dataclasses.replace(ob, yaw=0.0) for ob in scene.obstacles)
+            scene = dataclasses.replace(scene, obstacles=aligned)
+        ex, ey = float(rng.uniform(-20.0, 90.0)), float(rng.uniform(-16.0, 16.0))
+        if i % 3 == 0:
+            x_min, y_min, x_max, y_max = scene.obstacles[0].bounds
+            edge = float(rng.uniform(-1.0, 1.0)) / CELLS_PER_M
+            ex, ey = (
+                (x_max + edge, ey),
+                (x_min - world.FORWARD_RANGE + edge, ey),
+                (ex, y_min - world.LATERAL_RANGE + edge),
+                (ex, y_max + world.LATERAL_RANGE + edge),
+            )[int(rng.integers(4))]
+        north, east = scene.road.to_inertial(ex, ey)
+        pose = (float(north), float(east), scene.road.heading)
+        culled += sum(world._out_of_view(ob, *world._ego_xy(scene, pose)) for ob in scene.obstacles)
+        cases.append((scene, pose, build_grid(scene, pose)))
+    monkeypatch.setattr(world, "_out_of_view", lambda *args: False)
+    for scene, pose, grid in cases:
+        assert np.array_equal(grid, build_grid(scene, pose))
+    assert culled > 100
 
 
 @pytest.mark.parametrize("lattice", [1 / 3, 1 / 6], ids=["third", "sixth"])
