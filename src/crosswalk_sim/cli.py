@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 import time
 
 from . import world
 from .files import export_run, load_model_config, load_scenario, load_scene
-from .harness import run_batch, run_scenario, solve_policy
+from .harness import run_batch, run_scenario, solve_policy, summarize
 from .pomdp import derive_model_config
 from .qmdp import save_policy
 from .world import build_grid, grid_to_text
@@ -91,16 +92,10 @@ def _cmd_solve(args) -> int:
 def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
     if args.policy:
-        config.policy_file = args.policy
+        config = dataclasses.replace(config, policy_file=args.policy)
     trace = run_scenario(config)
     dest = export_run(trace, config.scene, args.out)
-    log.info(
-        "%s: terminated by %s after %d steps -> %s",
-        config.name,
-        trace.termination,
-        len(trace),
-        dest,
-    )
+    log.info("%s -> %s", summarize(trace), dest)
     return 0
 
 

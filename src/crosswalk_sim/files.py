@@ -47,7 +47,9 @@ TRACE_FIELDS = (
 class ScenarioConfig:
     """Everything needed to reproduce one closed-loop run. v_desired and
     duration must be finite and positive. A pomdp run's model_config
-    takes its geometry from the scene (pomdp.derive_model_config)."""
+    takes its geometry from the scene (pomdp.derive_model_config); any
+    other run reads neither a model nor a policy file, so setting one
+    raises ValueError."""
 
     scene: Scene
     policy: str = "oracle"
@@ -67,6 +69,12 @@ class ScenarioConfig:
                 raise ValueError(f"bad value for key {key!r}: {value!r} is not finite and positive")
         if self.policy == "pomdp":
             self.model_config = derive_model_config(self.scene, self.model_config)
+        elif self.model_config is not None:
+            raise ValueError(f"key 'model' is set, but policy {self.policy!r} reads no model")
+        elif self.policy_file is not None:
+            raise ValueError(
+                f"key 'policy_file' is set to {self.policy_file}, but policy {self.policy!r} reads no policy file"
+            )
 
 
 @dataclass

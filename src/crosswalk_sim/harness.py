@@ -251,6 +251,29 @@ def run_batch(config_dir, out_dir) -> list[str]:
             model, policy = solved[key]
         trace = run_scenario(config, model=model, policy=policy)
         dest = export_run(trace, config.scene, out_dir / cfg_path.stem)
-        log.info("%s: %s after %.2f s", cfg_path.stem, trace.termination, len(trace) * CONTROL_DT)
+        log.info("%s", summarize(trace))
         written.append(dest)
     return written
+
+
+def summarize(trace: Trace) -> str:
+    """One line on what a run did: its name, termination, simulated
+    seconds and top speed, then when and how fast it crossed the crosswalk
+    line, or, if it never did, where it ended and whether at rest."""
+    time, s, ux = trace.columns["time"], trace.columns["s"], trace.columns["ux"]
+    parts = [
+        f"{trace.metadata['name']:<17}",
+        f"end={trace.termination:<8}",
+        f"sim={len(trace) * CONTROL_DT:5.2f} s",
+    ]
+    if not len(trace):  # a duration of at most half a control step
+        return "  ".join(parts)
+    parts.append(f"max_ux={ux.max():5.2f}")
+    crossed = np.flatnonzero(s >= trace.metadata["crosswalk_s"])
+    if crossed.size:
+        i = crossed[0]
+        parts.append(f"crossed line at t={time[i]:5.2f} s, ux={ux[i]:.2f} m/s")
+    else:
+        state = "at rest" if ux[-1] < STUCK_SPEED else f"moving {ux[-1]:.2f} m/s"
+        parts.append(f"never crossed; final s={s[-1]:6.2f} m ({state})")
+    return "  ".join(parts)

@@ -20,14 +20,12 @@ MARGIN = 1e-9
 class PathProjection:
     """Result of projecting a point onto a path.
 
-    s is the arc length of the closest path point, e the signed lateral
-    offset (positive to the left of the travel direction), and clamped is
-    True when the query point falls past either end of the path.
+    s is the arc length of the closest path point and e the signed
+    lateral offset (positive to the left of the travel direction).
     """
 
     s: float
     e: float
-    clamped: bool
 
 
 class Path:
@@ -91,7 +89,7 @@ class Path:
         distance d2 over all segments (_nearest). The segments within
         WINDOW of the last projection's are tried first; their result
         stands only when _beyond proves every other segment farther, and
-        all segments are scanned otherwise. So (s, e, clamped) are the
+        all segments are scanned otherwise. So (s, e) are the
         full scan's, bit for bit, whatever was projected before.
         """
         north, east = float(north), float(east)
@@ -102,7 +100,7 @@ class Path:
         d2, *found = self._nearest(north, east, a, b)
         if not self._beyond(north, east, a, b, math.sqrt(d2)):
             _, *found = self._nearest(north, east, 0, len(self._segments))
-        k, t_raw, t, cn, ce = found
+        k, t, cn, ce = found
         self._last = k
         dn, de, seg_len, _ = self._segments[k]
         s = self._s_list[k] + t * seg_len
@@ -111,13 +109,12 @@ class Path:
         tn = dn / seg_len
         te = de / seg_len
         e = cn * te - ce * tn
-        clamped = (k == 0 and t_raw < 0.0) or (k == len(self._segments) - 1 and t_raw > 1.0)
-        return PathProjection(s=float(s), e=float(e), clamped=bool(clamped))
+        return PathProjection(s=float(s), e=float(e))
 
     def _nearest(self, north: float, east: float, a: int, b: int):
-        """(d2, k, t_raw, t, cn, ce) of the closest of segments a..b-1: the
-        squared distance, the raw and clipped segment parameter and the
-        residual vector; the first one wins a tie."""
+        """(d2, k, t, cn, ce) of the closest of segments a..b-1: the
+        squared distance, the clipped segment parameter and the residual
+        vector; the first one wins a tie."""
         best = None
         for k in range(a, b):
             dn, de, _, seg_len2 = self._segments[k]
@@ -129,7 +126,7 @@ class Path:
             ce = qe - t * de
             d2 = cn * cn + ce * ce
             if best is None or d2 < best[0]:
-                best = (d2, k, t_raw, t, cn, ce)
+                best = (d2, k, t, cn, ce)
         return best
 
     def _beyond(self, north: float, east: float, a: int, b: int, dist: float) -> bool:

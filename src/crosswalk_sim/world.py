@@ -119,16 +119,6 @@ class RectObstacle:
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         return c * dx + s * dy, -s * dx + c * dy
 
-    def _offsets(self, x, y):
-        """Absolute rectangle-frame coordinates (|lx|, |ly|) of road-frame
-        points; a point is inside when |lx| <= hx and |ly| <= hy."""
-        lx, ly = self._to_local(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return np.abs(lx), np.abs(ly)
-
-    def contains(self, x, y):
-        ax, ay = self._offsets(x, y)
-        return (ax <= self.size[0] / 2) & (ay <= self.size[1] / 2)
-
     def distance(self, x: float, y: float) -> float:
         """Euclidean distance from a road-frame point to the rectangle."""
         lx, ly = self._to_local(x, y)
@@ -277,11 +267,13 @@ def _shadow(obstacle: RectObstacle, origin: tuple[float, float], gx, gy):
 
 def _body(obstacle: RectObstacle, gx, gy):
     """(rows, cols, inside): a grid window and which of its cells lie
-    inside the obstacle, as contains decides. A road-aligned obstacle's
-    cells fill their window: gx - cx never decreases down the rows, since
-    rounding is monotone, so the rows with |gx - cx| <= hx form one run,
-    and so do the columns. A rotated obstacle's window is the whole grid."""
-    ax, ay = obstacle._offsets(gx, gy)
+    inside the obstacle, those whose rectangle-frame coordinates (lx, ly)
+    have |lx| <= hx and |ly| <= hy. A road-aligned obstacle's cells fill
+    their window: gx - cx never decreases down the rows, since rounding is
+    monotone, so the rows with |gx - cx| <= hx form one run, and so do the
+    columns. A rotated obstacle's window is the whole grid."""
+    lx, ly = obstacle._to_local(gx, gy)
+    ax, ay = np.abs(lx), np.abs(ly)
     hx, hy = obstacle.size[0] / 2, obstacle.size[1] / 2
     if 1 not in ax.shape:
         return slice(None), slice(None), (ax <= hx) & (ay <= hy)

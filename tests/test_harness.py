@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 
@@ -22,7 +23,7 @@ from crosswalk_sim.files import (
     load_scene,
     load_trace_csv,
 )
-from crosswalk_sim.harness import CONTROL_DT, run_scenario
+from crosswalk_sim.harness import CONTROL_DT, run_scenario, summarize
 from crosswalk_sim.pomdp import EPOCH, ModelConfig, derive_model_config
 from crosswalk_sim.qmdp import load_policy, save_policy
 from crosswalk_sim.world import Pedestrian, RectObstacle, Scene
@@ -192,6 +193,32 @@ def test_expected_stop_is_not_stuck(run_matrix):
     assert run_matrix["baseline_exposed"].termination == "duration"
 
 
+# --- run summary -------------------------------------------------------------
+
+
+def test_run_summaries(run_matrix):
+    assert [summarize(trace) for trace in run_matrix.values()] == [
+        "baseline_exposed   end=duration  sim=15.00 s  max_ux= 5.39  never crossed; final s= 36.44 m (at rest)",
+        "baseline_hidden    end=path_end  sim=12.34 s  max_ux= 9.98  crossed line at t=10.35 s, ux=8.89 m/s",
+        "oracle_exposed     end=duration  sim=15.00 s  max_ux= 9.16  never crossed; final s= 38.08 m (at rest)",
+        "oracle_hidden      end=duration  sim=15.00 s  max_ux= 9.16  never crossed; final s= 38.08 m (at rest)",
+        "pomdp_exposed      end=duration  sim=15.00 s  max_ux= 0.00  never crossed; final s=  0.00 m (at rest)",
+        "pomdp_hidden       end=duration  sim=12.00 s  max_ux= 0.00  never crossed; final s=  0.00 m (at rest)",
+    ]
+
+
+def test_summary_of_moving_and_empty_runs(exposed_scene):
+    # two seconds into the oracle run the car is still on its way; a
+    # duration of half a control step rounds to no step at all
+    moving = run_scenario(ScenarioConfig(scene=exposed_scene, duration=2.0, name="short"))
+    assert summarize(moving) == (
+        "short              end=duration  sim= 2.00 s  max_ux= 5.97  never crossed; final s=  5.94 m (moving 5.97 m/s)"
+    )
+    empty = run_scenario(ScenarioConfig(scene=exposed_scene, duration=CONTROL_DT / 2, name="empty"))
+    assert len(empty) == 0
+    assert summarize(empty) == "empty              end=duration  sim= 0.00 s"
+
+
 # --- config loading -----------------------------------------------------------
 
 
@@ -250,6 +277,32 @@ def test_load_scenario_requires_scene(tmp_path):
     dest.write_text(yaml.safe_dump({"policy": "oracle", "duration": 4.0}))
     with pytest.raises(ValueError, match="no_scene.yaml: missing scenario key 'scene'"):
         load_scenario(dest)
+
+
+@pytest.mark.parametrize("policy", ["oracle", "baseline"])
+@pytest.mark.parametrize("key", ["model", "policy_file"])
+def test_load_scenario_rejects_unread_files(tmp_path, repo_root, policy, key):
+    # only a pomdp run reads a model or a policy file; elsewhere the key
+    # would be ignored, so it fails to load, whether the file exists or not
+    value, shown = {
+        "model": (str(repo_root / "configs" / "pomdp.yaml"), ""),
+        "policy_file": ("nope.txt", f" to {tmp_path / 'nope.txt'}"),
+    }[key]
+    doc = {"scene": str(repo_root / "configs" / "scene_exposed.yaml"), "policy": policy, key: value}
+    dest = tmp_path / "unread.yaml"
+    dest.write_text(yaml.safe_dump(doc))
+    refused = re.escape(f"{dest}: key {key!r} is set{shown}, but policy {policy!r} reads no")
+    with pytest.raises(ValueError, match=refused):
+        load_scenario(dest)
+
+
+def test_cli_run_rejects_policy_for_non_pomdp_scenario(tmp_path, repo_root):
+    policy_file = tmp_path / "any.policy"
+    scenario = repo_root / "configs" / "scenarios" / "oracle_hidden.yaml"
+    refused = re.escape(f"key 'policy_file' is set to {policy_file}, but policy 'oracle' reads no policy file")
+    with pytest.raises(ValueError, match=refused):
+        cli_main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out"), "--policy", str(policy_file)])
+    assert not (tmp_path / "out").exists()
 
 
 def test_shipped_scenarios_cover_matrix(scenario_configs):
@@ -346,7 +399,7 @@ def test_harness_binds_the_names_perfbench_reads():
 # --- command line ----------------------------------------------------------------
 
 
-def test_cli_solve_and_run(tmp_path, repo_root):
+def test_cli_solve_and_run(tmp_path, repo_root, caplog):
     policy_file = tmp_path / "policy.txt"
     rc = cli_main(
         [
@@ -376,6 +429,7 @@ def test_cli_solve_and_run(tmp_path, repo_root):
     scen_file = tmp_path / "short_pomdp.yaml"
     scen_file.write_text(yaml.safe_dump(scenario))
     out_dir = tmp_path / "out"
+    caplog.set_level(logging.INFO, logger="crosswalk_sim")
     rc = cli_main(
         [
             "run",
@@ -391,6 +445,7 @@ def test_cli_solve_and_run(tmp_path, repo_root):
     trace = load_trace_csv(out_dir / "trace.csv")
     assert len(trace) == 150
     assert sorted(p.name for p in out_dir.iterdir()) == ["scene_outline.csv", "trace.csv"]
+    assert f"{summarize(trace)} -> {out_dir / 'trace.csv'}" in caplog.messages
 
 
 @pytest.mark.parametrize("via", ["policy_file", "cli"])
@@ -438,7 +493,7 @@ def test_cli_usage_errors(tmp_path, monkeypatch, argv):
     assert not any(tmp_path.iterdir())
 
 
-def test_cli_batch(tmp_path, repo_root):
+def test_cli_batch(tmp_path, repo_root, caplog):
     scen_dir = tmp_path / "scenarios"
     scen_dir.mkdir()
     (scen_dir / "quick.yaml").write_text(
@@ -451,11 +506,13 @@ def test_cli_batch(tmp_path, repo_root):
         )
     )
     out_dir = tmp_path / "results"
+    caplog.set_level(logging.INFO, logger="crosswalk_sim")
     rc = cli_main(["batch", "--dir", str(scen_dir), "--out", str(out_dir)])
     assert rc == 0
     trace = load_trace_csv(out_dir / "quick" / "trace.csv")
     assert len(trace) == 100
     assert (out_dir / "quick" / "scene_outline.csv").exists()
+    assert summarize(trace) in caplog.messages
 
 
 def test_cli_grid_dump(tmp_path, repo_root, capsys):

@@ -44,7 +44,6 @@ def test_project_start_is_origin():
     proj = straight_path().project(0.0, 0.0)
     assert proj.s == 0.0
     assert proj.e == 0.0
-    assert not proj.clamped
 
 
 def test_project_left_offset_midway():
@@ -127,12 +126,8 @@ def test_heading_at_matches_numpy_lookup_bitwise():
 
 def test_clamped_projection_past_ends():
     path = straight_path(10.0)
-    before = path.project(-5.0, 0.5)
-    assert before.clamped and before.s == 0.0
-    after = path.project(15.0, -0.5)
-    assert after.clamped and after.s == pytest.approx(path.length)
-    inside = path.project(5.0, 0.5)
-    assert not inside.clamped
+    assert path.project(-5.0, 0.5).s == 0.0
+    assert path.project(15.0, -0.5).s == pytest.approx(path.length)
 
 
 def test_resample_spacing_and_truncation():
@@ -160,7 +155,7 @@ def test_validation_errors():
 
 
 def test_projection_is_frozen():
-    proj = PathProjection(s=1.0, e=0.5, clamped=False)
+    proj = PathProjection(s=1.0, e=0.5)
     with pytest.raises(Exception):
         proj.s = 2.0
 
@@ -185,12 +180,11 @@ def full_scan(path: Path, north: float, east: float) -> PathProjection:
     tn = dn[k] / seg_len[k]
     te = de[k] / seg_len[k]
     e = float(cn[k] * te - ce[k] * tn)
-    clamped = (k == 0 and t_raw[0] < 0.0) or (k == len(t) - 1 and t_raw[-1] > 1.0)
-    return PathProjection(s=s, e=e, clamped=bool(clamped))
+    return PathProjection(s=s, e=e)
 
 
 def bits(proj: PathProjection):
-    return np.float64(proj.s).tobytes(), np.float64(proj.e).tobytes(), proj.clamped
+    return np.float64(proj.s).tobytes(), np.float64(proj.e).tobytes()
 
 
 def count_full_scans(monkeypatch) -> list:
@@ -271,9 +265,7 @@ def test_project_past_both_ends():
     end_n, end_e = path.point_at(path.length)
     queries = [(-3.0, 0.5), (-0.5, -2.0), (end_n + 2.0, end_e), (end_n + 0.5, end_e + 3.0)]
     for north, east in queries + queries[::-1]:
-        proj = path.project(north, east)
-        assert proj.clamped
-        assert bits(proj) == bits(full_scan(path, north, east))
+        assert bits(path.project(north, east)) == bits(full_scan(path, north, east))
 
 
 def test_project_keeps_the_sign_of_zero():
