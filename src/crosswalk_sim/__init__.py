@@ -16,10 +16,8 @@ from .dynamics import (
 from .executor import (
     SensorReading,
     ZeroBeliefError,
-    baseline_scale,
     belief_update,
     init_belief,
-    oracle_scale,
     pomdp_step,
 )
 from .files import (

@@ -92,7 +92,10 @@ def _cmd_solve(args) -> int:
 def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
     if args.policy:
-        config = dataclasses.replace(config, policy_file=args.policy)
+        try:
+            config = dataclasses.replace(config, policy_file=args.policy)
+        except ValueError as err:
+            raise ValueError(f"{args.scenario}: {err}") from None
     trace = run_scenario(config)
     dest = export_run(trace, config.scene, args.out)
     log.info("%s -> %s", summarize(trace), dest)

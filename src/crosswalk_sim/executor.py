@@ -1,9 +1,8 @@
-"""Belief tracking and the three speed-scale policies.
+"""Belief tracking and the stopping ramp.
 
-The QMDP policy acts on the current belief, then folds the observation
-that arrives during the following control interval into the posterior.
-The baseline scales speed inversely with the binned unobservable count;
-the oracle uses ground truth and a constant-deceleration stopping rule.
+A QMDP step acts on the current belief, then folds the observation that
+arrives during the following control interval into the posterior. The
+policies that use both live in harness.
 """
 
 from __future__ import annotations
@@ -14,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import world
-from .dynamics import VehicleState
-from .pomdp import NUM_COUNT_BINS, PomdpModel, obs_index
+from .pomdp import PomdpModel, obs_index
 from .qmdp import BELIEF_TOL, AlphaVectorPolicy, best_action
-from .world import Scene
 
 STOP_MARGIN = 5.0  # m short of the crosswalk line where a yielding stop ends
 STOP_DECEL = 2.0  # m/s^2 of the constant-deceleration stopping ramp
@@ -81,12 +78,6 @@ def pomdp_step(
     return policy.scales[action], posterior
 
 
-def baseline_scale(unobservable_count: int) -> float:
-    """Occlusion-count heuristic: full speed at bin 0, a stop at bin 9."""
-    b = world.bin_observation(unobservable_count)
-    return (NUM_COUNT_BINS - 1 - b) / (NUM_COUNT_BINS - 1)
-
-
 def stopping_scale(speed_limit_dist: float, v_desired: float) -> float:
     """Scale that tracks a STOP_DECEL ramp to rest over the given distance.
     Zero at and past the stop point."""
@@ -96,14 +87,3 @@ def stopping_scale(speed_limit_dist: float, v_desired: float) -> float:
         return 0.0
     return min(1.0, math.sqrt(2.0 * STOP_DECEL * speed_limit_dist) / v_desired)
 
-
-def oracle_scale(scene: Scene, state: VehicleState, crosswalk_s: float, v_desired: float) -> float:
-    """Perfect-perception policy: full speed unless a pedestrian crossing
-    is active ahead, in which case ramp down to stop before the crosswalk.
-
-    crosswalk_s is the crosswalk's arc length along the reference path.
-    The rule only looks at ground truth, never at occlusion.
-    """
-    if not scene.pedestrian.present or state.s >= crosswalk_s:
-        return 1.0
-    return stopping_scale(crosswalk_s - STOP_MARGIN - state.s, v_desired)

@@ -1,9 +1,11 @@
-"""Closed-loop scenario runner.
+"""Closed-loop scenario runner and the three speed-scale policies.
 
-The control loop steps every CONTROL_DT seconds; the active policy refreshes
+The control loop steps every CONTROL_DT seconds; the run's policy refreshes
 its speed scale every pomdp.EPOCH, the model's decision epoch (zero-order
 hold in between), while the tracking controllers run every step. Traces
 carry one row per control step plus run metadata and a termination reason.
+Each policy is built once per run; decide(state, reading) returns the
+speed scale, and its p_crossing and resets go into the trace.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from .executor import (
     STOP_MARGIN,
     SensorReading,
     ZeroBeliefError,
-    baseline_scale,
     init_belief,
-    oracle_scale,
     pomdp_step,
     stopping_scale,
 )
@@ -62,14 +62,31 @@ STUCK_TIME = 3.0  # s at rest, with no stop expected, that ends a run as stuck
 PROXIMITY_DIST = 1.5  # m to an obstacle ahead that ends a run
 
 
-def _quantize_down(scale: float, levels: int) -> float:
-    """Snap a scale onto the {k / levels} ladder, rounding toward zero."""
-    return math.floor(scale * levels + 1e-12) / levels
+class OraclePolicy:
+    """Perfect perception: full speed unless a pedestrian is crossing ahead,
+    then a ramp to a stop STOP_MARGIN short of the crosswalk line."""
+
+    p_crossing = math.nan
+    resets = 0
+
+    def __init__(self, scene: Scene, crosswalk_s: float, v_desired: float):
+        self.crossing = scene.pedestrian.present
+        self.crosswalk_s = crosswalk_s
+        self.v_desired = v_desired
+
+    def decide(self, state: VehicleState, reading: SensorReading) -> float:
+        if not self.crossing or state.s >= self.crosswalk_s:
+            return 1.0
+        return stopping_scale(self.crosswalk_s - STOP_MARGIN - state.s, self.v_desired)
 
 
-class _BaselinePolicy:
-    """Occlusion-count heuristic plus a yield-to-stop rule that engages
-    only when a detected pedestrian can still be stopped for comfortably."""
+class BaselinePolicy:
+    """Occlusion-count ladder plus a yield-to-stop ramp, snapped down onto the
+    ladder, that engages only when a detected pedestrian can be stopped comfortably."""
+
+    LEVELS = world.NUM_COUNT_BINS - 1
+    p_crossing = math.nan
+    resets = 0
 
     def __init__(self, v_desired: float, crosswalk_s: float):
         self.v_desired = v_desired
@@ -79,19 +96,40 @@ class _BaselinePolicy:
         self.engaged = False
 
     def decide(self, state: VehicleState, reading: SensorReading) -> float:
-        scale = baseline_scale(reading.unobservable_count)
+        scale = (self.LEVELS - reading.count_bin) / self.LEVELS
         if reading.detected:
             self.seen = True
         past = state.s >= self.crosswalk_s
         if self.seen and not past and not self.engaged:
             dist = self.stop_s - state.s
-            if dist > 0.0:
-                needed = state.ux**2 / (2.0 * dist)
-                if needed <= YIELD_GATE_DECEL:
-                    self.engaged = True
+            if dist > 0.0 and state.ux**2 / (2.0 * dist) <= YIELD_GATE_DECEL:
+                self.engaged = True
         if self.engaged and not past:
             ramp = stopping_scale(self.stop_s - state.s, self.v_desired)
-            scale = min(scale, _quantize_down(ramp, 9))
+            scale = min(scale, math.floor(ramp * self.LEVELS + 1e-12) / self.LEVELS)
+        return scale
+
+
+class QmdpPolicy:
+    """QMDP: act on the belief, then fold the reading in. A reading the
+    belief cannot explain resets it to uniform and is folded in again."""
+
+    def __init__(self, model: PomdpModel, alphas: AlphaVectorPolicy):
+        self.model = model
+        self.alphas = alphas
+        self.belief = init_belief(model)
+        self.p_crossing = math.nan
+        self.resets = 0
+
+    def decide(self, state: VehicleState, reading: SensorReading) -> float:
+        try:
+            scale, self.belief = pomdp_step(self.belief, self.alphas, reading, self.model)
+        except ZeroBeliefError:
+            log.warning("belief collapsed at s=%.2f m; reset to uniform", state.s)
+            self.belief = init_belief(self.model)
+            self.resets += 1
+            scale, self.belief = pomdp_step(self.belief, self.alphas, reading, self.model)
+        self.p_crossing = float(self.belief[NUM_D * NUM_V :].sum())
         return scale
 
 
@@ -112,8 +150,11 @@ def run_scenario(
     path = build_avoidance_path(scene)
     crosswalk_s = world.crosswalk_path_distance(scene, path)
 
-    belief = None
-    if config.policy == "pomdp":
+    if config.policy == "oracle":
+        policy = OraclePolicy(scene, crosswalk_s, config.v_desired)
+    elif config.policy == "baseline":
+        policy = BaselinePolicy(config.v_desired, crosswalk_s)
+    else:
         if policy is None:
             if config.policy_file:
                 policy = load_policy(config.policy_file, config.model_config)
@@ -121,8 +162,7 @@ def run_scenario(
                 model, policy = solve_policy(config.model_config)
         if model is None:
             model = build_crosswalk_model(config.model_config)
-        belief = init_belief(model)
-    baseline = _BaselinePolicy(config.v_desired, crosswalk_s) if config.policy == "baseline" else None
+        policy = QmdpPolicy(model, policy)
 
     n_steps = int(round(config.duration / CONTROL_DT))
     decim = int(round(EPOCH / CONTROL_DT))
@@ -134,9 +174,7 @@ def run_scenario(
 
     rows = {name: [] for name in TRACE_FIELDS}
     scale = 0.0
-    p_crossing = math.nan
     stuck_elapsed = 0.0
-    belief_resets = 0
     termination = "duration"
 
     for k in range(n_steps):
@@ -147,20 +185,7 @@ def run_scenario(
         detected = world.pedestrian_visible(scene, pose)
 
         if k % decim == 0:
-            reading = SensorReading(unobservable_count=count, detected=detected)
-            if config.policy == "oracle":
-                scale = oracle_scale(scene, state, crosswalk_s, config.v_desired)
-            elif config.policy == "baseline":
-                scale = baseline.decide(state, reading)
-            else:
-                try:
-                    scale, belief = pomdp_step(belief, policy, reading, model)
-                except ZeroBeliefError:
-                    log.warning("belief collapsed at t=%.2f s; reset to uniform", t)
-                    belief = init_belief(model)
-                    belief_resets += 1
-                    scale, belief = pomdp_step(belief, policy, reading, model)
-                p_crossing = _p_crossing(belief)
+            scale = policy.decide(state, SensorReading(unobservable_count=count, detected=detected))
 
         ax = speed_control(config.v_desired, scale, state.ux)
         steer = steer_control(state, path)
@@ -177,7 +202,7 @@ def run_scenario(
         rows["scale"].append(scale)
         rows["unobservable"].append(count)
         rows["detected"].append(float(detected))
-        rows["p_crossing"].append(p_crossing)
+        rows["p_crossing"].append(policy.p_crossing)
 
         state = step_dynamics(state, steer, ax, CONTROL_DT, path)
 
@@ -207,13 +232,9 @@ def run_scenario(
         "decision_period": EPOCH,
         "crosswalk_s": crosswalk_s,
         "path_length": path.length,
-        "belief_resets": belief_resets,
+        "belief_resets": policy.resets,
     }
     return Trace(columns=columns, metadata=metadata, termination=termination)
-
-
-def _p_crossing(belief: np.ndarray) -> float:
-    return float(belief[NUM_D * NUM_V :].sum())
 
 
 def solve_policy(config: ModelConfig) -> tuple[PomdpModel, AlphaVectorPolicy]:

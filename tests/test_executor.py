@@ -1,4 +1,5 @@
-"""Belief filter against exhaustive Bayes, and the three scale policies."""
+"""Belief filter against exhaustive Bayes, the stopping ramp, and the
+three policies' decide rules."""
 
 from __future__ import annotations
 
@@ -12,21 +13,22 @@ from crosswalk_sim.executor import (
     STOP_DECEL,
     SensorReading,
     ZeroBeliefError,
-    baseline_scale,
     belief_update,
     init_belief,
-    oracle_scale,
     pomdp_step,
     stopping_scale,
 )
+from crosswalk_sim.harness import BaselinePolicy, OraclePolicy, QmdpPolicy
 from crosswalk_sim.pomdp import (
     ACTION_SCALES,
+    NUM_OBS,
     NUM_STATES,
     TERMINAL_D,
     PomdpModel,
     obs_index,
     state_index,
 )
+from crosswalk_sim.qmdp import AlphaVectorPolicy
 from crosswalk_sim.world import Pedestrian, Scene
 
 
@@ -173,18 +175,43 @@ def test_known_crossing_ahead_commands_stop(crosswalk_model, policy):
     assert scale == 0.0
 
 
+def test_qmdp_policy_resets_a_collapsed_belief(caplog):
+    # identity dynamics; state 0 only ever reads count bin 0 undetected and
+    # state 1 only count bin 0 detected
+    observation = np.zeros((2, NUM_OBS))
+    observation[0, obs_index(0, False)] = 1.0
+    observation[1, obs_index(0, True)] = 1.0
+    assert obs_index(0, False) == 0 and obs_index(0, True) == 10
+    model = PomdpModel.from_dense(np.eye(2)[None], np.zeros((2, 1)), 0.9, observation=observation)
+    qmdp = QmdpPolicy(model, AlphaVectorPolicy(alphas=np.zeros((1, 2)), scales=(0.5,)))
+    assert qmdp.decide(VehicleState(), SensorReading(0, True)) == 0.5
+    assert np.array_equal(qmdp.belief, [0.0, 1.0])
+    assert qmdp.resets == 0
+    # no state explains the detection's absence: reset, then fold it in
+    assert qmdp.decide(VehicleState(), SensorReading(0, False)) == 0.5
+    assert qmdp.resets == 1
+    assert np.array_equal(qmdp.belief, [1.0, 0.0])
+    assert math.isfinite(qmdp.p_crossing)
+    assert any("belief collapsed" in m for m in caplog.messages)
+
+
 # --- scale heuristics --------------------------------------------------------------
 
 
+def baseline_count_scale(count):
+    """The baseline's scale before it has seen a pedestrian: the count rule alone."""
+    return BaselinePolicy(10.0, 40.0).decide(VehicleState(), SensorReading(count, False))
+
+
 def test_baseline_scale_examples():
-    assert baseline_scale(0) == 1.0
-    assert baseline_scale(1800) == 0.0
-    assert baseline_scale(5000) == 0.0
-    assert baseline_scale(900) == pytest.approx(4.0 / 9.0)
+    assert baseline_count_scale(0) == 1.0
+    assert baseline_count_scale(1800) == 0.0
+    assert baseline_count_scale(5000) == 0.0
+    assert baseline_count_scale(900) == pytest.approx(4.0 / 9.0)
 
 
 def test_baseline_scale_monotone():
-    scales = [baseline_scale(c) for c in range(0, 2000, 50)]
+    scales = [baseline_count_scale(c) for c in range(0, 2000, 50)]
     assert all(a >= b for a, b in zip(scales, scales[1:]))
 
 
@@ -206,6 +233,14 @@ def test_stopping_scale_kinematic_bound():
         v_des = float(rng.uniform(1.0, 15.0))
         v_cmd = stopping_scale(dist, v_des) * v_des
         assert v_cmd**2 / (2.0 * STOP_DECEL) <= dist + 1e-9
+
+
+def oracle_scale(scene, state, crosswalk_s, v_desired):
+    # the oracle reads ground truth only, so any reading gives one scale
+    oracle = OraclePolicy(scene, crosswalk_s, v_desired)
+    scales = {oracle.decide(state, SensorReading(c, d)) for c in (0, 900, 5000) for d in (False, True)}
+    assert len(scales) == 1
+    return scales.pop()
 
 
 def test_oracle_scale_rules(hidden_scene):

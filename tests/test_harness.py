@@ -299,7 +299,8 @@ def test_load_scenario_rejects_unread_files(tmp_path, repo_root, policy, key):
 def test_cli_run_rejects_policy_for_non_pomdp_scenario(tmp_path, repo_root):
     policy_file = tmp_path / "any.policy"
     scenario = repo_root / "configs" / "scenarios" / "oracle_hidden.yaml"
-    refused = re.escape(f"key 'policy_file' is set to {policy_file}, but policy 'oracle' reads no policy file")
+    # the error names the scenario file, as a load error does
+    refused = re.escape(f"{scenario}: key 'policy_file' is set to {policy_file}, but policy 'oracle' reads no policy file")
     with pytest.raises(ValueError, match=refused):
         cli_main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out"), "--policy", str(policy_file)])
     assert not (tmp_path / "out").exists()
