@@ -3,16 +3,15 @@
 scene-outline CSV of a run.
 
 Every config loader goes through `_read`, `_given` and `_build`, so they
-share one error rule: an unknown key, an unconvertible or out-of-range
-value, a non-mapping or an empty file raises ValueError naming the file
-and the key, and a missing file raises FileNotFoundError. Every CSV goes
-through `_write_csv`, which writes floats with %.17g so they read back
-exactly.
+share one error rule: an unknown key, an unconvertible, non-finite or
+out-of-range value, a non-mapping or an empty file raises ValueError
+naming the file and the key, and a missing file raises FileNotFoundError.
+Every CSV goes through `_write_csv`, which writes floats with %.17g so
+they read back exactly.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import typing
 from dataclasses import dataclass
@@ -112,14 +111,16 @@ def _checked(data, allowed, where: str, source, required: tuple[str, ...] = ()) 
 
 
 def _convert(kind, value):
-    """value as type kind: a bool field takes only a YAML boolean, and an
-    int field no value with a fraction."""
+    """value as type kind: a bool field takes only a YAML boolean, an int
+    field no value with a fraction, and a float field no NaN or infinity."""
     if kind is bool and not isinstance(value, bool):
         raise ValueError(f"{value!r} is not a boolean")
-    whole = kind(value)
-    if kind is int and isinstance(value, float) and whole != value:
+    converted = kind(value)
+    if kind is int and isinstance(value, float) and converted != value:
         raise ValueError(f"{value!r} is not an integer")
-    return whole
+    if kind is float and not math.isfinite(converted):
+        raise ValueError(f"{value!r} is not finite")
+    return converted
 
 
 def _given(data: dict, source, cls, fields=None) -> dict:
@@ -181,7 +182,7 @@ def load_scene(source) -> Scene:
     return _build(Scene, source, dict(
         road=RoadFrame(**_given(road, source, RoadFrame)),
         obstacles=obstacles,
-        crosswalk=Crosswalk(**_given(cw, source, Crosswalk)),
+        crosswalk=_build(Crosswalk, source, _given(cw, source, Crosswalk)),
         pedestrian=Pedestrian(**_given(ped, source, Pedestrian)),
         **_given(road, source, Scene, {"bounds": "lateral_bounds", "lane_width": "lane_width"}),
     ))
@@ -253,43 +254,6 @@ def export_trace(trace: Trace, fmt: str, destination) -> str:
     comments += [f"{key}: {trace.metadata[key]}" for key in sorted(trace.metadata)]
     rows = zip(*(trace.columns[name].tolist() for name in TRACE_FIELDS))
     return _write_csv(destination, TRACE_FIELDS, rows, comments)
-
-
-def load_trace_csv(source) -> Trace:
-    """Read back a CSV trace written by export_trace."""
-    metadata: dict = {}
-    termination = "unknown"
-    rows = []
-    with open(source, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(":")
-                key = key.strip()
-                val = val.strip()
-                if key == "termination":
-                    termination = val
-                else:
-                    metadata[key] = _parse_meta(val)
-                continue
-            rows.append(line)
-    reader = csv.reader(rows)
-    header = next(reader)
-    data = {name: [] for name in header}
-    for row in reader:
-        for name, val in zip(header, row):
-            data[name].append(float(val))
-    columns = {name: np.asarray(vals) for name, vals in data.items()}
-    return Trace(columns=columns, metadata=metadata, termination=termination)
-
-
-def _parse_meta(val: str):
-    for cast in (int, float):
-        try:
-            return cast(val)
-        except ValueError:
-            continue
-    return val
 
 
 def export_plot_data(trace: Trace, out_dir, scene: Scene) -> list[str]:

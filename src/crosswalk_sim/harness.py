@@ -144,7 +144,8 @@ def run_scenario(
     in together with the model it was solved on, point config.policy_file
     at a saved one, or leave both unset to solve it here (slowest option).
     A policy file solved for another model config than the scenario
-    derives raises ValueError naming the file.
+    derives, or sized for another state space, raises ValueError naming
+    the file.
     """
     scene = config.scene
     path = build_avoidance_path(scene)
@@ -155,13 +156,16 @@ def run_scenario(
     elif config.policy == "baseline":
         policy = BaselinePolicy(config.v_desired, crosswalk_s)
     else:
-        if policy is None:
-            if config.policy_file:
-                policy = load_policy(config.policy_file, config.model_config)
-            else:
-                model, policy = solve_policy(config.model_config)
+        loaded = policy is None and bool(config.policy_file)
+        if loaded:
+            policy = load_policy(config.policy_file, config.model_config)
+        elif policy is None:
+            model, policy = solve_policy(config.model_config)
         if model is None:
             model = build_crosswalk_model(config.model_config)
+        shape = (model.num_actions, model.num_states)
+        if loaded and policy.alphas.shape != shape:
+            raise ValueError(f"{config.policy_file}: alphas of shape {policy.alphas.shape}, not the model's {shape}")
         policy = QmdpPolicy(model, policy)
 
     n_steps = int(round(config.duration / CONTROL_DT))

@@ -86,14 +86,13 @@ class ModelConfig:
 
 @dataclass(frozen=True, eq=False)
 class PomdpModel:
-    """Tabular model: per-action sparse transitions, rewards, observation
-    likelihoods and an absorbing-state mask."""
+    """Tabular model: per-action sparse transitions, rewards and
+    observation likelihoods."""
 
     transitions: tuple[sparse.csr_matrix, ...]
     rewards: np.ndarray  # (S, A)
     discount: float
     observation: np.ndarray | None = None  # (S, O)
-    terminal: np.ndarray | None = None  # (S,) bool
 
     @property
     def num_states(self) -> int:
@@ -106,18 +105,6 @@ class PomdpModel:
     @property
     def num_obs(self) -> int:
         return 0 if self.observation is None else self.observation.shape[1]
-
-    @classmethod
-    def from_dense(cls, transitions, rewards, discount, observation=None, terminal=None):
-        """Build from a dense (A, S, S) transition array."""
-        mats = tuple(sparse.csr_matrix(np.asarray(t, dtype=float)) for t in transitions)
-        return cls(
-            transitions=mats,
-            rewards=np.asarray(rewards, dtype=float),
-            discount=float(discount),
-            observation=None if observation is None else np.asarray(observation, dtype=float),
-            terminal=None if terminal is None else np.asarray(terminal, dtype=bool),
-        )
 
 
 def _distance_kernel():
@@ -207,7 +194,6 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
         rewards=rewards,
         discount=cfg.discount,
         observation=observation,
-        terminal=terminal,
     )
 
 

@@ -24,7 +24,6 @@ UNOBSERVABLE = 2
 GRID_LENGTH = 210  # cells ahead of the vehicle
 GRID_WIDTH = 48  # cells across
 CELLS_PER_M = 3
-EGO_CELL = (0, 24)  # anchor cell of the ego vehicle
 FORWARD_RANGE = GRID_LENGTH / CELLS_PER_M  # 70 m
 LATERAL_RANGE = GRID_WIDTH / (2 * CELLS_PER_M)  # 8 m each side
 
@@ -195,6 +194,10 @@ class Crosswalk:
     distance: float = 40.0
     width: float = 3.0
 
+    def __post_init__(self):
+        if self.width <= 0:
+            raise ValueError(f"bad value for key 'width': {self.width!r} is not positive")
+
 
 @dataclass(frozen=True)
 class Pedestrian:
@@ -212,6 +215,8 @@ class Scene:
     pedestrian: Pedestrian = field(default_factory=Pedestrian)
 
     def __post_init__(self):
+        if self.lane_width <= 0:
+            raise ValueError(f"bad value for key 'lane_width': {self.lane_width!r} is not positive")
         if self.lateral_bounds[0] >= self.lateral_bounds[1]:
             raise ValueError(f"bad value for key 'lateral_bounds': {self.lateral_bounds!r} is not ordered")
         if self.pedestrian.present:

@@ -1,19 +1,60 @@
-"""Shared fixtures: scenes, solved model, and the six benchmark runs."""
+"""Shared fixtures: scenes, solved model, and the six benchmark runs; and
+two helpers the tests import from here: a trace.csv reader and a model
+built from dense arrays."""
 
 from __future__ import annotations
 
 import pathlib
 
+import numpy as np
 import pytest
+from scipy import sparse
 
-from crosswalk_sim.files import load_scenario, load_scene
+from crosswalk_sim.files import Trace, load_scenario, load_scene
 from crosswalk_sim.harness import run_scenario
-from crosswalk_sim.pomdp import ACTION_SCALES, build_crosswalk_model
+from crosswalk_sim.pomdp import ACTION_SCALES, PomdpModel, build_crosswalk_model
 from crosswalk_sim.qmdp import extract_alphas, value_iteration
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
 SCENARIOS = CONFIGS / "scenarios"
+
+
+def _scalar(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def load_trace(source) -> Trace:
+    """Read back a trace.csv written by files.export_trace: '# key: value'
+    comment lines, then a header and rows of %.17g floats, which Python's
+    float reads back exactly."""
+    metadata, rows = {}, []
+    with open(source, encoding="utf-8") as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("# "):
+                key, _, value = line[2:].partition(": ")
+                metadata[key] = _scalar(value)
+            else:
+                rows.append(line.split(","))
+    header, body = rows[0], rows[1:]
+    columns = {name: np.array([float(row[k]) for row in body]) for k, name in enumerate(header)}
+    termination = metadata.pop("termination")
+    return Trace(columns=columns, metadata=metadata, termination=termination)
+
+
+def dense_model(transitions, rewards, discount, observation=None) -> PomdpModel:
+    """A PomdpModel from a dense (A, S, S) transition array."""
+    return PomdpModel(
+        transitions=tuple(sparse.csr_matrix(np.asarray(t, dtype=float)) for t in transitions),
+        rewards=np.asarray(rewards, dtype=float),
+        discount=float(discount),
+        observation=None if observation is None else np.asarray(observation, dtype=float),
+    )
 
 
 @pytest.fixture(scope="session")

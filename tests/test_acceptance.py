@@ -18,10 +18,11 @@ from crosswalk_sim.dynamics import VehicleState, brush_tire_lateral, step_dynami
 from crosswalk_sim.executor import belief_update, init_belief
 from crosswalk_sim.files import TRACE_FIELDS, ScenarioConfig
 from crosswalk_sim.harness import run_scenario
-from crosswalk_sim.pomdp import PomdpModel, build_crosswalk_model
+from crosswalk_sim.pomdp import build_crosswalk_model
 from crosswalk_sim.qmdp import value_iteration
 from crosswalk_sim.world import GRID_LENGTH, GRID_WIDTH, UNOBSERVABLE, build_grid, count_unobservable, crosswalk_occlusion_band
 
+from conftest import dense_model
 from test_world import oracle_grid, random_scene
 
 
@@ -54,7 +55,7 @@ def test_criterion_1_solver_equivalence():
             n_a = int(rng.integers(1, 5))
             t = rng.dirichlet(np.ones(n_s), size=(n_a, n_s))
             r = rng.uniform(-1.0, 1.0, size=(n_s, n_a))
-            model = PomdpModel.from_dense(t, r, discount=0.9)
+            model = dense_model(t, r, discount=0.9)
             q = value_iteration(model, tol=1e-7)
             rmax = float(np.abs(r).max()) or 1.0
             horizon = math.ceil(math.log(1e-7 * 0.1 / rmax) / math.log(0.9))
@@ -81,7 +82,7 @@ def test_criterion_2_filter_equivalence():
             n_o = int(rng.integers(2, 5))
             t = rng.dirichlet(np.ones(n_s), size=(n_a, n_s))
             o = rng.dirichlet(np.ones(n_o), size=n_s)
-            model = PomdpModel.from_dense(
+            model = dense_model(
                 t, np.zeros((n_s, n_a)), discount=0.9, observation=o
             )
             belief = rng.dirichlet(np.ones(n_s))

@@ -24,12 +24,13 @@ from crosswalk_sim.pomdp import (
     NUM_OBS,
     NUM_STATES,
     TERMINAL_D,
-    PomdpModel,
     obs_index,
     state_index,
 )
 from crosswalk_sim.qmdp import AlphaVectorPolicy
-from crosswalk_sim.world import Pedestrian, Scene
+from crosswalk_sim.world import Scene
+
+from conftest import dense_model
 
 
 def exhaustive_bayes(belief, action, obs, t_dense, o_dense):
@@ -51,7 +52,7 @@ def random_pomdp(rng, max_states=8, max_actions=3, max_obs=4):
     t = rng.dirichlet(np.ones(n_s), size=(n_a, n_s))
     o = rng.dirichlet(np.ones(n_o), size=n_s)
     r = rng.uniform(-1, 1, size=(n_s, n_a))
-    model = PomdpModel.from_dense(t, r, discount=0.9, observation=o)
+    model = dense_model(t, r, discount=0.9, observation=o)
     return model, t, o
 
 
@@ -75,7 +76,7 @@ def test_two_state_bayes_by_hand():
     # is (0.8, 0.2) by direct normalization.
     t = np.array([[[1.0, 0.0], [0.0, 1.0]]])
     o = np.array([[0.8, 0.2], [0.2, 0.8]])
-    model = PomdpModel.from_dense(t, np.zeros((2, 1)), 0.9, observation=o)
+    model = dense_model(t, np.zeros((2, 1)), 0.9, observation=o)
     posterior = belief_update(np.array([0.5, 0.5]), 0, 0, model)
     assert np.allclose(posterior, [0.8, 0.2], atol=1e-15)
 
@@ -112,7 +113,7 @@ def test_random_pomdps_match_exhaustive_bayes():
 def test_impossible_observation_raises():
     t = np.array([[[1.0, 0.0], [0.0, 1.0]]])
     o = np.array([[1.0, 0.0], [1.0, 0.0]])  # obs 1 can never be seen
-    model = PomdpModel.from_dense(t, np.zeros((2, 1)), 0.9, observation=o)
+    model = dense_model(t, np.zeros((2, 1)), 0.9, observation=o)
     with pytest.raises(ZeroBeliefError):
         belief_update(np.array([0.5, 0.5]), 0, 1, model)
 
@@ -182,7 +183,7 @@ def test_qmdp_policy_resets_a_collapsed_belief(caplog):
     observation[0, obs_index(0, False)] = 1.0
     observation[1, obs_index(0, True)] = 1.0
     assert obs_index(0, False) == 0 and obs_index(0, True) == 10
-    model = PomdpModel.from_dense(np.eye(2)[None], np.zeros((2, 1)), 0.9, observation=observation)
+    model = dense_model(np.eye(2)[None], np.zeros((2, 1)), 0.9, observation=observation)
     qmdp = QmdpPolicy(model, AlphaVectorPolicy(alphas=np.zeros((1, 2)), scales=(0.5,)))
     assert qmdp.decide(VehicleState(), SensorReading(0, True)) == 0.5
     assert np.array_equal(qmdp.belief, [0.0, 1.0])

@@ -56,10 +56,12 @@ STRICT_VALUES = [
 ]
 
 
-# Values that convert to the field's type but lie outside its range: a
-# scenario's speed and duration must be finite and positive, the road
-# bounds ordered, an obstacle's extents positive and the discount in (0, 1).
-# The validation names the field, here lateral_bounds for the file's bounds.
+# Values that convert to the field's type but lie outside its range: every
+# float must be finite (YAML reads 1e999 as a string that float() takes to
+# inf), a scenario's speed and duration positive, the road bounds ordered,
+# an obstacle's extents, the lane width and the crosswalk width positive and
+# the discount in (0, 1). The validation names the field, here
+# lateral_bounds for the file's bounds.
 RANGE_VALUES = [
     ("scenario", "scene: {scene}\nv_desired: -5.0\n", "v_desired"),
     ("scenario", "scene: {scene}\nv_desired: .nan\n", "v_desired"),
@@ -67,7 +69,17 @@ RANGE_VALUES = [
     ("scenario", "scene: {scene}\nduration: 0\n", "duration"),
     ("scene", "road:\n  bounds: [5.0, -2.0]\n", "lateral_bounds"),
     ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [0.0, 1.0]\n", "size"),
+    ("scene", "obstacles:\n  - size: [4.0, 2.0]\n    center: [.nan, -1.5]\n", "center"),
+    ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [.nan, 2.0]\n", "size"),
+    ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [1e999, 2.0]\n", "size"),
+    ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [4.0, 2.0]\n    yaw: -.inf\n", "yaw"),
+    ("scene", "road:\n  heading: .nan\n", "heading"),
+    ("scene", "road:\n  lane_width: -3.6\n", "lane_width"),
+    ("scene", "crosswalk:\n  distance: .inf\n", "distance"),
+    ("scene", "crosswalk:\n  width: -3.0\n", "width"),
+    ("scene", "pedestrian:\n  position: [40.0, .nan]\n", "position"),
     ("model", "discount: 1.5\n", "discount"),
+    ("model", "discount: .nan\n", "discount"),
 ]
 
 

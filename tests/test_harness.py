@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
+import os
+import pathlib
+import pkgutil
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,12 +27,13 @@ from crosswalk_sim.files import (
     load_model_config,
     load_scenario,
     load_scene,
-    load_trace_csv,
 )
 from crosswalk_sim.harness import CONTROL_DT, run_scenario, summarize
-from crosswalk_sim.pomdp import EPOCH, ModelConfig, derive_model_config
-from crosswalk_sim.qmdp import load_policy, save_policy
-from crosswalk_sim.world import Pedestrian, RectObstacle, Scene
+from crosswalk_sim.pomdp import ACTION_SCALES, EPOCH, ModelConfig, derive_model_config
+from crosswalk_sim.qmdp import AlphaVectorPolicy, load_policy, save_policy
+from crosswalk_sim.world import RectObstacle, Scene
+
+from conftest import load_trace
 
 
 def columns_equal(a: Trace, b: Trace, skip=()) -> bool:
@@ -104,7 +111,7 @@ def test_csv_round_trip(run_matrix, tmp_path):
     trace = run_matrix["pomdp_exposed"]
     dest = tmp_path / "trace.csv"
     export_trace(trace, "csv", dest)
-    loaded = load_trace_csv(dest)
+    loaded = load_trace(dest)
     assert columns_equal(trace, loaded)
     assert loaded.termination == trace.termination
     assert loaded.metadata["name"] == trace.metadata["name"]
@@ -115,7 +122,7 @@ def test_csv_round_trip_preserves_nan(run_matrix, tmp_path):
     trace = run_matrix["oracle_exposed"]
     dest = tmp_path / "trace.csv"
     export_trace(trace, "csv", dest)
-    loaded = load_trace_csv(dest)
+    loaded = load_trace(dest)
     assert np.isnan(loaded.columns["p_crossing"]).all()
     assert columns_equal(trace, loaded)
 
@@ -128,7 +135,7 @@ def test_empty_trace_header_only(tmp_path):
     )
     dest = tmp_path / "empty.csv"
     export_trace(empty, "csv", dest)
-    loaded = load_trace_csv(dest)
+    loaded = load_trace(dest)
     assert len(loaded) == 0
     assert list(loaded.columns) == list(TRACE_FIELDS)
     data_lines = [
@@ -397,6 +404,21 @@ def test_harness_binds_the_names_perfbench_reads():
             assert getattr(harness, name) is getattr(module, name), name
 
 
+def test_package_import_loads_every_runtime_module():
+    # perfbench/run.py times a fresh `import crosswalk_sim` as the package's
+    # import cost, so that import must keep loading every module a run needs
+    import crosswalk_sim
+
+    probe = "import sys, crosswalk_sim; print(*sorted(m for m in sys.modules if m.startswith('crosswalk_sim.')))"
+    src = pathlib.Path(crosswalk_sim.__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src))
+    )
+    runtime = {f"crosswalk_sim.{m.name}" for m in pkgutil.iter_modules(crosswalk_sim.__path__)} - {"crosswalk_sim.cli"}
+    assert len(runtime) == 9
+    assert set(out.stdout.split()) == runtime
+
+
 # --- command line ----------------------------------------------------------------
 
 
@@ -443,7 +465,7 @@ def test_cli_solve_and_run(tmp_path, repo_root, caplog):
         ]
     )
     assert rc == 0
-    trace = load_trace_csv(out_dir / "trace.csv")
+    trace = load_trace(out_dir / "trace.csv")
     assert len(trace) == 150
     assert sorted(p.name for p in out_dir.iterdir()) == ["scene_outline.csv", "trace.csv"]
     assert f"{summarize(trace)} -> {out_dir / 'trace.csv'}" in caplog.messages
@@ -474,6 +496,17 @@ def test_policy_for_another_geometry_is_refused(tmp_path, repo_root, policy, mod
         else:
             cli_main(["run", "--scenario", str(dest), "--out", str(tmp_path / "out"), "--policy", str(policy_file)])
     assert not (tmp_path / "out").exists()
+
+
+def test_policy_for_another_state_space_is_refused(tmp_path, scenario_configs, crosswalk_model, model_config):
+    # the right model line, but alphas over 3 states instead of 2662
+    policy_file = tmp_path / "small.policy"
+    save_policy(AlphaVectorPolicy(alphas=np.zeros((11, 3)), scales=ACTION_SCALES), policy_file, model_config)
+    cfg = dataclasses.replace(scenario_configs["pomdp_hidden"], policy_file=str(policy_file))
+    refused = re.escape(f"{policy_file}: alphas of shape (11, 3), not the model's (11, 2662)")
+    for model in (crosswalk_model, None):
+        with pytest.raises(ValueError, match=refused):
+            run_scenario(cfg, model=model)
 
 
 @pytest.mark.parametrize(
@@ -510,7 +543,7 @@ def test_cli_batch(tmp_path, repo_root, caplog):
     caplog.set_level(logging.INFO, logger="crosswalk_sim")
     rc = cli_main(["batch", "--dir", str(scen_dir), "--out", str(out_dir)])
     assert rc == 0
-    trace = load_trace_csv(out_dir / "quick" / "trace.csv")
+    trace = load_trace(out_dir / "quick" / "trace.csv")
     assert len(trace) == 100
     assert (out_dir / "quick" / "scene_outline.csv").exists()
     assert summarize(trace) in caplog.messages

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from crosswalk_sim.control import build_avoidance_path
-from crosswalk_sim.files import load_trace_csv
 from crosswalk_sim.path import Path, PathProjection, resample_by_arc
+
+from conftest import load_trace
 
 
 def brute_force_project(path: Path, north: float, east: float, step: float = 1e-3):
@@ -220,7 +221,7 @@ def test_project_equals_full_scan_on_shipped_runs(repo_root, scenario_configs, m
     steps = 0
     for name, cfg in scenario_configs.items():
         path = build_avoidance_path(cfg.scene)
-        trace = load_trace_csv(repo_root / "results" / name / "trace.csv")
+        trace = load_trace(repo_root / "results" / name / "trace.csv")
         for north, east in zip(trace.column("north").tolist(), trace.column("east").tolist()):
             assert bits(path.project(north, east)) == bits(full_scan(path, north, east))
             steps += 1

@@ -6,6 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from crosswalk_sim.pomdp import (
     ACTION_SCALES,
@@ -173,18 +174,14 @@ def test_zero_speed_zero_command_keeps_distance(crosswalk_model):
 
 
 def test_terminal_rows_self_loop(crosswalk_model):
-    for v in (0, 5, 10):
+    for v in range(NUM_V):
         for c in (0, 1):
             s = state_index(v, TERMINAL_D, c)
-            idx, probs = row_entries(crosswalk_model, s, 7)
-            assert list(idx) == [s]
-            assert list(probs) == [1.0]
-            assert crosswalk_model.rewards[s, 7] == 0.0
-    assert crosswalk_model.terminal is not None
-    terminal_states = {
-        state_index(v, TERMINAL_D, c) for v in range(NUM_V) for c in (0, 1)
-    }
-    assert set(np.nonzero(crosswalk_model.terminal)[0]) == terminal_states
+            for a in range(NUM_ACTIONS):
+                idx, probs = row_entries(crosswalk_model, s, a)
+                assert list(idx) == [s]
+                assert list(probs) == [1.0]
+            assert not crosswalk_model.rewards[s].any()
 
 
 def test_random_rows_match_enumeration(crosswalk_model):
@@ -249,14 +246,16 @@ MODEL_DIGESTS = {
 
 def model_digest(model) -> str:
     """SHA-256 over dtype and bytes of every action's CSR arrays, stored
-    zeros dropped, then of the rewards, terminal mask and observation."""
+    zeros dropped, then of the rewards, the terminal-state mask
+    (d == TERMINAL_D) and the observation."""
     h = hashlib.sha256()
     arrays = []
     for mat in model.transitions:
         mat = mat.copy()
         mat.eliminate_zeros()
         arrays += [mat.indptr, mat.indices, mat.data]
-    for arr in arrays + [model.rewards, model.terminal, model.observation]:
+    terminal = (np.arange(NUM_STATES) // NUM_V) % NUM_D == TERMINAL_D
+    for arr in arrays + [model.rewards, terminal, model.observation]:
         h.update(arr.dtype.str.encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
@@ -383,7 +382,7 @@ def test_from_dense_round_trip():
     t[0] = [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     t[1] = [[0.0, 0.0, 1.0], [0.2, 0.8, 0.0], [0.0, 0.0, 1.0]]
     r = np.arange(6.0).reshape(3, 2)
-    model = PomdpModel.from_dense(t, r, discount=0.9)
+    model = PomdpModel(transitions=tuple(sparse.csr_matrix(m) for m in t), rewards=r, discount=0.9)
     assert model.num_states == 3 and model.num_actions == 2
     idx, probs = row_entries(model, 0, 0)
     assert list(idx) == [0, 1] and list(probs) == [0.5, 0.5]

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from crosswalk_sim.pomdp import ModelConfig, PomdpModel, build_crosswalk_model
+from crosswalk_sim.pomdp import ModelConfig, build_crosswalk_model
 from crosswalk_sim.qmdp import (
     AlphaVectorPolicy,
     ValueIterationError,
@@ -20,6 +20,8 @@ from crosswalk_sim.qmdp import (
     save_policy,
     value_iteration,
 )
+
+from conftest import dense_model
 
 
 def finite_horizon_q(t_dense, rewards, gamma, horizon):
@@ -93,7 +95,7 @@ def random_mdp(rng, max_states=10, max_actions=4):
 def test_zero_rewards_zero_q():
     rng = np.random.default_rng(0)
     t, r = random_mdp(rng)
-    model = PomdpModel.from_dense(t, np.zeros_like(r), discount=0.9)
+    model = dense_model(t, np.zeros_like(r), discount=0.9)
     q = value_iteration(model)
     assert np.all(q == 0.0)
 
@@ -101,7 +103,7 @@ def test_zero_rewards_zero_q():
 def test_geometric_series_self_loop():
     t = np.ones((1, 1, 1))
     r = np.ones((1, 1))
-    model = PomdpModel.from_dense(t, r, discount=0.9)
+    model = dense_model(t, r, discount=0.9)
     q = value_iteration(model, tol=1e-6)
     assert abs(float(q[0, 0]) - 10.0) <= 1e-6
 
@@ -111,7 +113,7 @@ def test_random_mdps_match_brute_force():
     start = time.perf_counter()
     for _ in range(50):
         t, r = random_mdp(rng)
-        model = PomdpModel.from_dense(t, r, discount=0.9)
+        model = dense_model(t, r, discount=0.9)
         q = value_iteration(model, tol=1e-7)
         rmax = float(np.abs(r).max()) or 1.0
         horizon = math.ceil(math.log(1e-7 * 0.1 / rmax) / math.log(0.9))
@@ -123,14 +125,14 @@ def test_random_mdps_match_brute_force():
 def test_deterministic_result():
     rng = np.random.default_rng(5)
     t, r = random_mdp(rng)
-    model = PomdpModel.from_dense(t, r, discount=0.9)
+    model = dense_model(t, r, discount=0.9)
     assert np.array_equal(value_iteration(model), value_iteration(model))
 
 
 def test_non_convergence_raises():
     t = np.ones((1, 1, 1))
     r = np.ones((1, 1))
-    model = PomdpModel.from_dense(t, r, discount=0.99)
+    model = dense_model(t, r, discount=0.99)
     with pytest.raises(ValueIterationError):
         value_iteration(model, tol=1e-10, max_iters=3)
     with pytest.raises(ValueError):
@@ -159,7 +161,7 @@ def test_small_mdps_match_column_sweeps():
     rng = np.random.default_rng(41)
     for _ in range(20):
         t, r = random_mdp(rng)
-        model = PomdpModel.from_dense(t, r, discount=0.9)
+        model = dense_model(t, r, discount=0.9)
         counted, products = counting(model)
         q = value_iteration(counted, tol=1e-8)
         want, sweeps = column_sweeps(model, tol=1e-8)
