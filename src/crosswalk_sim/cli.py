@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import sys
 import time
 
@@ -57,14 +58,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--scene", required=True, help="scene YAML")
     p_grid.add_argument(
         "--at",
-        type=float,
+        type=_finite_float,
         default=0.0,
         help="ego position as along-road distance in meters (default 0)",
     )
-    p_grid.add_argument("--offset", type=float, default=0.0, help="lateral offset, +left")
+    p_grid.add_argument("--offset", type=_finite_float, default=0.0, help="lateral offset, +left")
     p_grid.add_argument("--out", default="-", help="output file, '-' for stdout")
     p_grid.set_defaults(func=_cmd_grid_dump)
     return parser
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for a pose coordinate: a finite float. NaN or inf
+    would place the ego nowhere, and every comparison with it is False."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _cmd_solve(args) -> int:

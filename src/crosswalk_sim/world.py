@@ -9,6 +9,7 @@ center crosses an obstacle.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,8 +37,12 @@ CELL_SIZE = 1 / CELLS_PER_M
 # across it for each column. Constant, so built once and never written.
 _ROW_OFFSETS = (np.arange(GRID_LENGTH) + 0.5) / CELLS_PER_M
 _COL_OFFSETS = (np.arange(GRID_WIDTH) - GRID_WIDTH / 2 + 0.5) / CELLS_PER_M
+# The two in one vector, rows first, for a road-aligned obstacle's one pass
+# over both axes (_aligned).
+_OFFSETS = np.concatenate((_ROW_OFFSETS, _COL_OFFSETS))
 _ROW_OFFSETS.flags.writeable = False
 _COL_OFFSETS.flags.writeable = False
+_OFFSETS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -245,44 +250,75 @@ def _out_of_view(obstacle: RectObstacle, ex: float, ey: float) -> bool:
     )
 
 
-def _span(a, b) -> slice:
-    """Grid slice from the first to the last index where a <= b, for a and
-    b that vary along one grid axis only, as a road-aligned obstacle's row
-    and column vectors do; the whole axis when a varies along both, as a
-    rotated obstacle's full-grid arrays do."""
-    if 1 not in a.shape:
-        return slice(None)
-    live = np.flatnonzero(a <= b)
-    return slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
+# Ends of the four runs of _aligned's flags: live rows, live columns,
+# inside rows, inside columns.
+_FLAG_RUNS = tuple(np.cumsum((GRID_LENGTH, GRID_WIDTH) * 2).tolist())
 
 
-def _shadow(obstacle: RectObstacle, origin: tuple[float, float], gx, gy):
-    """(rows, cols, blocked): a grid window and which of its cells have
-    their sight line from origin cut by the obstacle, as blocks_segment
-    decides. A cell can be blocked only if its row's and its column's slab
-    intervals are both non-empty, since max(lo_x, lo_y) >= lo_x > hi_x >=
-    min(hi_x, hi_y) otherwise; the window spans the first to the last
-    such row and column. A rotated obstacle's window is the whole grid.
-    The full-size slab arrays of a rotated obstacle are freed on return,
-    before _body allocates its own."""
-    lo_x, hi_x, lo_y, hi_y = obstacle._slabs(origin, gx, gy)
-    rows, cols = _span(lo_x, hi_x), _span(lo_y, hi_y)
-    return rows, cols, np.maximum(lo_x[rows], lo_y[:, cols]) <= np.minimum(hi_x[rows], hi_y[:, cols])
+def _spans(hits: list[int]) -> list[slice]:
+    """For each run of _FLAG_RUNS, the slice from the first to the last of
+    the ascending flag indices hits that fall in it, counted from the
+    run's start; empty if none does."""
+    spans = []
+    first = start = 0
+    for stop in _FLAG_RUNS:
+        last = bisect.bisect_left(hits, stop, first)
+        spans.append(slice(hits[first] - start, hits[last - 1] - start + 1) if first < last else slice(0, 0))
+        first, start = last, stop
+    return spans
+
+
+def _aligned(obstacle: RectObstacle, origin: tuple[float, float]):
+    """(rows, cols, blocked, body) of a road-aligned (yaw 0) obstacle from
+    one pass over the 258 cell-centre offsets, the 210 rows' along the
+    road and then the 48 columns' across it.
+
+    Each offset's entry is one axis of the slab test for that row's or
+    column's sight lines from origin, with the IEEE operations of _slab in
+    the same order, and one axis of the inside test |q1| <= h. The
+    division runs unguarded when no d = q1 - q0 is 0; otherwise _slab's
+    parallel handling gives every entry its interval. A cell can be
+    blocked only if its row's and its column's intervals are both
+    non-empty, since max(lo_x, lo_y) >= lo_x > hi_x >= min(hi_x, hi_y)
+    otherwise, so blocked covers the window of rows and cols from the
+    first to the last such row and column. It is computed with the rows
+    as numpy's inner axis, then transposed to the window's shape. body is
+    the window from the first to the last row and column inside the
+    obstacle, all of which it fills: q1 never decreases along the rows or
+    along the columns, since rounding is monotone, so the rows with
+    |q1| <= h form one run, and so do the columns."""
+    cx, cy = obstacle.center
+    hx, hy = obstacle.size[0] / 2, obstacle.size[1] / 2
+    x0, y0 = origin[0] - cx, origin[1] - cy
+    ego, centre, q0, a, b, h = np.repeat(
+        np.array([origin, (cx, cy), (x0, y0), (-hx - x0, -hy - y0), (hx - x0, hy - y0), (hx, hy)]),
+        (GRID_LENGTH, GRID_WIDTH),
+        axis=1,
+    )
+    q1 = (ego + _OFFSETS) - centre
+    d = q1 - q0
+    if np.count_nonzero(d) == d.size:
+        ta, tb = a / d, b / d
+        lo = np.maximum(np.minimum(ta, tb), 0.0)
+        hi = np.minimum(np.maximum(ta, tb), 1.0)
+    else:
+        lo, hi = _slab(q0, q1, h)
+    flags = np.empty(2 * d.size, dtype=bool)
+    np.less_equal(lo, hi, out=flags[: d.size])
+    np.less_equal(np.abs(q1), h, out=flags[d.size :])
+    rows, cols, body_rows, body_cols = _spans(flags.nonzero()[0].tolist())
+    lo_x, lo_y = lo[:GRID_LENGTH], lo[GRID_LENGTH:]
+    hi_x, hi_y = hi[:GRID_LENGTH], hi[GRID_LENGTH:]
+    blocked = np.maximum(lo_y[cols, None], lo_x[rows]) <= np.minimum(hi_y[cols, None], hi_x[rows])
+    return rows, cols, blocked.T, (body_rows, body_cols)
 
 
 def _body(obstacle: RectObstacle, gx, gy):
-    """(rows, cols, inside): a grid window and which of its cells lie
-    inside the obstacle, those whose rectangle-frame coordinates (lx, ly)
-    have |lx| <= hx and |ly| <= hy. A road-aligned obstacle's cells fill
-    their window: gx - cx never decreases down the rows, since rounding is
-    monotone, so the rows with |gx - cx| <= hx form one run, and so do the
-    columns. A rotated obstacle's window is the whole grid."""
+    """Which cells of the full grid lie inside a rotated obstacle: those
+    whose rectangle-frame coordinates (lx, ly) have |lx| <= hx and |ly| <=
+    hy. A road-aligned obstacle's body is a window of _aligned instead."""
     lx, ly = obstacle._to_local(gx, gy)
-    ax, ay = np.abs(lx), np.abs(ly)
-    hx, hy = obstacle.size[0] / 2, obstacle.size[1] / 2
-    if 1 not in ax.shape:
-        return slice(None), slice(None), (ax <= hx) & (ay <= hy)
-    return _span(ax, hx), _span(ay, hy), True
+    return (np.abs(lx) <= obstacle.size[0] / 2) & (np.abs(ly) <= obstacle.size[1] / 2)
 
 
 def build_grid(scene: Scene, pose: tuple[float, float, float]) -> np.ndarray:
@@ -292,32 +328,34 @@ def build_grid(scene: Scene, pose: tuple[float, float, float]) -> np.ndarray:
     8 m to each side, one cell per 1/3 m. Returns a (210, 48) uint8 array
     of FREE / OCCUPIED / UNOBSERVABLE.
 
-    Cell centres enter as a column of 210 rows and a row of 48 columns.
-    For a road-aligned obstacle (yaw 0) the slab test and the inside test
-    keep them a 210-vector and a 48-vector per axis (see blocks_segment),
-    and each per-cell test runs only on the window of rows and columns
-    that can hold a True (_shadow); the obstacle's own cells fill one
-    slice (_body). Every cell outside a window is left as it is. A
-    rotated obstacle's window is the whole grid. Shadows are written
+    Each obstacle's yaw is tested once. A road-aligned obstacle (yaw 0,
+    also -0.0) takes one pass over the 210 row and 48 column offsets for
+    both axes of the slab test and of the inside test (_aligned); its
+    per-cell shadow test runs only on the window of rows and columns that
+    can hold a True, and its body fills one window. Every cell outside a
+    window is left as it is. A rotated obstacle runs blocks_segment and
+    the inside test (_body) on the full 210 x 48 grid, the cell centres
+    entering as a column of rows and a row of columns. Shadows are written
     before bodies, so a cell inside any obstacle is OCCUPIED even where
     another one shadows it.
     """
     ex, ey = _ego_xy(scene, pose)
     grid = np.zeros((GRID_LENGTH, GRID_WIDTH), dtype=np.uint8)
-    in_view = [ob for ob in scene.obstacles if not _out_of_view(ob, ex, ey)]
-    if not in_view:
-        return grid
-    # Cell centres as a column of rows and a row of columns; every
-    # per-cell expression below broadcasts them to the window.
-    gx = (ex + _ROW_OFFSETS)[:, None]
-    gy = (ey + _COL_OFFSETS)[None, :]
     bodies = []
-    for obstacle in in_view:
-        rows, cols, shadow = _shadow(obstacle, (ex, ey), gx, gy)
-        np.copyto(grid[rows, cols], UNOBSERVABLE, where=shadow)
-        bodies.append(_body(obstacle, gx, gy))
-    for rows, cols, inside in bodies:
-        np.copyto(grid[rows, cols], OCCUPIED, where=inside)
+    for obstacle in scene.obstacles:
+        if _out_of_view(obstacle, ex, ey):
+            continue
+        if obstacle.yaw == 0.0:
+            rows, cols, shadow, body = _aligned(obstacle, (ex, ey))
+            np.copyto(grid[rows, cols], UNOBSERVABLE, where=shadow)
+            bodies.append(body)
+        else:
+            gx, gy = (ex + _ROW_OFFSETS)[:, None], (ey + _COL_OFFSETS)[None, :]
+            shadow = obstacle.blocks_segment((ex, ey), gx, gy)
+            np.copyto(grid, UNOBSERVABLE, where=shadow)
+            bodies.append(_body(obstacle, gx, gy))
+    for body in bodies:
+        grid[body] = OCCUPIED
     return grid
 
 

@@ -579,3 +579,20 @@ def test_cli_grid_dump(tmp_path, repo_root, capsys):
     )
     assert rc == 0
     assert len(dest.read_text().strip().splitlines()) == 210
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--at", "nan"), ("--offset", "inf"), ("--at", "-inf"), ("--offset", "NaN"), ("--at", "ahead")]
+)
+def test_cli_grid_dump_rejects_non_finite_pose(repo_root, capsys, option, value):
+    # A NaN or infinite coordinate used to print an all-FREE grid and exit
+    # 0; it is a usage error naming the option, as the config loaders
+    # reject NaN and inf in a file. "--at=-inf" keeps argparse from reading
+    # "-inf" as an option.
+    scene = str(repo_root / "configs" / "scene_hidden.yaml")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["grid-dump", "--scene", scene, f"{option}={value}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {option}: {value!r} is not a finite number" in err

@@ -11,6 +11,7 @@ import pytest
 
 from crosswalk_sim import world
 from crosswalk_sim.world import (
+    CELL_SIZE,
     CELLS_PER_M,
     CROSSWALK_SAMPLE_STEP,
     FREE,
@@ -510,6 +511,109 @@ def test_occupied_wins_over_unobservable():
     # cell centered at (20.167, 0.167): inside the far box, shadowed by the near one
     assert grid[60, 24] == OCCUPIED
     assert (grid == UNOBSERVABLE).any()
+
+
+def _aligned_case(rng: np.random.Generator, i: int) -> tuple[Scene, tuple, str]:
+    """A scene of 1-3 road-aligned obstacles (yaw 0.0 or -0.0) and an ego
+    pose, with the ego ahead of, inside, beside or behind the first
+    obstacle (within a cell of its rear face, so it is not culled), and a
+    second obstacle overlapping the first in half of the scenes. Three
+    scenes in four put centres, sizes and the ego on a lattice of 1/3,
+    1/6 or 1/12 m, so cell centres fall on obstacle faces."""
+    step = (None, 1 / 3, 1 / 6, 1 / 12)[i % 4]
+
+    def on(lo: float, hi: float) -> float:
+        value = float(rng.uniform(lo, hi))
+        return round(value / step) * step if step else value
+
+    def obstacle(cx: float, cy: float) -> RectObstacle:
+        return RectObstacle((cx, cy), (on(0.3, 6.0), on(0.3, 3.0)), yaw=(0.0, -0.0)[int(rng.integers(2))])
+
+    first = obstacle(on(2.0, 60.0), on(-6.0, 6.0))
+    obstacles = [first]
+    if rng.integers(2):
+        obstacles.append(obstacle(first.center[0] + on(-2.0, 2.0), first.center[1] + on(-1.0, 1.0)))
+    obstacles += [obstacle(on(2.0, 70.0), on(-8.0, 8.0)) for _ in range(int(rng.integers(3 - len(obstacles))))]
+    x_min, y_min, x_max, y_max = first.bounds
+    place = ("ahead", "inside", "beside", "behind")[i // 4 % 4]
+    ex, ey = {
+        "ahead": (on(-1.0, 1.0), on(-2.0, 2.0)),
+        "inside": (on(x_min, x_max), on(y_min, y_max)),
+        "beside": (on(x_min, x_max), (y_min - on(0.3, 6.0), y_max + on(0.3, 6.0))[int(rng.integers(2))]),
+        "behind": (x_max + on(0.0, CELL_SIZE), on(y_min - 2.0, y_max + 2.0)),
+    }[place]
+    scene = Scene(obstacles=tuple(obstacles))
+    north, east = scene.road.to_inertial(ex, ey)
+    return scene, (float(north), float(east), 0.0), place
+
+
+def test_aligned_kernel_matches_reference():
+    # build_grid's one-pass kernel for road-aligned obstacles must give
+    # every cell the value of the rotate-then-np.where reference, whose
+    # masks cover the full grid
+    rng = np.random.default_rng(18)
+    places, marked = set(), {FREE: 0, OCCUPIED: 0, UNOBSERVABLE: 0}
+    for i in range(320):
+        scene, pose, place = _aligned_case(rng, i)
+        grid = build_grid(scene, pose)
+        assert np.array_equal(grid, _reference_grid(scene, pose)), (i, place, scene, pose)
+        places.add(place)
+        for value in marked:
+            marked[value] += bool((grid == value).any())
+    assert places == {"ahead", "inside", "beside", "behind"}
+    assert min(marked.values()) > 100
+
+
+def test_aligned_kernel_parallel_fallback(monkeypatch):
+    # About 2**53 m down the road the spacing of floats is 2 m, so ex plus
+    # a row offset below 1 m rounds back to ex: those rows' sight lines
+    # have d == 0 along the road. The kernel must hand them to _slab's
+    # parallel handling: one obstacle has the ego on the plane of its rear
+    # face, which counts as inside its slab along the road; the other has
+    # the ego outside that slab but inside its slab across the road (a
+    # division by zero would raise under the test suite's warning filter).
+    fallbacks = []
+
+    def counted(q0, q1, h):
+        fallbacks.append(q1.shape)
+        return slab(q0, q1, h)
+
+    slab = world._slab
+    monkeypatch.setattr(world, "_slab", counted)
+    ex = 2.0**53
+    assert ex + 1 / 6 == ex and ex + 1.5 != ex
+    scene = Scene(
+        obstacles=(
+            RectObstacle(center=(ex + 2.0, 3.0), size=(4.0, 2.0)),
+            RectObstacle(center=(ex + 10.0, 0.5), size=(4.0, 2.0), yaw=-0.0),
+        )
+    )
+    grid = build_grid(scene, (ex, 0.0, 0.0))
+    assert fallbacks == [(GRID_LENGTH + GRID_WIDTH,)] * 2
+    assert np.array_equal(grid, _reference_grid(scene, (ex, 0.0, 0.0)))
+    assert (grid == UNOBSERVABLE).any() and (grid == OCCUPIED).any()
+
+
+def test_mixed_scene_writes_shadows_before_bodies():
+    # A road-aligned body inside a rotated obstacle's shadow and a rotated
+    # body inside a road-aligned one's shadow. Each body is listed before
+    # the obstacle that shadows it, so writing an obstacle's body right
+    # after its own shadow would let the later shadow cover it.
+    aligned_body = RectObstacle(center=(25.0, 0.0), size=(2.0, 1.0))
+    rotated_body = RectObstacle(center=(25.0, -7.0), size=(2.0, 1.0), yaw=0.4)
+    rotated_shade = RectObstacle(center=(10.0, 0.0), size=(2.0, 2.0), yaw=0.3)
+    aligned_shade = RectObstacle(center=(10.0, -2.8), size=(2.0, 2.0))
+    scene = Scene(obstacles=(aligned_body, rotated_body, rotated_shade, aligned_shade))
+    pose = (0.0, 0.0, 0.0)
+    grid = build_grid(scene, pose)
+    assert np.array_equal(grid, _reference_grid(scene, pose))
+    gx = ((np.arange(GRID_LENGTH) + 0.5) / CELLS_PER_M)[:, None]
+    gy = ((np.arange(GRID_WIDTH) - GRID_WIDTH / 2 + 0.5) / CELLS_PER_M)[None, :]
+    for body, shade in ((aligned_body, rotated_shade), (rotated_body, aligned_shade)):
+        inside = _reference_contains(body, gx, gy)
+        assert inside.sum() > 10
+        assert _reference_blocks_segment(shade, (0.0, 0.0), gx, gy)[inside].all()
+        assert (grid[inside] == OCCUPIED).all()
 
 
 def test_grid_ignores_pedestrian(hidden_scene):
