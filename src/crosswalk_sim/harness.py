@@ -176,7 +176,7 @@ def run_scenario(
         east=path.east[0],
     )
 
-    rows = {name: [] for name in TRACE_FIELDS}
+    rows = []  # one tuple of TRACE_FIELDS values per control step
     scale = 0.0
     stuck_elapsed = 0.0
     termination = "duration"
@@ -194,19 +194,10 @@ def run_scenario(
         ax = speed_control(config.v_desired, scale, state.ux)
         steer = steer_control(state, path)
 
-        rows["time"].append(t)
-        rows["north"].append(state.north)
-        rows["east"].append(state.east)
-        rows["heading"].append(state.psi)
-        rows["ux"].append(state.ux)
-        rows["s"].append(state.s)
-        rows["e"].append(state.e)
-        rows["ax"].append(ax)
-        rows["steer"].append(steer)
-        rows["scale"].append(scale)
-        rows["unobservable"].append(count)
-        rows["detected"].append(float(detected))
-        rows["p_crossing"].append(policy.p_crossing)
+        rows.append(
+            (t, state.north, state.east, state.psi, state.ux, state.s, state.e,
+             ax, steer, scale, count, float(detected), policy.p_crossing)
+        )
 
         state = step_dynamics(state, steer, ax, CONTROL_DT, path)
 
@@ -225,7 +216,9 @@ def run_scenario(
             termination = "stuck"
             break
 
-    columns = {name: np.asarray(vals, dtype=float) for name, vals in rows.items()}
+    # reshape keeps one (empty) column per field when no step ran
+    table = np.array(rows, dtype=float).reshape(-1, len(TRACE_FIELDS))
+    columns = dict(zip(TRACE_FIELDS, table.T.copy()))
     metadata = {
         "name": config.name,
         "policy": config.policy,

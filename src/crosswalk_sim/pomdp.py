@@ -4,7 +4,8 @@ State (v, d, c): ego speed bin (0..10, 1 m/s each), distance bin along the
 path (0..120, 0.5 m each, 120 terminal/absorbing), and whether a pedestrian
 crossing is active. Actions are speed scales 0.0..1.0 in steps of 0.1.
 Observations pair the binned unobservable-cell count with a boolean
-pedestrian detection flag. One transition spans EPOCH seconds.
+pedestrian detection flag. One transition spans EPOCH seconds. The flat
+index of state (v, d, c) is (c * NUM_D + d) * NUM_V + v.
 
 The chains, rewards and observation likelihoods are module constants;
 ModelConfig holds only what differs between solves.
@@ -43,23 +44,6 @@ REWARD_SPEEDING = -5.0
 SPEEDING_BIN = 6  # speed bins above this are penalized in the occluded band
 DETECT_GIVEN_CROSSING = 0.8
 DETECT_GIVEN_CLEAR = 0.5
-
-
-def state_index(v: int, d: int, c: int) -> int:
-    """Flat index of speed bin v, distance bin d, crossing flag c."""
-    if not (0 <= v < NUM_V and 0 <= d < NUM_D and 0 <= c < NUM_CROSSING):
-        raise ValueError("state component out of range")
-    return (c * NUM_D + d) * NUM_V + v
-
-
-def state_tuple(index: int) -> tuple[int, int, int]:
-    """Inverse of state_index: (v, d, c)."""
-    if not 0 <= index < NUM_STATES:
-        raise ValueError("state index out of range")
-    v = index % NUM_V
-    d = (index // NUM_V) % NUM_D
-    c = index // (NUM_V * NUM_D)
-    return v, d, c
 
 
 def obs_index(count_bin: int, detected: bool) -> int:

@@ -110,12 +110,13 @@ class RectObstacle:
 
     def _to_local(self, x, y):
         """Rectangle-frame coordinates of road-frame floats or arrays;
-        arrays broadcast against each other.
+        arrays broadcast against each other, so a column of rows and a row
+        of columns enter a rotated rectangle's frame as one full grid of
+        each coordinate.
 
-        A road-aligned rectangle (yaw 0) is only translated, so a row of x
-        and a column of y stay a row and a column. The rotation by
-        cos 0 = 1, sin 0 = 0 would change nothing but the sign of a zero,
-        which no caller reads."""
+        A road-aligned rectangle (yaw 0) is only translated. The rotation
+        by cos 0 = 1, sin 0 = 0 would change nothing but the sign of a
+        zero, which no caller reads."""
         dx = x - self.center[0]
         dy = y - self.center[1]
         if self.yaw == 0.0:
@@ -148,26 +149,28 @@ class RectObstacle:
         xs, ys = zip(*self.corners())
         return min(xs), min(ys), max(xs), max(ys)
 
-    def _slabs(self, origin: tuple[float, float], x, y):
-        """Per-axis entry and exit (lo_x, hi_x, lo_y, hi_y) of the segments
-        from origin to each (x, y) point (see _slab); a segment meets the
-        rectangle exactly when max(lo_x, lo_y) <= min(hi_x, hi_y)."""
-        x0, y0 = self._to_local(origin[0], origin[1])
-        x1, y1 = self._to_local(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return (*_slab(x0, x1, self.size[0] / 2), *_slab(y0, y1, self.size[1] / 2))
+    def _slabs(self, x0, y0, x1, y1):
+        """Slab test in the rectangle's own frame: does the segment from
+        (x0, y0) to each (x1, y1) meet the rectangle? Each axis is clipped
+        on its own (_slab) and the two are combined last. max and min are
+        exact, so combining last gives the same booleans as clipping one
+        axis after the other."""
+        lo_x, hi_x = _slab(x0, x1, self.size[0] / 2)
+        lo_y, hi_y = _slab(y0, y1, self.size[1] / 2)
+        return np.maximum(lo_x, lo_y) <= np.minimum(hi_x, hi_y)
 
     def blocks_segment(self, origin: tuple[float, float], x, y):
         """Vectorized slab test: does the segment from origin to each
         (x, y) point intersect this rectangle? Touching counts. x, y and
         the two origin coordinates broadcast against each other.
 
-        Each axis is clipped on its own (_slab) and the two are combined
-        last, so for a road-aligned rectangle a row of x and a column of y
-        cost one vector per axis until the final comparison. max and min
-        are exact, so combining last gives the same booleans as clipping
-        one axis after the other."""
-        lo_x, hi_x, lo_y, hi_y = self._slabs(origin, x, y)
-        return np.maximum(lo_x, lo_y) <= np.minimum(hi_x, hi_y)
+        The origin and the points enter the rectangle's frame once each
+        (_to_local) and meet the slab test there (_slabs). build_grid does
+        not call it: its kernels _aligned and _rotated give the cell
+        centres' sight lines the same IEEE operations."""
+        x0, y0 = self._to_local(origin[0], origin[1])
+        x1, y1 = self._to_local(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return self._slabs(x0, y0, x1, y1)
 
     def blocks_sight_line(
         self, origin: tuple[float, float], target: tuple[float, float]
@@ -313,12 +316,18 @@ def _aligned(obstacle: RectObstacle, origin: tuple[float, float]):
     return rows, cols, blocked.T, (body_rows, body_cols)
 
 
-def _body(obstacle: RectObstacle, gx, gy):
-    """Which cells of the full grid lie inside a rotated obstacle: those
-    whose rectangle-frame coordinates (lx, ly) have |lx| <= hx and |ly| <=
-    hy. A road-aligned obstacle's body is a window of _aligned instead."""
-    lx, ly = obstacle._to_local(gx, gy)
-    return (np.abs(lx) <= obstacle.size[0] / 2) & (np.abs(ly) <= obstacle.size[1] / 2)
+def _rotated(obstacle: RectObstacle, origin: tuple[float, float]):
+    """(rows, cols, blocked, body) of a rotated obstacle, _aligned's
+    contract with the full grid as the window: rows and cols select every
+    cell, and body is a mask of the cells inside the obstacle.
+
+    The cell centres enter the rectangle's frame once, as a column of rows
+    and a row of columns (_to_local), and the same coordinates go to the
+    slab test (_slabs) and to the inside test |lx| <= hx and |ly| <= hy."""
+    x0, y0 = obstacle._to_local(origin[0], origin[1])
+    lx, ly = obstacle._to_local((origin[0] + _ROW_OFFSETS)[:, None], (origin[1] + _COL_OFFSETS)[None, :])
+    body = (np.abs(lx) <= obstacle.size[0] / 2) & (np.abs(ly) <= obstacle.size[1] / 2)
+    return slice(None), slice(None), obstacle._slabs(x0, y0, lx, ly), body
 
 
 def build_grid(scene: Scene, pose: tuple[float, float, float]) -> np.ndarray:
@@ -328,16 +337,16 @@ def build_grid(scene: Scene, pose: tuple[float, float, float]) -> np.ndarray:
     8 m to each side, one cell per 1/3 m. Returns a (210, 48) uint8 array
     of FREE / OCCUPIED / UNOBSERVABLE.
 
-    Each obstacle's yaw is tested once. A road-aligned obstacle (yaw 0,
-    also -0.0) takes one pass over the 210 row and 48 column offsets for
-    both axes of the slab test and of the inside test (_aligned); its
-    per-cell shadow test runs only on the window of rows and columns that
-    can hold a True, and its body fills one window. Every cell outside a
-    window is left as it is. A rotated obstacle runs blocks_segment and
-    the inside test (_body) on the full 210 x 48 grid, the cell centres
-    entering as a column of rows and a row of columns. Shadows are written
-    before bodies, so a cell inside any obstacle is OCCUPIED even where
-    another one shadows it.
+    Every obstacle that _out_of_view does not cull goes through one kernel,
+    chosen by its yaw, that returns a window of rows and columns, the
+    shadow on that window and the obstacle's body. A road-aligned obstacle
+    (yaw 0, also -0.0) takes one pass over the 210 row and 48 column
+    offsets (_aligned), so its shadow and body windows hold only the rows
+    and columns that can hold a True. A rotated obstacle's window is the
+    full 210 x 48 grid, its cell centres rotated into the obstacle's frame
+    once for both tests (_rotated). Cells outside a window are left as
+    they are. Shadows are written before bodies, so a cell inside any
+    obstacle is OCCUPIED even where another one shadows it.
     """
     ex, ey = _ego_xy(scene, pose)
     grid = np.zeros((GRID_LENGTH, GRID_WIDTH), dtype=np.uint8)
@@ -345,15 +354,10 @@ def build_grid(scene: Scene, pose: tuple[float, float, float]) -> np.ndarray:
     for obstacle in scene.obstacles:
         if _out_of_view(obstacle, ex, ey):
             continue
-        if obstacle.yaw == 0.0:
-            rows, cols, shadow, body = _aligned(obstacle, (ex, ey))
-            np.copyto(grid[rows, cols], UNOBSERVABLE, where=shadow)
-            bodies.append(body)
-        else:
-            gx, gy = (ex + _ROW_OFFSETS)[:, None], (ey + _COL_OFFSETS)[None, :]
-            shadow = obstacle.blocks_segment((ex, ey), gx, gy)
-            np.copyto(grid, UNOBSERVABLE, where=shadow)
-            bodies.append(_body(obstacle, gx, gy))
+        kernel = _aligned if obstacle.yaw == 0.0 else _rotated
+        rows, cols, shadow, body = kernel(obstacle, (ex, ey))
+        np.copyto(grid[rows, cols], UNOBSERVABLE, where=shadow)
+        bodies.append(body)
     for body in bodies:
         grid[body] = OCCUPIED
     return grid

@@ -1,6 +1,7 @@
 """Shared fixtures: scenes, solved model, and the six benchmark runs; and
-two helpers the tests import from here: a trace.csv reader and a model
-built from dense arrays."""
+the helpers the tests import from here: a trace.csv reader, a model built
+from dense arrays, and the flat state index of the crosswalk model and its
+inverse."""
 
 from __future__ import annotations
 
@@ -12,7 +13,15 @@ from scipy import sparse
 
 from crosswalk_sim.files import Trace, load_scenario, load_scene
 from crosswalk_sim.harness import run_scenario
-from crosswalk_sim.pomdp import ACTION_SCALES, PomdpModel, build_crosswalk_model
+from crosswalk_sim.pomdp import (
+    ACTION_SCALES,
+    NUM_CROSSING,
+    NUM_D,
+    NUM_STATES,
+    NUM_V,
+    PomdpModel,
+    build_crosswalk_model,
+)
 from crosswalk_sim.qmdp import extract_alphas, value_iteration
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -55,6 +64,24 @@ def dense_model(transitions, rewards, discount, observation=None) -> PomdpModel:
         discount=float(discount),
         observation=None if observation is None else np.asarray(observation, dtype=float),
     )
+
+
+def state_index(v: int, d: int, c: int) -> int:
+    """Flat index of speed bin v, distance bin d, crossing flag c in the
+    crosswalk model's state layout."""
+    if not (0 <= v < NUM_V and 0 <= d < NUM_D and 0 <= c < NUM_CROSSING):
+        raise ValueError("state component out of range")
+    return (c * NUM_D + d) * NUM_V + v
+
+
+def state_tuple(index: int) -> tuple[int, int, int]:
+    """Inverse of state_index: (v, d, c)."""
+    if not 0 <= index < NUM_STATES:
+        raise ValueError("state index out of range")
+    v = index % NUM_V
+    d = (index // NUM_V) % NUM_D
+    c = index // (NUM_V * NUM_D)
+    return v, d, c
 
 
 @pytest.fixture(scope="session")

@@ -25,12 +25,11 @@ from crosswalk_sim.pomdp import (
     NUM_STATES,
     TERMINAL_D,
     obs_index,
-    state_index,
 )
 from crosswalk_sim.qmdp import AlphaVectorPolicy
 from crosswalk_sim.world import Scene
 
-from conftest import dense_model
+from conftest import dense_model, state_index
 
 
 def exhaustive_bayes(belief, action, obs, t_dense, o_dense):

@@ -223,6 +223,9 @@ def test_summary_of_moving_and_empty_runs(exposed_scene):
     )
     empty = run_scenario(ScenarioConfig(scene=exposed_scene, duration=CONTROL_DT / 2, name="empty"))
     assert len(empty) == 0
+    assert {name: (col.dtype, col.shape) for name, col in empty.columns.items()} == {
+        name: (np.dtype(float), (0,)) for name in TRACE_FIELDS
+    }
     assert summarize(empty) == "empty              end=duration  sim= 0.00 s"
 
 

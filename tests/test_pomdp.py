@@ -33,9 +33,9 @@ from crosswalk_sim.pomdp import (
     build_crosswalk_model,
     obs_index,
     occluded_bins_from_band,
-    state_index,
-    state_tuple,
 )
+
+from conftest import state_index, state_tuple
 
 
 def expected_distance(d, v) -> dict[int, float]:

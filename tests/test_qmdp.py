@@ -286,8 +286,22 @@ def test_load_rejects_foreign_files(tmp_path):
          "malformed model line"),
         ("alpha-policy-v2\nmodel discount 0.95 crosswalk_bin 80.5 occluded_bins 0 68\nactions 2\nstates 3\n"
          "scales 0 1\n0 0 0\n0 0 0\n", "malformed model line"),
+        # a nan first row would make best_action pick action 0, a stop
+        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 1\nnan nan nan\n0 0 0\n",
+         "non-finite alpha value"),
+        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 -inf 0\n",
+         "non-finite alpha value"),
+        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 5\n0 0 0\n0 0 0\n",
+         "action scale outside [0, 1]"),
+        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales -0.1 1\n0 0 0\n0 0 0\n",
+         "action scale outside [0, 1]"),
+        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales nan 1\n0 0 0\n0 0 0\n",
+         "action scale outside [0, 1]"),
     ],
-    ids=["truncated", "one-token-header", "non-numeric", "ragged-row", "short-model-line", "fractional-bin"],
+    ids=[
+        "truncated", "one-token-header", "non-numeric", "ragged-row", "short-model-line", "fractional-bin",
+        "nan-alpha", "inf-alpha", "scale-above-one", "negative-scale", "nan-scale",
+    ],
 )
 def test_load_rejects_malformed_files_naming_them(tmp_path, text, reason):
     bad = tmp_path / "policy.txt"

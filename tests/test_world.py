@@ -187,11 +187,13 @@ def _lattice_scene(rng: np.random.Generator, step: float) -> tuple[Scene, tuple]
     return scene, (float(north), float(east), 0.0)
 
 
-# --- reference for the road-aligned case -----------------------------------
+# --- exact reference --------------------------------------------------------
 # The slab test as it was first written: rotate every point into the
 # rectangle's frame, then clip one axis after the other with np.where. The
 # implementation must give the same booleans on road-aligned obstacles,
-# where it skips the rotation and keeps a row and a column apart.
+# where it skips the rotation and keeps a row and a column apart, and on
+# rotated ones, where one rotation of the cell centres serves both the slab
+# and the inside test.
 
 
 def _reference_blocks_segment(ob: RectObstacle, origin, x, y):
@@ -561,6 +563,75 @@ def test_aligned_kernel_matches_reference():
         for value in marked:
             marked[value] += bool((grid == value).any())
     assert places == {"ahead", "inside", "beside", "behind"}
+    assert min(marked.values()) > 100
+
+
+def _rotated_case(rng: np.random.Generator, i: int) -> tuple[Scene, tuple, str, bool]:
+    """A scene of 1-3 rotated obstacles and an ego pose, with the ego
+    ahead of, inside, beside or behind the first obstacle (at most a cell
+    past its bounding box, so it is not culled). Yaws lie within 0.6
+    of 0, of +-pi/2 or of pi: some exactly on the last three, some within
+    1e-6 of one of the four. One scene in three adds a road-aligned
+    obstacle (yaw 0.0 or -0.0) near the first. Three scenes in four put
+    centres, sizes and the ego (unless inside) on a lattice of 1/3, 1/6
+    or 1/12 m on the default road frame, so cell centres can fall on the
+    faces of a quarter-turned obstacle; the rest use a random road frame."""
+    step = (None, 1 / 3, 1 / 6, 1 / 12)[i % 4]
+
+    def on(lo: float, hi: float) -> float:
+        value = float(rng.uniform(lo, hi))
+        return round(value / step) * step if step else value
+
+    def yaw() -> float:
+        base = (0.0, math.pi / 2, -math.pi / 2, math.pi)[int(rng.integers(4))]
+        spread = (0.0, 1e-6, 0.05, 0.6)[int(rng.integers(base == 0.0, 4))]
+        return base + float(rng.uniform(-spread, spread))
+
+    def obstacle(cx: float, cy: float, angle: float) -> RectObstacle:
+        return RectObstacle((cx, cy), (on(0.3, 6.0), on(0.3, 3.0)), yaw=angle)
+
+    first = obstacle(on(2.0, 60.0), on(-6.0, 6.0), yaw())
+    obstacles = [first] + [obstacle(on(2.0, 70.0), on(-8.0, 8.0), yaw()) for _ in range(int(rng.integers(3)))]
+    mixed = i % 3 == 0
+    if mixed:
+        flat = (0.0, -0.0)[int(rng.integers(2))]
+        aligned = obstacle(first.center[0] + on(-2.0, 2.0), first.center[1] + on(-1.0, 1.0), flat)
+        obstacles.insert(int(rng.integers(len(obstacles) + 1)), aligned)
+    x_min, y_min, x_max, y_max = first.bounds
+    rear_right, rear_left, _, front_right = np.array(first.corners())
+    u, v = rng.uniform(0.0, 1.0, 2)
+    place = ("ahead", "inside", "beside", "behind")[i // 12 % 4]
+    ex, ey = {
+        "ahead": (on(-1.0, 1.0), on(-2.0, 2.0)),
+        "inside": rear_right + u * (rear_left - rear_right) + v * (front_right - rear_right),
+        "beside": (on(x_min, x_max), (y_min - on(0.3, 6.0), y_max + on(0.3, 6.0))[int(rng.integers(2))]),
+        "behind": (x_max + on(0.0, CELL_SIZE), on(y_min - 2.0, y_max + 2.0)),
+    }[place]
+    road = RoadFrame() if step else RoadFrame((on(-5, 5), on(-5, 5)), on(-math.pi, math.pi))
+    scene = Scene(road=road, obstacles=tuple(obstacles))
+    north, east = road.to_inertial(ex, ey)
+    return scene, (float(north), float(east), road.heading), place, mixed
+
+
+def test_rotated_kernel_matches_reference():
+    # build_grid's kernel for rotated obstacles rotates the cell centres
+    # once for the slab and the inside test; every cell must get the value
+    # of the reference, which rotates for each test on its own
+    rng = np.random.default_rng(19)
+    places, mixed_scenes = set(), 0
+    marked = {FREE: 0, OCCUPIED: 0, UNOBSERVABLE: 0}
+    for i in range(360):
+        scene, pose, place, mixed = _rotated_case(rng, i)
+        first = next(ob for ob in scene.obstacles if ob.yaw != 0.0)
+        assert not world._out_of_view(first, *world._ego_xy(scene, pose))
+        grid = build_grid(scene, pose)
+        assert np.array_equal(grid, _reference_grid(scene, pose)), (i, place, scene, pose)
+        places.add(place)
+        mixed_scenes += mixed
+        for value in marked:
+            marked[value] += bool((grid == value).any())
+    assert places == {"ahead", "inside", "beside", "behind"}
+    assert mixed_scenes == 120
     assert min(marked.values()) > 100
 
 
