@@ -8,18 +8,22 @@ pedestrian detection flag. One transition spans EPOCH seconds. The flat
 index of state (v, d, c) is (c * NUM_D + d) * NUM_V + v.
 
 The chains, rewards and observation likelihoods are module constants;
-ModelConfig holds only what differs between solves.
+ModelConfig holds only what differs between solves. scipy is imported on
+the first model build, not with this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .control import build_avoidance_path
 from .world import NUM_COUNT_BINS, Scene, crosswalk_occlusion_band, crosswalk_path_distance
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 NUM_V = 11
 NUM_D = 121
@@ -123,18 +127,18 @@ def _speed_kernel(command: int) -> np.ndarray:
     return kernel
 
 
-def _motion_matrix(dist, speed: np.ndarray) -> sparse.coo_matrix:
-    """Speed/distance kernel of one action over the (d, v) states:
-    M[(d, v), (d', v')] = pv * pd, with empty terminal rows. Entries are in
-    row order with ascending columns."""
+def _motion_matrix(dist, speed: np.ndarray):
+    """COO triplets of one action's speed/distance kernel over the
+    NUM_D * NUM_V (d, v) states, as (values, (rows, cols)) the way
+    sparse.coo_matrix takes them: M[(d, v), (d', v')] = pv * pd, with empty
+    terminal rows. Entries are in row order with ascending columns."""
     d_targets, d_probs, d_keep = dist
     row = np.arange(TERMINAL_D * NUM_V)
     pv = speed[row % NUM_V][:, None, :]
     keep = d_keep[:, :, None] & (pv != 0.0)
     rows = np.broadcast_to(row[:, None, None], keep.shape)
     cols = d_targets[:, :, None] * NUM_V + np.arange(NUM_V)
-    n = NUM_D * NUM_V
-    return sparse.coo_matrix(((pv * d_probs[:, :, None])[keep], (rows[keep], cols[keep])), shape=(n, n))
+    return (pv * d_probs[:, :, None])[keep], (rows[keep], cols[keep])
 
 
 def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
@@ -143,6 +147,8 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     Each action's transition matrix is the crossing chain composed with the
     action's speed/distance kernel, kron(C, M_a), plus probability-one
     self-loops on the terminal states."""
+    from scipy import sparse  # here, so that runs without a model build never load it
+
     cfg = config or ModelConfig()
     s = np.arange(NUM_STATES)
     v, d, c = s % NUM_V, (s // NUM_V) % NUM_D, s // (NUM_V * NUM_D)
@@ -152,10 +158,9 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     crossing = np.column_stack((1.0 - p_cross, p_cross))  # C[c, c']
     loops = sparse.diags(terminal.astype(float))
     dist = _distance_kernel()
-    mats = tuple(
-        sparse.kron(crossing, _motion_matrix(dist, _speed_kernel(a)), format="csr") + loops
-        for a in range(NUM_ACTIONS)
-    )
+    n = NUM_D * NUM_V
+    motion = (sparse.coo_matrix(_motion_matrix(dist, _speed_kernel(a)), shape=(n, n)) for a in range(NUM_ACTIONS))
+    mats = tuple(sparse.kron(crossing, m, format="csr") + loops for m in motion)
 
     # the chance of entering the terminal bin sits in a row's last slot
     d_targets, d_probs, _ = dist

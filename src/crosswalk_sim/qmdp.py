@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pomdp import ModelConfig, PomdpModel
+from .pomdp import ACTION_SCALES, ModelConfig, PomdpModel
 
 BELIEF_TOL = 1e-9
 
@@ -110,8 +110,9 @@ def save_policy(policy: AlphaVectorPolicy, destination, config: ModelConfig) -> 
 def load_policy(source, config: ModelConfig) -> AlphaVectorPolicy:
     """Read a policy written by save_policy for config; rejects unknown
     formats. A malformed file (among them one with a non-finite alpha
-    value or an action scale outside [0, 1]), or one solved for another
-    model config, raises ValueError naming the file."""
+    value), one solved for another model config, or one whose action
+    scales are not the model's ACTION_SCALES raises ValueError naming the
+    file."""
     with open(source, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != POLICY_FORMAT:
@@ -136,8 +137,6 @@ def load_policy(source, config: ModelConfig) -> AlphaVectorPolicy:
         raise ValueError(f"{source}: non-numeric policy value") from exc
     if len(scales) != num_actions:
         raise ValueError(f"{source}: scale count does not match actions")
-    if not all(0.0 <= s <= 1.0 for s in scales):  # also false for nan
-        raise ValueError(f"{source}: action scale outside [0, 1]")
     if len(rows) != num_actions:
         raise ValueError(f"{source}: alpha row count does not match actions")
     if any(len(row) != num_states for row in rows):
@@ -145,6 +144,9 @@ def load_policy(source, config: ModelConfig) -> AlphaVectorPolicy:
     alphas = np.array(rows, dtype=float).reshape(num_actions, num_states)
     if not np.isfinite(alphas).all():
         raise ValueError(f"{source}: non-finite alpha value")
+    # save_policy writes '%.17g', so the model's scales read back exactly
+    if scales != ACTION_SCALES:
+        raise ValueError(f"{source}: action scales {scales} are not the model's {ACTION_SCALES}")
     return AlphaVectorPolicy(alphas=alphas, scales=scales)
 
 

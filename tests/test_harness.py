@@ -407,19 +407,46 @@ def test_harness_binds_the_names_perfbench_reads():
             assert getattr(harness, name) is getattr(module, name), name
 
 
-def test_package_import_loads_every_runtime_module():
-    # perfbench/run.py times a fresh `import crosswalk_sim` as the package's
-    # import cost, so that import must keep loading every module a run needs
+def _fresh_python(probe: str, *args: str) -> str:
+    """Stdout of probe run with args in a new interpreter that imports this
+    checkout's crosswalk_sim."""
     import crosswalk_sim
 
-    probe = "import sys, crosswalk_sim; print(*sorted(m for m in sys.modules if m.startswith('crosswalk_sim.')))"
     src = pathlib.Path(crosswalk_sim.__file__).parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src))
-    )
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    ).stdout
+
+
+def test_package_import_loads_every_runtime_module():
+    # perfbench/run.py times a fresh `import crosswalk_sim` as the package's
+    # import cost, so that import must keep loading every module a run needs;
+    # scipy is not among them until the first model build
+    import crosswalk_sim
+
+    out = _fresh_python("import sys, crosswalk_sim; print(*sorted(m for m in sys.modules if m.startswith('crosswalk_sim.')))")
     runtime = {f"crosswalk_sim.{m.name}" for m in pkgutil.iter_modules(crosswalk_sim.__path__)} - {"crosswalk_sim.cli"}
     assert len(runtime) == 9
-    assert set(out.stdout.split()) == runtime
+    assert set(out.split()) == runtime
+
+
+def test_only_a_model_build_loads_scipy(repo_root):
+    # the oracle and baseline runs and the grid sense, scale and steer only,
+    # so they never pay for importing scipy's sparse solver
+    probe = """
+import dataclasses, pathlib, sys
+from crosswalk_sim import harness, pomdp, world
+from crosswalk_sim.files import load_scenario
+for name in ("oracle_hidden", "baseline_hidden"):
+    config = load_scenario(pathlib.Path(sys.argv[1], name + ".yaml"))
+    harness.run_scenario(dataclasses.replace(config, duration=1.0))
+world.build_grid(config.scene, (0.0, 0.0, 0.0))
+print("scipy.sparse" in sys.modules)
+pomdp.build_crosswalk_model()
+print("scipy.sparse" in sys.modules)
+"""
+    assert _fresh_python(probe, str(repo_root / "configs" / "scenarios")).split() == ["False", "True"]
 
 
 # --- command line ----------------------------------------------------------------

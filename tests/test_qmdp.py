@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from crosswalk_sim.pomdp import ModelConfig, build_crosswalk_model
+from crosswalk_sim.pomdp import ACTION_SCALES, ModelConfig, build_crosswalk_model
 from crosswalk_sim.qmdp import (
     AlphaVectorPolicy,
     ValueIterationError,
@@ -291,16 +291,20 @@ def test_load_rejects_foreign_files(tmp_path):
          "non-finite alpha value"),
         (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 -inf 0\n",
          "non-finite alpha value"),
+        # the scales must be the model's ACTION_SCALES exactly, not only lie in [0, 1]
         (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 5\n0 0 0\n0 0 0\n",
-         "action scale outside [0, 1]"),
+         "action scales (0.0, 5.0) are not the model's"),
         (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales -0.1 1\n0 0 0\n0 0 0\n",
-         "action scale outside [0, 1]"),
+         "action scales (-0.1, 1.0) are not the model's"),
         (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales nan 1\n0 0 0\n0 0 0\n",
-         "action scale outside [0, 1]"),
+         "action scales (nan, 1.0) are not the model's"),
+        # eleven in-range scales, one per action: a run would command 1.0 for every action index
+        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 11\nstates 3\nscales{' 1' * 11}\n" + "0 0 0\n" * 11,
+         f"action scales {(1.0,) * 11} are not the model's {ACTION_SCALES}"),
     ],
     ids=[
         "truncated", "one-token-header", "non-numeric", "ragged-row", "short-model-line", "fractional-bin",
-        "nan-alpha", "inf-alpha", "scale-above-one", "negative-scale", "nan-scale",
+        "nan-alpha", "inf-alpha", "scale-above-one", "negative-scale", "nan-scale", "scales-not-the-models",
     ],
 )
 def test_load_rejects_malformed_files_naming_them(tmp_path, text, reason):
