@@ -26,7 +26,16 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, FileNotFoundError) as err:
+        # a config, scene or policy file the run cannot use: one line and
+        # exit code 2, as argparse reports a usage error; with --verbose the
+        # traceback, which an internal fault needs
+        if args.verbose:
+            raise
+        sys.stderr.write(f"{parser.prog}: error: {err}\n")
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="crosswalk-sim",
         description="Closed-loop occluded-crosswalk speed-scaling simulation",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging, and a traceback on errors")
     sub = parser.add_subparsers(required=True)
 
     p_solve = sub.add_parser("solve", help="solve the crosswalk model, save the policy")
@@ -111,7 +120,7 @@ def _cmd_run(args) -> int:
             raise ValueError(f"{args.scenario}: {err}") from None
     trace = run_scenario(config)
     dest = export_run(trace, config.scene, args.out)
-    log.info("%s -> %s", summarize(trace), dest)
+    log.info("%s -> %s", summarize(trace, config.scene.pedestrian.present), dest)
     return 0
 
 

@@ -157,9 +157,18 @@ def _build(cls, source, kwargs: dict):
 
 def _read(source, what: str, allowed, required: tuple[str, ...] = ()) -> dict:
     """The top-level mapping of a YAML config file, checked by _checked.
-    An empty file raises ValueError naming the file."""
+    An empty file, or one that is not UTF-8 text or not valid YAML, raises
+    ValueError naming the file."""
     with open(source, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or type(exc).__name__
+            raise ValueError(f"{source}: not valid YAML: {problem}{where}") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"{source}: not UTF-8 text") from None
     if data is None:
         raise ValueError(f"{source}: empty {what} file")
     return _checked(data, allowed, what, source, required)

@@ -60,6 +60,7 @@ YIELD_GATE_DECEL = 1.5  # m/s^2 the baseline may need to engage its yield ramp
 STUCK_SPEED = 0.05  # m/s below which the vehicle counts as at rest
 STUCK_TIME = 3.0  # s at rest, with no stop expected, that ends a run as stuck
 PROXIMITY_DIST = 1.5  # m to an obstacle ahead that ends a run
+UNSAFE_SPEED = 1.0  # m/s above which crossing the line beside a pedestrian is unsafe
 
 
 class OraclePolicy:
@@ -269,15 +270,17 @@ def run_batch(config_dir, out_dir) -> list[str]:
             model, policy = solved[key]
         trace = run_scenario(config, model=model, policy=policy)
         dest = export_run(trace, config.scene, out_dir / cfg_path.stem)
-        log.info("%s", summarize(trace))
+        log.info("%s", summarize(trace, config.scene.pedestrian.present))
         written.append(dest)
     return written
 
 
-def summarize(trace: Trace) -> str:
+def summarize(trace: Trace, pedestrian_present: bool) -> str:
     """One line on what a run did: its name, termination, simulated
     seconds and top speed, then when and how fast it crossed the crosswalk
-    line, or, if it never did, where it ended and whether at rest."""
+    line, or, if it never did, where it ended and whether at rest. A
+    crossing above UNSAFE_SPEED in a scene whose pedestrian is present is
+    marked UNSAFE."""
     time, s, ux = trace.columns["time"], trace.columns["s"], trace.columns["ux"]
     parts = [
         f"{trace.metadata['name']:<17}",
@@ -291,6 +294,8 @@ def summarize(trace: Trace) -> str:
     if crossed.size:
         i = crossed[0]
         parts.append(f"crossed line at t={time[i]:5.2f} s, ux={ux[i]:.2f} m/s")
+        if pedestrian_present and ux[i] > UNSAFE_SPEED:
+            parts.append("UNSAFE")
     else:
         state = "at rest" if ux[-1] < STUCK_SPEED else f"moving {ux[-1]:.2f} m/s"
         parts.append(f"never crossed; final s={s[-1]:6.2f} m ({state})")

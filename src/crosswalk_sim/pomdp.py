@@ -8,22 +8,20 @@ pedestrian detection flag. One transition spans EPOCH seconds. The flat
 index of state (v, d, c) is (c * NUM_D + d) * NUM_V + v.
 
 The chains, rewards and observation likelihoods are module constants;
-ModelConfig holds only what differs between solves. scipy is imported on
-the first model build, not with this module.
+ModelConfig holds only what differs between solves. The transition
+matrices are assembled directly as CSR arrays; scipy is imported on the
+first model build, not with this module, and only for the csr_matrix
+container that holds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .control import build_avoidance_path
 from .world import NUM_COUNT_BINS, Scene, crosswalk_occlusion_band, crosswalk_path_distance
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 NUM_V = 11
 NUM_D = 121
@@ -77,7 +75,7 @@ class PomdpModel:
     """Tabular model: per-action sparse transitions, rewards and
     observation likelihoods."""
 
-    transitions: tuple[sparse.csr_matrix, ...]
+    transitions: tuple  # one scipy.sparse.csr_matrix (S, S) per action
     rewards: np.ndarray  # (S, A)
     discount: float
     observation: np.ndarray | None = None  # (S, O)
@@ -128,10 +126,10 @@ def _speed_kernel(command: int) -> np.ndarray:
 
 
 def _motion_matrix(dist, speed: np.ndarray):
-    """COO triplets of one action's speed/distance kernel over the
-    NUM_D * NUM_V (d, v) states, as (values, (rows, cols)) the way
-    sparse.coo_matrix takes them: M[(d, v), (d', v')] = pv * pd, with empty
-    terminal rows. Entries are in row order with ascending columns."""
+    """Triplets (values, (rows, cols)) of one action's speed/distance
+    kernel M over the NUM_D * NUM_V (d, v) states: M[(d, v), (d', v')] =
+    pv * pd, with empty terminal rows. Entries are in row order with
+    ascending columns."""
     d_targets, d_probs, d_keep = dist
     row = np.arange(TERMINAL_D * NUM_V)
     pv = speed[row % NUM_V][:, None, :]
@@ -141,12 +139,46 @@ def _motion_matrix(dist, speed: np.ndarray):
     return (pv * d_probs[:, :, None])[keep], (rows[keep], cols[keep])
 
 
+def _transition_arrays(motion, crossing: np.ndarray):
+    """CSR (data, indices, indptr) of one action's transition matrix, with
+    int32 indices: the Kronecker product C (x) M of the crossing chain C
+    and the action's motion triplets M (_motion_matrix), plus
+    probability-one self-loops on the terminal states, whose M rows are
+    empty.
+
+    Row (c, d, v) holds C[c, 0] * m and then C[c, 1] * m, the second block
+    NUM_D * NUM_V columns on, where m is M's row (d, v): the products, and
+    the column order, of the Kronecker product."""
+    values, (rows, cols) = motion
+    n = NUM_D * NUM_V
+    ptr = np.zeros(TERMINAL_D * NUM_V + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=ptr.size - 1), out=ptr[1:])
+    # M's row r fills [2 ptr[r], 2 ptr[r + 1]) of a row block: its entry k
+    # goes to ptr[r] + k for c' = 0 and to ptr[r + 1] + k for c' = 1
+    k = np.arange(values.size)
+    first, second = ptr[rows] + k, ptr[rows + 1] + k
+    nnz = 2 * values.size
+    data = np.ones((NUM_CROSSING, nnz + NUM_V))
+    data[:, first] = crossing[:, :1] * values
+    data[:, second] = crossing[:, 1:] * values
+    indices = np.empty((NUM_CROSSING, nnz + NUM_V), dtype=np.int32)
+    indices[:, first] = cols
+    indices[:, second] = cols + n
+    indices[:, nnz:] = np.arange(TERMINAL_D * NUM_V, n) + np.array([[0], [n]])
+    lengths = np.ones(n, dtype=np.int32)
+    lengths[:-NUM_V] = 2 * np.diff(ptr)
+    indptr = np.zeros(NUM_STATES + 1, dtype=np.int32)
+    np.cumsum(np.tile(lengths, NUM_CROSSING), out=indptr[1:])
+    return data.ravel(), indices.ravel(), indptr
+
+
 def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     """Assemble the full 2662-state model from a configuration.
 
     Each action's transition matrix is the crossing chain composed with the
-    action's speed/distance kernel, kron(C, M_a), plus probability-one
-    self-loops on the terminal states."""
+    action's speed/distance kernel, C (x) M_a, plus probability-one
+    self-loops on the terminal states. _transition_arrays assembles its
+    CSR arrays directly from M_a's triplets; scipy only holds them."""
     from scipy import sparse  # here, so that runs without a model build never load it
 
     cfg = config or ModelConfig()
@@ -156,11 +188,10 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
 
     p_cross = np.array([CROSSING_ONSET, CROSSING_PERSIST])
     crossing = np.column_stack((1.0 - p_cross, p_cross))  # C[c, c']
-    loops = sparse.diags(terminal.astype(float))
     dist = _distance_kernel()
-    n = NUM_D * NUM_V
-    motion = (sparse.coo_matrix(_motion_matrix(dist, _speed_kernel(a)), shape=(n, n)) for a in range(NUM_ACTIONS))
-    mats = tuple(sparse.kron(crossing, m, format="csr") + loops for m in motion)
+    motion = (_motion_matrix(dist, _speed_kernel(a)) for a in range(NUM_ACTIONS))
+    shape = (NUM_STATES, NUM_STATES)
+    mats = tuple(sparse.csr_matrix(_transition_arrays(m, crossing), shape=shape) for m in motion)
 
     # the chance of entering the terminal bin sits in a row's last slot
     d_targets, d_probs, _ = dist

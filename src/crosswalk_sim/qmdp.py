@@ -39,9 +39,8 @@ def value_iteration(model: PomdpModel, tol: float = 1e-6, max_iters: int = 10000
     for _ in range(max_iters):
         v = q.max(axis=0)
         for a in range(model.num_actions):
-            backup = transitions[a] @ v
-            backup *= gamma
-            np.add(backup, rewards[a], out=q_new[a])
+            np.multiply(transitions[a] @ v, gamma, out=q_new[a])
+        q_new += rewards
         diff = np.subtract(q_new, q, out=q)
         residual = float(np.abs(diff, out=diff).max())
         q, q_new = q_new, q
@@ -114,7 +113,10 @@ def load_policy(source, config: ModelConfig) -> AlphaVectorPolicy:
     scales are not the model's ACTION_SCALES raises ValueError naming the
     file."""
     with open(source, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        try:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        except UnicodeDecodeError:
+            raise ValueError(f"{source}: not UTF-8 text") from None
     if not lines or lines[0] != POLICY_FORMAT:
         raise ValueError(f"{source}: not a {POLICY_FORMAT} file")
     if len(lines) < 5:

@@ -79,14 +79,17 @@ def _slab(q0, q1, h):
     exactly when lo <= hi. A segment parallel to the slab (q1 == q0), the
     zero-divisor case of Williams et al. (2005), spans all of [0, 1] from
     inside the slab and gets the empty interval (1, 0) from outside it.
-    When no segment is parallel, the np.where passes are skipped."""
-    d = q1 - q0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ta = (-h - q0) / d
-        tb = (h - q0) / d
-    lo = np.maximum(np.minimum(ta, tb), 0.0)
-    hi = np.minimum(np.maximum(ta, tb), 1.0)
+    The bounds are written into the division results, and the np.where
+    passes run only when some segment is parallel."""
+    d = np.asarray(q1 - q0)  # an array for scalar inputs too, as out= needs
     parallel = d == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = np.divide(-h - q0, d, out=np.empty_like(d))
+        tb = np.divide(h - q0, d, out=d)
+    lo = np.minimum(ta, tb, out=np.empty_like(d))
+    hi = np.maximum(ta, tb, out=ta)
+    np.maximum(lo, 0.0, out=lo)
+    np.minimum(hi, 1.0, out=hi)
     if not parallel.any():
         return lo, hi
     outside = abs(q0) > h

@@ -1,6 +1,7 @@
 """Shared fixtures: scenes, solved model, and the six benchmark runs; and
 the helpers the tests import from here: a trace.csv reader, a model built
-from dense arrays, and the flat state index of the crosswalk model and its
+from dense arrays, the crosswalk model's transition matrices built with
+scipy's kron, and the flat state index of the crosswalk model and its
 inverse."""
 
 from __future__ import annotations
@@ -15,11 +16,18 @@ from crosswalk_sim.files import Trace, load_scenario, load_scene
 from crosswalk_sim.harness import run_scenario
 from crosswalk_sim.pomdp import (
     ACTION_SCALES,
+    CROSSING_ONSET,
+    CROSSING_PERSIST,
+    NUM_ACTIONS,
     NUM_CROSSING,
     NUM_D,
     NUM_STATES,
     NUM_V,
+    TERMINAL_D,
     PomdpModel,
+    _distance_kernel,
+    _motion_matrix,
+    _speed_kernel,
     build_crosswalk_model,
 )
 from crosswalk_sim.qmdp import extract_alphas, value_iteration
@@ -64,6 +72,21 @@ def dense_model(transitions, rewards, discount, observation=None) -> PomdpModel:
         discount=float(discount),
         observation=None if observation is None else np.asarray(observation, dtype=float),
     )
+
+
+def kron_transitions() -> tuple:
+    """Reference for the crosswalk model's transition matrices, assembled
+    through scipy: per action, the motion kernel M_a as a coo_matrix of
+    pomdp._motion_matrix's triplets, then kron(C, M_a) with the crossing
+    chain C, plus a diagonal of probability-one terminal self-loops."""
+    dist = _distance_kernel()
+    n = NUM_D * NUM_V
+    terminal = (np.arange(NUM_STATES) // NUM_V) % NUM_D == TERMINAL_D
+    p_cross = np.array([CROSSING_ONSET, CROSSING_PERSIST])
+    crossing = np.column_stack((1.0 - p_cross, p_cross))  # C[c, c']
+    loops = sparse.diags(terminal.astype(float))
+    motion = (sparse.coo_matrix(_motion_matrix(dist, _speed_kernel(a)), shape=(n, n)) for a in range(NUM_ACTIONS))
+    return tuple(sparse.kron(crossing, m, format="csr") + loops for m in motion)
 
 
 def state_index(v: int, d: int, c: int) -> int:

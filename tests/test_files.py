@@ -24,6 +24,8 @@ BAD_FILES = {
     "unknown-key": "magic_knob: 3\n",
     "non-mapping": "- 1.0\n- 2.0\n",
     "empty": "",
+    "yaml-syntax": "road: [1, 2\n",
+    "not-utf8": "name: caf\u00e9\n",  # written as latin-1
 }
 
 
@@ -31,9 +33,19 @@ BAD_FILES = {
 @pytest.mark.parametrize("what", LOADERS)
 def test_bad_config_names_the_file(tmp_path, what, case):
     dest = tmp_path / f"{what}.yaml"
-    dest.write_text(BAD_FILES[case])
+    dest.write_text(BAD_FILES[case], encoding="latin-1")
     with pytest.raises(ValueError, match=re.escape(str(dest))):
         LOADERS[what](dest)
+
+
+def test_yaml_syntax_error_is_one_line_with_its_place(tmp_path):
+    # yaml's own message spans several lines; all three loaders read
+    # through files._read, whose message is one line
+    dest = tmp_path / "scene.yaml"
+    dest.write_text("a: 1\nb: c: d\n")
+    refused = re.escape(f"{dest}: not valid YAML: mapping values are not allowed here at line 2, column 5")
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        load_scene(dest)
 
 
 # A value under each loader that does not convert to its field's type, and

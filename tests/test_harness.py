@@ -203,10 +203,14 @@ def test_expected_stop_is_not_stuck(run_matrix):
 # --- run summary -------------------------------------------------------------
 
 
-def test_run_summaries(run_matrix):
-    assert [summarize(trace) for trace in run_matrix.values()] == [
+def test_run_summaries(run_matrix, scenario_configs):
+    # of the six shipped runs only the baseline crosses beside the hidden
+    # pedestrian, at speed
+    assert [
+        summarize(trace, scenario_configs[name].scene.pedestrian.present) for name, trace in run_matrix.items()
+    ] == [
         "baseline_exposed   end=duration  sim=15.00 s  max_ux= 5.39  never crossed; final s= 36.44 m (at rest)",
-        "baseline_hidden    end=path_end  sim=12.34 s  max_ux= 9.98  crossed line at t=10.35 s, ux=8.89 m/s",
+        "baseline_hidden    end=path_end  sim=12.34 s  max_ux= 9.98  crossed line at t=10.35 s, ux=8.89 m/s  UNSAFE",
         "oracle_exposed     end=duration  sim=15.00 s  max_ux= 9.16  never crossed; final s= 38.08 m (at rest)",
         "oracle_hidden      end=duration  sim=15.00 s  max_ux= 9.16  never crossed; final s= 38.08 m (at rest)",
         "pomdp_exposed      end=duration  sim=15.00 s  max_ux= 0.00  never crossed; final s=  0.00 m (at rest)",
@@ -218,7 +222,7 @@ def test_summary_of_moving_and_empty_runs(exposed_scene):
     # two seconds into the oracle run the car is still on its way; a
     # duration of half a control step rounds to no step at all
     moving = run_scenario(ScenarioConfig(scene=exposed_scene, duration=2.0, name="short"))
-    assert summarize(moving) == (
+    assert summarize(moving, True) == (
         "short              end=duration  sim= 2.00 s  max_ux= 5.97  never crossed; final s=  5.94 m (moving 5.97 m/s)"
     )
     empty = run_scenario(ScenarioConfig(scene=exposed_scene, duration=CONTROL_DT / 2, name="empty"))
@@ -226,7 +230,23 @@ def test_summary_of_moving_and_empty_runs(exposed_scene):
     assert {name: (col.dtype, col.shape) for name, col in empty.columns.items()} == {
         name: (np.dtype(float), (0,)) for name in TRACE_FIELDS
     }
-    assert summarize(empty) == "empty              end=duration  sim= 0.00 s"
+    assert summarize(empty, True) == "empty              end=duration  sim= 0.00 s"
+
+
+@pytest.mark.parametrize(
+    ("present", "crossing_ux", "flagged"),
+    [(True, 8.89, True), (True, 1.0, False), (True, 1.01, True), (False, 8.89, False)],
+)
+def test_summary_flags_fast_crossing_beside_pedestrian(present, crossing_ux, flagged):
+    # the line at s = 40 m is crossed on the third step
+    columns = {name: np.zeros(4) for name in TRACE_FIELDS}
+    columns["time"] = np.arange(4) * CONTROL_DT
+    columns["s"] = np.array([39.8, 39.9, 40.0, 40.1])
+    columns["ux"] = np.array([9.0, 9.0, crossing_ux, 9.0])
+    trace = Trace(columns=columns, metadata={"name": "fast", "crosswalk_s": 40.0}, termination="duration")
+    line = summarize(trace, present)
+    assert line.startswith("fast ") and f"ux={crossing_ux:.2f} m/s" in line
+    assert line.endswith("  UNSAFE") == flagged
 
 
 # --- config loading -----------------------------------------------------------
@@ -306,14 +326,45 @@ def test_load_scenario_rejects_unread_files(tmp_path, repo_root, policy, key):
         load_scenario(dest)
 
 
-def test_cli_run_rejects_policy_for_non_pomdp_scenario(tmp_path, repo_root):
+def test_cli_run_rejects_policy_for_non_pomdp_scenario(tmp_path, repo_root, capsys):
     policy_file = tmp_path / "any.policy"
     scenario = repo_root / "configs" / "scenarios" / "oracle_hidden.yaml"
     # the error names the scenario file, as a load error does
-    refused = re.escape(f"{scenario}: key 'policy_file' is set to {policy_file}, but policy 'oracle' reads no policy file")
-    with pytest.raises(ValueError, match=refused):
-        cli_main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out"), "--policy", str(policy_file)])
+    refused = f"{scenario}: key 'policy_file' is set to {policy_file}, but policy 'oracle' reads no policy file"
+    rc = cli_main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out"), "--policy", str(policy_file)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"crosswalk-sim: error: {refused}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["misspelt-key", "missing-scene", "yaml-syntax"])
+def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case):
+    # a file the run cannot use ends in one stderr line naming it and exit
+    # code 2, not a traceback; the missing scene is never written
+    dest = tmp_path / "config.yaml"
+    if case == "misspelt-key":
+        dest.write_text(f"scene: {repo_root / 'configs' / 'scene_hidden.yaml'}\npolcy: oracle\n")
+        argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
+    else:
+        if case == "yaml-syntax":
+            dest.write_text("road: [1, 2\n")
+        argv = ["grid-dump", "--scene", str(dest)]
+    assert cli_main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("crosswalk-sim: error: ") and err.endswith("\n")
+    assert len(err.splitlines()) == 1 and str(dest) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_verbose_config_error_keeps_its_traceback(tmp_path, capsys):
+    # --verbose re-raises, so a fault that is not the file's shows where
+    # it happened
+    dest = tmp_path / "config.yaml"
+    dest.write_text("road: [1, 2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(dest))}: not valid YAML"):
+        cli_main(["--verbose", "grid-dump", "--scene", str(dest)])
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_shipped_scenarios_cover_matrix(scenario_configs):
@@ -498,11 +549,11 @@ def test_cli_solve_and_run(tmp_path, repo_root, caplog):
     trace = load_trace(out_dir / "trace.csv")
     assert len(trace) == 150
     assert sorted(p.name for p in out_dir.iterdir()) == ["scene_outline.csv", "trace.csv"]
-    assert f"{summarize(trace)} -> {out_dir / 'trace.csv'}" in caplog.messages
+    assert f"{summarize(trace, True)} -> {out_dir / 'trace.csv'}" in caplog.messages
 
 
 @pytest.mark.parametrize("via", ["policy_file", "cli"])
-def test_policy_for_another_geometry_is_refused(tmp_path, repo_root, policy, model_config, via):
+def test_policy_for_another_geometry_is_refused(tmp_path, repo_root, policy, model_config, capsys, via):
     # a policy solved for the hidden scene (crosswalk bin 80, band (0, 62)),
     # run on the hidden scene with its crosswalk moved to x = 30 m, whose
     # scenario derives bin 60 and band (0, 60)
@@ -519,12 +570,14 @@ def test_policy_for_another_geometry_is_refused(tmp_path, repo_root, policy, mod
     dest.write_text(yaml.safe_dump(doc))
     derived = ModelConfig(discount=0.995, crosswalk_bin=60, occluded_bins=(0, 60))
     assert load_scenario(dest).model_config == derived
-    refused = re.escape(f"{policy_file}: policy solved for {model_config}, not for {derived}")
-    with pytest.raises(ValueError, match=refused):
-        if via == "policy_file":
+    refused = f"{policy_file}: policy solved for {model_config}, not for {derived}"
+    if via == "policy_file":
+        with pytest.raises(ValueError, match=re.escape(refused)):
             run_scenario(load_scenario(dest))
-        else:
-            cli_main(["run", "--scenario", str(dest), "--out", str(tmp_path / "out"), "--policy", str(policy_file)])
+    else:
+        rc = cli_main(["run", "--scenario", str(dest), "--out", str(tmp_path / "out"), "--policy", str(policy_file)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"crosswalk-sim: error: {refused}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -576,7 +629,7 @@ def test_cli_batch(tmp_path, repo_root, caplog):
     trace = load_trace(out_dir / "quick" / "trace.csv")
     assert len(trace) == 100
     assert (out_dir / "quick" / "scene_outline.csv").exists()
-    assert summarize(trace) in caplog.messages
+    assert summarize(trace, True) in caplog.messages
 
 
 def test_cli_grid_dump(tmp_path, repo_root, capsys):

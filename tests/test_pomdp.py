@@ -35,7 +35,7 @@ from crosswalk_sim.pomdp import (
     occluded_bins_from_band,
 )
 
-from conftest import state_index, state_tuple
+from conftest import kron_transitions, state_index, state_tuple
 
 
 def expected_distance(d, v) -> dict[int, float]:
@@ -269,6 +269,38 @@ def edge_config(name, shipped):
 def test_model_matches_pinned_digest(name, model_config):
     model = build_crosswalk_model(edge_config(name, model_config))
     assert model_digest(model) == MODEL_DIGESTS[name]
+
+
+@pytest.fixture(scope="module")
+def kron_reference():
+    return kron_transitions()
+
+
+def first_differing_row(mat, ref):
+    """The first row whose stored columns or probabilities differ."""
+    for r in range(mat.shape[0]):
+        got = slice(mat.indptr[r], mat.indptr[r + 1])
+        want = slice(ref.indptr[r], ref.indptr[r + 1])
+        if not (
+            np.array_equal(mat.indices[got], ref.indices[want])
+            and mat.data[got].tobytes() == ref.data[want].tobytes()
+        ):
+            return r
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
+def test_transitions_equal_kron_reference(name, model_config, kron_reference):
+    # the digests pin the bytes; this pins the structure: each matrix is
+    # the crossing chain (x) the action's motion kernel, plus the terminal
+    # self-loops, array for array and dtype for dtype
+    model = build_crosswalk_model(edge_config(name, model_config))
+    for a, (mat, ref) in enumerate(zip(model.transitions, kron_reference, strict=True)):
+        for field in ("data", "indices", "indptr"):
+            got, want = getattr(mat, field), getattr(ref, field)
+            assert got.dtype == want.dtype, f"action {a}: {field} is {got.dtype}, not {want.dtype}"
+            if got.tobytes() != want.tobytes():
+                pytest.fail(f"action {a}: {field} differs, first at row {first_differing_row(mat, ref)}")
 
 
 @pytest.mark.parametrize("name", ["shipped", "default"])

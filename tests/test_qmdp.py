@@ -301,15 +301,18 @@ def test_load_rejects_foreign_files(tmp_path):
         # eleven in-range scales, one per action: a run would command 1.0 for every action index
         (f"alpha-policy-v2\n{MODEL_LINE}\nactions 11\nstates 3\nscales{' 1' * 11}\n" + "0 0 0\n" * 11,
          f"action scales {(1.0,) * 11} are not the model's {ACTION_SCALES}"),
+        # the files are written as latin-1; a byte that is not UTF-8
+        ("alpha-policy-v2\n\u00ff\n", "not UTF-8 text"),
     ],
     ids=[
         "truncated", "one-token-header", "non-numeric", "ragged-row", "short-model-line", "fractional-bin",
         "nan-alpha", "inf-alpha", "scale-above-one", "negative-scale", "nan-scale", "scales-not-the-models",
+        "not-utf8",
     ],
 )
 def test_load_rejects_malformed_files_naming_them(tmp_path, text, reason):
     bad = tmp_path / "policy.txt"
-    bad.write_text(text)
+    bad.write_text(text, encoding="latin-1")
     with pytest.raises(ValueError, match=re.escape(f"{bad}: {reason}")):
         load_policy(bad, ModelConfig())
 
