@@ -10,7 +10,8 @@ import sys
 import time
 
 from . import world
-from .files import export_run, load_model_config, load_scenario, load_scene
+from .control import InfeasiblePathError
+from .files import ConfigError, export_run, load_model_config, load_scenario, load_scene
 from .harness import run_batch, run_scenario, solve_policy, summarize
 from .pomdp import derive_model_config
 from .qmdp import save_policy
@@ -28,10 +29,10 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as err:
+    except (ConfigError, FileNotFoundError) as err:
         # a config, scene or policy file the run cannot use: one line and
         # exit code 2, as argparse reports a usage error; with --verbose the
-        # traceback, which an internal fault needs
+        # traceback. Any other error is an internal fault and propagates
         if args.verbose:
             raise
         sys.stderr.write(f"{parser.prog}: error: {err}\n")
@@ -91,7 +92,11 @@ def _finite_float(text: str) -> float:
 
 def _cmd_solve(args) -> int:
     base = load_model_config(args.model) if args.model else None
-    cfg = derive_model_config(load_scene(args.scene), base)
+    scene = load_scene(args.scene)
+    try:
+        cfg = derive_model_config(scene, base)
+    except InfeasiblePathError as err:
+        raise ConfigError(f"{args.scene}: {err}") from None
     log.info(
         "scene geometry: crosswalk bin %d, occluded bins %s",
         cfg.crosswalk_bin,
@@ -117,7 +122,7 @@ def _cmd_run(args) -> int:
         try:
             config = dataclasses.replace(config, policy_file=args.policy)
         except ValueError as err:
-            raise ValueError(f"{args.scenario}: {err}") from None
+            raise ConfigError(f"{args.scenario}: {err}") from None
     trace = run_scenario(config)
     dest = export_run(trace, config.scene, args.out)
     log.info("%s -> %s", summarize(trace, config.scene.pedestrian.present), dest)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import world
-from .pomdp import PomdpModel, obs_index
+from .pomdp import PomdpModel
 from .qmdp import BELIEF_TOL, AlphaVectorPolicy, best_action
 
 STOP_MARGIN = 5.0  # m short of the crosswalk line where a yielding stop ends
@@ -31,10 +30,6 @@ class SensorReading:
 
     unobservable_count: int
     detected: bool
-
-    @property
-    def count_bin(self) -> int:
-        return world.bin_observation(self.unobservable_count)
 
 
 def init_belief(model: PomdpModel) -> np.ndarray:
@@ -71,10 +66,10 @@ def pomdp_step(
     model: PomdpModel,
 ) -> tuple[float, np.ndarray]:
     """One decision: pick the greedy action for the current belief, then
-    absorb the sensor reading into the posterior. Returns (scale, belief)."""
+    absorb the sensor reading's detection flag, the model's observation,
+    into the posterior. Returns (scale, belief)."""
     action = best_action(policy, belief)
-    obs = obs_index(reading.count_bin, reading.detected)
-    posterior = belief_update(belief, action, obs, model)
+    posterior = belief_update(belief, action, int(reading.detected), model)
     return policy.scales[action], posterior
 
 

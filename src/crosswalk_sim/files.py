@@ -4,7 +4,7 @@ scene-outline CSV of a run.
 
 Every config loader goes through `_read`, `_given` and `_build`, so they
 share one error rule: an unknown key, an unconvertible, non-finite or
-out-of-range value, a non-mapping or an empty file raises ValueError
+out-of-range value, a non-mapping or an empty file raises ConfigError
 naming the file and the key, and a missing file raises FileNotFoundError.
 Every CSV goes through `_write_csv`, which writes floats with %.17g so
 they read back exactly.
@@ -20,10 +20,16 @@ from pathlib import Path as FsPath
 import numpy as np
 import yaml
 
+from .control import build_avoidance_path
 from .pomdp import ModelConfig, derive_model_config
 from .world import Crosswalk, Pedestrian, RectObstacle, RoadFrame, Scene
 
 POLICY_KINDS = ("oracle", "baseline", "pomdp")
+
+
+class ConfigError(ValueError):
+    """A file the program cannot use; the message starts with its name."""
+
 
 TRACE_FIELDS = (
     "time",
@@ -45,16 +51,16 @@ TRACE_FIELDS = (
 @dataclass
 class ScenarioConfig:
     """Everything needed to reproduce one closed-loop run. v_desired and
-    duration must be finite and positive. A pomdp run's model_config
-    takes its geometry from the scene (pomdp.derive_model_config); any
-    other run reads neither a model nor a policy file, so setting one
-    raises ValueError."""
+    duration must be finite and positive, and the scene must leave room
+    for the avoidance path (InfeasiblePathError otherwise). A pomdp run's
+    model_config takes its geometry from the scene
+    (pomdp.derive_model_config); any other run reads neither a model nor
+    a policy file, so setting one raises ValueError."""
 
     scene: Scene
     policy: str = "oracle"
     v_desired: float = 10.0
     duration: float = 15.0
-    seed: int = 0
     model_config: ModelConfig | None = None
     policy_file: str | None = None
     name: str = "scenario"
@@ -74,6 +80,8 @@ class ScenarioConfig:
             raise ValueError(
                 f"key 'policy_file' is set to {self.policy_file}, but policy {self.policy!r} reads no policy file"
             )
+        else:
+            build_avoidance_path(self.scene)  # InfeasiblePathError, as derive_model_config raises
 
 
 @dataclass
@@ -100,24 +108,22 @@ def _checked(data, allowed, where: str, source, required: tuple[str, ...] = ()) 
     missing key. An empty section reads as an empty mapping."""
     data = {} if data is None else data
     if not isinstance(data, dict):
-        raise ValueError(f"{source}: {where} must be a mapping")
+        raise ConfigError(f"{source}: {where} must be a mapping")
     for key in data:
         if key not in allowed:
-            raise ValueError(f"{source}: unknown {where} key {key!r}")
+            raise ConfigError(f"{source}: unknown {where} key {key!r}")
     for key in required:
         if key not in data:
-            raise ValueError(f"{source}: missing {where} key {key!r}")
+            raise ConfigError(f"{source}: missing {where} key {key!r}")
     return data
 
 
 def _convert(kind, value):
-    """value as type kind: a bool field takes only a YAML boolean, an int
-    field no value with a fraction, and a float field no NaN or infinity."""
+    """value as type kind: a bool field takes only a YAML boolean, and a
+    float field no NaN or infinity."""
     if kind is bool and not isinstance(value, bool):
         raise ValueError(f"{value!r} is not a boolean")
     converted = kind(value)
-    if kind is int and isinstance(value, float) and converted != value:
-        raise ValueError(f"{value!r} is not an integer")
     if kind is float and not math.isfinite(converted):
         raise ValueError(f"{value!r} is not finite")
     return converted
@@ -142,7 +148,7 @@ def _given(data: dict, source, cls, fields=None) -> dict:
             else:
                 given[name] = _convert(kind, value)
         except (TypeError, ValueError, OverflowError) as err:
-            raise ValueError(f"{source}: bad value for key {key!r}: {err}") from None
+            raise ConfigError(f"{source}: bad value for key {key!r}: {err}") from None
     return given
 
 
@@ -152,7 +158,7 @@ def _build(cls, source, kwargs: dict):
     try:
         return cls(**kwargs)
     except ValueError as err:
-        raise ValueError(f"{source}: {err}") from None
+        raise ConfigError(f"{source}: {err}") from None
 
 
 def _read(source, what: str, allowed, required: tuple[str, ...] = ()) -> dict:
@@ -166,11 +172,11 @@ def _read(source, what: str, allowed, required: tuple[str, ...] = ()) -> dict:
             mark = getattr(exc, "problem_mark", None)
             where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
             problem = getattr(exc, "problem", None) or type(exc).__name__
-            raise ValueError(f"{source}: not valid YAML: {problem}{where}") from None
+            raise ConfigError(f"{source}: not valid YAML: {problem}{where}") from None
         except UnicodeDecodeError:
-            raise ValueError(f"{source}: not UTF-8 text") from None
+            raise ConfigError(f"{source}: not UTF-8 text") from None
     if data is None:
-        raise ValueError(f"{source}: empty {what} file")
+        raise ConfigError(f"{source}: empty {what} file")
     return _checked(data, allowed, what, source, required)
 
 
@@ -218,7 +224,7 @@ def load_scenario(source) -> ScenarioConfig:
     data = _read(path, "scenario", _SCENARIO_KEYS, required=("scene",))
     for key in _SCENARIO_REFS:
         if key in data and data[key] is None:
-            raise ValueError(f"{path}: empty scenario key {key!r}")
+            raise ConfigError(f"{path}: empty scenario key {key!r}")
     refs = {key: path.parent / str(data[key]) for key in _SCENARIO_REFS if key in data}
     fields = dict(
         scene=load_scene(refs["scene"]),

@@ -97,7 +97,7 @@ class BaselinePolicy:
         self.engaged = False
 
     def decide(self, state: VehicleState, reading: SensorReading) -> float:
-        scale = (self.LEVELS - reading.count_bin) / self.LEVELS
+        scale = (self.LEVELS - world.bin_observation(reading.unobservable_count)) / self.LEVELS
         if reading.detected:
             self.seen = True
         past = state.s >= self.crosswalk_s
@@ -144,9 +144,8 @@ def run_scenario(
     For the pomdp policy a solved alpha-vector policy is required: pass it
     in together with the model it was solved on, point config.policy_file
     at a saved one, or leave both unset to solve it here (slowest option).
-    A policy file solved for another model config than the scenario
-    derives, or sized for another state space, raises ValueError naming
-    the file.
+    A policy file that load_policy refuses for the scenario's model config
+    raises ConfigError naming the file.
     """
     scene = config.scene
     path = build_avoidance_path(scene)
@@ -157,16 +156,12 @@ def run_scenario(
     elif config.policy == "baseline":
         policy = BaselinePolicy(config.v_desired, crosswalk_s)
     else:
-        loaded = policy is None and bool(config.policy_file)
-        if loaded:
+        if policy is None and config.policy_file:
             policy = load_policy(config.policy_file, config.model_config)
         elif policy is None:
             model, policy = solve_policy(config.model_config)
         if model is None:
             model = build_crosswalk_model(config.model_config)
-        shape = (model.num_actions, model.num_states)
-        if loaded and policy.alphas.shape != shape:
-            raise ValueError(f"{config.policy_file}: alphas of shape {policy.alphas.shape}, not the model's {shape}")
         policy = QmdpPolicy(model, policy)
 
     n_steps = int(round(config.duration / CONTROL_DT))
@@ -223,7 +218,6 @@ def run_scenario(
     metadata = {
         "name": config.name,
         "policy": config.policy,
-        "seed": config.seed,
         "v_desired": config.v_desired,
         "duration": config.duration,
         "control_dt": CONTROL_DT,

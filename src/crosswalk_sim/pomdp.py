@@ -3,8 +3,8 @@
 State (v, d, c): ego speed bin (0..10, 1 m/s each), distance bin along the
 path (0..120, 0.5 m each, 120 terminal/absorbing), and whether a pedestrian
 crossing is active. Actions are speed scales 0.0..1.0 in steps of 0.1.
-Observations pair the binned unobservable-cell count with a boolean
-pedestrian detection flag. One transition spans EPOCH seconds. The flat
+The observation is the pedestrian detection flag, 0 or 1; its likelihood
+depends on c alone. One transition spans EPOCH seconds. The flat
 index of state (v, d, c) is (c * NUM_D + d) * NUM_V + v.
 
 The chains, rewards and observation likelihoods are module constants;
@@ -21,14 +21,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import build_avoidance_path
-from .world import NUM_COUNT_BINS, Scene, crosswalk_occlusion_band, crosswalk_path_distance
+from .world import Scene, crosswalk_occlusion_band, crosswalk_path_distance
 
 NUM_V = 11
 NUM_D = 121
 NUM_CROSSING = 2
 NUM_STATES = NUM_V * NUM_D * NUM_CROSSING  # 2662
 NUM_ACTIONS = 11
-NUM_OBS = 2 * NUM_COUNT_BINS  # 20
+NUM_OBS = 2  # detected or not
 TERMINAL_D = NUM_D - 1
 EPOCH = 0.5  # s between decisions
 
@@ -46,12 +46,6 @@ REWARD_SPEEDING = -5.0
 SPEEDING_BIN = 6  # speed bins above this are penalized in the occluded band
 DETECT_GIVEN_CROSSING = 0.8
 DETECT_GIVEN_CLEAR = 0.5
-
-
-def obs_index(count_bin: int, detected: bool) -> int:
-    if not 0 <= count_bin < NUM_COUNT_BINS:
-        raise ValueError("count bin out of range")
-    return int(bool(detected)) * NUM_COUNT_BINS + count_bin
 
 
 @dataclass(frozen=True)
@@ -205,9 +199,9 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     rewards[:, 0] = base  # holding a zero command is exempt from the crossing penalty
     rewards[terminal] = 0.0
 
-    # the count bin is uniform; only the detection flag depends on c
+    # column o is P(detected = o | c)
     p_detect = np.where(c == 1, DETECT_GIVEN_CROSSING, DETECT_GIVEN_CLEAR)[:, None]
-    observation = np.repeat(np.hstack((1.0 - p_detect, p_detect)) / NUM_COUNT_BINS, NUM_COUNT_BINS, axis=1)
+    observation = np.hstack((1.0 - p_detect, p_detect))
 
     return PomdpModel(
         transitions=mats,

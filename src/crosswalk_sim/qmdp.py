@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pomdp import ACTION_SCALES, ModelConfig, PomdpModel
+from .files import ConfigError
+from .pomdp import ACTION_SCALES, NUM_STATES, ModelConfig, PomdpModel
 
 BELIEF_TOL = 1e-9
 
@@ -29,6 +30,7 @@ def value_iteration(model: PomdpModel, tol: float = 1e-6, max_iters: int = 10000
     if tol <= 0:
         raise ValueError("tol must be positive")
     gamma = model.discount
+    residual = np.inf  # reported when max_iters allows no sweep
     # |Q_k - Q*| <= gamma / (1 - gamma) * |Q_k - Q_{k-1}|
     stop = tol * min(1.0, (1.0 - gamma) / max(gamma, 1e-12))
     transitions = model.transitions
@@ -109,46 +111,47 @@ def save_policy(policy: AlphaVectorPolicy, destination, config: ModelConfig) -> 
 def load_policy(source, config: ModelConfig) -> AlphaVectorPolicy:
     """Read a policy written by save_policy for config; rejects unknown
     formats. A malformed file (among them one with a non-finite alpha
-    value), one solved for another model config, or one whose action
-    scales are not the model's ACTION_SCALES raises ValueError naming the
-    file."""
+    value), or one solved for another model config or with other action
+    scales or state count than the model's, raises ConfigError naming it."""
     with open(source, "r", encoding="utf-8") as fh:
         try:
             lines = [ln.strip() for ln in fh if ln.strip()]
         except UnicodeDecodeError:
-            raise ValueError(f"{source}: not UTF-8 text") from None
+            raise ConfigError(f"{source}: not UTF-8 text") from None
     if not lines or lines[0] != POLICY_FORMAT:
-        raise ValueError(f"{source}: not a {POLICY_FORMAT} file")
+        raise ConfigError(f"{source}: not a {POLICY_FORMAT} file")
     if len(lines) < 5:
-        raise ValueError(f"{source}: truncated policy file")
+        raise ConfigError(f"{source}: truncated policy file")
     solved_for = _model_line(source, lines[1])
     if solved_for != config:
-        raise ValueError(f"{source}: policy solved for {solved_for}, not for {config}")
+        raise ConfigError(f"{source}: policy solved for {solved_for}, not for {config}")
     try:
         header = dict(ln.split(maxsplit=1) for ln in lines[2:4])
         num_actions = int(header["actions"])
         num_states = int(header["states"])
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"{source}: malformed policy header") from exc
+        raise ConfigError(f"{source}: malformed policy header") from exc
     if not lines[4].startswith("scales "):
-        raise ValueError(f"{source}: missing scales line")
+        raise ConfigError(f"{source}: missing scales line")
     try:
         scales = tuple(float(x) for x in lines[4].split()[1:])
         rows = [[float(x) for x in ln.split()] for ln in lines[5:]]
     except ValueError as exc:
-        raise ValueError(f"{source}: non-numeric policy value") from exc
+        raise ConfigError(f"{source}: non-numeric policy value") from exc
     if len(scales) != num_actions:
-        raise ValueError(f"{source}: scale count does not match actions")
+        raise ConfigError(f"{source}: scale count does not match actions")
     if len(rows) != num_actions:
-        raise ValueError(f"{source}: alpha row count does not match actions")
+        raise ConfigError(f"{source}: alpha row count does not match actions")
     if any(len(row) != num_states for row in rows):
-        raise ValueError(f"{source}: alpha matrix shape mismatch")
+        raise ConfigError(f"{source}: alpha matrix shape mismatch")
     alphas = np.array(rows, dtype=float).reshape(num_actions, num_states)
     if not np.isfinite(alphas).all():
-        raise ValueError(f"{source}: non-finite alpha value")
+        raise ConfigError(f"{source}: non-finite alpha value")
     # save_policy writes '%.17g', so the model's scales read back exactly
     if scales != ACTION_SCALES:
-        raise ValueError(f"{source}: action scales {scales} are not the model's {ACTION_SCALES}")
+        raise ConfigError(f"{source}: action scales {scales} are not the model's {ACTION_SCALES}")
+    if num_states != NUM_STATES:
+        raise ConfigError(f"{source}: alphas of shape {alphas.shape}, not the model's {(num_actions, NUM_STATES)}")
     return AlphaVectorPolicy(alphas=alphas, scales=scales)
 
 
@@ -160,4 +163,4 @@ def _model_line(source, line: str) -> ModelConfig:
             raise ValueError(line)
         return ModelConfig(float(discount), int(crosswalk_bin), (int(lo), int(hi)))
     except ValueError as exc:
-        raise ValueError(f"{source}: malformed model line") from exc
+        raise ConfigError(f"{source}: malformed model line") from exc

@@ -3,6 +3,7 @@ three policies' decide rules."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,15 +20,9 @@ from crosswalk_sim.executor import (
     stopping_scale,
 )
 from crosswalk_sim.harness import BaselinePolicy, OraclePolicy, QmdpPolicy
-from crosswalk_sim.pomdp import (
-    ACTION_SCALES,
-    NUM_OBS,
-    NUM_STATES,
-    TERMINAL_D,
-    obs_index,
-)
-from crosswalk_sim.qmdp import AlphaVectorPolicy
-from crosswalk_sim.world import Scene
+from crosswalk_sim.pomdp import ACTION_SCALES, NUM_ACTIONS, NUM_STATES, TERMINAL_D
+from crosswalk_sim.qmdp import AlphaVectorPolicy, best_action
+from crosswalk_sim.world import NUM_COUNT_BINS, Scene
 
 from conftest import dense_model, state_index
 
@@ -131,10 +126,8 @@ def test_repeated_detections_raise_crossing_probability(crosswalk_model):
     belief = init_belief(crosswalk_model)
     half = NUM_STATES // 2
     p_prev = float(belief[half:].sum())
-    reading = SensorReading(unobservable_count=900, detected=True)
-    obs = obs_index(reading.count_bin, True)
     for _ in range(20):
-        belief = belief_update(belief, 0, obs, crosswalk_model)
+        belief = belief_update(belief, 0, 1, crosswalk_model)
         p_now = float(belief[half:].sum())
         if p_prev < 0.999:
             assert p_now > p_prev
@@ -142,13 +135,39 @@ def test_repeated_detections_raise_crossing_probability(crosswalk_model):
     assert p_prev > 0.5
 
 
+def test_count_bin_changes_no_belief_or_decision(crosswalk_model, policy):
+    # The observation as it was before the count bin left it: symbol
+    # det * 10 + bin, each bin with likelihood 1/10 in every state. That
+    # factor cancels in the Bayes step, so filtering on the detection flag
+    # alone gives the same beliefs, up to rounding, and the same actions.
+    # Ten runs of 30 decisions with random actions, flags and bins, each
+    # from the uniform belief. Near the terminal states every action is
+    # worth about the same, and where the best two tie to within 1e-12
+    # the rounding picks the action, so those steps are not compared.
+    twenty = np.repeat(crosswalk_model.observation / NUM_COUNT_BINS, NUM_COUNT_BINS, axis=1)
+    reference = dataclasses.replace(crosswalk_model, observation=twenty)
+    rng = np.random.default_rng(0)
+    compared = 0
+    for _ in range(10):
+        belief = want = init_belief(crosswalk_model)
+        for _ in range(30):
+            action = int(rng.integers(NUM_ACTIONS))
+            detected, count_bin = int(rng.integers(2)), int(rng.integers(NUM_COUNT_BINS))
+            belief = belief_update(belief, action, detected, crosswalk_model)
+            want = belief_update(want, action, detected * NUM_COUNT_BINS + count_bin, reference)
+            np.testing.assert_allclose(belief, want, rtol=1e-14, atol=0)
+            runner_up, top = np.sort(policy.alphas @ want)[-2:]
+            if top - runner_up > 1e-12 * abs(top):
+                assert best_action(policy, belief) == best_action(policy, want)
+                compared += 1
+    assert compared > 250
+
+
 # --- pomdp_step ------------------------------------------------------------------
 
 
 def test_pomdp_step_acts_before_update(crosswalk_model, policy):
     belief = init_belief(crosswalk_model)
-    from crosswalk_sim.qmdp import best_action
-
     expected_scale = policy.scales[best_action(policy, belief)]
     scale, posterior = pomdp_step(
         belief, policy, SensorReading(0, False), crosswalk_model
@@ -176,13 +195,9 @@ def test_known_crossing_ahead_commands_stop(crosswalk_model, policy):
 
 
 def test_qmdp_policy_resets_a_collapsed_belief(caplog):
-    # identity dynamics; state 0 only ever reads count bin 0 undetected and
-    # state 1 only count bin 0 detected
-    observation = np.zeros((2, NUM_OBS))
-    observation[0, obs_index(0, False)] = 1.0
-    observation[1, obs_index(0, True)] = 1.0
-    assert obs_index(0, False) == 0 and obs_index(0, True) == 10
-    model = dense_model(np.eye(2)[None], np.zeros((2, 1)), 0.9, observation=observation)
+    # identity dynamics; state 0 never reads a detection and state 1
+    # always does
+    model = dense_model(np.eye(2)[None], np.zeros((2, 1)), 0.9, observation=np.eye(2))
     qmdp = QmdpPolicy(model, AlphaVectorPolicy(alphas=np.zeros((1, 2)), scales=(0.5,)))
     assert qmdp.decide(VehicleState(), SensorReading(0, True)) == 0.5
     assert np.array_equal(qmdp.belief, [0.0, 1.0])
@@ -265,9 +280,3 @@ def test_oracle_scale_respects_stopping_distance(hidden_scene):
         scale = oracle_scale(hidden_scene, VehicleState(s=float(s)), 40.0, 10.0)
         v_cmd = scale * 10.0
         assert v_cmd**2 / (2.0 * 3.0) <= max(40.0 - s, 0.0) + 1e-9
-
-
-def test_sensor_reading_bin():
-    assert SensorReading(0, False).count_bin == 0
-    assert SensorReading(900, True).count_bin == 5
-    assert SensorReading(5000, False).count_bin == 9

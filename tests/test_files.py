@@ -60,11 +60,9 @@ BAD_VALUES = [
 ]
 
 # Values that Python's own conversion would take but the field's type does
-# not: a string for a bool (bool("false") is True), a fraction for an int
-# (int(3.9) is 3).
+# not: a string for a bool (bool("false") is True).
 STRICT_VALUES = [
     ("scene", "pedestrian:\n  present: 'false'\n  position: [40.0, 1.0]\n", "present"),
-    ("scenario", "scene: {scene}\nseed: 3.9\n", "seed"),
 ]
 
 
@@ -112,10 +110,10 @@ def test_bad_value_names_the_file_and_key(tmp_path, repo_root, what, text, key):
 def test_scenario_values_convert_to_their_types(tmp_path, repo_root):
     dest = tmp_path / "scenario.yaml"
     scene = repo_root / "configs" / "scene_exposed.yaml"
-    dest.write_text(f"scene: {scene}\nv_desired: '10'\nduration: '15'\nseed: '3'\n")
+    dest.write_text(f"scene: {scene}\nv_desired: '10'\nduration: '15'\n")
     cfg = load_scenario(dest)
-    assert (cfg.v_desired, cfg.duration, cfg.seed) == (10.0, 15.0, 3)
-    assert type(cfg.v_desired) is float and type(cfg.seed) is int
+    assert (cfg.v_desired, cfg.duration) == (10.0, 15.0)
+    assert type(cfg.v_desired) is float and type(cfg.duration) is float
 
 
 def test_model_values_convert_to_their_types(tmp_path):

@@ -270,7 +270,6 @@ def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
         "policy": "baseline",
         "v_desired": 8.0,
         "duration": 4.0,
-        "seed": 7,
     }
     dest = tmp_path / "custom_case.yaml"
     dest.write_text(yaml.safe_dump(doc))
@@ -278,11 +277,10 @@ def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
     assert cfg.name == "custom_case"
     assert cfg.policy == "baseline"
     assert cfg.v_desired == 8.0
-    assert cfg.seed == 7
     assert cfg.scene.pedestrian.present
 
 
-@pytest.mark.parametrize("key", ["stop_margn", "kp", "control_dt", "decision_period", "vehicle", "name"])
+@pytest.mark.parametrize("key", ["stop_margn", "kp", "control_dt", "decision_period", "vehicle", "name", "seed"])
 def test_load_scenario_rejects_unknown_key(tmp_path, repo_root, key):
     doc = {
         "scene": str(repo_root / "configs" / "scene_exposed.yaml"),
@@ -337,13 +335,24 @@ def test_cli_run_rejects_policy_for_non_pomdp_scenario(tmp_path, repo_root, caps
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", ["misspelt-key", "missing-scene", "yaml-syntax"])
+@pytest.mark.parametrize("case", ["misspelt-key", "missing-scene", "yaml-syntax", "infeasible-solve", "infeasible-run"])
 def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case):
     # a file the run cannot use ends in one stderr line naming it and exit
-    # code 2, not a traceback; the missing scene is never written
+    # code 2, not a traceback; the missing scene is never written. A scene
+    # whose occluder sits at x = 12 m leaves no room to swing around it:
+    # solve names the scene file, and run names the scenario over it
     dest = tmp_path / "config.yaml"
+    scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
+    scene["obstacles"][0]["center"][0] = 12.0
+    (tmp_path / "infeasible.yaml").write_text(yaml.safe_dump(scene))
     if case == "misspelt-key":
         dest.write_text(f"scene: {repo_root / 'configs' / 'scene_hidden.yaml'}\npolcy: oracle\n")
+        argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
+    elif case == "infeasible-solve":
+        dest = tmp_path / "infeasible.yaml"
+        argv = ["solve", "--scene", str(dest), "--out", str(tmp_path / "out")]
+    elif case == "infeasible-run":
+        dest.write_text("scene: infeasible.yaml\npolicy: oracle\n")
         argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
     else:
         if case == "yaml-syntax":
@@ -355,6 +364,19 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
     assert err.startswith("crosswalk-sim: error: ") and err.endswith("\n")
     assert len(err.splitlines()) == 1 and str(dest) in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_internal_value_error_propagates(tmp_path, repo_root, monkeypatch, capsys):
+    # only a file the run cannot use ends in exit code 2; any other
+    # ValueError is an internal fault and keeps its traceback
+    def broken(config):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("crosswalk_sim.cli.run_scenario", broken)
+    scenario = repo_root / "configs" / "scenarios" / "oracle_hidden.yaml"
+    with pytest.raises(ValueError, match="^internal fault$"):
+        cli_main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_cli_verbose_config_error_keeps_its_traceback(tmp_path, capsys):

@@ -16,7 +16,6 @@ from crosswalk_sim.pomdp import (
     CROSSING_PERSIST,
     EPOCH,
     NUM_ACTIONS,
-    NUM_COUNT_BINS,
     NUM_D,
     NUM_OBS,
     NUM_STATES,
@@ -31,7 +30,6 @@ from crosswalk_sim.pomdp import (
     ModelConfig,
     PomdpModel,
     build_crosswalk_model,
-    obs_index,
     occluded_bins_from_band,
 )
 
@@ -116,10 +114,11 @@ def row_as_dict(model, state, action):
 def test_space_sizes(crosswalk_model):
     assert NUM_STATES == 2662
     assert NUM_ACTIONS == 11
-    assert NUM_OBS == 20
+    assert NUM_OBS == 2
     assert crosswalk_model.num_states == 2662
     assert crosswalk_model.num_actions == 11
-    assert crosswalk_model.num_obs == 20
+    assert crosswalk_model.num_obs == 2
+    assert crosswalk_model.observation.shape == (2662, 2)
     assert ACTION_SCALES == tuple(k / 10 for k in range(11))
 
 
@@ -134,13 +133,6 @@ def test_state_index_bijection():
     assert seen == set(range(NUM_STATES))
 
 
-def test_obs_index_bijection():
-    seen = {obs_index(b, det) for b in range(NUM_COUNT_BINS) for det in (False, True)}
-    assert seen == set(range(NUM_OBS))
-    assert obs_index(3, False) == 3
-    assert obs_index(3, True) == 13
-
-
 def test_index_validation():
     with pytest.raises(ValueError):
         state_index(-1, 0, 0)
@@ -148,8 +140,6 @@ def test_index_validation():
         state_index(0, NUM_D, 0)
     with pytest.raises(ValueError):
         state_tuple(NUM_STATES)
-    with pytest.raises(ValueError):
-        obs_index(NUM_COUNT_BINS, False)
 
 
 # --- transitions -------------------------------------------------------------
@@ -234,13 +224,16 @@ EDGE_CONFIGS = {
 # the kron build replaced. The shipped entry was re-taken from the kron build
 # when configs/pomdp.yaml's occluded_bins went from (0, 50) to (0, 62); the
 # band moves only the speeding rewards, which test_rewards_match_enumeration
-# checks against an enumeration.
+# checks against an enumeration. All five were re-taken when the count bin
+# left the observation (20 columns to 2); with the earlier 20-column table,
+# np.repeat(observation / 10, 10, axis=1), substituted back, each model
+# gave its earlier digest.
 MODEL_DIGESTS = {
-    "shipped": "a5d46d055fca7482808b5f1f5af6be5c53dd8bd5a56766b308418174d266ac23",
-    "default": "6bd4762973815e4972376b4fa98d43d933f401109b8675ff852cccde38d672bb",
-    "occluded_empty": "f8aa6d6148b52376407fb67dcee6fcbfcbb16c6753489e1449e58687bea2b3fc",
-    "occluded_wide": "583301cdc6aa8213b7d4394331fbf0763ae70229baecbe68c5825e2deeaad56c",
-    "crosswalk_0": "1aeacce1f0b5e855e6126102e3d2371219c55a5bf90899b2fb3fb82dde1491fa",
+    "shipped": "cb4af295f38e8a570b7d76b6d5deda706f57e0803055b75fd66b9e80c5ef17a9",
+    "default": "c83e8f2ed2e5acc465252157f3ba2a15952c49b71a928b56f582590d3594ef61",
+    "occluded_empty": "6186c9223f5cf4cc6543469d4eaec632e21fca7b19c77459b708c727d67e077c",
+    "occluded_wide": "972a7d61994b51306cb1329d69b0105d96e437156382c8324e86a42b9c2ffa77",
+    "crosswalk_0": "124496e04d78bb5381b76d23b91e86e084b445d06c2af5d1f7f6a7bbb1384e93",
 }
 
 
@@ -327,8 +320,7 @@ def test_observation_rows_sum_to_one(crosswalk_model):
 
 
 def test_detection_gap_is_fixed(crosswalk_model):
-    det_cols = slice(NUM_COUNT_BINS, NUM_OBS)
-    p_det = crosswalk_model.observation[:, det_cols].sum(axis=1)
+    p_det = crosswalk_model.observation[:, 1]
     clear_half = p_det[: NUM_D * NUM_V]
     crossing_half = p_det[NUM_D * NUM_V :]
     assert np.allclose(clear_half, 0.5, atol=1e-12)
@@ -337,7 +329,9 @@ def test_detection_gap_is_fixed(crosswalk_model):
 
 
 def test_count_is_uninformative_given_crossing(crosswalk_model):
-    # every state with the same crossing flag shares one likelihood row
+    # the count bin is not part of the observation, which is the detection
+    # flag alone: every state with the same crossing flag shares one
+    # likelihood row
     obs = crosswalk_model.observation
     for half in (obs[: NUM_D * NUM_V], obs[NUM_D * NUM_V :]):
         assert np.all(half == half[0])
@@ -345,10 +339,7 @@ def test_count_is_uninformative_given_crossing(crosswalk_model):
 
 def test_observation_prob_example(crosswalk_model):
     s_clear = state_index(3, 40, 0)
-    for count_bin in range(NUM_COUNT_BINS):
-        assert crosswalk_model.observation[
-            s_clear, obs_index(count_bin, False)
-        ] == pytest.approx(0.05, abs=1e-15)
+    assert crosswalk_model.observation[s_clear, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 # --- rewards -----------------------------------------------------------------

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from crosswalk_sim.pomdp import ACTION_SCALES, ModelConfig, build_crosswalk_model
+from crosswalk_sim.pomdp import ACTION_SCALES, NUM_STATES, ModelConfig, build_crosswalk_model
 from crosswalk_sim.qmdp import (
     AlphaVectorPolicy,
     ValueIterationError,
@@ -133,8 +133,10 @@ def test_non_convergence_raises():
     t = np.ones((1, 1, 1))
     r = np.ones((1, 1))
     model = dense_model(t, r, discount=0.99)
-    with pytest.raises(ValueIterationError):
-        value_iteration(model, tol=1e-10, max_iters=3)
+    # zero sweeps, or a negative count, are not enough either
+    for max_iters in (3, 0, -3):
+        with pytest.raises(ValueIterationError, match=f"no convergence after {max_iters} sweeps"):
+            value_iteration(model, tol=1e-10, max_iters=max_iters)
     with pytest.raises(ValueError):
         value_iteration(model, tol=0.0)
 
@@ -247,7 +249,7 @@ MODEL_LINE = "model discount 0.94999999999999996 crosswalk_bin 80 occluded_bins 
 
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(31)
-    q = rng.normal(size=(50, 11)) * 100
+    q = rng.normal(size=(NUM_STATES, 11)) * 100
     policy = extract_alphas(q, tuple(k / 10 for k in range(11)))
     dest = tmp_path / "policy.txt"
     save_policy(policy, dest, ModelConfig())
@@ -301,13 +303,16 @@ def test_load_rejects_foreign_files(tmp_path):
         # eleven in-range scales, one per action: a run would command 1.0 for every action index
         (f"alpha-policy-v2\n{MODEL_LINE}\nactions 11\nstates 3\nscales{' 1' * 11}\n" + "0 0 0\n" * 11,
          f"action scales {(1.0,) * 11} are not the model's {ACTION_SCALES}"),
+        # the model's scales, but alphas over 3 states instead of 2662
+        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 11\nstates 3\nscales {' '.join(map(str, ACTION_SCALES))}\n"
+         + "0 0 0\n" * 11, "alphas of shape (11, 3), not the model's (11, 2662)"),
         # the files are written as latin-1; a byte that is not UTF-8
         ("alpha-policy-v2\n\u00ff\n", "not UTF-8 text"),
     ],
     ids=[
         "truncated", "one-token-header", "non-numeric", "ragged-row", "short-model-line", "fractional-bin",
         "nan-alpha", "inf-alpha", "scale-above-one", "negative-scale", "nan-scale", "scales-not-the-models",
-        "not-utf8",
+        "states-not-the-models", "not-utf8",
     ],
 )
 def test_load_rejects_malformed_files_naming_them(tmp_path, text, reason):
