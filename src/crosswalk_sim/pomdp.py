@@ -12,10 +12,15 @@ ModelConfig holds only what differs between solves. The transition
 matrices are assembled directly as CSR arrays; scipy is imported on the
 first model build, not with this module, and only for the csr_matrix
 container that holds them.
+
+No transition lowers d, and away from the terminal clamp none depends on
+d, so one layer kernel over the (c, v) states of a distance layer holds
+the whole motion; qmdp.value_iteration solves through it layer by layer.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,12 +72,22 @@ class ModelConfig:
 @dataclass(frozen=True, eq=False)
 class PomdpModel:
     """Tabular model: per-action sparse transitions, rewards and
-    observation likelihoods."""
+    observation likelihoods, and optionally the layer kernel of a model
+    laid out as the crosswalk model is.
+
+    layer_kernel[a, s, k, s'] is the chance that action a takes layer
+    state s = c * NUM_V + v at distance bin d to s' at d + k, for every d
+    whose d + k stays short of TERMINAL_D (a d + k at or past it stands
+    for the terminal layer). It restates `transitions` for a solver that
+    walks the layers; value_iteration only starts from what it gives, so a
+    kernel that disagrees with `transitions` costs sweeps, not accuracy.
+    None for a model without that layout."""
 
     transitions: tuple  # one scipy.sparse.csr_matrix (S, S) per action
     rewards: np.ndarray  # (S, A)
     discount: float
     observation: np.ndarray | None = None  # (S, O)
+    layer_kernel: np.ndarray | None = None  # (A, NUM_CROSSING * NUM_V, reach, NUM_CROSSING * NUM_V)
 
     @property
     def num_states(self) -> int:
@@ -85,6 +100,13 @@ class PomdpModel:
     @property
     def num_obs(self) -> int:
         return 0 if self.observation is None else self.observation.shape[1]
+
+
+def _crossing_chain() -> np.ndarray:
+    """C[c, c']: the pedestrian crossing flag's chance of moving from c to
+    c' over one epoch."""
+    p_cross = np.array([CROSSING_ONSET, CROSSING_PERSIST])
+    return np.column_stack((1.0 - p_cross, p_cross))
 
 
 def _distance_kernel():
@@ -116,6 +138,32 @@ def _speed_kernel(command: int) -> np.ndarray:
     kernel[v, v] = 1.0 - P_ADAPT
     kernel[v, v + np.sign(command - v)] = P_ADAPT
     kernel[command, command] = 1.0
+    return kernel
+
+
+@functools.cache
+def _layer_kernel() -> np.ndarray:
+    """PomdpModel.layer_kernel of the crosswalk model, shape (NUM_ACTIONS,
+    22, 12, 22) with the 12 advances 0..11 bins: C[c, c'] * (S_a[v, v'] *
+    P[v, k]), the factors and product order of the transition matrices,
+    with P[v, k] the distance kernel's chance that speed bin v advances k
+    bins. It is read off layer 0, which lies farther from the terminal
+    clamp than any advance reaches. Raises ValueError if any transition
+    lowers d. Built once per process and read-only, as models share it."""
+    targets, probs, keep = _distance_kernel()
+    advance = targets - np.repeat(np.arange(TERMINAL_D), NUM_V)[:, None]
+    if np.any(advance[keep] < 0):
+        raise ValueError("a transition lowers the distance bin")
+    kept = keep[:NUM_V]  # the merged slots of layer 0 have distinct targets
+    v = np.broadcast_to(np.arange(NUM_V)[:, None], kept.shape)
+    distance = np.zeros((NUM_V, advance[:NUM_V].max() + 1))
+    distance[v[kept], advance[:NUM_V][kept]] = probs[:NUM_V][kept]
+    speed = np.stack([_speed_kernel(a) for a in range(NUM_ACTIONS)])
+    motion = speed[:, :, None, :] * distance[:, :, None]  # (a, v, k, v')
+    kernel = _crossing_chain()[:, None, None, :, None] * motion[:, None, :, :, None, :]
+    width = NUM_CROSSING * NUM_V
+    kernel = kernel.reshape(NUM_ACTIONS, width, -1, width)
+    kernel.flags.writeable = False
     return kernel
 
 
@@ -172,7 +220,9 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     Each action's transition matrix is the crossing chain composed with the
     action's speed/distance kernel, C (x) M_a, plus probability-one
     self-loops on the terminal states. _transition_arrays assembles its
-    CSR arrays directly from M_a's triplets; scipy only holds them."""
+    CSR arrays directly from M_a's triplets; scipy only holds them. The
+    model carries the layer kernel, which depends on no config field and
+    is built from the same chains, once per process (_layer_kernel)."""
     from scipy import sparse  # here, so that runs without a model build never load it
 
     cfg = config or ModelConfig()
@@ -180,8 +230,7 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     v, d, c = s % NUM_V, (s // NUM_V) % NUM_D, s // (NUM_V * NUM_D)
     terminal = d == TERMINAL_D
 
-    p_cross = np.array([CROSSING_ONSET, CROSSING_PERSIST])
-    crossing = np.column_stack((1.0 - p_cross, p_cross))  # C[c, c']
+    crossing = _crossing_chain()
     dist = _distance_kernel()
     motion = (_motion_matrix(dist, _speed_kernel(a)) for a in range(NUM_ACTIONS))
     shape = (NUM_STATES, NUM_STATES)
@@ -208,6 +257,7 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
         rewards=rewards,
         discount=cfg.discount,
         observation=observation,
+        layer_kernel=_layer_kernel(),
     )
 
 

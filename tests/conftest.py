@@ -1,8 +1,8 @@
 """Shared fixtures: scenes, solved model, and the six benchmark runs; and
 the helpers the tests import from here: a trace.csv reader, a model built
 from dense arrays, the crosswalk model's transition matrices built with
-scipy's kron, and the flat state index of the crosswalk model and its
-inverse."""
+scipy's kron, a Q table's Bellman residual, and the flat state index of
+the crosswalk model and its inverse."""
 
 from __future__ import annotations
 
@@ -87,6 +87,16 @@ def kron_transitions() -> tuple:
     loops = sparse.diags(terminal.astype(float))
     motion = (sparse.coo_matrix(_motion_matrix(dist, _speed_kernel(a)), shape=(n, n)) for a in range(NUM_ACTIONS))
     return tuple(sparse.kron(crossing, m, format="csr") + loops for m in motion)
+
+
+def bellman_residual(model, q: np.ndarray) -> float:
+    """Sup-norm Bellman residual of an (S, A) Q table: the largest
+    |R + gamma T max Q - Q| over states and actions."""
+    v = q.max(axis=1)
+    return max(
+        float(np.max(np.abs(model.rewards[:, a] + model.discount * (mat @ v) - q[:, a])))
+        for a, mat in enumerate(model.transitions)
+    )
 
 
 def state_index(v: int, d: int, c: int) -> int:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from crosswalk_sim import pomdp
 from crosswalk_sim.pomdp import (
     ACTION_SCALES,
     ADVANCE_SPREAD,
@@ -16,6 +17,7 @@ from crosswalk_sim.pomdp import (
     CROSSING_PERSIST,
     EPOCH,
     NUM_ACTIONS,
+    NUM_CROSSING,
     NUM_D,
     NUM_OBS,
     NUM_STATES,
@@ -32,8 +34,9 @@ from crosswalk_sim.pomdp import (
     build_crosswalk_model,
     occluded_bins_from_band,
 )
+from crosswalk_sim.qmdp import value_iteration
 
-from conftest import kron_transitions, state_index, state_tuple
+from conftest import bellman_residual, kron_transitions, state_index, state_tuple
 
 
 def expected_distance(d, v) -> dict[int, float]:
@@ -309,6 +312,70 @@ def test_model_stores_no_zeros(name, model_config):
 def test_rewards_match_enumeration(name, model_config):
     cfg = edge_config(name, model_config)
     assert np.array_equal(build_crosswalk_model(cfg).rewards, expected_rewards(cfg))
+
+
+# --- layer kernel ------------------------------------------------------------
+
+LAYER_WIDTH = NUM_CROSSING * NUM_V
+
+
+def layer_blocks(mat, d) -> np.ndarray:
+    """(NUM_D, 22, 22): the rows of layer d's (c, v) states, split by the
+    target layer d', in the layer kernel's state order c * NUM_V + v."""
+    rows = [state_index(v, d, c) for c in range(NUM_CROSSING) for v in range(NUM_V)]
+    dense = mat[rows].toarray().reshape(LAYER_WIDTH, NUM_CROSSING, NUM_D, NUM_V)
+    return dense.transpose(2, 0, 1, 3).reshape(NUM_D, LAYER_WIDTH, LAYER_WIDTH)
+
+
+def test_layer_kernel_equals_transition_blocks(crosswalk_model):
+    kernel = crosswalk_model.layer_kernel
+    reach = kernel.shape[2]
+    assert kernel.shape == (NUM_ACTIONS, LAYER_WIDTH, 12, LAYER_WIDTH)
+    for a, mat in enumerate(crosswalk_model.transitions):
+        for d in range(TERMINAL_D):
+            blocks = layer_blocks(mat, d)
+            short = min(d + reach, TERMINAL_D)  # the layers reached short of the clamp
+            assert np.array_equal(blocks[d:short], kernel[a, :, : short - d].transpose(1, 0, 2)), (a, d)
+            assert not blocks[:d].any() and not blocks[short:TERMINAL_D].any(), (a, d)
+
+
+def test_layer_kernel_clamped_mass_is_terminal_mass(crosswalk_model):
+    kernel = crosswalk_model.layer_kernel
+    for a, mat in enumerate(crosswalk_model.transitions):
+        for d in range(TERMINAL_D):
+            # empty, so zero, for the layers too far back to reach it
+            clamped = kernel[a, :, TERMINAL_D - d :].sum(axis=1)
+            terminal = layer_blocks(mat, d)[TERMINAL_D]
+            assert np.max(np.abs(clamped - terminal)) <= 1e-15, (a, d)
+
+
+def test_layer_kernel_rows_sum_to_one(crosswalk_model):
+    sums = crosswalk_model.layer_kernel.sum(axis=(2, 3))
+    assert np.max(np.abs(sums - 1.0)) <= 1e-12
+
+
+def test_layer_kernel_is_shared_and_read_only(crosswalk_model):
+    kernel = crosswalk_model.layer_kernel
+    assert build_crosswalk_model(ModelConfig(discount=0.5)).layer_kernel is kernel
+    assert not kernel.flags.writeable
+
+
+def test_layer_kernel_rejects_a_backward_step(monkeypatch):
+    targets, probs, keep = pomdp._distance_kernel()
+    backward = targets.copy()
+    backward[NUM_V + 2, 0] -= 2  # speed bin 2 at d = 1 lands on d = 0
+    monkeypatch.setattr(pomdp, "_distance_kernel", lambda: (backward, probs, keep))
+    with pytest.raises(ValueError, match="lowers the distance bin"):
+        pomdp._layer_kernel.__wrapped__()
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
+def test_layered_solve_is_exact(name, model_config):
+    # one sweep from the backward pass converges, and the Q it returns
+    # is a fixed point to rounding
+    model = build_crosswalk_model(edge_config(name, model_config))
+    q = value_iteration(model, max_iters=1)
+    assert bellman_residual(model, q) <= 1e-12
 
 
 # --- observations ------------------------------------------------------------
