@@ -8,7 +8,7 @@ import numpy as np
 
 from .dynamics import MAX_STEER, WHEELBASE, VehicleState
 from .path import SAMPLE_SPACING, Path, resample_by_arc
-from .world import Scene
+from .world import LANE_WIDTH, ROAD_BOUNDS, Scene
 
 AX_LIMIT = 3.0  # m/s^2, symmetric accel/brake authority
 SPEED_GAIN = 2.0  # 1/s, proportional gain of the speed tracker
@@ -70,7 +70,7 @@ def build_avoidance_path(scene: Scene) -> Path:
     is straight. Raises InfeasiblePathError when the offset would leave
     the road bounds.
     """
-    half_lane = scene.lane_width / 2
+    half_lane = LANE_WIDTH / 2
     blocking = [
         ob.bounds
         for ob in scene.obstacles
@@ -81,7 +81,7 @@ def build_avoidance_path(scene: Scene) -> Path:
         ys = np.zeros_like(dense_x)
     else:
         offset = max(y_max for _, _, _, y_max in blocking) + AVOID_MARGIN
-        if offset > scene.lateral_bounds[1] - 0.2:
+        if offset > ROAD_BOUNDS[1] - 0.2:
             raise InfeasiblePathError(
                 f"needed lateral offset {offset:.2f} m exceeds the road bounds"
             )

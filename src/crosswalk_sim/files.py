@@ -21,8 +21,8 @@ import numpy as np
 import yaml
 
 from .control import build_avoidance_path
-from .pomdp import ModelConfig, derive_model_config
-from .world import Crosswalk, Pedestrian, RectObstacle, RoadFrame, Scene
+from .pomdp import NUM_V, SPEED_UNIT, ModelConfig, derive_model_config
+from .world import ROAD_BOUNDS, Crosswalk, Pedestrian, RectObstacle, RoadFrame, Scene
 
 POLICY_KINDS = ("oracle", "baseline", "pomdp")
 
@@ -53,7 +53,8 @@ class ScenarioConfig:
     """Everything needed to reproduce one closed-loop run. v_desired and
     duration must be finite and positive, and the scene must leave room
     for the avoidance path (InfeasiblePathError otherwise). A pomdp run's
-    model_config takes its geometry from the scene
+    v_desired must be the model's top speed bin, which its speed bins
+    assume, and its model_config takes its geometry from the scene
     (pomdp.derive_model_config); any other run reads neither a model nor
     a policy file, so setting one raises ValueError."""
 
@@ -73,6 +74,11 @@ class ScenarioConfig:
             if not 0.0 < value < math.inf:
                 raise ValueError(f"bad value for key {key!r}: {value!r} is not finite and positive")
         if self.policy == "pomdp":
+            top = (NUM_V - 1) * SPEED_UNIT
+            if self.v_desired != top:
+                raise ValueError(
+                    f"bad value for key 'v_desired': {self.v_desired!r} is not the model's top speed {top!r} m/s"
+                )
             self.model_config = derive_model_config(self.scene, self.model_config)
         elif self.model_config is not None:
             raise ValueError(f"key 'model' is set, but policy {self.policy!r} reads no model")
@@ -184,7 +190,7 @@ def load_scene(source) -> Scene:
     """Build a Scene from a YAML file. An obstacle needs its center and
     size; whatever else the file leaves out keeps its Scene default."""
     data = _read(source, "scene", ("road", "obstacles", "crosswalk", "pedestrian"))
-    road = _checked(data.get("road"), ("origin", "heading", "bounds", "lane_width"), "road", source)
+    road = _checked(data.get("road"), ("origin", "heading"), "road", source)
     obstacles = tuple(
         _build(RectObstacle, source, _given(
             _checked(item, ("center", "size", "yaw"), "obstacle", source, ("center", "size")),
@@ -199,7 +205,6 @@ def load_scene(source) -> Scene:
         obstacles=obstacles,
         crosswalk=_build(Crosswalk, source, _given(cw, source, Crosswalk)),
         pedestrian=Pedestrian(**_given(ped, source, Pedestrian)),
-        **_given(road, source, Scene, {"bounds": "lateral_bounds", "lane_width": "lane_width"}),
     ))
 
 
@@ -288,8 +293,8 @@ def _outline(scene: Scene):
     for ob in scene.obstacles:
         corners = ob.corners()
         points += [("obstacle", x, y) for x, y in corners + corners[:1]]
-    points += [("road_edge", x, y) for y in scene.lateral_bounds for x in (0.0, 70.0)]
-    points += [("crosswalk", scene.crosswalk.distance, y) for y in scene.lateral_bounds]
+    points += [("road_edge", x, y) for y in ROAD_BOUNDS for x in (0.0, 70.0)]
+    points += [("crosswalk", scene.crosswalk.distance, y) for y in ROAD_BOUNDS]
     if scene.pedestrian.present:
         points.append(("pedestrian", *scene.pedestrian.position))
     for kind, x, y in points:

@@ -13,9 +13,12 @@ matrices are assembled directly as CSR arrays; scipy is imported on the
 first model build, not with this module, and only for the csr_matrix
 container that holds them.
 
-No transition lowers d, and away from the terminal clamp none depends on
-d, so one layer kernel over the (c, v) states of a distance layer holds
-the whole motion; qmdp.value_iteration solves through it layer by layer.
+The car's motion is one table M[a, v, k, v'] (_motion): command a takes
+speed bin v to v' while the car advances k >= 0 distance bins. No
+transition lowers d, and away from the terminal clamp none depends on d:
+the transition matrices lay M over the distance layers (_clamped), and
+the layer kernel over the (c, v) states of a distance layer is C (x) M,
+through which qmdp.value_iteration solves layer by layer.
 """
 
 from __future__ import annotations
@@ -109,27 +112,6 @@ def _crossing_chain() -> np.ndarray:
     return np.column_stack((1.0 - p_cross, p_cross))
 
 
-def _distance_kernel():
-    """Next-distance targets of every non-terminal (d, v) row, in row order
-    d * NUM_V + v: three ascending slots for the advance smeared by -1/0/+1
-    cells and clamped at TERMINAL_D. A slot whose target equals the next
-    slot's merges into it, probabilities summed in slot order; `keep` marks
-    the slots that remain. A stationary row keeps d with probability one."""
-    d = np.repeat(np.arange(TERMINAL_D), NUM_V)
-    advance = np.tile(
-        [int(round(v * SPEED_UNIT * EPOCH / CELL_LENGTH)) for v in range(NUM_V)],
-        TERMINAL_D,
-    )[:, None]
-    targets = np.where(advance == 0, d[:, None], np.minimum(d[:, None] + advance + (-1, 0, 1), TERMINAL_D))
-    probs = np.where(advance == 0, (0.0, 0.0, 1.0), ADVANCE_SPREAD)
-    keep = np.ones(targets.shape, dtype=bool)
-    keep[:, :2] = targets[:, :2] != targets[:, 1:]
-    for k in (1, 2):
-        merged = ~keep[:, k - 1]
-        probs[merged, k] += probs[merged, k - 1]
-    return targets, probs, keep
-
-
 def _speed_kernel(command: int) -> np.ndarray:
     """(v, v') probabilities under one command: the speed moves one bin
     toward the command with P_ADAPT and stays once it is there."""
@@ -141,52 +123,68 @@ def _speed_kernel(command: int) -> np.ndarray:
     return kernel
 
 
+def _advance() -> np.ndarray:
+    """P[v, k]: the chance that speed bin v advances k distance bins over
+    one epoch, its round(v * SPEED_UNIT * EPOCH / CELL_LENGTH) bins
+    smeared by -1/0/+1 cells (ADVANCE_SPREAD). A speed that rounds to no
+    advance stays put: k = 0 with probability one."""
+    step = np.rint(np.arange(NUM_V) * SPEED_UNIT * EPOCH / CELL_LENGTH).astype(int)
+    table = np.zeros((NUM_V, step.max() + 2))
+    table[step == 0, 0] = 1.0
+    moving = np.flatnonzero(step)
+    table[moving[:, None], step[moving, None] + (-1, 0, 1)] = ADVANCE_SPREAD
+    return table
+
+
+@functools.cache
+def _motion() -> np.ndarray:
+    """M[a, v, k, v']: the chance that command a takes speed bin v to v'
+    while the car advances k distance bins, S_a[v, v'] * P[v, k] with S_a
+    the speed kernel and P the advance table. Away from the terminal clamp
+    it is the whole motion at every distance bin. Built once per process
+    and read-only, as models share it."""
+    speed = np.stack([_speed_kernel(a) for a in range(NUM_ACTIONS)])
+    motion = speed[:, :, None, :] * _advance()[:, :, None]
+    motion.flags.writeable = False
+    return motion
+
+
+def _clamped(table: np.ndarray):
+    """Triplets (values, (rows, cols)) of a (v, k, w) table laid over the
+    TERMINAL_D non-terminal distance layers: entry (v, k, w) of layer d
+    goes to row d * NUM_V + v and column min(d + k, TERMINAL_D) * W + w,
+    with W = table.shape[2]. Zero entries are dropped, and entries that
+    the clamp lands on one column are summed one by one in ascending k.
+    In row order with ascending columns."""
+    lanes = table.shape[2]
+    width = NUM_D * lanes  # columns of a row
+    v, k, w = np.nonzero(table)
+    d = np.arange(TERMINAL_D)[:, None]
+    key = (d * NUM_V + v) * width + np.minimum(d + k, TERMINAL_D) * lanes + w
+    # bincount adds each column's entries in the order given, ascending k
+    key, column = np.unique(key.ravel(), return_inverse=True)
+    values = np.bincount(column, weights=np.tile(table[v, k, w], TERMINAL_D))
+    return values, np.divmod(key, width)
+
+
 @functools.cache
 def _layer_kernel() -> np.ndarray:
     """PomdpModel.layer_kernel of the crosswalk model, shape (NUM_ACTIONS,
-    22, 12, 22) with the 12 advances 0..11 bins: C[c, c'] * (S_a[v, v'] *
-    P[v, k]), the factors and product order of the transition matrices,
-    with P[v, k] the distance kernel's chance that speed bin v advances k
-    bins. It is read off layer 0, which lies farther from the terminal
-    clamp than any advance reaches. Raises ValueError if any transition
-    lowers d. Built once per process and read-only, as models share it."""
-    targets, probs, keep = _distance_kernel()
-    advance = targets - np.repeat(np.arange(TERMINAL_D), NUM_V)[:, None]
-    if np.any(advance[keep] < 0):
-        raise ValueError("a transition lowers the distance bin")
-    kept = keep[:NUM_V]  # the merged slots of layer 0 have distinct targets
-    v = np.broadcast_to(np.arange(NUM_V)[:, None], kept.shape)
-    distance = np.zeros((NUM_V, advance[:NUM_V].max() + 1))
-    distance[v[kept], advance[:NUM_V][kept]] = probs[:NUM_V][kept]
-    speed = np.stack([_speed_kernel(a) for a in range(NUM_ACTIONS)])
-    motion = speed[:, :, None, :] * distance[:, :, None]  # (a, v, k, v')
-    kernel = _crossing_chain()[:, None, None, :, None] * motion[:, None, :, :, None, :]
+    22, 12, 22) with the 12 advances 0..11 bins: C[c, c'] * M[a, v, k, v'],
+    the factors and product order of the transition matrices. Built once
+    per process and read-only, as models share it."""
+    kernel = _crossing_chain()[:, None, None, :, None] * _motion()[:, None, :, :, None, :]
     width = NUM_CROSSING * NUM_V
     kernel = kernel.reshape(NUM_ACTIONS, width, -1, width)
     kernel.flags.writeable = False
     return kernel
 
 
-def _motion_matrix(dist, speed: np.ndarray):
-    """Triplets (values, (rows, cols)) of one action's speed/distance
-    kernel M over the NUM_D * NUM_V (d, v) states: M[(d, v), (d', v')] =
-    pv * pd, with empty terminal rows. Entries are in row order with
-    ascending columns."""
-    d_targets, d_probs, d_keep = dist
-    row = np.arange(TERMINAL_D * NUM_V)
-    pv = speed[row % NUM_V][:, None, :]
-    keep = d_keep[:, :, None] & (pv != 0.0)
-    rows = np.broadcast_to(row[:, None, None], keep.shape)
-    cols = d_targets[:, :, None] * NUM_V + np.arange(NUM_V)
-    return (pv * d_probs[:, :, None])[keep], (rows[keep], cols[keep])
-
-
 def _transition_arrays(motion, crossing: np.ndarray):
     """CSR (data, indices, indptr) of one action's transition matrix, with
     int32 indices: the Kronecker product C (x) M of the crossing chain C
-    and the action's motion triplets M (_motion_matrix), plus
-    probability-one self-loops on the terminal states, whose M rows are
-    empty.
+    and the action's motion triplets M (_clamped), plus probability-one
+    self-loops on the terminal states, whose M rows are empty.
 
     Row (c, d, v) holds C[c, 0] * m and then C[c, 1] * m, the second block
     NUM_D * NUM_V columns on, where m is M's row (d, v): the products, and
@@ -218,11 +216,12 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     """Assemble the full 2662-state model from a configuration.
 
     Each action's transition matrix is the crossing chain composed with the
-    action's speed/distance kernel, C (x) M_a, plus probability-one
-    self-loops on the terminal states. _transition_arrays assembles its
-    CSR arrays directly from M_a's triplets; scipy only holds them. The
-    model carries the layer kernel, which depends on no config field and
-    is built from the same chains, once per process (_layer_kernel)."""
+    action's motion table laid over the distance layers, C (x) M_a, plus
+    probability-one self-loops on the terminal states. _transition_arrays
+    assembles its CSR arrays directly from M_a's triplets (_clamped);
+    scipy only holds them. The model carries the layer kernel, which
+    depends on no config field and is built from the same tables, once per
+    process (_layer_kernel)."""
     from scipy import sparse  # here, so that runs without a model build never load it
 
     cfg = config or ModelConfig()
@@ -231,14 +230,14 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     terminal = d == TERMINAL_D
 
     crossing = _crossing_chain()
-    dist = _distance_kernel()
-    motion = (_motion_matrix(dist, _speed_kernel(a)) for a in range(NUM_ACTIONS))
     shape = (NUM_STATES, NUM_STATES)
-    mats = tuple(sparse.csr_matrix(_transition_arrays(m, crossing), shape=shape) for m in motion)
+    mats = tuple(sparse.csr_matrix(_transition_arrays(_clamped(m), crossing), shape=shape) for m in _motion())
 
-    # the chance of entering the terminal bin sits in a row's last slot
-    d_targets, d_probs, _ = dist
-    goal_prob = np.where(d_targets[:, 2] == TERMINAL_D, d_probs[:, 2], 0.0)
+    # the chance of entering the terminal bin: the terminal column of the
+    # clamped advance table
+    chance, (row, col) = _clamped(_advance()[:, :, None])
+    goal_prob = np.zeros(TERMINAL_D * NUM_V)
+    goal_prob[row[col == TERMINAL_D]] = chance[col == TERMINAL_D]
     zone_lo, zone_hi = cfg.occluded_bins
     base = np.zeros(NUM_STATES)
     base[(v > SPEEDING_BIN) & (zone_lo <= d) & (d <= zone_hi)] += REWARD_SPEEDING

@@ -33,6 +33,11 @@ NUM_COUNT_BINS = 10
 MAX_CELL_COUNT = GRID_LENGTH * GRID_WIDTH
 CELL_SIZE = 1 / CELLS_PER_M
 
+# The road's cross-section in road y (+left), the same for every scene: its
+# two edges, and the ego lane's width about y = 0.
+ROAD_BOUNDS = (-1.8, 5.4)
+LANE_WIDTH = 3.6
+
 # Cell-centre offsets from the ego position: along the road for each row,
 # across it for each column. Constant, so built once and never written.
 _ROW_OFFSETS = (np.arange(GRID_LENGTH) + 0.5) / CELLS_PER_M
@@ -219,17 +224,11 @@ class Pedestrian:
 @dataclass(frozen=True)
 class Scene:
     road: RoadFrame = field(default_factory=RoadFrame)
-    lateral_bounds: tuple[float, float] = (-1.8, 5.4)
-    lane_width: float = 3.6
     obstacles: tuple[RectObstacle, ...] = ()
     crosswalk: Crosswalk = field(default_factory=Crosswalk)
     pedestrian: Pedestrian = field(default_factory=Pedestrian)
 
     def __post_init__(self):
-        if self.lane_width <= 0:
-            raise ValueError(f"bad value for key 'lane_width': {self.lane_width!r} is not positive")
-        if self.lateral_bounds[0] >= self.lateral_bounds[1]:
-            raise ValueError(f"bad value for key 'lateral_bounds': {self.lateral_bounds!r} is not ordered")
         if self.pedestrian.present:
             px = self.pedestrian.position[0]
             half = self.crosswalk.width / 2
@@ -419,8 +418,8 @@ def crosswalk_occlusion_band(scene: Scene, path: Path) -> tuple[float, float] | 
     """
     if not scene.obstacles:
         return None
-    y_lo = scene.lateral_bounds[0] - SIDEWALK_WIDTH
-    y_hi = scene.lateral_bounds[1] + SIDEWALK_WIDTH
+    y_lo = ROAD_BOUNDS[0] - SIDEWALK_WIDTH
+    y_hi = ROAD_BOUNDS[1] + SIDEWALK_WIDTH
     n_samples = max(int(round((y_hi - y_lo) / CROSSWALK_SAMPLE_STEP)) + 1, 2)
     cw_y = np.linspace(y_lo, y_hi, n_samples)
     cw_x = np.full_like(cw_y, scene.crosswalk.distance)

@@ -18,16 +18,14 @@ from crosswalk_sim.pomdp import (
     ACTION_SCALES,
     CROSSING_ONSET,
     CROSSING_PERSIST,
-    NUM_ACTIONS,
     NUM_CROSSING,
     NUM_D,
     NUM_STATES,
     NUM_V,
     TERMINAL_D,
     PomdpModel,
-    _distance_kernel,
-    _motion_matrix,
-    _speed_kernel,
+    _clamped,
+    _motion,
     build_crosswalk_model,
 )
 from crosswalk_sim.qmdp import extract_alphas, value_iteration
@@ -76,16 +74,16 @@ def dense_model(transitions, rewards, discount, observation=None) -> PomdpModel:
 
 def kron_transitions() -> tuple:
     """Reference for the crosswalk model's transition matrices, assembled
-    through scipy: per action, the motion kernel M_a as a coo_matrix of
-    pomdp._motion_matrix's triplets, then kron(C, M_a) with the crossing
-    chain C, plus a diagonal of probability-one terminal self-loops."""
-    dist = _distance_kernel()
+    through scipy: per action, the motion table M_a laid over the distance
+    layers as a coo_matrix of pomdp._clamped's triplets, then kron(C, M_a)
+    with the crossing chain C, plus a diagonal of probability-one terminal
+    self-loops."""
     n = NUM_D * NUM_V
     terminal = (np.arange(NUM_STATES) // NUM_V) % NUM_D == TERMINAL_D
     p_cross = np.array([CROSSING_ONSET, CROSSING_PERSIST])
     crossing = np.column_stack((1.0 - p_cross, p_cross))  # C[c, c']
     loops = sparse.diags(terminal.astype(float))
-    motion = (sparse.coo_matrix(_motion_matrix(dist, _speed_kernel(a)), shape=(n, n)) for a in range(NUM_ACTIONS))
+    motion = (sparse.coo_matrix(_clamped(m), shape=(n, n)) for m in _motion())
     return tuple(sparse.kron(crossing, m, format="csr") + loops for m in motion)
 
 

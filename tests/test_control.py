@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from crosswalk_sim import control
 from crosswalk_sim.control import (
     AVOID_MARGIN,
     AX_LIMIT,
@@ -163,8 +164,9 @@ def test_shipped_scenes_share_one_path(hidden_scene, exposed_scene):
 def corner_path(scene: Scene):
     """The avoidance path's (north, east) samples as first written, each
     obstacle's extent read off a fresh list of its corners; None when the
-    builder must raise."""
-    half_lane = scene.lane_width / 2
+    builder must raise. Reads the road cross-section where the builder
+    does, so a patched one applies to both."""
+    half_lane = control.LANE_WIDTH / 2
     blocking = []
     for ob in scene.obstacles:
         ys = [y for _, y in ob.corners()]
@@ -178,7 +180,7 @@ def corner_path(scene: Scene):
         x_first = min(min(x for x, _ in ob.corners()) for ob in blocking)
         x_last = max(max(x for x, _ in ob.corners()) for ob in blocking)
         ramp_start = x_first - LEAD_GAP - LEAD_IN
-        if offset > scene.lateral_bounds[1] - 0.2 or ramp_start < 0.0:
+        if offset > control.ROAD_BOUNDS[1] - 0.2 or ramp_start < 0.0:
             return None
         back_start = x_last + LEAD_GAP
         ys = offset * _blend(dense_x, ramp_start, x_first - LEAD_GAP) * (
@@ -187,11 +189,12 @@ def corner_path(scene: Scene):
     return scene.road.to_inertial(*resample_by_arc(dense_x, ys, SAMPLE_SPACING, PATH_LENGTH))
 
 
-def test_rotated_obstacles_path_matches_corner_extents_bitwise():
-    # Rotated obstacles in and beside the lane, on a road wide enough that
+def test_rotated_obstacles_path_matches_corner_extents_bitwise(monkeypatch):
+    # Rotated obstacles in and beside the lane, on a road widened so that
     # most swings fit: the path built from each obstacle's cached bounds
     # is the one its corners give, bit for bit, and the builder raises
     # exactly where they say it must.
+    monkeypatch.setattr(control, "ROAD_BOUNDS", (-1.8, 9.0))
     rng = np.random.default_rng(31)
     built = 0
     for _ in range(200):
@@ -203,7 +206,7 @@ def test_rotated_obstacles_path_matches_corner_extents_bitwise():
             )
             for _ in range(int(rng.integers(1, 4)))
         )
-        scene = Scene(lateral_bounds=(-1.8, 9.0), obstacles=obstacles)
+        scene = Scene(obstacles=obstacles)
         want = corner_path(scene)
         if want is None:
             with pytest.raises(InfeasiblePathError):

@@ -55,8 +55,6 @@ BAD_VALUES = [
     ("scene", "obstacles:\n  - center: 5\n    size: [1.0, 1.0]\n", "center"),
     ("scenario", "scene: {scene}\nv_desired: fast\n", "v_desired"),
     ("model", "discount: high\n", "discount"),
-    # the road bounds go to the Scene field lateral_bounds
-    ("scene", "road:\n  bounds: 5\n", "bounds"),
 ]
 
 # Values that Python's own conversion would take but the field's type does
@@ -68,23 +66,21 @@ STRICT_VALUES = [
 
 # Values that convert to the field's type but lie outside its range: every
 # float must be finite (YAML reads 1e999 as a string that float() takes to
-# inf), a scenario's speed and duration positive, the road bounds ordered,
-# an obstacle's extents, the lane width and the crosswalk width positive and
-# the discount in (0, 1). The validation names the field, here
-# lateral_bounds for the file's bounds.
+# inf), a scenario's speed and duration positive, a pomdp scenario's speed
+# the model's top speed bin, an obstacle's extents and the crosswalk width
+# positive and the discount in (0, 1). The validation names the field.
 RANGE_VALUES = [
     ("scenario", "scene: {scene}\nv_desired: -5.0\n", "v_desired"),
     ("scenario", "scene: {scene}\nv_desired: .nan\n", "v_desired"),
     ("scenario", "scene: {scene}\nduration: .inf\n", "duration"),
     ("scenario", "scene: {scene}\nduration: 0\n", "duration"),
-    ("scene", "road:\n  bounds: [5.0, -2.0]\n", "lateral_bounds"),
+    ("scenario", "scene: {scene}\npolicy: pomdp\nv_desired: 8.0\n", "v_desired"),
     ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [0.0, 1.0]\n", "size"),
     ("scene", "obstacles:\n  - size: [4.0, 2.0]\n    center: [.nan, -1.5]\n", "center"),
     ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [.nan, 2.0]\n", "size"),
     ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [1e999, 2.0]\n", "size"),
     ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [4.0, 2.0]\n    yaw: -.inf\n", "yaw"),
     ("scene", "road:\n  heading: .nan\n", "heading"),
-    ("scene", "road:\n  lane_width: -3.6\n", "lane_width"),
     ("scene", "crosswalk:\n  distance: .inf\n", "distance"),
     ("scene", "crosswalk:\n  width: -3.0\n", "width"),
     ("scene", "pedestrian:\n  position: [40.0, .nan]\n", "position"),
@@ -125,10 +121,25 @@ def test_model_values_convert_to_their_types(tmp_path):
 
 def test_scene_values_convert_to_their_types(tmp_path):
     dest = tmp_path / "scene.yaml"
-    dest.write_text("road:\n  bounds: [-2, '5']\npedestrian:\n  present: false\n")
+    dest.write_text("road:\n  origin: [-2, '5']\npedestrian:\n  present: false\n")
     scene = load_scene(dest)
-    assert scene.lateral_bounds == (-2.0, 5.0) and scene.pedestrian.present is False
-    assert all(type(b) is float for b in scene.lateral_bounds)
+    assert scene.road.origin == (-2.0, 5.0) and scene.pedestrian.present is False
+    assert all(type(b) is float for b in scene.road.origin)
+
+
+# The road's cross-section is world.ROAD_BOUNDS and world.LANE_WIDTH for
+# every scene, so a scene file that still sets it fails on the key.
+@pytest.mark.parametrize(
+    "text",
+    ["road:\n  bounds: 5\n", "road:\n  bounds: [5.0, -2.0]\n", "road:\n  lane_width: -3.6\n"],
+    ids=["bounds-5", "bounds-[5.0, -2.0]", "lane_width--3.6"],
+)
+def test_road_cross_section_keys_are_unknown(tmp_path, text):
+    dest = tmp_path / "scene.yaml"
+    dest.write_text(text)
+    key = text.split()[1].rstrip(":")
+    with pytest.raises(ValueError, match=re.escape(f"{dest}: unknown road key '{key}'")):
+        load_scene(dest)
 
 
 @pytest.mark.parametrize("what", LOADERS)

@@ -262,6 +262,10 @@ def test_scenario_config_validation(exposed_scene):
             ScenarioConfig(scene=exposed_scene, v_desired=bad)
         with pytest.raises(ValueError, match="duration"):
             ScenarioConfig(scene=exposed_scene, duration=bad)
+    # the model's speed bins stop at 10 m/s; other policies take any speed
+    with pytest.raises(ValueError, match="v_desired.*top speed 10.0"):
+        ScenarioConfig(scene=exposed_scene, policy="pomdp", v_desired=8.0)
+    assert ScenarioConfig(scene=exposed_scene, policy="oracle", v_desired=8.0).v_desired == 8.0
 
 
 def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):

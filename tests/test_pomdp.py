@@ -6,6 +6,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from crosswalk_sim import pomdp
@@ -314,6 +317,64 @@ def test_rewards_match_enumeration(name, model_config):
     assert np.array_equal(build_crosswalk_model(cfg).rewards, expected_rewards(cfg))
 
 
+# --- motion table ------------------------------------------------------------
+
+
+def clamped_by_loop(table):
+    """pomdp._clamped written plainly: layer by layer, each nonzero entry
+    (v, k, w) in index order added to its clamped column of row (d, v), so
+    a column's entries are summed one by one in ascending k."""
+    lanes = table.shape[2]
+    entries = [(v, k, w, float(table[v, k, w])) for v, k, w in zip(*np.nonzero(table))]
+    sums: dict[tuple[int, int], float] = {}
+    for d in range(TERMINAL_D):
+        for v, k, w, p in entries:
+            cell = (d * NUM_V + v, min(d + k, TERMINAL_D) * lanes + w)
+            sums[cell] = sums[cell] + p if cell in sums else p
+    cells = sorted(sums)
+    rows = np.array([r for r, _ in cells], dtype=np.intp)
+    cols = np.array([c for _, c in cells], dtype=np.intp)
+    return np.array([sums[cell] for cell in cells]), (rows, cols)
+
+
+def three_in_one_column() -> np.ndarray:
+    """From d = 119 the advances 1, 2 and 3 all clamp to the terminal
+    column, where (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ."""
+    table = np.zeros((NUM_V, 4, 1))
+    table[0, 1:, 0] = (0.1, 0.2, 0.3)
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@example(table=three_in_one_column())
+@given(
+    table=st.tuples(st.integers(1, 14), st.integers(1, 11)).flatmap(
+        lambda shape: hnp.arrays(
+            np.float64,
+            (NUM_V, *shape),
+            elements=st.floats(0.0, 1.0, allow_subnormal=False),
+            fill=st.just(0.0),
+        )
+    )
+)
+def test_clamped_equals_layer_loop(table):
+    values, (rows, cols) = pomdp._clamped(table)
+    want, (want_rows, want_cols) = clamped_by_loop(table)
+    assert values.tobytes() == want.tobytes()
+    assert rows.tobytes() == want_rows.tobytes()
+    assert cols.tobytes() == want_cols.tobytes()
+
+
+def test_zero_advance_is_a_point_mass_at_any_speed(monkeypatch):
+    # 1.2 m cells: speed bin 1 covers 0.5 m in an epoch and rounds to no
+    # advance, like bin 0, while bin 2 still moves one cell
+    monkeypatch.setattr(pomdp, "CELL_LENGTH", 1.2)
+    advance = pomdp._advance()
+    assert advance[0].tolist() == advance[1].tolist() == [1.0] + [0.0] * (advance.shape[1] - 1)
+    assert advance[2, :3].tolist() == list(ADVANCE_SPREAD)
+    assert np.max(np.abs(advance.sum(axis=1) - 1.0)) <= 1e-12
+
+
 # --- layer kernel ------------------------------------------------------------
 
 LAYER_WIDTH = NUM_CROSSING * NUM_V
@@ -358,15 +419,8 @@ def test_layer_kernel_is_shared_and_read_only(crosswalk_model):
     kernel = crosswalk_model.layer_kernel
     assert build_crosswalk_model(ModelConfig(discount=0.5)).layer_kernel is kernel
     assert not kernel.flags.writeable
-
-
-def test_layer_kernel_rejects_a_backward_step(monkeypatch):
-    targets, probs, keep = pomdp._distance_kernel()
-    backward = targets.copy()
-    backward[NUM_V + 2, 0] -= 2  # speed bin 2 at d = 1 lands on d = 0
-    monkeypatch.setattr(pomdp, "_distance_kernel", lambda: (backward, probs, keep))
-    with pytest.raises(ValueError, match="lowers the distance bin"):
-        pomdp._layer_kernel.__wrapped__()
+    # so is the motion table that the kernel and the matrices are built from
+    assert pomdp._motion() is pomdp._motion() and not pomdp._motion().flags.writeable
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))

@@ -18,6 +18,7 @@ from crosswalk_sim.world import (
     GRID_LENGTH,
     GRID_WIDTH,
     OCCUPIED,
+    ROAD_BOUNDS,
     SIDEWALK_WIDTH,
     UNOBSERVABLE,
     Crosswalk,
@@ -854,8 +855,8 @@ def _reference_occlusion_band(scene: Scene, path: Path):
     as a scalar origin."""
     if not scene.obstacles:
         return None
-    y_lo = scene.lateral_bounds[0] - SIDEWALK_WIDTH
-    y_hi = scene.lateral_bounds[1] + SIDEWALK_WIDTH
+    y_lo = ROAD_BOUNDS[0] - SIDEWALK_WIDTH
+    y_hi = ROAD_BOUNDS[1] + SIDEWALK_WIDTH
     n_samples = max(int(round((y_hi - y_lo) / CROSSWALK_SAMPLE_STEP)) + 1, 2)
     cw_y = np.linspace(y_lo, y_hi, n_samples)
     cw_x = np.full_like(cw_y, scene.crosswalk.distance)
@@ -899,8 +900,6 @@ def test_occlusion_band_matches_per_point_reference(repo_root):
 
 
 def test_scene_validation():
-    with pytest.raises(ValueError):
-        Scene(lateral_bounds=(2.0, -2.0))
     with pytest.raises(ValueError):
         Scene(pedestrian=Pedestrian(present=True, position=(10.0, 0.0)))
     with pytest.raises(ValueError):
@@ -949,7 +948,6 @@ def test_load_scene_keeps_dataclass_defaults(tmp_path):
     scene = load_scene(dest)
     default = Scene()
     assert scene == dataclasses.replace(default, obstacles=(RectObstacle((20.0, 1.0), (4.0, 2.0)),))
-    assert (scene.lateral_bounds, scene.lane_width) == (default.lateral_bounds, default.lane_width)
     assert scene.crosswalk == default.crosswalk == Crosswalk()
 
 
