@@ -9,9 +9,10 @@ index of state (v, d, c) is (c * NUM_D + d) * NUM_V + v.
 
 The chains, rewards and observation likelihoods are module constants;
 ModelConfig holds only what differs between solves. The transition
-matrices are assembled directly as CSR arrays; scipy is imported on the
-first model build, not with this module, and only for the csr_matrix
-container that holds them.
+matrices are assembled directly as CSR arrays, once per process, and every
+model shares them read-only; scipy is imported on the first model build,
+not with this module, and only for the csr_matrix container that holds
+them.
 
 The car's motion is one table M[a, v, k, v'] (_motion): command a takes
 speed bin v to v' while the car advances k >= 0 distance bins. No
@@ -86,7 +87,7 @@ class PomdpModel:
     kernel that disagrees with `transitions` costs sweeps, not accuracy.
     None for a model without that layout."""
 
-    transitions: tuple  # one scipy.sparse.csr_matrix (S, S) per action
+    transitions: tuple  # one scipy.sparse.csr_matrix (S, S) per action; the crosswalk model's are shared and read-only
     rewards: np.ndarray  # (S, A)
     discount: float
     observation: np.ndarray | None = None  # (S, O)
@@ -212,26 +213,39 @@ def _transition_arrays(motion, crossing: np.ndarray):
     return data.ravel(), indices.ravel(), indptr
 
 
+@functools.cache
+def _transitions() -> tuple:
+    """PomdpModel.transitions of the crosswalk model: one csr_matrix per
+    action, the crossing chain composed with the action's motion table
+    laid over the distance layers, C (x) M_a, plus probability-one
+    self-loops on the terminal states. _transition_arrays assembles the
+    CSR arrays directly from M_a's triplets (_clamped); scipy only holds
+    them. Built once per process, with every array read-only, as models
+    share them."""
+    from scipy import sparse  # here, so that runs without a model build never load it
+
+    crossing = _crossing_chain()
+    mats = tuple(
+        sparse.csr_matrix(_transition_arrays(_clamped(m), crossing), shape=(NUM_STATES, NUM_STATES))
+        for m in _motion()
+    )
+    for mat in mats:
+        for array in (mat.data, mat.indices, mat.indptr):
+            array.flags.writeable = False
+    return mats
+
+
 def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     """Assemble the full 2662-state model from a configuration.
 
-    Each action's transition matrix is the crossing chain composed with the
-    action's motion table laid over the distance layers, C (x) M_a, plus
-    probability-one self-loops on the terminal states. _transition_arrays
-    assembles its CSR arrays directly from M_a's triplets (_clamped);
-    scipy only holds them. The model carries the layer kernel, which
-    depends on no config field and is built from the same tables, once per
-    process (_layer_kernel)."""
-    from scipy import sparse  # here, so that runs without a model build never load it
-
+    Only the rewards and the discount depend on the config. The transition
+    matrices and the layer kernel depend on no config field; both are
+    built from the motion table once per process (_transitions,
+    _layer_kernel) and shared read-only by every model."""
     cfg = config or ModelConfig()
     s = np.arange(NUM_STATES)
     v, d, c = s % NUM_V, (s // NUM_V) % NUM_D, s // (NUM_V * NUM_D)
     terminal = d == TERMINAL_D
-
-    crossing = _crossing_chain()
-    shape = (NUM_STATES, NUM_STATES)
-    mats = tuple(sparse.csr_matrix(_transition_arrays(_clamped(m), crossing), shape=shape) for m in _motion())
 
     # the chance of entering the terminal bin: the terminal column of the
     # clamped advance table
@@ -252,7 +266,7 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     observation = np.hstack((1.0 - p_detect, p_detect))
 
     return PomdpModel(
-        transitions=mats,
+        transitions=_transitions(),
         rewards=rewards,
         discount=cfg.discount,
         observation=observation,

@@ -423,6 +423,20 @@ def test_layer_kernel_is_shared_and_read_only(crosswalk_model):
     assert pomdp._motion() is pomdp._motion() and not pomdp._motion().flags.writeable
 
 
+def test_transitions_are_shared_and_read_only(crosswalk_model, monkeypatch):
+    mats = crosswalk_model.transitions
+    # built once per process: a later build of any config assembles none
+    monkeypatch.setattr(pomdp, "_transition_arrays", None)
+    assert build_crosswalk_model(ModelConfig(discount=0.5, crosswalk_bin=3)).transitions is mats
+    for a, mat in enumerate(mats):
+        for field in ("data", "indices", "indptr"):
+            assert not getattr(mat, field).flags.writeable, (a, field)
+        assert mat.indices.dtype == mat.indptr.dtype == np.int32, a
+    for field in ("data", "indices", "indptr"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(mats[0], field)[0] = 1
+
+
 @pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
 def test_layered_solve_is_exact(name, model_config):
     # one sweep from the backward pass converges, and the Q it returns

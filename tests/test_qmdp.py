@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import logging
 import math
 import re
@@ -32,6 +33,7 @@ from crosswalk_sim.qmdp import (
 )
 
 from conftest import bellman_residual, dense_model
+from test_pomdp import MODEL_DIGESTS, edge_config
 
 
 def finite_horizon_q(t_dense, rewards, gamma, horizon):
@@ -168,6 +170,24 @@ def test_full_model_matches_column_sweeps(full_solve):
     assert np.all(top_two[:, 1] - top_two[:, 0] <= 1e-12 * np.abs(top_two[:, 1]))
 
 
+# SHA-256 of value_iteration(model).tobytes() for each MODEL_DIGESTS config,
+# taken while every layer's policy iteration still started from the greedy
+# action on its own rewards: starting it from the layer above moved no bit
+Q_DIGESTS = {
+    "shipped": "846b5a5cd774513c3f03004e930c940cbc297ac7a4e139d464df4107e3a44450",
+    "default": "38be38c811320abcca22b63b4f8d9f1f93e15648057bafd3053392dd92490c9e",
+    "occluded_empty": "66e2ce4f0fca77dcebbc866a83ac59b3d338b9ccc91e5507ec909d62efc27d6d",
+    "occluded_wide": "7c78e86d067b230418e65b2ba164113962d4be4ebf2e5f2fb193fbe7acf5456d",
+    "crosswalk_0": "dbae14ee4f303af22583702516ccaae1f1b17768cd12304a246da7b2eb55a450",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
+def test_q_matches_pinned_digest(name, model_config):
+    q = value_iteration(build_crosswalk_model(edge_config(name, model_config)))
+    assert hashlib.sha256(q.tobytes()).hexdigest() == Q_DIGESTS[name]
+
+
 def test_one_product_per_action_per_sweep(full_solve):
     model, _, _ = full_solve
     counted, products = counting(model)
@@ -195,16 +215,33 @@ def test_logs_sweeps_and_residual(caplog, crosswalk_model):
     with caplog.at_level(logging.DEBUG, logger="crosswalk_sim.qmdp"):
         value_iteration(model)
         value_iteration(crosswalk_model)
-    self_loop, crosswalk = caplog.messages
+    # a model without a layer kernel makes no backward pass
+    self_loop, backward, crosswalk = caplog.messages
     # the self-loop's last successive difference is 0.9 ** (sweeps - 1)
     assert self_loop == f"value iteration: {sweeps} sweeps, residual {0.9 ** (sweeps - 1):.3e}"
+    assert re.fullmatch(rf"backward pass: {TERMINAL_D} layers, \d+ policy evaluations", backward)
     assert re.fullmatch(r"value iteration: 1 sweeps, residual \d\.\d{3}e-1[3-9]", crosswalk)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
+def test_layers_start_from_the_layer_above(name, model_config, caplog):
+    # most layers settle on the first evaluation of the policy that
+    # settled the layer above; started from the greedy action on their own
+    # rewards, the layers of these configs took 240-321 evaluations
+    model = build_crosswalk_model(edge_config(name, model_config))
+    with caplog.at_level(logging.DEBUG, logger="crosswalk_sim.qmdp"):
+        value_iteration(model)
+    found = re.fullmatch(r"backward pass: (\d+) layers, (\d+) policy evaluations", caplog.messages[0])
+    layers, evaluations = map(int, found.groups())
+    assert layers == TERMINAL_D
+    assert TERMINAL_D <= evaluations <= 180
 
 
 def test_layer_policy_iteration_matches_sweeps():
     # a few states that move among themselves with discounted chances
     # (rows summing below 1), as a layer's same-layer states do
     rng = np.random.default_rng(8)
+    starts = np.random.default_rng(9)  # its own generator: rng draws the blocks it drew before
     for _ in range(20):
         n_states, n_actions = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         stay = rng.dirichlet(np.ones(n_states + 1), size=(n_actions, n_states))[:, :, :-1] * 0.99
@@ -212,7 +249,16 @@ def test_layer_policy_iteration_matches_sweeps():
         q = np.zeros_like(rewards)
         for _ in range(5000):
             q = rewards + stay @ q.max(axis=0)
-        assert np.max(np.abs(qmdp._policy_iteration(rewards, stay) - q.max(axis=0))) <= 1e-9
+        values, policy, _ = qmdp._policy_iteration(rewards, stay)
+        assert np.max(np.abs(values - q.max(axis=0))) <= 1e-9
+        # from any start it settles to the same values
+        for _ in range(5):
+            start = starts.integers(n_actions, size=n_states)
+            warm, _, _ = qmdp._policy_iteration(rewards, stay, start)
+            assert np.max(np.abs(warm - q.max(axis=0))) <= 1e-9
+        # and from its own settled policy it stops at the first evaluation
+        again, kept, steps = qmdp._policy_iteration(rewards, stay, policy)
+        assert steps == 1 and np.array_equal(kept, policy) and again.tobytes() == values.tobytes()
 
 
 def test_unsettled_layer_raises(monkeypatch, crosswalk_model):
