@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import math
 import sys
@@ -14,7 +13,6 @@ from .control import InfeasiblePathError
 from .files import ConfigError, export_run, load_model_config, load_scenario, load_scene
 from .harness import run_batch, run_scenario, solve_policy, summarize
 from .pomdp import derive_model_config
-from .qmdp import save_policy
 from .world import build_grid, grid_to_text
 
 log = logging.getLogger("crosswalk_sim")
@@ -30,7 +28,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError) as err:
-        # a config, scene or policy file the run cannot use: one line and
+        # a config or scene file the run cannot use: one line and
         # exit code 2, as argparse reports a usage error; with --verbose the
         # traceback. Any other error is an internal fault and propagates
         if args.verbose:
@@ -47,16 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging, and a traceback on errors")
     sub = parser.add_subparsers(required=True)
 
-    p_solve = sub.add_parser("solve", help="solve the crosswalk model, save the policy")
+    p_solve = sub.add_parser("solve", help="solve the crosswalk model for a scene and log it; writes nothing")
     p_solve.add_argument("--model", help="model config YAML (defaults built in)")
     p_solve.add_argument("--scene", required=True, help="scene YAML; gives the crosswalk bin and occluded band")
-    p_solve.add_argument("--out", required=True, help="policy file destination")
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_run = sub.add_parser("run", help="run one scenario config")
+    p_run = sub.add_parser("run", help="run one scenario config; a pomdp run solves its own policy")
     p_run.add_argument("--scenario", required=True, help="scenario YAML")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--policy", help="override the policy file for pomdp runs")
     p_run.set_defaults(func=_cmd_run)
 
     p_batch = sub.add_parser("batch", help="run every scenario YAML in a directory")
@@ -103,26 +99,15 @@ def _cmd_solve(args) -> int:
         cfg.occluded_bins,
     )
     started = time.perf_counter()
-    model, policy = solve_policy(cfg)
+    model, _ = solve_policy(cfg)
     elapsed = time.perf_counter() - started
-    save_policy(policy, args.out, cfg)
-    log.info(
-        "solved %d states x %d actions in %.2f s -> %s",
-        model.num_states,
-        model.num_actions,
-        elapsed,
-        args.out,
-    )
+    log.info("solved %r", cfg)
+    log.info("%d states x %d actions in %.2f s", model.num_states, model.num_actions, elapsed)
     return 0
 
 
 def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
-    if args.policy:
-        try:
-            config = dataclasses.replace(config, policy_file=args.policy)
-        except ValueError as err:
-            raise ConfigError(f"{args.scenario}: {err}") from None
     trace = run_scenario(config)
     dest = export_run(trace, config.scene, args.out)
     log.info("%s -> %s", summarize(trace, config.scene.pedestrian.present), dest)

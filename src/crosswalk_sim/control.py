@@ -8,7 +8,7 @@ import numpy as np
 
 from .dynamics import MAX_STEER, WHEELBASE, VehicleState
 from .path import SAMPLE_SPACING, Path, resample_by_arc
-from .world import LANE_WIDTH, ROAD_BOUNDS, Scene
+from .world import LANE_WIDTH, ROAD_BOUNDS, Scene, crosswalk_path_distance
 
 AX_LIMIT = 3.0  # m/s^2, symmetric accel/brake authority
 SPEED_GAIN = 2.0  # 1/s, proportional gain of the speed tracker
@@ -26,7 +26,8 @@ LOOKAHEAD_MAX = 12.0
 
 
 class InfeasiblePathError(ValueError):
-    """The avoidance offset cannot fit inside the road bounds."""
+    """The avoidance offset cannot fit inside the road bounds, or the
+    path does not cross the crosswalk line."""
 
 
 def speed_control(v_desired: float, scale: float, ux: float) -> float:
@@ -99,6 +100,21 @@ def build_avoidance_path(scene: Scene) -> Path:
     xs, ys = resample_by_arc(dense_x, ys, SAMPLE_SPACING, PATH_LENGTH)
     north, east = scene.road.to_inertial(xs, ys)
     return Path(north, east)
+
+
+def path_to_crosswalk(scene: Scene) -> tuple[Path, float]:
+    """The avoidance path and the arc length at which it crosses the
+    crosswalk line. Raises InfeasiblePathError as build_avoidance_path
+    does, and when the line lies at or behind the path's start or beyond
+    its end, where crosswalk_path_distance would clamp it."""
+    path = build_avoidance_path(scene)
+    px, _ = scene.road.to_road(path.north[[0, -1]], path.east[[0, -1]])
+    target = scene.crosswalk.distance
+    if not px[0] < target <= px[1]:
+        raise InfeasiblePathError(
+            f"crosswalk distance {target:g} m is off the path, which reaches x in ({px[0]:.2f}, {px[1]:.2f}] m"
+        )
+    return path, crosswalk_path_distance(scene, path)
 
 
 def _blend(x, lo: float, hi: float):

@@ -1,6 +1,6 @@
-"""Every file format the simulator reads or writes, except the policy file
-(`qmdp`): the scene, scenario and model YAML, and the trace and
-scene-outline CSV of a run.
+"""Every file format the simulator reads or writes: the scene, scenario
+and model YAML, and the trace and scene-outline CSV of a run. A solved
+policy is never written; each pomdp run solves its own.
 
 Every config loader goes through `_read`, `_given` and `_build`, so they
 share one error rule: an unknown key, an unconvertible, non-finite or
@@ -20,7 +20,7 @@ from pathlib import Path as FsPath
 import numpy as np
 import yaml
 
-from .control import build_avoidance_path
+from .control import path_to_crosswalk
 from .pomdp import NUM_V, SPEED_UNIT, ModelConfig, derive_model_config
 from .world import ROAD_BOUNDS, Crosswalk, Pedestrian, RectObstacle, RoadFrame, Scene
 
@@ -52,19 +52,20 @@ TRACE_FIELDS = (
 class ScenarioConfig:
     """Everything needed to reproduce one closed-loop run. v_desired and
     duration must be finite and positive, and the scene must leave room
-    for the avoidance path (InfeasiblePathError otherwise). A pomdp run's
-    v_desired must be the model's top speed bin, which its speed bins
-    assume, and its model_config takes its geometry from the scene
-    (pomdp.derive_model_config); any other run reads neither a model nor
-    a policy file, so setting one raises ValueError."""
+    for the avoidance path and put the crosswalk line on it
+    (InfeasiblePathError otherwise). A pomdp run's v_desired must be the
+    model's top speed bin, which its speed bins assume, and its
+    model_config takes its geometry from the scene
+    (pomdp.derive_model_config); any other run reads no model, so setting
+    one raises ValueError."""
 
     scene: Scene
     policy: str = "oracle"
     v_desired: float = 10.0
     duration: float = 15.0
     model_config: ModelConfig | None = None
-    policy_file: str | None = None
     name: str = "scenario"
+    policy_file = None  # not a field: perfbench/workloads.py still reads it
 
     def __post_init__(self):
         if self.policy not in POLICY_KINDS:
@@ -82,12 +83,8 @@ class ScenarioConfig:
             self.model_config = derive_model_config(self.scene, self.model_config)
         elif self.model_config is not None:
             raise ValueError(f"key 'model' is set, but policy {self.policy!r} reads no model")
-        elif self.policy_file is not None:
-            raise ValueError(
-                f"key 'policy_file' is set to {self.policy_file}, but policy {self.policy!r} reads no policy file"
-            )
         else:
-            build_avoidance_path(self.scene)  # InfeasiblePathError, as derive_model_config raises
+            path_to_crosswalk(self.scene)  # InfeasiblePathError, as derive_model_config raises
 
 
 @dataclass
@@ -218,7 +215,7 @@ def load_model_config(source) -> ModelConfig:
 # Scenario YAML keys are the ScenarioConfig fields but `name` (the file
 # stem), with `model` (a file) in place of `model_config`. The references
 # name other files and resolve relative to the scenario file.
-_SCENARIO_REFS = ("scene", "model", "policy_file")
+_SCENARIO_REFS = ("scene", "model")
 _SCENARIO_KEYS = frozenset(ScenarioConfig.__dataclass_fields__) - {"model_config", "name"} | {"model"}
 _SCENARIO_FIELDS = {key: key for key in _SCENARIO_KEYS - set(_SCENARIO_REFS)}
 
@@ -234,7 +231,6 @@ def load_scenario(source) -> ScenarioConfig:
     fields = dict(
         scene=load_scene(refs["scene"]),
         model_config=load_model_config(refs["model"]) if "model" in refs else None,
-        policy_file=str(refs["policy_file"]) if "policy_file" in refs else None,
         name=path.stem,
         **_given(data, path, ScenarioConfig, _SCENARIO_FIELDS),
     )

@@ -17,7 +17,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import world
-from .control import build_avoidance_path, speed_control, steer_control
+from .control import path_to_crosswalk, speed_control, steer_control
 from .dynamics import VehicleState, step_dynamics
 from .executor import (
     STOP_MARGIN,
@@ -50,7 +50,7 @@ from .pomdp import (
     PomdpModel,
     build_crosswalk_model,
 )
-from .qmdp import AlphaVectorPolicy, extract_alphas, load_policy, value_iteration
+from .qmdp import AlphaVectorPolicy, extract_alphas, value_iteration
 from .world import Scene
 
 log = logging.getLogger(__name__)
@@ -141,24 +141,19 @@ def run_scenario(
 ) -> Trace:
     """Run one closed-loop scenario and return its trace.
 
-    For the pomdp policy a solved alpha-vector policy is required: pass it
-    in together with the model it was solved on, point config.policy_file
-    at a saved one, or leave both unset to solve it here (slowest option).
-    A policy file that load_policy refuses for the scenario's model config
-    raises ConfigError naming the file.
+    A pomdp run acts on an alpha-vector policy solved for
+    config.model_config: pass it in together with the model it was solved
+    on, or leave both unset to solve it here.
     """
     scene = config.scene
-    path = build_avoidance_path(scene)
-    crosswalk_s = world.crosswalk_path_distance(scene, path)
+    path, crosswalk_s = path_to_crosswalk(scene)
 
     if config.policy == "oracle":
         policy = OraclePolicy(scene, crosswalk_s, config.v_desired)
     elif config.policy == "baseline":
         policy = BaselinePolicy(config.v_desired, crosswalk_s)
     else:
-        if policy is None and config.policy_file:
-            policy = load_policy(config.policy_file, config.model_config)
-        elif policy is None:
+        if policy is None:
             model, policy = solve_policy(config.model_config)
         if model is None:
             model = build_crosswalk_model(config.model_config)
@@ -257,7 +252,7 @@ def run_batch(config_dir, out_dir) -> list[str]:
     for cfg_path in paths:
         config = load_scenario(cfg_path)
         model = policy = None
-        if config.policy == "pomdp" and not config.policy_file:
+        if config.policy == "pomdp":
             key = config.model_config
             if key not in solved:
                 solved[key] = solve_policy(key)

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import build_avoidance_path
-from .world import Scene, crosswalk_occlusion_band, crosswalk_path_distance
+from .control import path_to_crosswalk
+from .world import Scene, crosswalk_occlusion_band
 
 NUM_V = 11
 NUM_D = 121
@@ -285,10 +285,10 @@ def derive_model_config(scene: Scene, base: ModelConfig | None = None) -> ModelC
     """Fill the geometry-dependent fields of a model config from a scene:
     the crosswalk distance bin and the occluded distance band (empty,
     lo > hi, when nothing is shadowed). Raises InfeasiblePathError when
-    the scene leaves no room for the avoidance path."""
+    the scene leaves no room for the avoidance path or puts the crosswalk
+    off it."""
     cfg = base or ModelConfig()
-    path = build_avoidance_path(scene)
-    crosswalk_s = crosswalk_path_distance(scene, path)
+    path, crosswalk_s = path_to_crosswalk(scene)
     crosswalk_bin = min(int(round(crosswalk_s / CELL_LENGTH)), NUM_D - 1)
     band = crosswalk_occlusion_band(scene, path)
     occluded = (1, 0) if band is None else occluded_bins_from_band(*band)

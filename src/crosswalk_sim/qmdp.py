@@ -1,6 +1,7 @@
 """QMDP solver: value iteration on the underlying MDP, started from an
 exact backward pass over the distance layers where the model has them,
-plus alpha-vector action selection over beliefs."""
+plus alpha-vector action selection over beliefs. A policy lives only in
+memory: each pomdp run solves its own, in about 10 ms."""
 
 from __future__ import annotations
 
@@ -9,24 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .files import ConfigError
-from .pomdp import (
-    ACTION_SCALES,
-    NUM_CROSSING,
-    NUM_D,
-    NUM_STATES,
-    NUM_V,
-    TERMINAL_D,
-    ModelConfig,
-    PomdpModel,
-)
+from .pomdp import NUM_CROSSING, NUM_D, NUM_V, TERMINAL_D, PomdpModel
 
 log = logging.getLogger(__name__)
 
 BELIEF_TOL = 1e-9
 LAYER_POLICY_STEPS = 100  # policy-iteration steps a layer may take to settle
-
-POLICY_FORMAT = "alpha-policy-v2"
 
 
 class ValueIterationError(RuntimeError):
@@ -175,81 +164,3 @@ def best_action(policy: AlphaVectorPolicy, belief: np.ndarray) -> int:
     scores = policy.alphas @ b
     return int(np.argmax(scores))
 
-
-def save_policy(policy: AlphaVectorPolicy, destination, config: ModelConfig) -> None:
-    """Write a policy solved for config to a versioned plain-text file.
-
-    Layout: a format line, the model line (config's discount, crosswalk
-    bin and occluded band), counts, the action scale labels, then one line
-    of '%.17g' state values per action. Floats round-trip exactly.
-    """
-    lo, hi = config.occluded_bins
-    lines = [
-        POLICY_FORMAT,
-        f"model discount {config.discount:.17g} crosswalk_bin {config.crosswalk_bin} occluded_bins {lo} {hi}",
-        f"actions {policy.alphas.shape[0]}",
-        f"states {policy.alphas.shape[1]}",
-        "scales " + " ".join(f"{s:.17g}" for s in policy.scales),
-    ]
-    for row in policy.alphas:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    with open(destination, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_policy(source, config: ModelConfig) -> AlphaVectorPolicy:
-    """Read a policy written by save_policy for config; rejects unknown
-    formats. A malformed file (among them one with a non-finite alpha
-    value), or one solved for another model config or with other action
-    scales or state count than the model's, raises ConfigError naming it."""
-    with open(source, "r", encoding="utf-8") as fh:
-        try:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        except UnicodeDecodeError:
-            raise ConfigError(f"{source}: not UTF-8 text") from None
-    if not lines or lines[0] != POLICY_FORMAT:
-        raise ConfigError(f"{source}: not a {POLICY_FORMAT} file")
-    if len(lines) < 5:
-        raise ConfigError(f"{source}: truncated policy file")
-    solved_for = _model_line(source, lines[1])
-    if solved_for != config:
-        raise ConfigError(f"{source}: policy solved for {solved_for}, not for {config}")
-    try:
-        header = dict(ln.split(maxsplit=1) for ln in lines[2:4])
-        num_actions = int(header["actions"])
-        num_states = int(header["states"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{source}: malformed policy header") from exc
-    if not lines[4].startswith("scales "):
-        raise ConfigError(f"{source}: missing scales line")
-    try:
-        scales = tuple(float(x) for x in lines[4].split()[1:])
-        rows = [[float(x) for x in ln.split()] for ln in lines[5:]]
-    except ValueError as exc:
-        raise ConfigError(f"{source}: non-numeric policy value") from exc
-    if len(scales) != num_actions:
-        raise ConfigError(f"{source}: scale count does not match actions")
-    if len(rows) != num_actions:
-        raise ConfigError(f"{source}: alpha row count does not match actions")
-    if any(len(row) != num_states for row in rows):
-        raise ConfigError(f"{source}: alpha matrix shape mismatch")
-    alphas = np.array(rows, dtype=float).reshape(num_actions, num_states)
-    if not np.isfinite(alphas).all():
-        raise ConfigError(f"{source}: non-finite alpha value")
-    # save_policy writes '%.17g', so the model's scales read back exactly
-    if scales != ACTION_SCALES:
-        raise ConfigError(f"{source}: action scales {scales} are not the model's {ACTION_SCALES}")
-    if num_states != NUM_STATES:
-        raise ConfigError(f"{source}: alphas of shape {alphas.shape}, not the model's {(num_actions, NUM_STATES)}")
-    return AlphaVectorPolicy(alphas=alphas, scales=scales)
-
-
-def _model_line(source, line: str) -> ModelConfig:
-    """The ModelConfig a save_policy model line records."""
-    try:
-        tag, k1, discount, k2, crosswalk_bin, k3, lo, hi = line.split()
-        if (tag, k1, k2, k3) != ("model", "discount", "crosswalk_bin", "occluded_bins"):
-            raise ValueError(line)
-        return ModelConfig(float(discount), int(crosswalk_bin), (int(lo), int(hi)))
-    except ValueError as exc:
-        raise ConfigError(f"{source}: malformed model line") from exc

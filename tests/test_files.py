@@ -159,12 +159,30 @@ def test_infeasible_pomdp_scene_names_the_scenario_file(tmp_path):
         load_scenario(dest)
 
 
+@pytest.mark.parametrize("policy", ["oracle", "baseline", "pomdp"])
+@pytest.mark.parametrize("distance", [65.0, 0.0, -3.0])
+def test_scene_with_crosswalk_off_the_path_names_the_scenario_file(tmp_path, repo_root, policy, distance):
+    # the path runs along road x 0-59.81 m: a crosswalk line beyond its end
+    # or at or behind its start would be read as the path's end or 0.0
+    scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
+    scene["crosswalk"]["distance"] = distance
+    scene["pedestrian"]["position"][0] = distance
+    (tmp_path / "scene.yaml").write_text(yaml.safe_dump(scene))
+    dest = tmp_path / "scenario.yaml"
+    dest.write_text(f"scene: scene.yaml\npolicy: {policy}\n")
+    refused = f"{dest}: crosswalk distance {distance:g} m is off the path, which reaches x in (0.00, 59.81] m"
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        load_scenario(dest)
+
+
 @pytest.mark.parametrize("key", ["scene", "model", "policy_file"])
 def test_empty_scenario_reference_names_the_key(tmp_path, repo_root, key):
+    # policy_file is no longer a scenario key: left empty, it fails as unknown
+    kind = "unknown" if key == "policy_file" else "empty"
     doc = {"scene": str(repo_root / "configs" / "scene_exposed.yaml"), key: None}
     dest = tmp_path / "scenario.yaml"
     dest.write_text(yaml.safe_dump(doc))
-    with pytest.raises(ValueError, match=re.escape(f"{dest}: empty scenario key '{key}'")):
+    with pytest.raises(ValueError, match=re.escape(f"{dest}: {kind} scenario key '{key}'")):
         load_scenario(dest)
 
 

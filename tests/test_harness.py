@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import os
@@ -26,11 +25,9 @@ from crosswalk_sim.files import (
     export_trace,
     load_model_config,
     load_scenario,
-    load_scene,
 )
 from crosswalk_sim.harness import CONTROL_DT, run_scenario, summarize
-from crosswalk_sim.pomdp import ACTION_SCALES, EPOCH, ModelConfig, derive_model_config
-from crosswalk_sim.qmdp import AlphaVectorPolicy, load_policy, save_policy
+from crosswalk_sim.pomdp import EPOCH, ModelConfig, derive_model_config
 from crosswalk_sim.world import RectObstacle, Scene
 
 from conftest import load_trace
@@ -284,7 +281,9 @@ def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
     assert cfg.scene.pedestrian.present
 
 
-@pytest.mark.parametrize("key", ["stop_margn", "kp", "control_dt", "decision_period", "vehicle", "name", "seed"])
+@pytest.mark.parametrize(
+    "key", ["stop_margn", "kp", "control_dt", "decision_period", "vehicle", "name", "seed", "policy_file"]
+)
 def test_load_scenario_rejects_unknown_key(tmp_path, repo_root, key):
     doc = {
         "scene": str(repo_root / "configs" / "scene_exposed.yaml"),
@@ -314,37 +313,33 @@ def test_load_scenario_requires_scene(tmp_path):
 @pytest.mark.parametrize("policy", ["oracle", "baseline"])
 @pytest.mark.parametrize("key", ["model", "policy_file"])
 def test_load_scenario_rejects_unread_files(tmp_path, repo_root, policy, key):
-    # only a pomdp run reads a model or a policy file; elsewhere the key
-    # would be ignored, so it fails to load, whether the file exists or not
-    value, shown = {
-        "model": (str(repo_root / "configs" / "pomdp.yaml"), ""),
-        "policy_file": ("nope.txt", f" to {tmp_path / 'nope.txt'}"),
+    # only a pomdp run reads a model; elsewhere the key would be ignored,
+    # so it fails to load. No run reads a policy file any more, so that key
+    # fails as unknown
+    refused = {
+        "model": f"key 'model' is set, but policy {policy!r} reads no",
+        "policy_file": "unknown scenario key 'policy_file'",
     }[key]
-    doc = {"scene": str(repo_root / "configs" / "scene_exposed.yaml"), "policy": policy, key: value}
+    doc = {
+        "scene": str(repo_root / "configs" / "scene_exposed.yaml"),
+        "policy": policy,
+        key: str(repo_root / "configs" / "pomdp.yaml"),
+    }
     dest = tmp_path / "unread.yaml"
     dest.write_text(yaml.safe_dump(doc))
-    refused = re.escape(f"{dest}: key {key!r} is set{shown}, but policy {policy!r} reads no")
-    with pytest.raises(ValueError, match=refused):
+    with pytest.raises(ValueError, match=re.escape(f"{dest}: {refused}")):
         load_scenario(dest)
 
 
-def test_cli_run_rejects_policy_for_non_pomdp_scenario(tmp_path, repo_root, capsys):
-    policy_file = tmp_path / "any.policy"
-    scenario = repo_root / "configs" / "scenarios" / "oracle_hidden.yaml"
-    # the error names the scenario file, as a load error does
-    refused = f"{scenario}: key 'policy_file' is set to {policy_file}, but policy 'oracle' reads no policy file"
-    rc = cli_main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out"), "--policy", str(policy_file)])
-    assert rc == 2
-    assert capsys.readouterr().err == f"crosswalk-sim: error: {refused}\n"
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("case", ["misspelt-key", "missing-scene", "yaml-syntax", "infeasible-solve", "infeasible-run"])
+@pytest.mark.parametrize(
+    "case", ["misspelt-key", "missing-scene", "yaml-syntax", "infeasible-solve", "infeasible-run", "off-path-crosswalk"]
+)
 def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case):
     # a file the run cannot use ends in one stderr line naming it and exit
     # code 2, not a traceback; the missing scene is never written. A scene
     # whose occluder sits at x = 12 m leaves no room to swing around it:
-    # solve names the scene file, and run names the scenario over it
+    # solve names the scene file, and run names the scenario over it. A
+    # crosswalk at x = 65 m lies beyond the path's end
     dest = tmp_path / "config.yaml"
     scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
     scene["obstacles"][0]["center"][0] = 12.0
@@ -354,7 +349,12 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
         argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
     elif case == "infeasible-solve":
         dest = tmp_path / "infeasible.yaml"
-        argv = ["solve", "--scene", str(dest), "--out", str(tmp_path / "out")]
+        argv = ["solve", "--scene", str(dest)]
+    elif case == "off-path-crosswalk":
+        scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
+        scene["crosswalk"]["distance"] = scene["pedestrian"]["position"][0] = 65.0
+        dest.write_text(yaml.safe_dump(scene))
+        argv = ["solve", "--scene", str(dest)]
     elif case == "infeasible-run":
         dest.write_text("scene: infeasible.yaml\npolicy: oracle\n")
         argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
@@ -482,6 +482,10 @@ def test_harness_binds_the_names_perfbench_reads():
     for module, names in homes.items():
         for name in names:
             assert getattr(harness, name) is getattr(module, name), name
+    # workloads.py skips a scenario's solve when its config has a policy
+    # file, which no scenario can have any more
+    assert ScenarioConfig.policy_file is None
+    assert "policy_file" not in ScenarioConfig.__dataclass_fields__
 
 
 def _fresh_python(probe: str, *args: str) -> str:
@@ -529,26 +533,21 @@ print("scipy.sparse" in sys.modules)
 # --- command line ----------------------------------------------------------------
 
 
-def test_cli_solve_and_run(tmp_path, repo_root, caplog):
-    policy_file = tmp_path / "policy.txt"
-    rc = cli_main(
-        [
-            "solve",
-            "--model",
-            str(repo_root / "configs" / "pomdp.yaml"),
-            "--scene",
-            str(repo_root / "configs" / "scene_exposed.yaml"),
-            "--out",
-            str(policy_file),
-        ]
-    )
-    assert rc == 0
-    solved_for = derive_model_config(
-        load_scene(repo_root / "configs" / "scene_exposed.yaml"),
-        load_model_config(repo_root / "configs" / "pomdp.yaml"),
-    )
-    policy = load_policy(policy_file, solved_for)
-    assert policy.alphas.shape == (11, 2662)
+def test_cli_solve_and_run(tmp_path, repo_root, monkeypatch, caplog, scenario_configs):
+    # solve logs the model config it solved, the same for both shipped
+    # scenes, and writes nothing; a pomdp run solves its own policy
+    monkeypatch.chdir(tmp_path)
+    caplog.set_level(logging.INFO, logger="crosswalk_sim")
+    solved = []
+    for scene in ("scene_hidden.yaml", "scene_exposed.yaml"):
+        caplog.clear()
+        rc = cli_main(
+            ["solve", "--model", str(repo_root / "configs" / "pomdp.yaml"), "--scene", str(repo_root / "configs" / scene)]
+        )
+        assert rc == 0
+        solved += [m for m in caplog.messages if m.startswith("solved ")]
+    assert solved == [f"solved {scenario_configs['pomdp_hidden'].model_config!r}"] * 2
+    assert not any(tmp_path.iterdir())
 
     scenario = {
         "scene": str(repo_root / "configs" / "scene_exposed.yaml"),
@@ -559,18 +558,7 @@ def test_cli_solve_and_run(tmp_path, repo_root, caplog):
     scen_file = tmp_path / "short_pomdp.yaml"
     scen_file.write_text(yaml.safe_dump(scenario))
     out_dir = tmp_path / "out"
-    caplog.set_level(logging.INFO, logger="crosswalk_sim")
-    rc = cli_main(
-        [
-            "run",
-            "--scenario",
-            str(scen_file),
-            "--out",
-            str(out_dir),
-            "--policy",
-            str(policy_file),
-        ]
-    )
+    rc = cli_main(["run", "--scenario", str(scen_file), "--out", str(out_dir)])
     assert rc == 0
     trace = load_trace(out_dir / "trace.csv")
     assert len(trace) == 150
@@ -578,57 +566,19 @@ def test_cli_solve_and_run(tmp_path, repo_root, caplog):
     assert f"{summarize(trace, True)} -> {out_dir / 'trace.csv'}" in caplog.messages
 
 
-@pytest.mark.parametrize("via", ["policy_file", "cli"])
-def test_policy_for_another_geometry_is_refused(tmp_path, repo_root, policy, model_config, capsys, via):
-    # a policy solved for the hidden scene (crosswalk bin 80, band (0, 62)),
-    # run on the hidden scene with its crosswalk moved to x = 30 m, whose
-    # scenario derives bin 60 and band (0, 60)
-    policy_file = tmp_path / "hidden.policy"
-    save_policy(policy, policy_file, model_config)
-    scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
-    scene["crosswalk"]["distance"] = 30.0
-    scene["pedestrian"]["position"][0] = 30.0
-    (tmp_path / "scene.yaml").write_text(yaml.safe_dump(scene))
-    doc = {"scene": "scene.yaml", "model": str(repo_root / "configs" / "pomdp.yaml"), "policy": "pomdp"}
-    if via == "policy_file":
-        doc["policy_file"] = policy_file.name
-    dest = tmp_path / "moved.yaml"
-    dest.write_text(yaml.safe_dump(doc))
-    derived = ModelConfig(discount=0.995, crosswalk_bin=60, occluded_bins=(0, 60))
-    assert load_scenario(dest).model_config == derived
-    refused = f"{policy_file}: policy solved for {model_config}, not for {derived}"
-    if via == "policy_file":
-        with pytest.raises(ValueError, match=re.escape(refused)):
-            run_scenario(load_scenario(dest))
-    else:
-        rc = cli_main(["run", "--scenario", str(dest), "--out", str(tmp_path / "out"), "--policy", str(policy_file)])
-        assert rc == 2
-        assert capsys.readouterr().err == f"crosswalk-sim: error: {refused}\n"
-    assert not (tmp_path / "out").exists()
-
-
-def test_policy_for_another_state_space_is_refused(tmp_path, scenario_configs, crosswalk_model, model_config):
-    # the right model line, but alphas over 3 states instead of 2662
-    policy_file = tmp_path / "small.policy"
-    save_policy(AlphaVectorPolicy(alphas=np.zeros((11, 3)), scales=ACTION_SCALES), policy_file, model_config)
-    cfg = dataclasses.replace(scenario_configs["pomdp_hidden"], policy_file=str(policy_file))
-    refused = re.escape(f"{policy_file}: alphas of shape (11, 3), not the model's (11, 2662)")
-    for model in (crosswalk_model, None):
-        with pytest.raises(ValueError, match=refused):
-            run_scenario(cfg, model=model)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["solve", "--model", "configs/pomdp.yaml", "--out", "policy.txt"],
         ["run", "--scenario", "configs/scenarios/oracle_hidden.yaml", "--out", "out", "--seed", "3"],
+        ["run", "--scenario", "configs/scenarios/pomdp_hidden.yaml", "--out", "out", "--policy", "x"],
+        ["solve", "--scene", "configs/scene_hidden.yaml", "--out", "x"],
     ],
-    ids=["solve-without-scene", "run-seed"],
+    ids=["solve-without-scene", "run-seed", "run-policy", "solve-out"],
 )
 def test_cli_usage_errors(tmp_path, monkeypatch, argv):
-    # solve has no crosswalk to plan for without a scene, and run has no
-    # seed to override
+    # solve has no crosswalk to plan for without a scene, run has no seed
+    # to override, and neither reads nor writes a policy file
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)

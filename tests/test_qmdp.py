@@ -14,9 +14,7 @@ import pytest
 
 from crosswalk_sim import qmdp
 from crosswalk_sim.pomdp import (
-    ACTION_SCALES,
     NUM_D,
-    NUM_STATES,
     NUM_V,
     TERMINAL_D,
     ModelConfig,
@@ -27,8 +25,6 @@ from crosswalk_sim.qmdp import (
     ValueIterationError,
     best_action,
     extract_alphas,
-    load_policy,
-    save_policy,
     value_iteration,
 )
 
@@ -348,107 +344,3 @@ def test_belief_validation():
     with pytest.raises(ValueError):
         best_action(policy, np.array([0.5, 0.3, 0.1]))  # sums to 0.9
 
-
-# --- persistence -----------------------------------------------------------------
-
-
-MODEL_LINE = "model discount 0.94999999999999996 crosswalk_bin 80 occluded_bins 0 68"  # ModelConfig()
-
-
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(31)
-    q = rng.normal(size=(NUM_STATES, 11)) * 100
-    policy = extract_alphas(q, tuple(k / 10 for k in range(11)))
-    dest = tmp_path / "policy.txt"
-    save_policy(policy, dest, ModelConfig())
-    assert dest.read_text().splitlines()[:2] == ["alpha-policy-v2", MODEL_LINE]
-    loaded = load_policy(dest, ModelConfig())
-    assert np.array_equal(loaded.alphas, policy.alphas)  # bit-exact floats
-    assert loaded.scales == policy.scales
-
-
-def test_load_rejects_foreign_files(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("not-a-policy\n1 2 3\n")
-    with pytest.raises(ValueError):
-        load_policy(bad, ModelConfig())
-    truncated = tmp_path / "trunc.txt"
-    truncated.write_text(f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 1\n0 0 0\n")
-    with pytest.raises(ValueError):
-        load_policy(truncated, ModelConfig())
-    # the format before the model line: it records no model config
-    old = tmp_path / "v1.txt"
-    old.write_text("alpha-policy-v1\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 0 0\n")
-    with pytest.raises(ValueError, match=re.escape(f"{old}: not a alpha-policy-v2 file")):
-        load_policy(old, ModelConfig())
-
-
-@pytest.mark.parametrize(
-    "text, reason",
-    [
-        # cut after the counts: no scales line and no alpha rows
-        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\n", "truncated policy file"),
-        # a header line with its count missing
-        (f"alpha-policy-v2\n{MODEL_LINE}\nactions\nstates 3\nscales 0 1\n0 0 0\n0 0 0\n", "malformed policy header"),
-        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 x 0\n", "non-numeric policy value"),
-        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 0\n", "alpha matrix shape mismatch"),
-        ("alpha-policy-v2\nmodel discount 0.95 crosswalk_bin 80\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 0 0\n",
-         "malformed model line"),
-        ("alpha-policy-v2\nmodel discount 0.95 crosswalk_bin 80.5 occluded_bins 0 68\nactions 2\nstates 3\n"
-         "scales 0 1\n0 0 0\n0 0 0\n", "malformed model line"),
-        # a nan first row would make best_action pick action 0, a stop
-        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 1\nnan nan nan\n0 0 0\n",
-         "non-finite alpha value"),
-        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 1\n0 0 0\n0 -inf 0\n",
-         "non-finite alpha value"),
-        # the scales must be the model's ACTION_SCALES exactly, not only lie in [0, 1]
-        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales 0 5\n0 0 0\n0 0 0\n",
-         "action scales (0.0, 5.0) are not the model's"),
-        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales -0.1 1\n0 0 0\n0 0 0\n",
-         "action scales (-0.1, 1.0) are not the model's"),
-        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 2\nstates 3\nscales nan 1\n0 0 0\n0 0 0\n",
-         "action scales (nan, 1.0) are not the model's"),
-        # eleven in-range scales, one per action: a run would command 1.0 for every action index
-        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 11\nstates 3\nscales{' 1' * 11}\n" + "0 0 0\n" * 11,
-         f"action scales {(1.0,) * 11} are not the model's {ACTION_SCALES}"),
-        # the model's scales, but alphas over 3 states instead of 2662
-        (f"alpha-policy-v2\n{MODEL_LINE}\nactions 11\nstates 3\nscales {' '.join(map(str, ACTION_SCALES))}\n"
-         + "0 0 0\n" * 11, "alphas of shape (11, 3), not the model's (11, 2662)"),
-        # the files are written as latin-1; a byte that is not UTF-8
-        ("alpha-policy-v2\n\u00ff\n", "not UTF-8 text"),
-    ],
-    ids=[
-        "truncated", "one-token-header", "non-numeric", "ragged-row", "short-model-line", "fractional-bin",
-        "nan-alpha", "inf-alpha", "scale-above-one", "negative-scale", "nan-scale", "scales-not-the-models",
-        "states-not-the-models", "not-utf8",
-    ],
-)
-def test_load_rejects_malformed_files_naming_them(tmp_path, text, reason):
-    bad = tmp_path / "policy.txt"
-    bad.write_text(text, encoding="latin-1")
-    with pytest.raises(ValueError, match=re.escape(f"{bad}: {reason}")):
-        load_policy(bad, ModelConfig())
-
-
-@pytest.mark.parametrize(
-    "other",
-    [
-        ModelConfig(discount=0.995),
-        ModelConfig(crosswalk_bin=60),
-        ModelConfig(occluded_bins=(0, 62)),
-    ],
-    ids=["discount", "crosswalk-bin", "occluded-band"],
-)
-def test_load_rejects_policy_for_another_config(tmp_path, other):
-    dest = tmp_path / "policy.txt"
-    save_policy(extract_alphas(np.zeros((3, 11)), tuple(k / 10 for k in range(11))), dest, ModelConfig())
-    with pytest.raises(ValueError, match=re.escape(f"{dest}: policy solved for {ModelConfig()}, not for {other}")):
-        load_policy(dest, other)
-
-
-def test_full_model_policy_round_trip(tmp_path, policy, model_config):
-    dest = tmp_path / "crosswalk_policy.txt"
-    save_policy(policy, dest, model_config)
-    loaded = load_policy(dest, model_config)
-    assert np.array_equal(loaded.alphas, policy.alphas)
-    assert loaded.scales == policy.scales
