@@ -18,6 +18,7 @@ PATH_LENGTH = 60.0  # m
 LEAD_IN = 20.0  # m over which the path ramps out to its offset
 LEAD_GAP = 10.0  # m between the end of a ramp and the nearest obstacle edge
 RETURN_LENGTH = 13.0  # m over which the path ramps back to the lane center
+PATH_END_MARGIN = 0.5  # m short of the path's end at which a run ends
 
 # pure-pursuit lookahead: LOOKAHEAD_GAIN * speed, clamped to [MIN, MAX] m
 LOOKAHEAD_GAIN = 0.6
@@ -27,7 +28,7 @@ LOOKAHEAD_MAX = 12.0
 
 class InfeasiblePathError(ValueError):
     """The avoidance offset cannot fit inside the road bounds, or the
-    path does not cross the crosswalk line."""
+    path does not cross the crosswalk line before a run ends."""
 
 
 def speed_control(v_desired: float, scale: float, ux: float) -> float:
@@ -105,8 +106,8 @@ def build_avoidance_path(scene: Scene) -> Path:
 def path_to_crosswalk(scene: Scene) -> tuple[Path, float]:
     """The avoidance path and the arc length at which it crosses the
     crosswalk line. Raises InfeasiblePathError as build_avoidance_path
-    does, and when the line lies at or behind the path's start or beyond
-    its end, where crosswalk_path_distance would clamp it."""
+    does, and when the line lies at or behind the path's start, beyond its
+    end, or within PATH_END_MARGIN of its end, where every run has ended."""
     path = build_avoidance_path(scene)
     px, _ = scene.road.to_road(path.north[[0, -1]], path.east[[0, -1]])
     target = scene.crosswalk.distance
@@ -114,7 +115,14 @@ def path_to_crosswalk(scene: Scene) -> tuple[Path, float]:
         raise InfeasiblePathError(
             f"crosswalk distance {target:g} m is off the path, which reaches x in ({px[0]:.2f}, {px[1]:.2f}] m"
         )
-    return path, crosswalk_path_distance(scene, path)
+    crosswalk_s = crosswalk_path_distance(scene, path)
+    run_end = path.length - PATH_END_MARGIN
+    if crosswalk_s >= run_end:
+        raise InfeasiblePathError(
+            f"crosswalk distance {target:g} m lies {crosswalk_s:.2f} m along the path, "
+            f"past the {run_end:.2f} m at which a run ends"
+        )
+    return path, crosswalk_s
 
 
 def _blend(x, lo: float, hi: float):

@@ -52,10 +52,10 @@ TRACE_FIELDS = (
 class ScenarioConfig:
     """Everything needed to reproduce one closed-loop run. v_desired and
     duration must be finite and positive, and the scene must leave room
-    for the avoidance path and put the crosswalk line on it
-    (InfeasiblePathError otherwise). A pomdp run's v_desired must be the
-    model's top speed bin, which its speed bins assume, and its
-    model_config takes its geometry from the scene
+    for the avoidance path and put the crosswalk line on it, short of
+    where a run ends (InfeasiblePathError otherwise). A pomdp run's
+    v_desired must be the model's top speed bin, which its speed bins
+    assume, and its model_config takes its geometry from the scene
     (pomdp.derive_model_config); any other run reads no model, so setting
     one raises ValueError."""
 
@@ -132,24 +132,22 @@ def _convert(kind, value):
     return converted
 
 
-def _given(data: dict, source, cls, fields=None) -> dict:
-    """Keyword arguments for dataclass cls from the file keys in fields
-    (a mapping of file key to field name; by default every field under its
-    own name) that the file gives, each converted to its field's annotated
-    type by _convert, a tuple element by element; absent fields keep their
-    defaults. A value that does not convert raises ValueError naming the
-    file and the key."""
+def _given(data: dict, source, cls, keys=None) -> dict:
+    """Keyword arguments for dataclass cls from the keys the file gives
+    among keys (by default every field of cls), each the name of a field
+    and converted to its annotated type by _convert, a tuple element by
+    element; absent fields keep their defaults. A value that does not
+    convert raises ValueError naming the file and the key."""
     kinds = typing.get_type_hints(cls)
-    fields = fields or {name: name for name in kinds}
+    keys = kinds if keys is None else keys
     given = {}
-    for key in (key for key in data if key in fields):
-        name, value = fields[key], data[key]
-        kind = kinds[name]
+    for key in (key for key in data if key in keys):
+        kind, value = kinds[key], data[key]
         try:
             if typing.get_origin(kind) is tuple:
-                given[name] = tuple(_convert(k, x) for k, x in zip(typing.get_args(kind), value, strict=True))
+                given[key] = tuple(_convert(k, x) for k, x in zip(typing.get_args(kind), value, strict=True))
             else:
-                given[name] = _convert(kind, value)
+                given[key] = _convert(kind, value)
         except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"{source}: bad value for key {key!r}: {err}") from None
     return given
@@ -217,7 +215,6 @@ def load_model_config(source) -> ModelConfig:
 # name other files and resolve relative to the scenario file.
 _SCENARIO_REFS = ("scene", "model")
 _SCENARIO_KEYS = frozenset(ScenarioConfig.__dataclass_fields__) - {"model_config", "name"} | {"model"}
-_SCENARIO_FIELDS = {key: key for key in _SCENARIO_KEYS - set(_SCENARIO_REFS)}
 
 
 def load_scenario(source) -> ScenarioConfig:
@@ -232,7 +229,7 @@ def load_scenario(source) -> ScenarioConfig:
         scene=load_scene(refs["scene"]),
         model_config=load_model_config(refs["model"]) if "model" in refs else None,
         name=path.stem,
-        **_given(data, path, ScenarioConfig, _SCENARIO_FIELDS),
+        **_given(data, path, ScenarioConfig, _SCENARIO_KEYS - set(_SCENARIO_REFS)),
     )
     return _build(ScenarioConfig, path, fields)
 

@@ -17,7 +17,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import world
-from .control import path_to_crosswalk, speed_control, steer_control
+from .control import PATH_END_MARGIN, path_to_crosswalk, speed_control, steer_control
 from .dynamics import VehicleState, step_dynamics
 from .executor import (
     STOP_MARGIN,
@@ -192,7 +192,7 @@ def run_scenario(
 
         state = step_dynamics(state, steer, ax, CONTROL_DT, path)
 
-        if state.s >= path.length - 0.5:
+        if state.s >= path.length - PATH_END_MARGIN:
             termination = "path_end"
             break
         if _near_obstacle(scene, state):

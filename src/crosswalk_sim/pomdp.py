@@ -9,10 +9,9 @@ index of state (v, d, c) is (c * NUM_D + d) * NUM_V + v.
 
 The chains, rewards and observation likelihoods are module constants;
 ModelConfig holds only what differs between solves. The transition
-matrices are assembled directly as CSR arrays, once per process, and every
-model shares them read-only; scipy is imported on the first model build,
-not with this module, and only for the csr_matrix container that holds
-them.
+matrices are built once per process with scipy's kron, and every model
+shares them read-only; scipy is imported on the first model build, not
+with this module.
 
 The car's motion is one table M[a, v, k, v'] (_motion): command a takes
 speed bin v to v' while the car advances k >= 0 distance bins. No
@@ -87,7 +86,7 @@ class PomdpModel:
     kernel that disagrees with `transitions` costs sweeps, not accuracy.
     None for a model without that layout."""
 
-    transitions: tuple  # one scipy.sparse.csr_matrix (S, S) per action; the crosswalk model's are shared and read-only
+    transitions: tuple  # one scipy.sparse.csr_matrix (S, S) per action; the crosswalk model's are int32-indexed, shared and read-only
     rewards: np.ndarray  # (S, A)
     discount: float
     observation: np.ndarray | None = None  # (S, O)
@@ -181,52 +180,22 @@ def _layer_kernel() -> np.ndarray:
     return kernel
 
 
-def _transition_arrays(motion, crossing: np.ndarray):
-    """CSR (data, indices, indptr) of one action's transition matrix, with
-    int32 indices: the Kronecker product C (x) M of the crossing chain C
-    and the action's motion triplets M (_clamped), plus probability-one
-    self-loops on the terminal states, whose M rows are empty.
-
-    Row (c, d, v) holds C[c, 0] * m and then C[c, 1] * m, the second block
-    NUM_D * NUM_V columns on, where m is M's row (d, v): the products, and
-    the column order, of the Kronecker product."""
-    values, (rows, cols) = motion
-    n = NUM_D * NUM_V
-    ptr = np.zeros(TERMINAL_D * NUM_V + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=ptr.size - 1), out=ptr[1:])
-    # M's row r fills [2 ptr[r], 2 ptr[r + 1]) of a row block: its entry k
-    # goes to ptr[r] + k for c' = 0 and to ptr[r + 1] + k for c' = 1
-    k = np.arange(values.size)
-    first, second = ptr[rows] + k, ptr[rows + 1] + k
-    nnz = 2 * values.size
-    data = np.ones((NUM_CROSSING, nnz + NUM_V))
-    data[:, first] = crossing[:, :1] * values
-    data[:, second] = crossing[:, 1:] * values
-    indices = np.empty((NUM_CROSSING, nnz + NUM_V), dtype=np.int32)
-    indices[:, first] = cols
-    indices[:, second] = cols + n
-    indices[:, nnz:] = np.arange(TERMINAL_D * NUM_V, n) + np.array([[0], [n]])
-    lengths = np.ones(n, dtype=np.int32)
-    lengths[:-NUM_V] = 2 * np.diff(ptr)
-    indptr = np.zeros(NUM_STATES + 1, dtype=np.int32)
-    np.cumsum(np.tile(lengths, NUM_CROSSING), out=indptr[1:])
-    return data.ravel(), indices.ravel(), indptr
-
-
 @functools.cache
 def _transitions() -> tuple:
     """PomdpModel.transitions of the crosswalk model: one csr_matrix per
-    action, the crossing chain composed with the action's motion table
-    laid over the distance layers, C (x) M_a, plus probability-one
-    self-loops on the terminal states. _transition_arrays assembles the
-    CSR arrays directly from M_a's triplets (_clamped); scipy only holds
-    them. Built once per process, with every array read-only, as models
+    action, the Kronecker product C (x) M_a of the crossing chain C and the
+    action's motion table laid over the distance layers (_clamped), plus
+    probability-one self-loops on the terminal states, whose M_a rows are
+    empty. Built once per process, with every array read-only, as models
     share them."""
     from scipy import sparse  # here, so that runs without a model build never load it
 
+    n = NUM_D * NUM_V
     crossing = _crossing_chain()
+    terminal = (np.arange(NUM_STATES) // NUM_V) % NUM_D == TERMINAL_D
+    loops = sparse.diags(terminal.astype(float))
     mats = tuple(
-        sparse.csr_matrix(_transition_arrays(_clamped(m), crossing), shape=(NUM_STATES, NUM_STATES))
+        sparse.kron(crossing, sparse.coo_matrix(_clamped(m), shape=(n, n)), format="csr") + loops
         for m in _motion()
     )
     for mat in mats:
@@ -286,7 +255,7 @@ def derive_model_config(scene: Scene, base: ModelConfig | None = None) -> ModelC
     the crosswalk distance bin and the occluded distance band (empty,
     lo > hi, when nothing is shadowed). Raises InfeasiblePathError when
     the scene leaves no room for the avoidance path or puts the crosswalk
-    off it."""
+    off it or where no run reaches it (control.path_to_crosswalk)."""
     cfg = base or ModelConfig()
     path, crosswalk_s = path_to_crosswalk(scene)
     crosswalk_bin = min(int(round(crosswalk_s / CELL_LENGTH)), NUM_D - 1)

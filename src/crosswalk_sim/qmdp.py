@@ -41,34 +41,28 @@ def value_iteration(model: PomdpModel, tol: float = 1e-6, max_iters: int = 10000
     residual = np.inf  # reported when max_iters allows no sweep
     # |Q_k - Q*| <= gamma / (1 - gamma) * |Q_k - Q_{k-1}|
     stop = tol * min(1.0, (1.0 - gamma) / max(gamma, 1e-12))
-    transitions = model.transitions
-    rewards = np.ascontiguousarray(model.rewards.T)
-    # Q is held as (actions, states) so each backup fills one contiguous row
     if model.layer_kernel is None:
-        q = np.zeros_like(rewards)
+        q = np.zeros_like(model.rewards)
     else:
-        q = _backward_pass(model.layer_kernel, rewards, gamma)
-    q_new = np.empty_like(rewards)
+        q = _backward_pass(model.layer_kernel, model.rewards, gamma)
     for sweep in range(1, max_iters + 1):
-        v = q.max(axis=0)
-        for a in range(model.num_actions):
-            np.multiply(transitions[a] @ v, gamma, out=q_new[a])
-        q_new += rewards
-        diff = np.subtract(q_new, q, out=q)
-        residual = float(np.abs(diff, out=diff).max())
-        q, q_new = q_new, q
+        v = q.max(axis=1)
+        ahead = np.column_stack([model.transitions[a] @ v for a in range(model.num_actions)])
+        backup = model.rewards + gamma * ahead
+        residual = float(np.abs(backup - q).max())
+        q = backup
         if residual <= stop:
             log.debug("value iteration: %d sweeps, residual %.3e", sweep, residual)
-            return q.T.copy()
+            return q
     raise ValueIterationError(
         f"no convergence after {max_iters} sweeps (residual {residual:.3e})"
     )
 
 
 def _backward_pass(kernel: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """Exact Q, in value_iteration's (actions, states) layout, of a model
-    laid out as the crosswalk model whose motion is kernel
-    (PomdpModel.layer_kernel) and whose terminal layer loops with reward 0.
+    """Exact (states, actions) Q of a model laid out as the crosswalk model
+    whose motion is kernel (PomdpModel.layer_kernel), whose rewards are
+    rewards (S, A) and whose terminal layer loops with reward 0.
 
     The layers are solved from TERMINAL_D - 1 down to 0. Values at and past
     the terminal layer are zero, so a layer's Q is its rewards, plus one
@@ -81,7 +75,7 @@ def _backward_pass(kernel: np.ndarray, rewards: np.ndarray, gamma: float) -> np.
     DEBUG level.
     """
     num_actions, width, reach, _ = kernel.shape
-    by_layer = rewards.reshape(num_actions, NUM_CROSSING, NUM_D, NUM_V).transpose(2, 0, 1, 3)
+    by_layer = rewards.reshape(NUM_CROSSING, NUM_D, NUM_V, num_actions).transpose(1, 3, 0, 2)
     by_layer = by_layer.reshape(NUM_D, num_actions, width)
     # the advances k >= 1 as one (a s, k s') matrix, so a layer's later
     # values, rows d + 1 .. d + reach - 1 of `values`, are one flat window
@@ -101,7 +95,7 @@ def _backward_pass(kernel: np.ndarray, rewards: np.ndarray, gamma: float) -> np.
         q[d] = base + same @ layer
         values[d] = q[d].max(axis=0)
     log.debug("backward pass: %d layers, %d policy evaluations", TERMINAL_D, evaluations)
-    return q.reshape(NUM_D, num_actions, NUM_CROSSING, NUM_V).transpose(1, 2, 0, 3).reshape(num_actions, -1)
+    return q.reshape(NUM_D, num_actions, NUM_CROSSING, NUM_V).transpose(2, 0, 3, 1).reshape(-1, num_actions)
 
 
 def _policy_iteration(rewards: np.ndarray, stay: np.ndarray, policy: np.ndarray | None = None):

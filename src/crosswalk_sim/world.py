@@ -436,14 +436,10 @@ def crosswalk_occlusion_band(scene: Scene, path: Path) -> tuple[float, float] | 
 
 
 def crosswalk_path_distance(scene: Scene, path: Path) -> float:
-    """Arc length at which the path crosses the crosswalk line."""
+    """Arc length at which the path crosses the crosswalk line, for a line
+    past the path's start and not beyond its end."""
     px, _ = scene.road.to_road(path.north, path.east)
     target = scene.crosswalk.distance
-    beyond = np.nonzero(px >= target)[0]
-    if len(beyond) == 0:
-        return path.length
-    k = int(beyond[0])
-    if k == 0:
-        return 0.0
+    k = int(np.argmax(px >= target))
     frac = (target - px[k - 1]) / (px[k] - px[k - 1])
     return float(path.s[k - 1] + frac * (path.s[k] - path.s[k - 1]))

@@ -1,8 +1,7 @@
 """Shared fixtures: scenes, solved model, and the six benchmark runs; and
 the helpers the tests import from here: a trace.csv reader, a model built
-from dense arrays, the crosswalk model's transition matrices built with
-scipy's kron, a Q table's Bellman residual, and the flat state index of
-the crosswalk model and its inverse."""
+from dense arrays, a Q table's Bellman residual, and the flat state index
+of the crosswalk model and its inverse."""
 
 from __future__ import annotations
 
@@ -16,16 +15,11 @@ from crosswalk_sim.files import Trace, load_scenario, load_scene
 from crosswalk_sim.harness import run_scenario
 from crosswalk_sim.pomdp import (
     ACTION_SCALES,
-    CROSSING_ONSET,
-    CROSSING_PERSIST,
     NUM_CROSSING,
     NUM_D,
     NUM_STATES,
     NUM_V,
-    TERMINAL_D,
     PomdpModel,
-    _clamped,
-    _motion,
     build_crosswalk_model,
 )
 from crosswalk_sim.qmdp import extract_alphas, value_iteration
@@ -70,21 +64,6 @@ def dense_model(transitions, rewards, discount, observation=None) -> PomdpModel:
         discount=float(discount),
         observation=None if observation is None else np.asarray(observation, dtype=float),
     )
-
-
-def kron_transitions() -> tuple:
-    """Reference for the crosswalk model's transition matrices, assembled
-    through scipy: per action, the motion table M_a laid over the distance
-    layers as a coo_matrix of pomdp._clamped's triplets, then kron(C, M_a)
-    with the crossing chain C, plus a diagonal of probability-one terminal
-    self-loops."""
-    n = NUM_D * NUM_V
-    terminal = (np.arange(NUM_STATES) // NUM_V) % NUM_D == TERMINAL_D
-    p_cross = np.array([CROSSING_ONSET, CROSSING_PERSIST])
-    crossing = np.column_stack((1.0 - p_cross, p_cross))  # C[c, c']
-    loops = sparse.diags(terminal.astype(float))
-    motion = (sparse.coo_matrix(_clamped(m), shape=(n, n)) for m in _motion())
-    return tuple(sparse.kron(crossing, m, format="csr") + loops for m in motion)
 
 
 def bellman_residual(model, q: np.ndarray) -> float:

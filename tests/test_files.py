@@ -159,20 +159,47 @@ def test_infeasible_pomdp_scene_names_the_scenario_file(tmp_path):
         load_scenario(dest)
 
 
-@pytest.mark.parametrize("policy", ["oracle", "baseline", "pomdp"])
-@pytest.mark.parametrize("distance", [65.0, 0.0, -3.0])
-def test_scene_with_crosswalk_off_the_path_names_the_scenario_file(tmp_path, repo_root, policy, distance):
-    # the path runs along road x 0-59.81 m: a crosswalk line beyond its end
-    # or at or behind its start would be read as the path's end or 0.0
+def scenario_over_moved_crosswalk(tmp_path, repo_root, policy, distance):
+    """A scenario file over a copy of the hidden scene whose crosswalk line
+    and pedestrian both stand at road x = distance."""
     scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
     scene["crosswalk"]["distance"] = distance
     scene["pedestrian"]["position"][0] = distance
     (tmp_path / "scene.yaml").write_text(yaml.safe_dump(scene))
     dest = tmp_path / "scenario.yaml"
     dest.write_text(f"scene: scene.yaml\npolicy: {policy}\n")
-    refused = f"{dest}: crosswalk distance {distance:g} m is off the path, which reaches x in (0.00, 59.81] m"
+    return dest
+
+
+# the message refusing a crosswalk line at road x: the path runs along
+# road x 0-59.81 m, and a run ends 0.5 m short of its 60 m end
+OFF_PATH = "is off the path, which reaches x in (0.00, 59.81] m"
+PAST_RUN_END = "lies {:.2f} m along the path, past the 59.50 m at which a run ends"
+REFUSED_CROSSWALKS = {
+    65.0: OFF_PATH,  # beyond the path's end, once read as its end
+    0.0: OFF_PATH,  # at or behind its start, once read as 0.0
+    -3.0: OFF_PATH,
+    59.4: PAST_RUN_END.format(59.59),  # no run reaches it
+    59.7: PAST_RUN_END.format(59.89),  # and in the model's terminal bin
+}
+
+
+@pytest.mark.parametrize("policy", ["oracle", "baseline", "pomdp"])
+@pytest.mark.parametrize("distance", list(REFUSED_CROSSWALKS))
+def test_scene_with_crosswalk_off_the_path_names_the_scenario_file(tmp_path, repo_root, policy, distance):
+    dest = scenario_over_moved_crosswalk(tmp_path, repo_root, policy, distance)
+    refused = f"{dest}: crosswalk distance {distance:g} m {REFUSED_CROSSWALKS[distance]}"
     with pytest.raises(ValueError, match=re.escape(refused)):
         load_scenario(dest)
+
+
+@pytest.mark.parametrize("policy", ["oracle", "baseline", "pomdp"])
+def test_crosswalk_short_of_the_run_end_loads(tmp_path, repo_root, policy):
+    # at x = 59.3 m the line lies 59.49 m along the path, in distance bin 119
+    config = load_scenario(scenario_over_moved_crosswalk(tmp_path, repo_root, policy, 59.3))
+    assert config.policy == policy
+    if policy == "pomdp":
+        assert config.model_config.crosswalk_bin == 119
 
 
 @pytest.mark.parametrize("key", ["scene", "model", "policy_file"])

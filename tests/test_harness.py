@@ -332,14 +332,25 @@ def test_load_scenario_rejects_unread_files(tmp_path, repo_root, policy, key):
 
 
 @pytest.mark.parametrize(
-    "case", ["misspelt-key", "missing-scene", "yaml-syntax", "infeasible-solve", "infeasible-run", "off-path-crosswalk"]
+    "case",
+    [
+        "misspelt-key",
+        "missing-scene",
+        "yaml-syntax",
+        "infeasible-solve",
+        "infeasible-run",
+        "off-path-crosswalk",
+        "unreached-crosswalk",
+        "terminal-crosswalk",
+    ],
 )
 def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case):
     # a file the run cannot use ends in one stderr line naming it and exit
     # code 2, not a traceback; the missing scene is never written. A scene
     # whose occluder sits at x = 12 m leaves no room to swing around it:
     # solve names the scene file, and run names the scenario over it. A
-    # crosswalk at x = 65 m lies beyond the path's end
+    # crosswalk at x = 65 m lies beyond the path's end; one at x = 59.4 m
+    # or 59.7 m lies past where every run ends, 0.5 m short of that end
     dest = tmp_path / "config.yaml"
     scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
     scene["obstacles"][0]["center"][0] = 12.0
@@ -350,9 +361,10 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
     elif case == "infeasible-solve":
         dest = tmp_path / "infeasible.yaml"
         argv = ["solve", "--scene", str(dest)]
-    elif case == "off-path-crosswalk":
+    elif case.endswith("-crosswalk"):
+        distance = {"off-path": 65.0, "unreached": 59.4, "terminal": 59.7}[case.removesuffix("-crosswalk")]
         scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
-        scene["crosswalk"]["distance"] = scene["pedestrian"]["position"][0] = 65.0
+        scene["crosswalk"]["distance"] = scene["pedestrian"]["position"][0] = distance
         dest.write_text(yaml.safe_dump(scene))
         argv = ["solve", "--scene", str(dest)]
     elif case == "infeasible-run":

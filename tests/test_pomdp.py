@@ -39,7 +39,7 @@ from crosswalk_sim.pomdp import (
 )
 from crosswalk_sim.qmdp import value_iteration
 
-from conftest import bellman_residual, kron_transitions, state_index, state_tuple
+from conftest import bellman_residual, state_index, state_tuple
 
 
 def expected_distance(d, v) -> dict[int, float]:
@@ -181,15 +181,11 @@ def test_terminal_rows_self_loop(crosswalk_model):
 
 
 def test_random_rows_match_enumeration(crosswalk_model):
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        v = int(rng.integers(NUM_V))
-        d = int(rng.integers(NUM_D))
-        c = int(rng.integers(2))
-        a = int(rng.integers(NUM_ACTIONS))
-        got = row_as_dict(crosswalk_model, state_index(v, d, c), a)
-        want = expected_row(v, d, c, a)
-        assert got == want
+    # every row of every action, not a sample: the enumeration is the one
+    # independent statement of the transition matrices
+    for a in range(NUM_ACTIONS):
+        for s in range(NUM_STATES):
+            assert row_as_dict(crosswalk_model, s, a) == expected_row(*state_tuple(s), a), (a, s)
 
 
 def test_all_rows_are_distributions(crosswalk_model):
@@ -268,38 +264,6 @@ def edge_config(name, shipped):
 def test_model_matches_pinned_digest(name, model_config):
     model = build_crosswalk_model(edge_config(name, model_config))
     assert model_digest(model) == MODEL_DIGESTS[name]
-
-
-@pytest.fixture(scope="module")
-def kron_reference():
-    return kron_transitions()
-
-
-def first_differing_row(mat, ref):
-    """The first row whose stored columns or probabilities differ."""
-    for r in range(mat.shape[0]):
-        got = slice(mat.indptr[r], mat.indptr[r + 1])
-        want = slice(ref.indptr[r], ref.indptr[r + 1])
-        if not (
-            np.array_equal(mat.indices[got], ref.indices[want])
-            and mat.data[got].tobytes() == ref.data[want].tobytes()
-        ):
-            return r
-    return None
-
-
-@pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
-def test_transitions_equal_kron_reference(name, model_config, kron_reference):
-    # the digests pin the bytes; this pins the structure: each matrix is
-    # the crossing chain (x) the action's motion kernel, plus the terminal
-    # self-loops, array for array and dtype for dtype
-    model = build_crosswalk_model(edge_config(name, model_config))
-    for a, (mat, ref) in enumerate(zip(model.transitions, kron_reference, strict=True)):
-        for field in ("data", "indices", "indptr"):
-            got, want = getattr(mat, field), getattr(ref, field)
-            assert got.dtype == want.dtype, f"action {a}: {field} is {got.dtype}, not {want.dtype}"
-            if got.tobytes() != want.tobytes():
-                pytest.fail(f"action {a}: {field} differs, first at row {first_differing_row(mat, ref)}")
 
 
 @pytest.mark.parametrize("name", ["shipped", "default"])
@@ -425,8 +389,8 @@ def test_layer_kernel_is_shared_and_read_only(crosswalk_model):
 
 def test_transitions_are_shared_and_read_only(crosswalk_model, monkeypatch):
     mats = crosswalk_model.transitions
-    # built once per process: a later build of any config assembles none
-    monkeypatch.setattr(pomdp, "_transition_arrays", None)
+    # built once per process: a later build of any config takes no kron
+    monkeypatch.setattr(sparse, "kron", None)
     assert build_crosswalk_model(ModelConfig(discount=0.5, crosswalk_bin=3)).transitions is mats
     for a, mat in enumerate(mats):
         for field in ("data", "indices", "indptr"):
