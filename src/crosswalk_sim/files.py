@@ -2,16 +2,20 @@
 and model YAML, and the trace and scene-outline CSV of a run. A solved
 policy is never written; each pomdp run solves its own.
 
-Every config loader goes through `_read`, `_given` and `_build`, so they
-share one error rule: an unknown key, an unconvertible, non-finite or
-out-of-range value, a non-mapping or an empty file raises ConfigError
-naming the file and the key, and a missing file raises FileNotFoundError.
+Every config loader reads its file with `_read` and builds its dataclass
+with `_load`, whose keys are the dataclass fields at every level, so they
+share one error rule: an unknown or missing key, an unconvertible,
+non-finite or out-of-range value (a boolean is no number), a section
+that is not a mapping, an `obstacles` that is not a list or an empty file
+raises ConfigError naming the file and the key, and a missing file
+raises FileNotFoundError.
 Every CSV goes through `_write_csv`, which writes floats with %.17g so
 they read back exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import typing
 from dataclasses import dataclass
@@ -105,67 +109,80 @@ class Trace:
 # --- config YAML ------------------------------------------------------------
 
 
-def _checked(data, allowed, where: str, source, required: tuple[str, ...] = ()) -> dict:
-    """The mapping itself, once every key is known and every required key
-    is given; raises ValueError naming the file and the first unknown or
-    missing key. An empty section reads as an empty mapping."""
-    data = {} if data is None else data
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source}: {where} must be a mapping")
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"{source}: unknown {where} key {key!r}")
-    for key in required:
-        if key not in data:
-            raise ConfigError(f"{source}: missing {where} key {key!r}")
-    return data
-
-
 def _convert(kind, value):
-    """value as type kind: a bool field takes only a YAML boolean, and a
-    float field no NaN or infinity."""
-    if kind is bool and not isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a boolean")
+    """value as type kind, a tuple element by element: a bool field takes
+    only a YAML boolean and any other field no boolean, and a float field
+    no NaN or infinity."""
+    if typing.get_origin(kind) is tuple:
+        return tuple(_convert(k, x) for k, x in zip(typing.get_args(kind), value, strict=True))
+    if (kind is bool) != isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a {kind.__name__}")
     converted = kind(value)
     if kind is float and not math.isfinite(converted):
         raise ValueError(f"{value!r} is not finite")
     return converted
 
 
-def _given(data: dict, source, cls, keys=None) -> dict:
-    """Keyword arguments for dataclass cls from the keys the file gives
-    among keys (by default every field of cls), each the name of a field
-    and converted to its annotated type by _convert, a tuple element by
-    element; absent fields keep their defaults. A value that does not
-    convert raises ValueError naming the file and the key."""
+def _load(cls, data, source, where: str, keys=None, files=None, **given):
+    """An instance of dataclass cls from data, its section `where` of the
+    YAML file source. The section's keys are the fields of cls (only those
+    in keys, if set) but the fields the caller gives, and a field with no
+    default is required; an empty section reads as an empty mapping.
+    files maps a key that names another file, resolved relative to source,
+    to the field it fills and that file's loader; no such file opens
+    before every key of the section is checked. A field typed as a
+    dataclass is a section read by _load in turn, a tuple[X, ...] field a
+    list of such sections (null reads as empty), and any other value goes
+    through _convert. An unknown, missing or empty key, a value that does
+    not convert or a ValueError that cls raises, such as a value out of
+    range, raises ConfigError naming the file."""
+    data = {} if data is None else data
+    if not isinstance(data, dict):
+        raise ConfigError(f"{source}: {where} must be a mapping")
+    files = files or {}
+    renamed = {field: key for key, (field, _) in files.items()}
+    fields = {
+        renamed.get(f.name, f.name): f
+        for f in dataclasses.fields(cls)
+        if f.name not in given and (keys is None or f.name in keys)
+    }
+    for key in data:
+        if key not in fields:
+            raise ConfigError(f"{source}: unknown {where} key {key!r}")
+    for key, f in fields.items():
+        if key not in data and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{source}: missing {where} key {key!r}")
     kinds = typing.get_type_hints(cls)
-    keys = kinds if keys is None else keys
-    given = {}
-    for key in (key for key in data if key in keys):
-        kind, value = kinds[key], data[key]
-        try:
-            if typing.get_origin(kind) is tuple:
-                given[key] = tuple(_convert(k, x) for k, x in zip(typing.get_args(kind), value, strict=True))
-            else:
-                given[key] = _convert(kind, value)
-        except (TypeError, ValueError, OverflowError) as err:
-            raise ConfigError(f"{source}: bad value for key {key!r}: {err}") from None
-    return given
-
-
-def _build(cls, source, kwargs: dict):
-    """cls(**kwargs); a ValueError its validation raises, such as a value
-    out of range, is raised again naming the file."""
+    for key, value in data.items():
+        name = fields[key].name
+        kind = kinds[name]
+        if key in files:
+            if value is None:
+                raise ConfigError(f"{source}: empty {where} key {key!r}")
+            given[name] = files[key][1](FsPath(source).parent / str(value))
+        elif dataclasses.is_dataclass(kind):
+            given[name] = _load(kind, value, source, key)
+        elif typing.get_origin(kind) is tuple and typing.get_args(kind)[1:] == (...,):
+            if not isinstance(value, list | None):
+                raise ConfigError(f"{source}: {key} must be a list")
+            # an item of `obstacles` is an `obstacle`
+            item = typing.get_args(kind)[0]
+            given[name] = tuple(_load(item, x, source, key.removesuffix("s")) for x in value or ())
+        else:
+            try:
+                given[name] = _convert(kind, value)
+            except (TypeError, ValueError, OverflowError) as err:
+                raise ConfigError(f"{source}: bad value for key {key!r}: {err}") from None
     try:
-        return cls(**kwargs)
+        return cls(**given)
     except ValueError as err:
         raise ConfigError(f"{source}: {err}") from None
 
 
-def _read(source, what: str, allowed, required: tuple[str, ...] = ()) -> dict:
-    """The top-level mapping of a YAML config file, checked by _checked.
-    An empty file, or one that is not UTF-8 text or not valid YAML, raises
-    ValueError naming the file."""
+def _read(source, what: str):
+    """The top-level section of a YAML config file. An empty file, or one
+    that is not UTF-8 text or not valid YAML, raises ConfigError naming
+    the file."""
     with open(source, "r", encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
@@ -178,60 +195,28 @@ def _read(source, what: str, allowed, required: tuple[str, ...] = ()) -> dict:
             raise ConfigError(f"{source}: not UTF-8 text") from None
     if data is None:
         raise ConfigError(f"{source}: empty {what} file")
-    return _checked(data, allowed, what, source, required)
+    return data
 
 
 def load_scene(source) -> Scene:
     """Build a Scene from a YAML file. An obstacle needs its center and
     size; whatever else the file leaves out keeps its Scene default."""
-    data = _read(source, "scene", ("road", "obstacles", "crosswalk", "pedestrian"))
-    road = _checked(data.get("road"), ("origin", "heading"), "road", source)
-    obstacles = tuple(
-        _build(RectObstacle, source, _given(
-            _checked(item, ("center", "size", "yaw"), "obstacle", source, ("center", "size")),
-            source, RectObstacle,
-        ))
-        for item in data.get("obstacles") or ()
-    )
-    cw = _checked(data.get("crosswalk"), ("distance", "width"), "crosswalk", source)
-    ped = _checked(data.get("pedestrian"), ("present", "position"), "pedestrian", source)
-    return _build(Scene, source, dict(
-        road=RoadFrame(**_given(road, source, RoadFrame)),
-        obstacles=obstacles,
-        crosswalk=_build(Crosswalk, source, _given(cw, source, Crosswalk)),
-        pedestrian=Pedestrian(**_given(ped, source, Pedestrian)),
-    ))
+    return _load(Scene, _read(source, "scene"), source, "scene")
 
 
 def load_model_config(source) -> ModelConfig:
     """Load a ModelConfig from a YAML mapping that sets only `discount`;
     a pomdp scenario derives the geometry from its scene."""
-    data = _read(source, "model", ("discount",))
-    return _build(ModelConfig, source, _given(data, source, ModelConfig))
-
-
-# Scenario YAML keys are the ScenarioConfig fields but `name` (the file
-# stem), with `model` (a file) in place of `model_config`. The references
-# name other files and resolve relative to the scenario file.
-_SCENARIO_REFS = ("scene", "model")
-_SCENARIO_KEYS = frozenset(ScenarioConfig.__dataclass_fields__) - {"model_config", "name"} | {"model"}
+    return _load(ModelConfig, _read(source, "model"), source, "model", keys=("discount",))
 
 
 def load_scenario(source) -> ScenarioConfig:
-    """Load a scenario YAML; file references resolve relative to it."""
+    """Load a scenario YAML: its keys are the ScenarioConfig fields but
+    `name`, the file stem, and `scene` and `model` name the files that
+    fill `scene` and `model_config`, relative to the scenario file."""
     path = FsPath(source)
-    data = _read(path, "scenario", _SCENARIO_KEYS, required=("scene",))
-    for key in _SCENARIO_REFS:
-        if key in data and data[key] is None:
-            raise ConfigError(f"{path}: empty scenario key {key!r}")
-    refs = {key: path.parent / str(data[key]) for key in _SCENARIO_REFS if key in data}
-    fields = dict(
-        scene=load_scene(refs["scene"]),
-        model_config=load_model_config(refs["model"]) if "model" in refs else None,
-        name=path.stem,
-        **_given(data, path, ScenarioConfig, _SCENARIO_KEYS - set(_SCENARIO_REFS)),
-    )
-    return _build(ScenarioConfig, path, fields)
+    files = {"scene": ("scene", load_scene), "model": ("model_config", load_model_config)}
+    return _load(ScenarioConfig, _read(path, "scenario"), path, "scenario", files=files, name=path.stem)
 
 
 # --- run output -------------------------------------------------------------

@@ -155,8 +155,6 @@ def run_scenario(
     else:
         if policy is None:
             model, policy = solve_policy(config.model_config)
-        if model is None:
-            model = build_crosswalk_model(config.model_config)
         policy = QmdpPolicy(model, policy)
 
     n_steps = int(round(config.duration / CONTROL_DT))

@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosswalk_sim.files import _outline, _write_csv, load_model_config, load_scenario, load_scene
+from crosswalk_sim.files import ConfigError, _outline, _write_csv, load_model_config, load_scenario, load_scene
 
 LOADERS = {
     "scene": load_scene,
@@ -58,9 +58,12 @@ BAD_VALUES = [
 ]
 
 # Values that Python's own conversion would take but the field's type does
-# not: a string for a bool (bool("false") is True).
+# not: a string for a bool (bool("false") is True), and a YAML boolean for
+# a number (float(True) is 1.0).
 STRICT_VALUES = [
     ("scene", "pedestrian:\n  present: 'false'\n  position: [40.0, 1.0]\n", "present"),
+    ("scenario", "scene: {scene}\nv_desired: true\n", "v_desired"),
+    ("model", "discount: true\n", "discount"),
 ]
 
 
@@ -146,6 +149,23 @@ def test_road_cross_section_keys_are_unknown(tmp_path, text):
 def test_missing_config_file(tmp_path, what):
     with pytest.raises(FileNotFoundError):
         LOADERS[what](tmp_path / "absent.yaml")
+
+
+@pytest.mark.parametrize(
+    "text, refused",
+    [
+        ("scene: absent.yaml\npolcy: oracle\n", "unknown scenario key 'polcy'"),
+        ("model: absent.yaml\npolicy: pomdp\n", "missing scenario key 'scene'"),
+    ],
+    ids=["unknown", "missing"],
+)
+def test_scenario_keys_are_checked_before_its_files_open(tmp_path, text, refused):
+    # the file the scenario names does not exist, yet the scenario's own
+    # key fails first, naming the scenario file
+    dest = tmp_path / "scenario.yaml"
+    dest.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{dest}: {refused}')}$"):
+        load_scenario(dest)
 
 
 def test_infeasible_pomdp_scene_names_the_scenario_file(tmp_path):

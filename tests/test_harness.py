@@ -342,6 +342,8 @@ def test_load_scenario_rejects_unread_files(tmp_path, repo_root, policy, key):
         "off-path-crosswalk",
         "unreached-crosswalk",
         "terminal-crosswalk",
+        "non-list-obstacles",
+        "boolean-speed",
     ],
 )
 def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case):
@@ -350,7 +352,8 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
     # whose occluder sits at x = 12 m leaves no room to swing around it:
     # solve names the scene file, and run names the scenario over it. A
     # crosswalk at x = 65 m lies beyond the path's end; one at x = 59.4 m
-    # or 59.7 m lies past where every run ends, 0.5 m short of that end
+    # or 59.7 m lies past where every run ends, 0.5 m short of that end.
+    # A scene's obstacles must be a list, and a speed takes no boolean
     dest = tmp_path / "config.yaml"
     scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
     scene["obstacles"][0]["center"][0] = 12.0
@@ -369,6 +372,13 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
         argv = ["solve", "--scene", str(dest)]
     elif case == "infeasible-run":
         dest.write_text("scene: infeasible.yaml\npolicy: oracle\n")
+        argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
+    elif case == "non-list-obstacles":
+        scene["obstacles"] = 5
+        dest.write_text(yaml.safe_dump(scene))
+        argv = ["grid-dump", "--scene", str(dest)]
+    elif case == "boolean-speed":
+        dest.write_text(f"scene: {repo_root / 'configs' / 'scene_hidden.yaml'}\npolicy: oracle\nv_desired: true\n")
         argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
     else:
         if case == "yaml-syntax":
