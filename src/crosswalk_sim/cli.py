@@ -8,12 +8,11 @@ import math
 import sys
 import time
 
-from . import world
 from .control import InfeasiblePathError
 from .files import ConfigError, export_run, load_model_config, load_scenario, load_scene
 from .harness import run_batch, run_scenario, solve_policy, summarize
 from .pomdp import derive_model_config
-from .world import build_grid, grid_to_text
+from .world import build_grid, count_unobservable, grid_to_text
 
 log = logging.getLogger("crosswalk_sim")
 
@@ -27,10 +26,11 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as err:
-        # a config or scene file the run cannot use: one line and
-        # exit code 2, as argparse reports a usage error; with --verbose the
-        # traceback. Any other error is an internal fault and propagates
+    except (ConfigError, OSError) as err:
+        # a config file the run cannot use, or a path that cannot be read
+        # or written: one line and exit code 2, as argparse reports a usage
+        # error; with --verbose the traceback. Any other error is an
+        # internal fault and propagates
         if args.verbose:
             raise
         sys.stderr.write(f"{parser.prog}: error: {err}\n")
@@ -126,13 +126,13 @@ def _cmd_grid_dump(args) -> int:
     pose = (float(north), float(east), scene.road.heading)
     grid = build_grid(scene, pose)
     text = grid_to_text(grid)
-    count = world.count_unobservable(grid)
+    count = count_unobservable(grid)
     if args.out == "-":
         sys.stdout.write(text + "\n")
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    log.info("unobservable cells: %d (bin %d)", count, world.bin_observation(count))
+    log.info("unobservable cells: %d", count)
     return 0
 
 

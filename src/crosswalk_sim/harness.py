@@ -83,9 +83,11 @@ class OraclePolicy:
 
 class BaselinePolicy:
     """Occlusion-count ladder plus a yield-to-stop ramp, snapped down onto the
-    ladder, that engages only when a detected pedestrian can be stopped comfortably."""
+    ladder, that engages only when a detected pedestrian can be stopped comfortably.
+    The ladder drops one of its LEVELS steps per COUNT_STEP unobservable cells."""
 
-    LEVELS = world.NUM_COUNT_BINS - 1
+    LEVELS = 9
+    COUNT_STEP = 180
     p_crossing = math.nan
     resets = 0
 
@@ -97,7 +99,7 @@ class BaselinePolicy:
         self.engaged = False
 
     def decide(self, state: VehicleState, reading: SensorReading) -> float:
-        scale = (self.LEVELS - world.bin_observation(reading.unobservable_count)) / self.LEVELS
+        scale = (self.LEVELS - min(reading.unobservable_count // self.COUNT_STEP, self.LEVELS)) / self.LEVELS
         if reading.detected:
             self.seen = True
         past = state.s >= self.crosswalk_s
@@ -239,23 +241,18 @@ def _near_obstacle(scene: Scene, state: VehicleState) -> bool:
 
 
 def run_batch(config_dir, out_dir) -> list[str]:
-    """Run every scenario YAML in a directory; one output folder per run."""
+    """Run every scenario YAML in a directory, each as `crosswalk-sim run`
+    runs it (a pomdp run solves its own policy), into one output folder
+    per run named after the file, and log each run's summary line."""
     config_dir = FsPath(config_dir)
     out_dir = FsPath(out_dir)
     paths = sorted(config_dir.glob("*.yaml"))
     if not paths:
         raise FileNotFoundError(f"no scenario files in {config_dir}")
     written = []
-    solved: dict = {}
     for cfg_path in paths:
         config = load_scenario(cfg_path)
-        model = policy = None
-        if config.policy == "pomdp":
-            key = config.model_config
-            if key not in solved:
-                solved[key] = solve_policy(key)
-            model, policy = solved[key]
-        trace = run_scenario(config, model=model, policy=policy)
+        trace = run_scenario(config)
         dest = export_run(trace, config.scene, out_dir / cfg_path.stem)
         log.info("%s", summarize(trace, config.scene.pedestrian.present))
         written.append(dest)

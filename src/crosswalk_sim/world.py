@@ -27,10 +27,6 @@ GRID_WIDTH = 48  # cells across
 CELLS_PER_M = 3
 FORWARD_RANGE = GRID_LENGTH / CELLS_PER_M  # 70 m
 LATERAL_RANGE = GRID_WIDTH / (2 * CELLS_PER_M)  # 8 m each side
-
-COUNT_BIN_WIDTH = 180
-NUM_COUNT_BINS = 10
-MAX_CELL_COUNT = GRID_LENGTH * GRID_WIDTH
 CELL_SIZE = 1 / CELLS_PER_M
 
 # The road's cross-section in road y (+left), the same for every scene: its
@@ -367,17 +363,6 @@ def build_grid(scene: Scene, pose: tuple[float, float, float]) -> np.ndarray:
 
 def count_unobservable(grid: np.ndarray) -> int:
     return int(np.count_nonzero(grid == UNOBSERVABLE))
-
-
-def bin_observation(count: int) -> int:
-    """Map an unobservable-cell count to one of 10 bins of width 180.
-
-    Bins are half-open; every count of 1800 or more lands in the top bin.
-    """
-    count = int(count)
-    if count < 0 or count > MAX_CELL_COUNT:
-        raise ValueError("count outside the grid cell range")
-    return min(count // COUNT_BIN_WIDTH, NUM_COUNT_BINS - 1)
 
 
 def pedestrian_visible(scene: Scene, pose: tuple[float, float, float]) -> bool:

@@ -22,7 +22,7 @@ from crosswalk_sim.executor import (
 from crosswalk_sim.harness import BaselinePolicy, OraclePolicy, QmdpPolicy
 from crosswalk_sim.pomdp import ACTION_SCALES, NUM_ACTIONS, NUM_STATES, TERMINAL_D
 from crosswalk_sim.qmdp import AlphaVectorPolicy, best_action
-from crosswalk_sim.world import NUM_COUNT_BINS, Scene
+from crosswalk_sim.world import Scene
 
 from conftest import dense_model, state_index
 
@@ -144,6 +144,7 @@ def test_count_bin_changes_no_belief_or_decision(crosswalk_model, policy):
     # from the uniform belief. Near the terminal states every action is
     # worth about the same, and where the best two tie to within 1e-12
     # the rounding picks the action, so those steps are not compared.
+    NUM_COUNT_BINS = 10
     twenty = np.repeat(crosswalk_model.observation / NUM_COUNT_BINS, NUM_COUNT_BINS, axis=1)
     reference = dataclasses.replace(crosswalk_model, observation=twenty)
     rng = np.random.default_rng(0)
@@ -220,7 +221,11 @@ def baseline_count_scale(count):
 
 def test_baseline_scale_examples():
     assert baseline_count_scale(0) == 1.0
+    assert baseline_count_scale(179) == 1.0
+    assert baseline_count_scale(180) == 8.0 / 9.0
     assert baseline_count_scale(1800) == 0.0
+    assert baseline_count_scale(2500) == 0.0
+    assert baseline_count_scale(10080) == 0.0  # every cell of the 210 x 48 grid
     assert baseline_count_scale(5000) == 0.0
     assert baseline_count_scale(900) == pytest.approx(4.0 / 9.0)
 

@@ -344,6 +344,10 @@ def test_load_scenario_rejects_unread_files(tmp_path, repo_root, policy, key):
         "terminal-crosswalk",
         "non-list-obstacles",
         "boolean-speed",
+        "directory-scene",
+        "directory-grid-scene",
+        "directory-grid-out",
+        "file-run-out",
     ],
 )
 def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case):
@@ -353,7 +357,9 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
     # solve names the scene file, and run names the scenario over it. A
     # crosswalk at x = 65 m lies beyond the path's end; one at x = 59.4 m
     # or 59.7 m lies past where every run ends, 0.5 m short of that end.
-    # A scene's obstacles must be a list, and a speed takes no boolean
+    # A scene's obstacles must be a list, and a speed takes no boolean. A
+    # path that cannot be read or written, a directory given as a file or
+    # a file given as the out directory, is named in the one line too
     dest = tmp_path / "config.yaml"
     scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
     scene["obstacles"][0]["center"][0] = 12.0
@@ -380,6 +386,20 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
     elif case == "boolean-speed":
         dest.write_text(f"scene: {repo_root / 'configs' / 'scene_hidden.yaml'}\npolicy: oracle\nv_desired: true\n")
         argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
+    elif case == "directory-scene":
+        dest.write_text("scene: .\npolicy: oracle\n")
+        argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
+        dest = tmp_path
+    elif case == "directory-grid-scene":
+        dest = tmp_path
+        argv = ["grid-dump", "--scene", str(dest)]
+    elif case == "directory-grid-out":
+        dest = tmp_path
+        argv = ["grid-dump", "--scene", str(repo_root / "configs" / "scene_hidden.yaml"), "--out", str(dest)]
+    elif case == "file-run-out":
+        dest = tmp_path / "taken"
+        dest.write_text("")
+        argv = ["run", "--scenario", str(repo_root / "configs" / "scenarios" / "oracle_hidden.yaml"), "--out", str(dest)]
     else:
         if case == "yaml-syntax":
             dest.write_text("road: [1, 2\n")
@@ -407,11 +427,13 @@ def test_cli_internal_value_error_propagates(tmp_path, repo_root, monkeypatch, c
 
 def test_cli_verbose_config_error_keeps_its_traceback(tmp_path, capsys):
     # --verbose re-raises, so a fault that is not the file's shows where
-    # it happened
+    # it happened; an OS error on a path too
     dest = tmp_path / "config.yaml"
     dest.write_text("road: [1, 2\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(dest))}: not valid YAML"):
         cli_main(["--verbose", "grid-dump", "--scene", str(dest)])
+    with pytest.raises(IsADirectoryError):
+        cli_main(["--verbose", "grid-dump", "--scene", str(tmp_path)])
     assert "error:" not in capsys.readouterr().err
 
 
@@ -628,6 +650,25 @@ def test_cli_batch(tmp_path, repo_root, caplog):
     assert len(trace) == 100
     assert (out_dir / "quick" / "scene_outline.csv").exists()
     assert summarize(trace, True) in caplog.messages
+
+
+def test_cli_batch_writes_what_run_writes(tmp_path, repo_root):
+    # batch runs each scenario as run does, a pomdp one solving its own policy
+    scen_dir = tmp_path / "scenarios"
+    scen_dir.mkdir()
+    scenario = {
+        "scene": str(repo_root / "configs" / "scene_hidden.yaml"),
+        "model": str(repo_root / "configs" / "pomdp.yaml"),
+        "policy": "pomdp",
+        "duration": 1.5,
+    }
+    (scen_dir / "short_pomdp.yaml").write_text(yaml.safe_dump(scenario))
+    assert cli_main(["batch", "--dir", str(scen_dir), "--out", str(tmp_path / "batch")]) == 0
+    assert cli_main(["run", "--scenario", str(scen_dir / "short_pomdp.yaml"), "--out", str(tmp_path / "run")]) == 0
+    batch, run = tmp_path / "batch" / "short_pomdp", tmp_path / "run"
+    assert sorted(p.name for p in batch.iterdir()) == sorted(p.name for p in run.iterdir()) == ["scene_outline.csv", "trace.csv"]
+    for name in ("scene_outline.csv", "trace.csv"):
+        assert (batch / name).read_bytes() == (run / name).read_bytes()
 
 
 def test_cli_grid_dump(tmp_path, repo_root, capsys):

@@ -26,7 +26,6 @@ from crosswalk_sim.world import (
     RectObstacle,
     RoadFrame,
     Scene,
-    bin_observation,
     build_grid,
     count_unobservable,
     crosswalk_occlusion_band,
@@ -701,25 +700,6 @@ def test_grid_to_text_raster():
     assert len(lines) == GRID_LENGTH
     assert all(len(line) == GRID_WIDTH for line in lines)
     assert set("".join(lines)) == {"0"}
-
-
-# --- binning ----------------------------------------------------------------
-
-
-def test_bin_observation_examples():
-    assert bin_observation(0) == 0
-    assert bin_observation(179) == 0
-    assert bin_observation(180) == 1
-    assert bin_observation(900) == 5
-    assert bin_observation(2500) == 9
-    assert bin_observation(GRID_LENGTH * GRID_WIDTH) == 9
-
-
-def test_bin_observation_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        bin_observation(-1)
-    with pytest.raises(ValueError):
-        bin_observation(GRID_LENGTH * GRID_WIDTH + 1)
 
 
 def test_count_recount_consistency(hidden_scene):
