@@ -7,6 +7,7 @@ import logging
 import math
 import sys
 import time
+from pathlib import Path as FsPath
 
 from .control import InfeasiblePathError
 from .files import ConfigError, export_run, load_model_config, load_scenario, load_scene
@@ -108,6 +109,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
+    # made before the run, so an out path that cannot be a directory fails
+    # before any simulation, and after the load, so a config error leaves
+    # no directory behind
+    FsPath(args.out).mkdir(parents=True, exist_ok=True)
     trace = run_scenario(config)
     dest = export_run(trace, config.scene, args.out)
     log.info("%s -> %s", summarize(trace, config.scene.pedestrian.present), dest)

@@ -8,7 +8,9 @@ share one error rule: an unknown or missing key, an unconvertible,
 non-finite or out-of-range value (a boolean is no number), a section
 that is not a mapping, an `obstacles` that is not a list or an empty file
 raises ConfigError naming the file and the key, and a missing file
-raises FileNotFoundError.
+raises FileNotFoundError. A file that a scenario names but that cannot
+be read, such as a directory, raises ConfigError naming the scenario and
+the key.
 Every CSV goes through `_write_csv`, which writes floats with %.17g so
 they read back exactly.
 """
@@ -130,7 +132,9 @@ def _load(cls, data, source, where: str, keys=None, files=None, **given):
     default is required; an empty section reads as an empty mapping.
     files maps a key that names another file, resolved relative to source,
     to the field it fills and that file's loader; no such file opens
-    before every key of the section is checked. A field typed as a
+    before every key of the section is checked, and one that cannot be
+    read, such as a directory, raises ConfigError naming source and the
+    key (a missing one raises FileNotFoundError). A field typed as a
     dataclass is a section read by _load in turn, a tuple[X, ...] field a
     list of such sections (null reads as empty), and any other value goes
     through _convert. An unknown, missing or empty key, a value that does
@@ -159,7 +163,12 @@ def _load(cls, data, source, where: str, keys=None, files=None, **given):
         if key in files:
             if value is None:
                 raise ConfigError(f"{source}: empty {where} key {key!r}")
-            given[name] = files[key][1](FsPath(source).parent / str(value))
+            try:
+                given[name] = files[key][1](FsPath(source).parent / str(value))
+            except FileNotFoundError:
+                raise
+            except OSError as err:
+                raise ConfigError(f"{source}: {key}: {err}") from None
         elif dataclasses.is_dataclass(kind):
             given[name] = _load(kind, value, source, key)
         elif typing.get_origin(kind) is tuple and typing.get_args(kind)[1:] == (...,):

@@ -252,8 +252,10 @@ def run_batch(config_dir, out_dir) -> list[str]:
     written = []
     for cfg_path in paths:
         config = load_scenario(cfg_path)
+        run_dir = out_dir / cfg_path.stem
+        run_dir.mkdir(parents=True, exist_ok=True)  # before the run, as `run` makes its --out
         trace = run_scenario(config)
-        dest = export_run(trace, config.scene, out_dir / cfg_path.stem)
+        dest = export_run(trace, config.scene, run_dir)
         log.info("%s", summarize(trace, config.scene.pedestrian.present))
         written.append(dest)
     return written

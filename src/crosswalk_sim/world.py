@@ -9,7 +9,6 @@ center crosses an obstacle.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,12 +37,15 @@ LANE_WIDTH = 3.6
 # across it for each column. Constant, so built once and never written.
 _ROW_OFFSETS = (np.arange(GRID_LENGTH) + 0.5) / CELLS_PER_M
 _COL_OFFSETS = (np.arange(GRID_WIDTH) - GRID_WIDTH / 2 + 0.5) / CELLS_PER_M
-# The two in one vector, rows first, for a road-aligned obstacle's one pass
-# over both axes (_aligned).
-_OFFSETS = np.concatenate((_ROW_OFFSETS, _COL_OFFSETS))
+# The two as the rows of one array, for a road-aligned obstacle's one pass
+# over both axes (_aligned). The columns' row is padded with NaN, which
+# fails every comparison and raises no floating-point error.
+_AXIS_OFFSETS = np.full((2, GRID_LENGTH), np.nan)
+_AXIS_OFFSETS[0] = _ROW_OFFSETS
+_AXIS_OFFSETS[1, :GRID_WIDTH] = _COL_OFFSETS
 _ROW_OFFSETS.flags.writeable = False
 _COL_OFFSETS.flags.writeable = False
-_OFFSETS.flags.writeable = False
+_AXIS_OFFSETS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -80,18 +82,24 @@ def _slab(q0, q1, h):
     exactly when lo <= hi. A segment parallel to the slab (q1 == q0), the
     zero-divisor case of Williams et al. (2005), spans all of [0, 1] from
     inside the slab and gets the empty interval (1, 0) from outside it.
-    The bounds are written into the division results, and the np.where
-    passes run only when some segment is parallel."""
+    The division runs unguarded when no segment is parallel; otherwise it
+    runs under np.errstate, and np.where gives the parallel segments their
+    intervals. The bounds are written into the division results."""
     d = np.asarray(q1 - q0)  # an array for scalar inputs too, as out= needs
     parallel = d == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if not np.count_nonzero(parallel):
+        parallel = None
         ta = np.divide(-h - q0, d, out=np.empty_like(d))
         tb = np.divide(h - q0, d, out=d)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta = np.divide(-h - q0, d, out=np.empty_like(d))
+            tb = np.divide(h - q0, d, out=d)
     lo = np.minimum(ta, tb, out=np.empty_like(d))
     hi = np.maximum(ta, tb, out=ta)
     np.maximum(lo, 0.0, out=lo)
     np.minimum(hi, 1.0, out=hi)
-    if not parallel.any():
+    if parallel is None:
         return lo, hi
     outside = abs(q0) > h
     lo = np.where(parallel, np.where(outside, 1.0, 0.0), lo)
@@ -251,67 +259,40 @@ def _out_of_view(obstacle: RectObstacle, ex: float, ey: float) -> bool:
     )
 
 
-# Ends of the four runs of _aligned's flags: live rows, live columns,
-# inside rows, inside columns.
-_FLAG_RUNS = tuple(np.cumsum((GRID_LENGTH, GRID_WIDTH) * 2).tolist())
-
-
-def _spans(hits: list[int]) -> list[slice]:
-    """For each run of _FLAG_RUNS, the slice from the first to the last of
-    the ascending flag indices hits that fall in it, counted from the
-    run's start; empty if none does."""
-    spans = []
-    first = start = 0
-    for stop in _FLAG_RUNS:
-        last = bisect.bisect_left(hits, stop, first)
-        spans.append(slice(hits[first] - start, hits[last - 1] - start + 1) if first < last else slice(0, 0))
-        first, start = last, stop
-    return spans
+def _window(mask) -> slice:
+    """The slice from the first to the last True of a 1-D mask; empty if
+    none is True."""
+    hits = mask.nonzero()[0]
+    return slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0)
 
 
 def _aligned(obstacle: RectObstacle, origin: tuple[float, float]):
     """(rows, cols, blocked, body) of a road-aligned (yaw 0) obstacle from
-    one pass over the 258 cell-centre offsets, the 210 rows' along the
-    road and then the 48 columns' across it.
+    one call of _slab on the cell-centre offsets, the rows' along the road
+    and the columns' across it as the two rows of _AXIS_OFFSETS, with the
+    ego position, obstacle centre and half-size broadcast down each.
 
-    Each offset's entry is one axis of the slab test for that row's or
-    column's sight lines from origin, with the IEEE operations of _slab in
-    the same order, and one axis of the inside test |q1| <= h. The
-    division runs unguarded when no d = q1 - q0 is 0; otherwise _slab's
-    parallel handling gives every entry its interval. A cell can be
-    blocked only if its row's and its column's intervals are both
-    non-empty, since max(lo_x, lo_y) >= lo_x > hi_x >= min(hi_x, hi_y)
-    otherwise, so blocked covers the window of rows and cols from the
-    first to the last such row and column. It is computed with the rows
-    as numpy's inner axis, then transposed to the window's shape. body is
-    the window from the first to the last row and column inside the
-    obstacle, all of which it fills: q1 never decreases along the rows or
-    along the columns, since rounding is monotone, so the rows with
-    |q1| <= h form one run, and so do the columns."""
-    cx, cy = obstacle.center
-    hx, hy = obstacle.size[0] / 2, obstacle.size[1] / 2
-    x0, y0 = origin[0] - cx, origin[1] - cy
-    ego, centre, q0, a, b, h = np.repeat(
-        np.array([origin, (cx, cy), (x0, y0), (-hx - x0, -hy - y0), (hx - x0, hy - y0), (hx, hy)]),
-        (GRID_LENGTH, GRID_WIDTH),
-        axis=1,
-    )
-    q1 = (ego + _OFFSETS) - centre
-    d = q1 - q0
-    if np.count_nonzero(d) == d.size:
-        ta, tb = a / d, b / d
-        lo = np.maximum(np.minimum(ta, tb), 0.0)
-        hi = np.minimum(np.maximum(ta, tb), 1.0)
-    else:
-        lo, hi = _slab(q0, q1, h)
-    flags = np.empty(2 * d.size, dtype=bool)
-    np.less_equal(lo, hi, out=flags[: d.size])
-    np.less_equal(np.abs(q1), h, out=flags[d.size :])
-    rows, cols, body_rows, body_cols = _spans(flags.nonzero()[0].tolist())
-    lo_x, lo_y = lo[:GRID_LENGTH], lo[GRID_LENGTH:]
-    hi_x, hi_y = hi[:GRID_LENGTH], hi[GRID_LENGTH:]
-    blocked = np.maximum(lo_y[cols, None], lo_x[rows]) <= np.minimum(hi_y[cols, None], hi_x[rows])
-    return rows, cols, blocked.T, (body_rows, body_cols)
+    Each entry is one axis of the slab test for that row's or column's
+    sight lines from origin, and gives one axis of the inside test
+    |q1| <= h; each window is taken from one row of either test's mask
+    (_window). A cell can be blocked only if its row's and its column's
+    intervals are both non-empty, since max(lo_x, lo_y) >= lo_x > hi_x >=
+    min(hi_x, hi_y) otherwise, so blocked covers the window of rows and
+    cols from the first to the last such row and column. It is computed
+    with the rows as numpy's inner axis, then transposed to the window's
+    shape. body is the window from the first to the last row and column
+    inside the obstacle, all of which it fills: q1 never decreases along
+    the rows or along the columns, since rounding is monotone, so the rows
+    with |q1| <= h form one run, and so do the columns."""
+    half = (obstacle.size[0] / 2, obstacle.size[1] / 2)
+    ego, centre, h = np.array((origin, obstacle.center, half))[:, :, None].repeat(GRID_LENGTH, axis=2)
+    q1 = (ego + _AXIS_OFFSETS) - centre
+    lo, hi = _slab(ego - centre, q1, h)
+    live = lo <= hi
+    inside = np.abs(q1) <= h
+    rows, cols = _window(live[0]), _window(live[1])
+    blocked = np.maximum(lo[1, cols, None], lo[0, rows]) <= np.minimum(hi[1, cols, None], hi[0, rows])
+    return rows, cols, blocked.T, (_window(inside[0]), _window(inside[1]))
 
 
 def _rotated(obstacle: RectObstacle, origin: tuple[float, float]):
@@ -338,9 +319,9 @@ def build_grid(scene: Scene, pose: tuple[float, float, float]) -> np.ndarray:
     Every obstacle that _out_of_view does not cull goes through one kernel,
     chosen by its yaw, that returns a window of rows and columns, the
     shadow on that window and the obstacle's body. A road-aligned obstacle
-    (yaw 0, also -0.0) takes one pass over the 210 row and 48 column
-    offsets (_aligned), so its shadow and body windows hold only the rows
-    and columns that can hold a True. A rotated obstacle's window is the
+    (yaw 0, also -0.0) takes one call of _slab over the 210 row and 48
+    column offsets (_aligned), so its shadow and body windows hold only the
+    rows and columns that can hold a True. A rotated obstacle's window is the
     full 210 x 48 grid, its cell centres rotated into the obstacle's frame
     once for both tests (_rotated). Cells outside a window are left as
     they are. Shadows are written before bodies, so a cell inside any

@@ -26,6 +26,8 @@ BAD_FILES = {
     "empty": "",
     "yaml-syntax": "road: [1, 2\n",
     "not-utf8": "name: caf\u00e9\n",  # written as latin-1
+    # a scenario's scene names the directory the file is in
+    "directory-reference": "scene: .\n",
 }
 
 
@@ -220,6 +222,22 @@ def test_crosswalk_short_of_the_run_end_loads(tmp_path, repo_root, policy):
     assert config.policy == policy
     if policy == "pomdp":
         assert config.model_config.crosswalk_bin == 119
+
+
+@pytest.mark.parametrize("key", ["scene", "model"])
+def test_unreadable_scenario_reference_names_the_key(tmp_path, repo_root, key):
+    # a directory named as a scenario's scene or model is refused naming
+    # the scenario file and the key; a missing one raises FileNotFoundError
+    doc = {"scene": str(repo_root / "configs" / "scene_hidden.yaml"), "policy": "pomdp", key: "."}
+    dest = tmp_path / "scenario.yaml"
+    dest.write_text(yaml.safe_dump(doc))
+    refused = f"{dest}: {key}: [Errno 21] Is a directory: {str(tmp_path)!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(refused)}$"):
+        load_scenario(dest)
+    doc[key] = "absent.yaml"
+    dest.write_text(yaml.safe_dump(doc))
+    with pytest.raises(FileNotFoundError):
+        load_scenario(dest)
 
 
 @pytest.mark.parametrize("key", ["scene", "model", "policy_file"])

@@ -389,7 +389,6 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
     elif case == "directory-scene":
         dest.write_text("scene: .\npolicy: oracle\n")
         argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
-        dest = tmp_path
     elif case == "directory-grid-scene":
         dest = tmp_path
         argv = ["grid-dump", "--scene", str(dest)]
@@ -410,6 +409,25 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
     assert err.startswith("crosswalk-sim: error: ") and err.endswith("\n")
     assert len(err.splitlines()) == 1 and str(dest) in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_cli_refuses_out_file_before_the_run(tmp_path, repo_root, monkeypatch, capsys, command):
+    # an existing file given as the out directory is refused before any
+    # scenario runs, in one stderr line naming it
+    def never(config):
+        raise AssertionError("run_scenario called")
+
+    monkeypatch.setattr("crosswalk_sim.cli.run_scenario", never)
+    monkeypatch.setattr("crosswalk_sim.harness.run_scenario", never)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    scenarios = repo_root / "configs" / "scenarios"
+    source = ["--scenario", str(scenarios / "pomdp_hidden.yaml")] if command == "run" else ["--dir", str(scenarios)]
+    assert cli_main([command, *source, "--out", str(taken)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("crosswalk-sim: error: ") and len(err.splitlines()) == 1 and str(taken) in err
 
 
 def test_cli_internal_value_error_propagates(tmp_path, repo_root, monkeypatch, capsys):

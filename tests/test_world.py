@@ -637,16 +637,17 @@ def test_rotated_kernel_matches_reference():
 
 def test_aligned_kernel_parallel_fallback(monkeypatch):
     # About 2**53 m down the road the spacing of floats is 2 m, so ex plus
-    # a row offset below 1 m rounds back to ex: those rows' sight lines
-    # have d == 0 along the road. The kernel must hand them to _slab's
-    # parallel handling: one obstacle has the ego on the plane of its rear
-    # face, which counts as inside its slab along the road; the other has
-    # the ego outside that slab but inside its slab across the road (a
-    # division by zero would raise under the test suite's warning filter).
-    fallbacks = []
+    # a row offset below 1 m rounds back to ex: the sight lines of rows 0-2
+    # have d == 0 along the road, so _slab must take its guarded branch,
+    # whose parallel handling gives them their intervals: one obstacle has
+    # the ego on the plane of its rear face, which counts as inside its
+    # slab along the road; the other has the ego outside that slab but
+    # inside its slab across the road (a division by zero would raise
+    # under the test suite's warning filter).
+    parallel = []
 
     def counted(q0, q1, h):
-        fallbacks.append(q1.shape)
+        parallel.append((q1.shape, np.count_nonzero(q1 - q0 == 0.0, axis=1).tolist()))
         return slab(q0, q1, h)
 
     slab = world._slab
@@ -660,9 +661,35 @@ def test_aligned_kernel_parallel_fallback(monkeypatch):
         )
     )
     grid = build_grid(scene, (ex, 0.0, 0.0))
-    assert fallbacks == [(GRID_LENGTH + GRID_WIDTH,)] * 2
+    assert parallel == [((2, GRID_LENGTH), [3, 0])] * 2
     assert np.array_equal(grid, _reference_grid(scene, (ex, 0.0, 0.0)))
     assert (grid == UNOBSERVABLE).any() and (grid == OCCUPIED).any()
+
+
+def test_slab_branches_agree_bit_for_bit():
+    # _slab divides unguarded when no segment is parallel and under
+    # np.errstate otherwise. On segments that mix parallel ones (inside,
+    # on the face of and outside the slab) with others that enter, leave,
+    # cross or miss it, the guarded call must give every other segment
+    # the bits the unguarded call gives it alone, and each parallel one
+    # [0, 1] from inside the slab and the empty (1, 0) from outside.
+    rng = np.random.default_rng(30)
+    h = np.repeat(rng.uniform(0.2, 3.0, 20), 12)
+    q0 = h * rng.choice([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0], h.size)
+    q1 = q0 + rng.uniform(-8.0, 8.0, h.size)
+    q1[::3] = q0[::3]
+    q0[::12] = q1[::12] = h[::12]  # parallel, on the face
+    parallel = q1 == q0
+    moving = ~parallel
+    outside = np.abs(q0) > h
+    assert (parallel & outside).any() and (parallel & ~outside).any() and moving.any()
+    lo, hi = world._slab(q0, q1, h)
+    lo_alone, hi_alone = world._slab(q0[moving], q1[moving], h[moving])
+    assert lo[moving].tobytes() == lo_alone.tobytes()
+    assert hi[moving].tobytes() == hi_alone.tobytes()
+    assert (lo_alone <= hi_alone).any() and (lo_alone > hi_alone).any()
+    assert np.array_equal(lo[parallel], np.where(outside, 1.0, 0.0)[parallel])
+    assert np.array_equal(hi[parallel], np.where(outside, 0.0, 1.0)[parallel])
 
 
 def test_mixed_scene_writes_shadows_before_bodies():
