@@ -1,8 +1,10 @@
 """Belief tracking and the stopping ramp.
 
 A QMDP step acts on the current belief, then folds the observation that
-arrives during the following control interval into the posterior. The
-policies that use both live in harness.
+arrives during the following control interval into the posterior. Both
+work on any tabular model: harness's QMDP policy runs them on the
+two-state model of the crossing flag, since the car knows its own speed
+and distance bins. The policies that use both live in harness.
 """
 
 from __future__ import annotations

@@ -5,7 +5,10 @@ its speed scale every pomdp.EPOCH, the model's decision epoch (zero-order
 hold in between), while the tracking controllers run every step. Traces
 carry one row per control step plus run metadata and a termination reason.
 Each policy is built once per run; decide(state, reading) returns the
-speed scale, and its p_crossing and resets go into the trace.
+speed scale. Its p_crossing goes into the trace (NaN for the oracle and
+the baseline, which keep no belief) and its resets, 0 for all three, into
+the metadata. The QMDP policy reads its speed and distance bins from the
+car's state, and its belief covers the crossing flag alone.
 """
 
 from __future__ import annotations
@@ -19,14 +22,7 @@ import numpy as np
 from . import world
 from .control import PATH_END_MARGIN, path_to_crosswalk, speed_control, steer_control
 from .dynamics import VehicleState, step_dynamics
-from .executor import (
-    STOP_MARGIN,
-    SensorReading,
-    ZeroBeliefError,
-    init_belief,
-    pomdp_step,
-    stopping_scale,
-)
+from .executor import STOP_MARGIN, SensorReading, init_belief, pomdp_step, stopping_scale
 
 # perfbench/tracer.py patches export_trace and export_plot_data as harness
 # names, and perfbench/workloads.py calls them, load_scenario and
@@ -43,11 +39,16 @@ from .files import (
 )
 from .pomdp import (
     ACTION_SCALES,
+    CELL_LENGTH,
     EPOCH,
+    NUM_CROSSING,
     NUM_D,
     NUM_V,
+    SPEED_UNIT,
+    TERMINAL_D,
     ModelConfig,
     PomdpModel,
+    _crossing_chain,
     build_crosswalk_model,
 )
 from .qmdp import AlphaVectorPolicy, extract_alphas, value_iteration
@@ -114,25 +115,34 @@ class BaselinePolicy:
 
 
 class QmdpPolicy:
-    """QMDP: act on the belief, then fold the reading in. A reading the
-    belief cannot explain resets it to uniform and is folded in again."""
+    """QMDP under mixed observability: the car knows its bins (v, d), so the
+    belief covers the crossing flag c alone, filtered on the crossing chain at
+    the solved model's detection rates. It acts on the Q rows of (v, d, 0) and (v, d, 1)."""
+
+    resets = 0
 
     def __init__(self, model: PomdpModel, alphas: AlphaVectorPolicy):
-        self.model = model
         self.alphas = alphas
-        self.belief = init_belief(model)
+        n = len(alphas.scales)
+        observation = model.observation[[0, NUM_D * NUM_V]]
+        self.crossing = PomdpModel((_crossing_chain(),) * n, np.zeros((NUM_CROSSING, n)), model.discount, observation)
+        self.belief = init_belief(self.crossing)
         self.p_crossing = math.nan
-        self.resets = 0
 
     def decide(self, state: VehicleState, reading: SensorReading) -> float:
-        try:
-            scale, self.belief = pomdp_step(self.belief, self.alphas, reading, self.model)
-        except ZeroBeliefError:
-            log.warning("belief collapsed at s=%.2f m; reset to uniform", state.s)
-            self.belief = init_belief(self.model)
-            self.resets += 1
-            scale, self.belief = pomdp_step(self.belief, self.alphas, reading, self.model)
-        self.p_crossing = float(self.belief[NUM_D * NUM_V :].sum())
+        v = min(max(round(state.ux / SPEED_UNIT), 0), NUM_V - 1)
+        d = min(max(math.floor(state.s / CELL_LENGTH), 0), TERMINAL_D)
+        i0 = d * NUM_V + v
+        rows = AlphaVectorPolicy(self.alphas.alphas[:, [i0, NUM_D * NUM_V + i0]], self.alphas.scales)
+        prior = self.belief
+        scale, self.belief = pomdp_step(prior, rows, reading, self.crossing)
+        self.p_crossing = float(self.belief[1])
+        if log.isEnabledFor(logging.DEBUG):
+            runner_up, top = np.sort(rows.alphas @ prior)[-2:]
+            log.debug(
+                "decision at s=%.2f m, (v, d)=(%d, %d): p_crossing %.4f -> %.4f, scale %.1f, Q margin %.4g",
+                state.s, v, d, prior[1], self.p_crossing, scale, top - runner_up,
+            )
         return scale
 
 
@@ -249,10 +259,12 @@ def run_batch(config_dir, out_dir) -> list[str]:
     paths = sorted(config_dir.glob("*.yaml"))
     if not paths:
         raise FileNotFoundError(f"no scenario files in {config_dir}")
+    # every file loads before the first run, so a config error in any of
+    # them ends the batch with nothing run or written
+    configs = [(cfg_path.stem, load_scenario(cfg_path)) for cfg_path in paths]
     written = []
-    for cfg_path in paths:
-        config = load_scenario(cfg_path)
-        run_dir = out_dir / cfg_path.stem
+    for stem, config in configs:
+        run_dir = out_dir / stem
         run_dir.mkdir(parents=True, exist_ok=True)  # before the run, as `run` makes its --out
         trace = run_scenario(config)
         dest = export_run(trace, config.scene, run_dir)

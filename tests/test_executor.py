@@ -4,6 +4,7 @@ three policies' decide rules."""
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -19,9 +20,24 @@ from crosswalk_sim.executor import (
     pomdp_step,
     stopping_scale,
 )
-from crosswalk_sim.harness import BaselinePolicy, OraclePolicy, QmdpPolicy
-from crosswalk_sim.pomdp import ACTION_SCALES, NUM_ACTIONS, NUM_STATES, TERMINAL_D
-from crosswalk_sim.qmdp import AlphaVectorPolicy, best_action
+from crosswalk_sim import harness
+from crosswalk_sim.harness import CONTROL_DT, BaselinePolicy, OraclePolicy, QmdpPolicy
+from crosswalk_sim.pomdp import (
+    ACTION_SCALES,
+    CELL_LENGTH,
+    CROSSING_ONSET,
+    CROSSING_PERSIST,
+    DETECT_GIVEN_CLEAR,
+    DETECT_GIVEN_CROSSING,
+    EPOCH,
+    NUM_ACTIONS,
+    NUM_CROSSING,
+    NUM_STATES,
+    NUM_V,
+    SPEED_UNIT,
+    TERMINAL_D,
+)
+from crosswalk_sim.qmdp import best_action
 from crosswalk_sim.world import Scene
 
 from conftest import dense_model, state_index
@@ -195,20 +211,137 @@ def test_known_crossing_ahead_commands_stop(crosswalk_model, policy):
     assert scale == 0.0
 
 
-def test_qmdp_policy_resets_a_collapsed_belief(caplog):
-    # identity dynamics; state 0 never reads a detection and state 1
-    # always does
-    model = dense_model(np.eye(2)[None], np.zeros((2, 1)), 0.9, observation=np.eye(2))
-    qmdp = QmdpPolicy(model, AlphaVectorPolicy(alphas=np.zeros((1, 2)), scales=(0.5,)))
-    assert qmdp.decide(VehicleState(), SensorReading(0, True)) == 0.5
-    assert np.array_equal(qmdp.belief, [0.0, 1.0])
+# --- QmdpPolicy: (v, d) from the car, a belief over c alone -------------------------
+
+
+def qmdp_decide(monkeypatch, crosswalk_model, policy, state, belief=None, detected=False):
+    """The scale a fresh QmdpPolicy commands at state, from the belief over
+    c when one is given, and the alpha columns it hands pomdp_step."""
+    handed = []
+
+    def spy(prior, rows, reading, model):
+        handed.append(rows.alphas)
+        return pomdp_step(prior, rows, reading, model)
+
+    monkeypatch.setattr(harness, "pomdp_step", spy)
+    qmdp = QmdpPolicy(crosswalk_model, policy)
+    if belief is not None:
+        qmdp.belief = np.array(belief, dtype=float)
+    scale = qmdp.decide(state, SensorReading(0, detected))
+    assert len(handed) == 1
+    return scale, handed[0]
+
+
+def q_rows(policy, v, d):
+    """The alpha columns of states (v, d, 0) and (v, d, 1)."""
+    return policy.alphas[:, [state_index(v, d, 0), state_index(v, d, 1)]]
+
+
+def test_qmdp_policy_reads_its_speed_bin_from_the_car(monkeypatch, crosswalk_model, policy):
+    # 1 m/s bins, rounded; a speed above the top bin's 10 m/s reads bin 10
+    for ux, v in ((0.0, 0), (-0.3, 0), (3.4, 3), (3.6, 4), (10.0, 10), (10.6, 10), (14.0, 10)):
+        _, rows = qmdp_decide(monkeypatch, crosswalk_model, policy, VehicleState(ux=ux, s=12.2))
+        assert np.array_equal(rows, q_rows(policy, v, 24)), ux
+
+
+def test_qmdp_policy_reads_its_distance_bin_from_the_car(monkeypatch, crosswalk_model, policy):
+    # 0.5 m bins, floored; from 60 m on the car reads the terminal bin,
+    # where every alpha is 0, so it takes action 0 whatever its belief
+    for s, d in ((-0.2, 0), (0.0, 0), (0.49, 0), (0.5, 1), (20.2, 40), (59.9, 119)):
+        _, rows = qmdp_decide(monkeypatch, crosswalk_model, policy, VehicleState(ux=5.0, s=s))
+        assert np.array_equal(rows, q_rows(policy, 5, d)), s
+    for s in (60.0, 61.3, 500.0):
+        scale, rows = qmdp_decide(monkeypatch, crosswalk_model, policy, VehicleState(ux=5.0, s=s), belief=[0.3, 0.7])
+        assert np.array_equal(rows, q_rows(policy, 5, TERMINAL_D)), s
+        assert not rows.any()
+        assert scale == ACTION_SCALES[0]
+
+
+def test_qmdp_policy_holds_for_a_known_crossing_ahead(monkeypatch, crosswalk_model, policy):
+    # (v, d) = (3, 40), 3 m/s at 20 m, with the crossing certain: hold
+    state = VehicleState(ux=3.0, s=20.2)
+    scale, rows = qmdp_decide(monkeypatch, crosswalk_model, policy, state, belief=[0.0, 1.0], detected=True)
+    assert np.array_equal(rows, q_rows(policy, 3, 40))
+    assert scale == 0.0
+
+
+def test_qmdp_policy_filters_the_crossing_flag_alone(crosswalk_model, policy):
+    # the belief is over c, started at 0.5, and keeps no resets
+    qmdp = QmdpPolicy(crosswalk_model, policy)
+    assert np.array_equal(qmdp.belief, [0.5, 0.5])
+    assert qmdp.crossing.num_states == NUM_CROSSING
+    assert np.array_equal(qmdp.crossing.observation, crosswalk_model.observation[[0, state_index(0, 0, 1)]])
+    qmdp.decide(VehicleState(), SensorReading(0, False))
+    # predicted 0.5, then 0.2 * 0.5 / (0.2 * 0.5 + 0.5 * 0.5)
+    assert qmdp.p_crossing == pytest.approx(2.0 / 7.0, rel=1e-15)
     assert qmdp.resets == 0
-    # no state explains the detection's absence: reset, then fold it in
-    assert qmdp.decide(VehicleState(), SensorReading(0, False)) == 0.5
-    assert qmdp.resets == 1
-    assert np.array_equal(qmdp.belief, [1.0, 0.0])
-    assert math.isfinite(qmdp.p_crossing)
-    assert any("belief collapsed" in m for m in caplog.messages)
+
+
+def test_qmdp_policy_logs_each_decision_only_at_debug(crosswalk_model, policy, caplog, monkeypatch):
+    # one DEBUG record per decision: where the car is, its bins, the
+    # belief before and after, the scale and the Q margin to the
+    # runner-up; below DEBUG the record is never built
+    caplog.set_level(logging.DEBUG, logger="crosswalk_sim.harness")
+    qmdp = QmdpPolicy(crosswalk_model, policy)
+    scale = qmdp.decide(VehicleState(ux=3.0, s=20.2), SensorReading(0, True))
+    runner_up, top = np.sort(q_rows(policy, 3, 40) @ [0.5, 0.5])[-2:]
+    assert caplog.messages == [
+        f"decision at s=20.20 m, (v, d)=(3, 40): p_crossing 0.5000 -> {qmdp.p_crossing:.4f}, "
+        f"scale {scale:.1f}, Q margin {top - runner_up:.4g}"
+    ]
+    caplog.set_level(logging.INFO, logger="crosswalk_sim.harness")
+    monkeypatch.setattr(harness.log, "debug", lambda *args: pytest.fail("record built below DEBUG"))
+    qmdp.decide(VehicleState(ux=3.0, s=20.2), SensorReading(0, True))
+
+
+def decision_rows(trace):
+    """The rows of a trace at which its policy decided: one every EPOCH."""
+    return np.arange(0, len(trace), round(EPOCH / CONTROL_DT))
+
+
+@pytest.mark.parametrize("name", ["pomdp_hidden", "pomdp_exposed"])
+def test_p_crossing_is_the_two_state_recursion(run_matrix, name):
+    # P(c = 1 | the detection flags read so far), started at 0.5: at each
+    # decision the crossing chain's prediction, then Bayes on the flag;
+    # held in the trace until the next decision
+    trace = run_matrix[name]
+    rows = decision_rows(trace)
+    p, want = 0.5, []
+    for detected in trace.columns["detected"][rows]:
+        predicted = p * CROSSING_PERSIST + (1.0 - p) * CROSSING_ONSET
+        if detected:
+            hit, clear = DETECT_GIVEN_CROSSING, DETECT_GIVEN_CLEAR
+        else:
+            hit, clear = 1.0 - DETECT_GIVEN_CROSSING, 1.0 - DETECT_GIVEN_CLEAR
+        p = predicted * hit / (predicted * hit + (1.0 - predicted) * clear)
+        want.append(p)
+    got = trace.columns["p_crossing"]
+    np.testing.assert_allclose(got[rows], want, rtol=1e-12, atol=0)
+    assert np.array_equal(got, np.repeat(got[rows], rows[1])[: len(trace)])
+
+
+@pytest.mark.parametrize("name", ["pomdp_hidden", "pomdp_exposed"])
+def test_each_decision_is_the_two_row_argmax(run_matrix, policy, name):
+    # the action maximises (1 - p) Q[(v, d, 0), a] + p Q[(v, d, 1), a] at
+    # the car's own bins, p the belief before the decision; an action
+    # whose score ties the top one to rounding may stand in for it
+    trace = run_matrix[name]
+    col = trace.columns
+    rows = decision_rows(trace)
+    prior = np.concatenate(([0.5], col["p_crossing"][rows][:-1]))
+    clear = 0
+    for k, p in zip(rows, prior):
+        v = min(max(round(col["ux"][k] / SPEED_UNIT), 0), NUM_V - 1)
+        d = min(max(math.floor(col["s"][k] / CELL_LENGTH), 0), TERMINAL_D)
+        scores = q_rows(policy, v, d) @ [1.0 - p, p]
+        action = ACTION_SCALES.index(col["scale"][k])
+        runner_up, top = np.sort(scores)[-2:]
+        tie = 1e-12 * abs(top)
+        assert scores[action] >= top - tie, k
+        if top - runner_up > tie:
+            assert action == int(np.argmax(scores)), k
+            clear += 1
+    assert clear > 0
 
 
 # --- scale heuristics --------------------------------------------------------------

@@ -670,6 +670,36 @@ def test_cli_batch(tmp_path, repo_root, caplog):
     assert summarize(trace, True) in caplog.messages
 
 
+def test_cli_batch_loads_every_file_before_the_first_run(tmp_path, repo_root, capsys):
+    # a config error in a later file ends the batch in one stderr line
+    # naming it, before any run writes its folder
+    scen_dir = tmp_path / "scenarios"
+    scen_dir.mkdir()
+    scene = repo_root / "configs" / "scene_hidden.yaml"
+    (scen_dir / "a.yaml").write_text(yaml.safe_dump({"scene": str(scene), "policy": "oracle", "duration": 2.0}))
+    (scen_dir / "b.yaml").write_text("scene: missing.yaml\npolicy: oracle\n")
+    assert cli_main(["batch", "--dir", str(scen_dir), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("crosswalk-sim: error: ") and len(err.splitlines()) == 1
+    assert str(scen_dir / "missing.yaml") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_verbose_run_logs_each_pomdp_decision(tmp_path, repo_root, caplog):
+    # -v logs one record per decision, 24 over the 12 s hidden run, each
+    # at the car's own bins; the car never leaves (v, d) = (0, 0)
+    caplog.set_level(logging.DEBUG, logger="crosswalk_sim")
+    scenario = repo_root / "configs" / "scenarios" / "pomdp_hidden.yaml"
+    assert cli_main(["-v", "run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    decisions = [m for m in caplog.messages if m.startswith("decision at ")]
+    assert len(decisions) == 24
+    p_crossing = load_trace(tmp_path / "out" / "trace.csv").columns["p_crossing"][::50]
+    assert p_crossing[0] == pytest.approx(2.0 / 7.0, rel=1e-15)
+    for message, before, after in zip(decisions, [0.5, *p_crossing[:-1]], p_crossing):
+        prefix = f"decision at s=0.00 m, (v, d)=(0, 0): p_crossing {before:.4f} -> {after:.4f}, scale 0.0, Q margin "
+        assert message.startswith(prefix) and float(message.removeprefix(prefix)) > 0.0
+
+
 def test_cli_batch_writes_what_run_writes(tmp_path, repo_root):
     # batch runs each scenario as run does, a pomdp one solving its own policy
     scen_dir = tmp_path / "scenarios"
