@@ -75,19 +75,6 @@ _front_lateral = _tire(FZ_FRONT, CAF, FRICTION)
 _rear_lateral = _tire(FZ_REAR, CAR, FRICTION)
 
 
-def brush_tire_lateral(alpha: float, fz: float, c_alpha: float, mu: float) -> float:
-    """Lateral force of a brush tire at slip angle alpha.
-
-    Cubic below the full-slide angle, saturated at mu * fz beyond it. The
-    force opposes the slip, so it is odd in alpha and bounded by friction.
-    """
-    if not all(map(math.isfinite, (alpha, fz, c_alpha, mu))):
-        raise ValueError("tire inputs must be finite")
-    if fz <= 0 or c_alpha <= 0 or mu <= 0:
-        raise ValueError("fz, c_alpha and mu must be positive")
-    return _tire(fz, c_alpha, mu)(alpha)
-
-
 def allocate_longitudinal(ax_command: float) -> tuple[float, float]:
     """Split a commanded acceleration into front/rear axle forces.
 

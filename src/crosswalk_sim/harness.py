@@ -155,8 +155,15 @@ def run_scenario(
 
     A pomdp run acts on an alpha-vector policy solved for
     config.model_config: pass it in together with the model it was solved
-    on, or leave both unset to solve it here.
+    on, or leave both unset to solve it here. Raises ValueError when only
+    one of the two is passed, or either for an oracle or baseline run.
     """
+    if config.policy != "pomdp" and (model is not None or policy is not None):
+        raise ValueError(f"a run with policy {config.policy!r} takes no model or policy; only a pomdp run acts on one")
+    if policy is None and model is not None:
+        raise ValueError("a model was passed without the policy solved on it")
+    if model is None and policy is not None:
+        raise ValueError("a policy was passed without the model it was solved on")
     scene = config.scene
     path, crosswalk_s = path_to_crosswalk(scene)
 

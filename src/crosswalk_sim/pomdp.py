@@ -10,8 +10,9 @@ index of state (v, d, c) is (c * NUM_D + d) * NUM_V + v.
 The chains, rewards and observation likelihoods are module constants;
 ModelConfig holds only what differs between solves. The transition
 matrices are built once per process with scipy's kron, and every model
-shares them read-only; scipy is imported on the first model build, not
-with this module.
+shares them read-only, as it shares the goal-entry chances of its
+rewards; scipy is imported on the first model build, not with this
+module.
 
 The car's motion is one table M[a, v, k, v'] (_motion): command a takes
 speed bin v to v' while the car advances k >= 0 distance bins. No
@@ -181,6 +182,19 @@ def _layer_kernel() -> np.ndarray:
 
 
 @functools.cache
+def _goal_entry() -> np.ndarray:
+    """The chance of entering the terminal bin in one epoch from each
+    non-terminal (d, v), at index d * NUM_V + v: the terminal column of
+    the clamped advance table. Built once per process and read-only, as
+    every model build reads it."""
+    chance, (row, col) = _clamped(_advance()[:, :, None])
+    goal = np.zeros(TERMINAL_D * NUM_V)
+    goal[row[col == TERMINAL_D]] = chance[col == TERMINAL_D]
+    goal.flags.writeable = False
+    return goal
+
+
+@functools.cache
 def _transitions() -> tuple:
     """PomdpModel.transitions of the crosswalk model: one csr_matrix per
     action, the Kronecker product C (x) M_a of the crossing chain C and the
@@ -208,23 +222,18 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     """Assemble the full 2662-state model from a configuration.
 
     Only the rewards and the discount depend on the config. The transition
-    matrices and the layer kernel depend on no config field; both are
-    built from the motion table once per process (_transitions,
-    _layer_kernel) and shared read-only by every model."""
+    matrices, the layer kernel and the goal-entry chances depend on no
+    config field; each is built once per process (_transitions,
+    _layer_kernel, _goal_entry) and shared read-only by every model."""
     cfg = config or ModelConfig()
     s = np.arange(NUM_STATES)
     v, d, c = s % NUM_V, (s // NUM_V) % NUM_D, s // (NUM_V * NUM_D)
     terminal = d == TERMINAL_D
 
-    # the chance of entering the terminal bin: the terminal column of the
-    # clamped advance table
-    chance, (row, col) = _clamped(_advance()[:, :, None])
-    goal_prob = np.zeros(TERMINAL_D * NUM_V)
-    goal_prob[row[col == TERMINAL_D]] = chance[col == TERMINAL_D]
     zone_lo, zone_hi = cfg.occluded_bins
     base = np.zeros(NUM_STATES)
     base[(v > SPEEDING_BIN) & (zone_lo <= d) & (d <= zone_hi)] += REWARD_SPEEDING
-    base[~terminal] += REWARD_GOAL * np.tile(goal_prob, NUM_CROSSING)
+    base[~terminal] += REWARD_GOAL * np.tile(_goal_entry(), NUM_CROSSING)
     crossing_pen = np.where((c == 1) & (d <= cfg.crosswalk_bin), REWARD_CROSSING, 0.0)
     rewards = np.repeat((base + crossing_pen)[:, None], NUM_ACTIONS, axis=1)
     rewards[:, 0] = base  # holding a zero command is exempt from the crossing penalty

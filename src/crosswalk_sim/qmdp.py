@@ -1,10 +1,11 @@
 """QMDP solver: value iteration on the underlying MDP, started from an
 exact backward pass over the distance layers where the model has them,
 plus alpha-vector action selection over beliefs. A policy lives only in
-memory: each pomdp run solves its own, in about 10 ms."""
+memory: each pomdp run solves its own, in about 9 ms."""
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -81,19 +82,22 @@ def _backward_pass(kernel: np.ndarray, rewards: np.ndarray, gamma: float) -> np.
     # values, rows d + 1 .. d + reach - 1 of `values`, are one flat window
     ahead = gamma * kernel[:, :, 1:, :].reshape(num_actions * width, (reach - 1) * width)
     same = gamma * kernel[:, :, 0, :]
-    inner = same.any(axis=(0, 2))  # the states that can stay in their layer
+    can_stay = same.any(axis=(0, 2))
+    # the states that can stay in their layer, and the others
+    inner, outer = np.flatnonzero(can_stay), np.flatnonzero(~can_stay)
     block = same[:, inner]
-    leave, stay = block[:, :, ~inner], block[:, :, inner]
+    leave, stay = block[:, :, outer], block[:, :, inner]
     values = np.zeros((TERMINAL_D + reach, width))  # rows >= TERMINAL_D stay 0
+    flat = values.ravel()  # a view, so each layer's values[d] shows in it
     q = np.zeros((NUM_D, num_actions, width))
     policy, evaluations = None, 0
     for d in range(TERMINAL_D - 1, -1, -1):
-        base = by_layer[d] + (ahead @ values[d + 1 : d + reach].ravel()).reshape(num_actions, width)
+        base = by_layer[d] + (ahead @ flat[(d + 1) * width : (d + reach) * width]).reshape(num_actions, width)
         layer = base.max(axis=0)
-        layer[inner], policy, steps = _policy_iteration(base[:, inner] + leave @ layer[~inner], stay, policy)
+        layer[inner], policy, steps = _policy_iteration(base[:, inner] + leave @ layer[outer], stay, policy)
         evaluations += steps
-        q[d] = base + same @ layer
-        values[d] = q[d].max(axis=0)
+        np.add(base, same @ layer, out=q[d])
+        q[d].max(axis=0, out=values[d])
     log.debug("backward pass: %d layers, %d policy evaluations", TERMINAL_D, evaluations)
     return q.reshape(NUM_D, num_actions, NUM_CROSSING, NUM_V).transpose(2, 0, 3, 1).reshape(-1, num_actions)
 
@@ -110,19 +114,26 @@ def _policy_iteration(rewards: np.ndarray, stay: np.ndarray, policy: np.ndarray 
     any start it stops only at a policy that no switch improves, whose
     values are the fixed point's. Raises ValueIterationError if the policy
     has not settled after LAYER_POLICY_STEPS steps."""
-    states = np.arange(rewards.shape[1])
-    identity = np.eye(states.size)
+    states, identity = _states_and_identity(rewards.shape[1])
     if policy is None:
         policy = rewards.argmax(axis=0)
     for step in range(1, LAYER_POLICY_STEPS + 1):
         v = np.linalg.solve(identity - stay[policy, states], rewards[policy, states])
         q = rewards + stay @ v
-        best = q.argmax(axis=0)
-        better = q[best, states] > q[policy, states]
+        better = q.max(axis=0) > q[policy, states]
         if not better.any():
             return v, policy, step
-        policy = np.where(better, best, policy)
+        policy = np.where(better, q.argmax(axis=0), policy)
     raise ValueIterationError(f"layer policy iteration did not settle in {LAYER_POLICY_STEPS} steps")
+
+
+@functools.cache
+def _states_and_identity(n: int):
+    """np.arange(n) and np.eye(n) for _policy_iteration, built once per
+    size and read-only, as every layer's call shares them."""
+    states, identity = np.arange(n), np.eye(n)
+    states.flags.writeable = identity.flags.writeable = False
+    return states, identity
 
 
 @dataclass(frozen=True, eq=False)

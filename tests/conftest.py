@@ -1,16 +1,19 @@
 """Shared fixtures: scenes, solved model, and the six benchmark runs; and
 the helpers the tests import from here: a trace.csv reader, a model built
-from dense arrays, a Q table's Bellman residual, and the flat state index
-of the crosswalk model and its inverse."""
+from dense arrays, a Q table's Bellman residual, the flat state index
+of the crosswalk model and its inverse, and the tire curve at any load,
+stiffness and friction."""
 
 from __future__ import annotations
 
+import math
 import pathlib
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from crosswalk_sim.dynamics import _tire
 from crosswalk_sim.files import Trace, load_scenario, load_scene
 from crosswalk_sim.harness import run_scenario
 from crosswalk_sim.pomdp import (
@@ -92,6 +95,21 @@ def state_tuple(index: int) -> tuple[int, int, int]:
     d = (index // NUM_V) % NUM_D
     c = index // (NUM_V * NUM_D)
     return v, d, c
+
+
+def brush_tire_lateral(alpha: float, fz: float, c_alpha: float, mu: float) -> float:
+    """Lateral force of a brush tire at slip angle alpha: dynamics._tire,
+    the curve the vehicle's two tires use, at any checked load, cornering
+    stiffness and friction.
+
+    Cubic below the full-slide angle, saturated at mu * fz beyond it. The
+    force opposes the slip, so it is odd in alpha and bounded by friction.
+    """
+    if not all(map(math.isfinite, (alpha, fz, c_alpha, mu))):
+        raise ValueError("tire inputs must be finite")
+    if fz <= 0 or c_alpha <= 0 or mu <= 0:
+        raise ValueError("fz, c_alpha and mu must be positive")
+    return _tire(fz, c_alpha, mu)(alpha)
 
 
 @pytest.fixture(scope="session")

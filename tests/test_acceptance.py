@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from crosswalk_sim.control import build_avoidance_path
-from crosswalk_sim.dynamics import VehicleState, brush_tire_lateral, step_dynamics
+from crosswalk_sim.dynamics import VehicleState, step_dynamics
 from crosswalk_sim.executor import belief_update, init_belief
 from crosswalk_sim.files import TRACE_FIELDS, ScenarioConfig
 from crosswalk_sim.harness import run_scenario
@@ -22,7 +22,7 @@ from crosswalk_sim.pomdp import build_crosswalk_model
 from crosswalk_sim.qmdp import value_iteration
 from crosswalk_sim.world import GRID_LENGTH, GRID_WIDTH, UNOBSERVABLE, build_grid, count_unobservable, crosswalk_occlusion_band
 
-from conftest import dense_model
+from conftest import brush_tire_lateral, dense_model
 from test_world import oracle_grid, random_scene
 
 

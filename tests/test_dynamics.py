@@ -27,10 +27,11 @@ from crosswalk_sim.dynamics import (
     YAW_INERTIA,
     VehicleState,
     allocate_longitudinal,
-    brush_tire_lateral,
     step_dynamics,
 )
 from crosswalk_sim.path import Path
+
+from conftest import brush_tire_lateral
 
 
 def straight_path(length: float = 300.0) -> Path:

@@ -101,6 +101,31 @@ def test_policy_decides_once_per_model_epoch(run_matrix):
     assert all(np.all(c % per_decision == 0) for c in changed)
 
 
+# --- solved policy arguments ---------------------------------------------------
+#
+# A pomdp run takes the solved (model, policy) pair whole or solves its own;
+# half a pair, or either half for a run that keeps no model, is refused
+# before the run starts.
+
+
+def test_policy_without_its_model_is_refused(scenario_configs, policy):
+    with pytest.raises(ValueError, match="policy was passed without the model"):
+        run_scenario(scenario_configs["pomdp_hidden"], policy=policy)
+
+
+def test_model_without_its_policy_is_refused(scenario_configs, crosswalk_model):
+    with pytest.raises(ValueError, match="model was passed without the policy"):
+        run_scenario(scenario_configs["pomdp_hidden"], model=crosswalk_model)
+
+
+@pytest.mark.parametrize("name", ["oracle_hidden", "baseline_hidden"])
+def test_run_without_a_model_refuses_one(name, scenario_configs, crosswalk_model, policy):
+    config = scenario_configs[name]
+    for given in ({"model": crosswalk_model}, {"policy": policy}, {"model": crosswalk_model, "policy": policy}):
+        with pytest.raises(ValueError, match=f"a run with policy '{config.policy}' takes no model or policy"):
+            run_scenario(config, **given)
+
+
 # --- persistence ---------------------------------------------------------------
 
 

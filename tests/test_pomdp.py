@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
-from crosswalk_sim import pomdp
+from crosswalk_sim import pomdp, qmdp
 from crosswalk_sim.pomdp import (
     ACTION_SCALES,
     ADVANCE_SPREAD,
@@ -379,12 +379,26 @@ def test_layer_kernel_rows_sum_to_one(crosswalk_model):
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
 
-def test_layer_kernel_is_shared_and_read_only(crosswalk_model):
+def test_layer_kernel_is_shared_and_read_only(crosswalk_model, monkeypatch):
     kernel = crosswalk_model.layer_kernel
     assert build_crosswalk_model(ModelConfig(discount=0.5)).layer_kernel is kernel
     assert not kernel.flags.writeable
     # so is the motion table that the kernel and the matrices are built from
     assert pomdp._motion() is pomdp._motion() and not pomdp._motion().flags.writeable
+    # and the goal-entry chances of the rewards: a later build of any
+    # config clamps no advance table
+    goal = pomdp._goal_entry()
+    monkeypatch.setattr(pomdp, "_clamped", None)
+    build_crosswalk_model(ModelConfig(discount=0.5, crosswalk_bin=3))
+    assert pomdp._goal_entry() is goal
+    # and the layer policy iteration's state indices and identity, per size
+    tables = qmdp._states_and_identity(6)
+    assert qmdp._states_and_identity(6) is tables
+    states, identity = tables
+    assert states.tolist() == list(range(6)) and np.array_equal(identity, np.eye(6))
+    for table in (goal, states, identity):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
 
 
 def test_transitions_are_shared_and_read_only(crosswalk_model, monkeypatch):

@@ -257,6 +257,22 @@ def test_layer_policy_iteration_matches_sweeps():
         assert steps == 1 and np.array_equal(kept, policy) and again.tobytes() == values.tobytes()
 
 
+def test_layer_policy_iteration_keeps_the_action_on_exact_ties():
+    # actions 0 and 1 are one action twice, so their Q ties to the bit in
+    # every state, and action 2 pays 1 less for the same moves; a switch
+    # needs strict improvement, so each state keeps the action it started with
+    rng = np.random.default_rng(3)
+    stay = rng.dirichlet(np.ones(5), size=4)[:, :-1] * 0.99
+    rewards = rng.uniform(-1.0, 1.0, size=4)
+    stay = np.stack((stay, stay, stay))
+    rewards = np.stack((rewards, rewards, rewards - 1.0))
+    want, _, _ = qmdp._policy_iteration(rewards, stay, np.zeros(4, dtype=int))
+    for start in ([1, 1, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1]):
+        values, kept, steps = qmdp._policy_iteration(rewards, stay, np.array(start))
+        assert steps == 1 and kept.tolist() == start
+        assert values.tobytes() == want.tobytes()
+
+
 def test_unsettled_layer_raises(monkeypatch, crosswalk_model):
     monkeypatch.setattr(qmdp, "LAYER_POLICY_STEPS", 0)
     with pytest.raises(ValueIterationError, match="did not settle in 0 steps"):
