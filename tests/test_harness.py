@@ -633,6 +633,10 @@ def test_cli_solve_and_run(tmp_path, repo_root, monkeypatch, caplog, scenario_co
         )
         assert rc == 0
         solved += [m for m in caplog.messages if m.startswith("solved ")]
+        # the model build and the solve are timed apart
+        assert re.fullmatch(
+            r"2662 states x 11 actions: model built in \d+\.\d ms, solved in \d+\.\d ms", caplog.messages[-1]
+        )
     assert solved == [f"solved {scenario_configs['pomdp_hidden'].model_config!r}"] * 2
     assert not any(tmp_path.iterdir())
 

@@ -82,6 +82,23 @@ def counting(model):
     return dataclasses.replace(model, transitions=mats), counter
 
 
+class RecordedMatrix:
+    def __init__(self, mat, seen):
+        self.mat, self.seen = mat, seen
+
+    def __matmul__(self, vector):
+        self.seen.append(vector.tobytes())
+        return self.mat @ vector
+
+
+def recording(model):
+    """The model with transitions that record the bytes of every vector
+    they multiply, and the list they record into."""
+    seen = []
+    mats = tuple(RecordedMatrix(mat, seen) for mat in model.transitions)
+    return dataclasses.replace(model, transitions=mats), seen
+
+
 @pytest.fixture(scope="module", params=["shipped", "default"])
 def full_solve(request, model_config):
     """A full crosswalk model with its reference Q and sweep count."""
@@ -245,15 +262,15 @@ def test_layer_policy_iteration_matches_sweeps():
         q = np.zeros_like(rewards)
         for _ in range(5000):
             q = rewards + stay @ q.max(axis=0)
-        values, policy, _ = qmdp._policy_iteration(rewards, stay)
+        values, policy, _, _ = qmdp._policy_iteration(rewards, stay)
         assert np.max(np.abs(values - q.max(axis=0))) <= 1e-9
         # from any start it settles to the same values
         for _ in range(5):
             start = starts.integers(n_actions, size=n_states)
-            warm, _, _ = qmdp._policy_iteration(rewards, stay, start)
+            warm, _, _, _ = qmdp._policy_iteration(rewards, stay, start)
             assert np.max(np.abs(warm - q.max(axis=0))) <= 1e-9
         # and from its own settled policy it stops at the first evaluation
-        again, kept, steps = qmdp._policy_iteration(rewards, stay, policy)
+        again, kept, _, steps = qmdp._policy_iteration(rewards, stay, policy)
         assert steps == 1 and np.array_equal(kept, policy) and again.tobytes() == values.tobytes()
 
 
@@ -266,9 +283,9 @@ def test_layer_policy_iteration_keeps_the_action_on_exact_ties():
     rewards = rng.uniform(-1.0, 1.0, size=4)
     stay = np.stack((stay, stay, stay))
     rewards = np.stack((rewards, rewards, rewards - 1.0))
-    want, _, _ = qmdp._policy_iteration(rewards, stay, np.zeros(4, dtype=int))
+    want, _, _, _ = qmdp._policy_iteration(rewards, stay, np.zeros(4, dtype=int))
     for start in ([1, 1, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1]):
-        values, kept, steps = qmdp._policy_iteration(rewards, stay, np.array(start))
+        values, kept, _, steps = qmdp._policy_iteration(rewards, stay, np.array(start))
         assert steps == 1 and kept.tolist() == start
         assert values.tobytes() == want.tobytes()
 
@@ -289,6 +306,82 @@ def test_small_mdps_match_column_sweeps():
         want, sweeps = column_sweeps(model, tol=1e-8)
         assert q.tobytes() == want.tobytes()
         assert products[0] == sweeps * model.num_actions
+
+
+def test_sweep_max_matches_column_max_on_exact_ties():
+    # each action duplicated, so every Q row ties to the bit between
+    # action pairs; every sweep must multiply by the bytes of the
+    # reference's q.max(axis=1), and end on its Q
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        t, r = random_mdp(rng)
+        model = dense_model(np.concatenate((t, t[::-1])), np.hstack((r, r[:, ::-1])), discount=0.9)
+        (recorded, seen), (reference, want_seen) = recording(model), recording(model)
+        q = value_iteration(recorded)
+        want, _ = column_sweeps(reference)
+        assert seen == want_seen
+        assert q.tobytes() == want.tobytes()
+
+
+def test_sweep_max_matches_column_max_on_signed_zero_ties():
+    # states 0 and 3 pay -0.0 and +0.0 in actions 0 and 1, which both lead
+    # to state 1; state 1 pays the smallest negative subnormal forever, so
+    # its discounted value underflows to -0.0 and those two actions' Q ties
+    # as -0.0 and +0.0, in either order. Action 2 leads to state 2, whose
+    # unit reward takes some sweeps to converge
+    tiny = -np.nextafter(0.0, 1.0)
+    t = np.zeros((3, 4, 4))
+    t[:2, [0, 3], 1] = 1.0
+    t[2, [0, 3], 2] = 1.0
+    t[:, 1, 1] = t[:, 2, 2] = 1.0
+    r = np.array([[-0.0, 0.0, -1000.0], [tiny, tiny, tiny], [1.0, 1.0, 1.0], [0.0, -0.0, -1000.0]])
+    model = dense_model(t, r, discount=0.25)
+    (recorded, seen), (reference, want_seen) = recording(model), recording(model)
+    q = value_iteration(recorded)
+    want, sweeps = column_sweeps(reference)
+    assert sweeps > 2
+    assert np.signbit(q[[0, 3], :2]).tolist() == [[True, False], [False, True]]
+    # numpy's maximum keeps the later of two equal operands, so the
+    # reference's v reads +0.0 for state 0 and -0.0 for state 3
+    assert np.signbit(np.frombuffer(want_seen[-1])[[0, 3]]).tolist() == [False, True]
+    assert seen == want_seen
+    assert q.tobytes() == want.tobytes()
+
+
+def test_solves_share_no_state(model_config):
+    # a solve carries nothing into the next: the shipped config solves to
+    # its pinned Q before and after the default config, and the Q a solve
+    # returned is not rewritten by the later ones
+    first = value_iteration(build_crosswalk_model(model_config))
+    kept = first.copy()
+    value_iteration(build_crosswalk_model(ModelConfig()))
+    again = value_iteration(build_crosswalk_model(model_config))
+    for q in (first, again):
+        assert hashlib.sha256(q.tobytes()).hexdigest() == Q_DIGESTS["shipped"]
+    assert first.tobytes() == kept.tobytes()
+
+
+def test_layer_policy_iteration_carries_its_system():
+    # the returned system is the settled policy's evaluation matrix, bit
+    # for bit, and a warm start with it is a warm start from the policy alone
+    rng = np.random.default_rng(12)
+    switched = 0  # calls whose policy changed, so the system was rebuilt
+    for _ in range(20):
+        n_states, n_actions = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        stay = rng.dirichlet(np.ones(n_states + 1), size=(n_actions, n_states))[:, :, :-1] * 0.99
+        rewards = rng.uniform(-1.0, 1.0, size=(n_actions, n_states))
+        _, policy, system, steps = qmdp._policy_iteration(rewards, stay, rng.integers(n_actions, size=n_states))
+        switched += steps > 1
+        want = np.eye(n_states) - stay[policy, np.arange(n_states)]
+        assert system.tobytes() == want.tobytes()
+        # the next layer's rewards, as the backward pass hands them on
+        rewards += rng.uniform(-0.1, 0.1, size=rewards.shape)
+        carried = qmdp._policy_iteration(rewards, stay, policy, system)
+        alone = qmdp._policy_iteration(rewards, stay, policy)
+        assert carried[0].tobytes() == alone[0].tobytes()
+        assert np.array_equal(carried[1], alone[1]) and carried[3] == alone[3]
+        assert carried[2].tobytes() == alone[2].tobytes()
+    assert switched > 0
 
 
 # --- alpha extraction -----------------------------------------------------------
