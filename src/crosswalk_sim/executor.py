@@ -2,9 +2,13 @@
 
 A QMDP step acts on the current belief, then folds the observation that
 arrives during the following control interval into the posterior. Both
-work on any tabular model: harness's QMDP policy runs them on the
-two-state model of the crossing flag, since the car knows its own speed
-and distance bins. The policies that use both live in harness.
+take the arrays they read: a belief over n states, the step's
+row-stochastic (n, n) transition matrix and the observation's likelihood
+in each state, and pomdp_step the alpha rows it picks from. harness's
+QMDP policy runs them on the crossing flag alone, with the crossing chain,
+which no action changes, and the two detection rates, since the car knows
+its own speed and distance bins. The policies that use both live in
+harness.
 """
 
 from __future__ import annotations
@@ -14,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pomdp import PomdpModel
-from .qmdp import BELIEF_TOL, AlphaVectorPolicy, best_action
-
+BELIEF_TOL = 1e-9  # how far a belief's sum may stray from one
 STOP_MARGIN = 5.0  # m short of the crosswalk line where a yielding stop ends
 STOP_DECEL = 2.0  # m/s^2 of the constant-deceleration stopping ramp
 
@@ -34,45 +36,37 @@ class SensorReading:
     detected: bool
 
 
-def init_belief(model: PomdpModel) -> np.ndarray:
-    """Uniform belief over the model's state space."""
-    n = model.num_states
-    return np.full(n, 1.0 / n)
+def belief_update(belief: np.ndarray, transition, likelihood: np.ndarray) -> np.ndarray:
+    """Discrete Bayes step: push the belief through transition, a
+    row-stochastic (n, n) matrix, weight by the observation's likelihood
+    in each state, renormalize.
 
-
-def belief_update(belief: np.ndarray, action: int, obs: int, model: PomdpModel) -> np.ndarray:
-    """Discrete Bayes step: push the belief through the transition model,
-    weight by the observation likelihood, renormalize.
-
-    Raises ZeroBeliefError when the posterior mass vanishes.
+    Raises ValueError unless the belief is a distribution over the n
+    states (NaN entries fail), and ZeroBeliefError when the posterior mass
+    vanishes or is NaN.
     """
     b = np.asarray(belief, dtype=float)
-    if b.shape != (model.num_states,):
-        raise ValueError("belief length does not match the model")
-    if np.any(b < 0) or abs(float(b.sum()) - 1.0) > BELIEF_TOL:
+    if b.shape != (transition.shape[0],) or np.shape(likelihood) != b.shape:
+        raise ValueError("belief or likelihood length does not match the transition matrix")
+    if not np.all(b >= 0) or not abs(float(b.sum()) - 1.0) <= BELIEF_TOL:
         raise ValueError("belief is not a normalized distribution")
-    if not 0 <= obs < model.num_obs:
-        raise ValueError("observation index out of range")
-    predicted = model.transitions[action].T @ b
-    weighted = predicted * model.observation[:, obs]
+    predicted = transition.T @ b
+    weighted = predicted * likelihood
     mass = float(weighted.sum())
-    if mass <= 0.0:
+    if not mass > 0.0:
         raise ZeroBeliefError("observation has zero likelihood under the predicted belief")
     return weighted / mass
 
 
 def pomdp_step(
-    belief: np.ndarray,
-    policy: AlphaVectorPolicy,
-    reading: SensorReading,
-    model: PomdpModel,
-) -> tuple[float, np.ndarray]:
-    """One decision: pick the greedy action for the current belief, then
-    absorb the sensor reading's detection flag, the model's observation,
-    into the posterior. Returns (scale, belief)."""
-    action = best_action(policy, belief)
-    posterior = belief_update(belief, action, int(reading.detected), model)
-    return policy.scales[action], posterior
+    belief: np.ndarray, rows: np.ndarray, transition, likelihood: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """One decision: the greedy action on the current belief, the argmax
+    of rows @ belief over the (num_actions, n) alpha rows with ties to the
+    lowest index, then the observation absorbed by belief_update, whose
+    checks reject a bad belief. Returns (action, posterior)."""
+    action = int(np.argmax(rows @ belief))
+    return action, belief_update(belief, transition, likelihood)
 
 
 def stopping_scale(speed_limit_dist: float, v_desired: float) -> float:

@@ -6,9 +6,10 @@ hold in between), while the tracking controllers run every step. Traces
 carry one row per control step plus run metadata and a termination reason.
 Each policy is built once per run; decide(state, reading) returns the
 speed scale. Its p_crossing goes into the trace (NaN for the oracle and
-the baseline, which keep no belief) and its resets, 0 for all three, into
-the metadata. The QMDP policy reads its speed and distance bins from the
-car's state, and its belief covers the crossing flag alone.
+the baseline, which keep no belief). No policy resets its belief, so the
+metadata's belief_resets is 0. The QMDP policy reads its speed and
+distance bins from the car's state, and its belief covers the crossing
+flag alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import world
 from .control import PATH_END_MARGIN, path_to_crosswalk, speed_control, steer_control
 from .dynamics import VehicleState, step_dynamics
-from .executor import STOP_MARGIN, SensorReading, init_belief, pomdp_step, stopping_scale
+from .executor import STOP_MARGIN, SensorReading, pomdp_step, stopping_scale
 
 # perfbench/tracer.py patches export_trace and export_plot_data as harness
 # names, and perfbench/workloads.py calls them, load_scenario and
@@ -41,7 +42,6 @@ from .pomdp import (
     ACTION_SCALES,
     CELL_LENGTH,
     EPOCH,
-    NUM_CROSSING,
     NUM_D,
     NUM_V,
     SPEED_UNIT,
@@ -69,7 +69,6 @@ class OraclePolicy:
     then a ramp to a stop STOP_MARGIN short of the crosswalk line."""
 
     p_crossing = math.nan
-    resets = 0
 
     def __init__(self, scene: Scene, crosswalk_s: float, v_desired: float):
         self.crossing = scene.pedestrian.present
@@ -90,7 +89,6 @@ class BaselinePolicy:
     LEVELS = 9
     COUNT_STEP = 180
     p_crossing = math.nan
-    resets = 0
 
     def __init__(self, v_desired: float, crosswalk_s: float):
         self.v_desired = v_desired
@@ -116,29 +114,28 @@ class BaselinePolicy:
 
 class QmdpPolicy:
     """QMDP under mixed observability: the car knows its bins (v, d), so the
-    belief covers the crossing flag c alone, filtered on the crossing chain at
-    the solved model's detection rates. It acts on the Q rows of (v, d, 0) and (v, d, 1)."""
-
-    resets = 0
+    belief covers the crossing flag c alone, started at 0.5 and filtered on
+    the crossing chain at the solved model's detection rates. It acts on the
+    Q rows of (v, d, 0) and (v, d, 1)."""
 
     def __init__(self, model: PomdpModel, alphas: AlphaVectorPolicy):
         self.alphas = alphas
-        n = len(alphas.scales)
-        observation = model.observation[[0, NUM_D * NUM_V]]
-        self.crossing = PomdpModel((_crossing_chain(),) * n, np.zeros((NUM_CROSSING, n)), model.discount, observation)
-        self.belief = init_belief(self.crossing)
+        self.chain = _crossing_chain()
+        self.observation = model.observation[[0, NUM_D * NUM_V]]  # (c, detected)
+        self.belief = np.full(2, 0.5)
         self.p_crossing = math.nan
 
     def decide(self, state: VehicleState, reading: SensorReading) -> float:
         v = min(max(round(state.ux / SPEED_UNIT), 0), NUM_V - 1)
         d = min(max(math.floor(state.s / CELL_LENGTH), 0), TERMINAL_D)
         i0 = d * NUM_V + v
-        rows = AlphaVectorPolicy(self.alphas.alphas[:, [i0, NUM_D * NUM_V + i0]], self.alphas.scales)
+        rows = self.alphas.alphas[:, [i0, NUM_D * NUM_V + i0]]
         prior = self.belief
-        scale, self.belief = pomdp_step(prior, rows, reading, self.crossing)
+        action, self.belief = pomdp_step(prior, rows, self.chain, self.observation[:, int(reading.detected)])
+        scale = self.alphas.scales[action]
         self.p_crossing = float(self.belief[1])
         if log.isEnabledFor(logging.DEBUG):
-            runner_up, top = np.sort(rows.alphas @ prior)[-2:]
+            runner_up, top = np.sort(rows @ prior)[-2:]
             log.debug(
                 "decision at s=%.2f m, (v, d)=(%d, %d): p_crossing %.4f -> %.4f, scale %.1f, Q margin %.4g",
                 state.s, v, d, prior[1], self.p_crossing, scale, top - runner_up,
@@ -236,7 +233,7 @@ def run_scenario(
         "decision_period": EPOCH,
         "crosswalk_s": crosswalk_s,
         "path_length": path.length,
-        "belief_resets": policy.resets,
+        "belief_resets": 0,
     }
     return Trace(columns=columns, metadata=metadata, termination=termination)
 

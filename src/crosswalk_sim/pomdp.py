@@ -37,7 +37,6 @@ NUM_D = 121
 NUM_CROSSING = 2
 NUM_STATES = NUM_V * NUM_D * NUM_CROSSING  # 2662
 NUM_ACTIONS = 11
-NUM_OBS = 2  # detected or not
 TERMINAL_D = NUM_D - 1
 EPOCH = 0.5  # s between decisions
 
@@ -100,10 +99,6 @@ class PomdpModel:
     @property
     def num_actions(self) -> int:
         return self.rewards.shape[1]
-
-    @property
-    def num_obs(self) -> int:
-        return 0 if self.observation is None else self.observation.shape[1]
 
 
 def _crossing_chain() -> np.ndarray:

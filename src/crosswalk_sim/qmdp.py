@@ -1,7 +1,7 @@
 """QMDP solver: value iteration on the underlying MDP, started from an
 exact backward pass over the distance layers where the model has them,
-plus alpha-vector action selection over beliefs. A policy lives only in
-memory: each pomdp run solves its own, in about 8 ms."""
+plus the alpha-vector set that executor.pomdp_step acts on. A policy lives
+only in memory: each pomdp run solves its own, in about 8 ms."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .pomdp import NUM_CROSSING, NUM_D, NUM_V, TERMINAL_D, PomdpModel
 
 log = logging.getLogger(__name__)
 
-BELIEF_TOL = 1e-9
 LAYER_POLICY_STEPS = 100  # policy-iteration steps a layer may take to settle
 
 
@@ -175,19 +174,3 @@ def extract_alphas(q: np.ndarray, scales) -> AlphaVectorPolicy:
     """Turn a Q table into the QMDP alpha-vector set (one per action)."""
     q = np.asarray(q, dtype=float)
     return AlphaVectorPolicy(alphas=q.T.copy(), scales=tuple(float(s) for s in scales))
-
-
-def best_action(policy: AlphaVectorPolicy, belief: np.ndarray) -> int:
-    """Greedy action index for a belief; ties break to the lowest index.
-
-    The belief must be a proper distribution over the policy's state
-    space (entries nonnegative, summing to one within 1e-9).
-    """
-    b = np.asarray(belief, dtype=float)
-    if b.shape != (policy.alphas.shape[1],):
-        raise ValueError("belief length does not match the state space")
-    if np.any(b < 0) or abs(float(b.sum()) - 1.0) > BELIEF_TOL:
-        raise ValueError("belief is not a normalized distribution")
-    scores = policy.alphas @ b
-    return int(np.argmax(scores))
-

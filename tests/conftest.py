@@ -59,13 +59,12 @@ def load_trace(source) -> Trace:
     return Trace(columns=columns, metadata=metadata, termination=termination)
 
 
-def dense_model(transitions, rewards, discount, observation=None) -> PomdpModel:
+def dense_model(transitions, rewards, discount) -> PomdpModel:
     """A PomdpModel from a dense (A, S, S) transition array."""
     return PomdpModel(
         transitions=tuple(sparse.csr_matrix(np.asarray(t, dtype=float)) for t in transitions),
         rewards=np.asarray(rewards, dtype=float),
         discount=float(discount),
-        observation=None if observation is None else np.asarray(observation, dtype=float),
     )
 
 

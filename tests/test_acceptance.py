@@ -15,7 +15,7 @@ import numpy as np
 
 from crosswalk_sim.control import build_avoidance_path
 from crosswalk_sim.dynamics import VehicleState, step_dynamics
-from crosswalk_sim.executor import belief_update, init_belief
+from crosswalk_sim.executor import belief_update
 from crosswalk_sim.files import TRACE_FIELDS, ScenarioConfig
 from crosswalk_sim.harness import run_scenario
 from crosswalk_sim.pomdp import build_crosswalk_model
@@ -82,9 +82,6 @@ def test_criterion_2_filter_equivalence():
             n_o = int(rng.integers(2, 5))
             t = rng.dirichlet(np.ones(n_s), size=(n_a, n_s))
             o = rng.dirichlet(np.ones(n_o), size=n_s)
-            model = dense_model(
-                t, np.zeros((n_s, n_a)), discount=0.9, observation=o
-            )
             belief = rng.dirichlet(np.ones(n_s))
             belief /= belief.sum()
             for _ in range(20):
@@ -92,7 +89,7 @@ def test_criterion_2_filter_equivalence():
                 predicted = t[action].T @ belief
                 obs_probs = predicted @ o
                 obs = int(rng.choice(n_o, p=obs_probs / obs_probs.sum()))
-                got = belief_update(belief, action, obs, model)
+                got = belief_update(belief, t[action], o[:, obs])
                 # exhaustive enumeration with plain loops
                 pred = [0.0] * n_s
                 for s in range(n_s):
@@ -219,14 +216,16 @@ def test_criterion_10_invariant_suite(crosswalk_model, exposed_scene):
             assert float(np.max(np.abs(sums - 1.0))) <= 1e-12
 
         # belief normalization over 1000 random feasible updates
-        belief = init_belief(crosswalk_model)
+        t, o = crosswalk_model.transitions, crosswalk_model.observation
+        n = crosswalk_model.num_states
+        belief = np.full(n, 1 / n)
         for _ in range(1000):
             action = int(rng.integers(crosswalk_model.num_actions))
-            obs = int(rng.integers(crosswalk_model.num_obs))
-            belief = belief_update(belief, action, obs, crosswalk_model)
+            obs = int(rng.integers(o.shape[1]))
+            belief = belief_update(belief, t[action], o[:, obs])
             assert abs(float(belief.sum()) - 1.0) <= 1e-9
             if float(belief.max()) > 0.999999:
-                belief = init_belief(crosswalk_model)
+                belief = np.full(n, 1 / n)
 
         # tire saturation on 2000 random operating points
         for _ in range(2000):

@@ -3,7 +3,6 @@ three policies' decide rules."""
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 
@@ -16,11 +15,10 @@ from crosswalk_sim.executor import (
     SensorReading,
     ZeroBeliefError,
     belief_update,
-    init_belief,
     pomdp_step,
     stopping_scale,
 )
-from crosswalk_sim import harness
+from crosswalk_sim import executor, harness
 from crosswalk_sim.harness import CONTROL_DT, BaselinePolicy, OraclePolicy, QmdpPolicy
 from crosswalk_sim.pomdp import (
     ACTION_SCALES,
@@ -31,16 +29,15 @@ from crosswalk_sim.pomdp import (
     DETECT_GIVEN_CROSSING,
     EPOCH,
     NUM_ACTIONS,
-    NUM_CROSSING,
     NUM_STATES,
     NUM_V,
     SPEED_UNIT,
     TERMINAL_D,
+    _crossing_chain,
 )
-from crosswalk_sim.qmdp import best_action
 from crosswalk_sim.world import Scene
 
-from conftest import dense_model, state_index
+from conftest import state_index
 
 
 def exhaustive_bayes(belief, action, obs, t_dense, o_dense):
@@ -56,26 +53,19 @@ def exhaustive_bayes(belief, action, obs, t_dense, o_dense):
 
 
 def random_pomdp(rng, max_states=8, max_actions=3, max_obs=4):
+    """Dense transitions t (A, S, S) and observation likelihoods o (S, O)."""
     n_s = int(rng.integers(2, max_states + 1))
     n_a = int(rng.integers(1, max_actions + 1))
     n_o = int(rng.integers(2, max_obs + 1))
     t = rng.dirichlet(np.ones(n_s), size=(n_a, n_s))
     o = rng.dirichlet(np.ones(n_o), size=n_s)
-    r = rng.uniform(-1, 1, size=(n_s, n_a))
-    model = dense_model(t, r, discount=0.9, observation=o)
-    return model, t, o
+    return t, o
 
 
-# --- initial belief ------------------------------------------------------------
-
-
-def test_init_belief_uniform(crosswalk_model):
-    b = init_belief(crosswalk_model)
-    assert b.shape == (NUM_STATES,)
-    assert np.all(b == 1.0 / NUM_STATES)
-    assert abs(float(b.sum()) - 1.0) <= 1e-12
-    entropy = -float(np.sum(b * np.log(b)))
-    assert entropy == pytest.approx(math.log(NUM_STATES), abs=1e-9)
+def crossing_filter(crosswalk_model):
+    """The two-state filter a pomdp run uses: the crossing chain and the
+    detection likelihoods of c = 0 and c = 1, as (c, detected)."""
+    return _crossing_chain(), crosswalk_model.observation[[0, state_index(0, 0, 1)]]
 
 
 # --- belief updates ------------------------------------------------------------
@@ -84,10 +74,7 @@ def test_init_belief_uniform(crosswalk_model):
 def test_two_state_bayes_by_hand():
     # Identity dynamics, likelihoods 0.8 / 0.2, uniform prior: the posterior
     # is (0.8, 0.2) by direct normalization.
-    t = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-    o = np.array([[0.8, 0.2], [0.2, 0.8]])
-    model = dense_model(t, np.zeros((2, 1)), 0.9, observation=o)
-    posterior = belief_update(np.array([0.5, 0.5]), 0, 0, model)
+    posterior = belief_update(np.array([0.5, 0.5]), np.eye(2), np.array([0.8, 0.2]))
     assert np.allclose(posterior, [0.8, 0.2], atol=1e-15)
 
 
@@ -95,8 +82,8 @@ def test_terminal_point_mass_is_fixed(crosswalk_model):
     s = state_index(0, TERMINAL_D, 0)
     b = np.zeros(NUM_STATES)
     b[s] = 1.0
-    for obs in range(crosswalk_model.num_obs):
-        posterior = belief_update(b, 4, obs, crosswalk_model)
+    for likelihood in crosswalk_model.observation.T:
+        posterior = belief_update(b, crosswalk_model.transitions[4], likelihood)
         assert posterior[s] == 1.0
         assert float(posterior.sum()) == pytest.approx(1.0, abs=1e-12)
 
@@ -104,16 +91,16 @@ def test_terminal_point_mass_is_fixed(crosswalk_model):
 def test_random_pomdps_match_exhaustive_bayes():
     rng = np.random.default_rng(77)
     for _ in range(50):
-        model, t, o = random_pomdp(rng)
-        belief = rng.dirichlet(np.ones(model.num_states))
+        t, o = random_pomdp(rng)
+        belief = rng.dirichlet(np.ones(len(o)))
         belief /= belief.sum()
         for _ in range(20):
-            action = int(rng.integers(model.num_actions))
+            action = int(rng.integers(len(t)))
             # sample an observation that has support under the prediction
             predicted = t[action].T @ belief
             obs_probs = predicted @ o
-            obs = int(rng.choice(model.num_obs, p=obs_probs / obs_probs.sum()))
-            got = belief_update(belief, action, obs, model)
+            obs = int(rng.choice(o.shape[1], p=obs_probs / obs_probs.sum()))
+            got = belief_update(belief, t[action], o[:, obs])
             want = exhaustive_bayes(belief, action, obs, t, o)
             assert float(np.abs(got - want).sum()) <= 1e-12
             belief = got
@@ -121,30 +108,47 @@ def test_random_pomdps_match_exhaustive_bayes():
 
 
 def test_impossible_observation_raises():
-    t = np.array([[[1.0, 0.0], [0.0, 1.0]]])
     o = np.array([[1.0, 0.0], [1.0, 0.0]])  # obs 1 can never be seen
-    model = dense_model(t, np.zeros((2, 1)), 0.9, observation=o)
     with pytest.raises(ZeroBeliefError):
-        belief_update(np.array([0.5, 0.5]), 0, 1, model)
+        belief_update(np.array([0.5, 0.5]), np.eye(2), o[:, 1])
 
 
 def test_belief_update_validation(crosswalk_model):
-    good = init_belief(crosswalk_model)
-    with pytest.raises(ValueError):
-        belief_update(good[:-1], 0, 0, crosswalk_model)
-    with pytest.raises(ValueError):
-        belief_update(good * 2.0, 0, 0, crosswalk_model)
-    with pytest.raises(ValueError):
-        belief_update(good, 0, crosswalk_model.num_obs, crosswalk_model)
+    chain, observation = crossing_filter(crosswalk_model)
+    good, likelihood = np.array([0.5, 0.5]), observation[:, 0]
+    for belief in (good[:-1], np.full(3, 1 / 3), good * 2.0, np.array([1.2, -0.2])):
+        with pytest.raises(ValueError):
+            belief_update(belief, chain, likelihood)
+    # a likelihood over another state space, such as the full model's
+    for other in (likelihood[:1], crosswalk_model.observation[:, 0]):
+        with pytest.raises(ValueError):
+            belief_update(good, chain, other)
+
+
+def test_nan_belief_is_rejected(crosswalk_model):
+    # NaN compares false both ways, so each check must fail on it rather
+    # than pass: the belief is neither nonnegative nor summing to one
+    chain, observation = crossing_filter(crosswalk_model)
+    for belief in ([math.nan, 0.5], [math.nan, 1.0], [0.0, math.nan], [math.nan, math.nan]):
+        with pytest.raises(ValueError, match="normalized"):
+            belief_update(np.array(belief), chain, observation[:, 0])
+
+
+def test_nan_likelihood_leaves_no_posterior(crosswalk_model):
+    # a NaN likelihood makes the posterior mass NaN, which counts as none
+    chain, _ = crossing_filter(crosswalk_model)
+    for likelihood in ([math.nan, 0.8], [0.5, math.nan], [math.nan, math.nan]):
+        with pytest.raises(ZeroBeliefError):
+            belief_update(np.array([0.5, 0.5]), chain, np.array(likelihood))
 
 
 def test_repeated_detections_raise_crossing_probability(crosswalk_model):
-    belief = init_belief(crosswalk_model)
-    half = NUM_STATES // 2
-    p_prev = float(belief[half:].sum())
+    chain, observation = crossing_filter(crosswalk_model)
+    belief = np.array([0.5, 0.5])
+    p_prev = float(belief[1])
     for _ in range(20):
-        belief = belief_update(belief, 0, 1, crosswalk_model)
-        p_now = float(belief[half:].sum())
+        belief = belief_update(belief, chain, observation[:, 1])
+        p_now = float(belief[1])
         if p_prev < 0.999:
             assert p_now > p_prev
         p_prev = p_now
@@ -156,26 +160,25 @@ def test_count_bin_changes_no_belief_or_decision(crosswalk_model, policy):
     # det * 10 + bin, each bin with likelihood 1/10 in every state. That
     # factor cancels in the Bayes step, so filtering on the detection flag
     # alone gives the same beliefs, up to rounding, and the same actions.
-    # Ten runs of 30 decisions with random actions, flags and bins, each
-    # from the uniform belief. Near the terminal states every action is
-    # worth about the same, and where the best two tie to within 1e-12
-    # the rounding picks the action, so those steps are not compared.
+    # Ten runs of 30 steps through random actions' transitions, flags and
+    # bins, each from the uniform belief. Near the terminal states every
+    # action is worth about the same, and where the best two tie to within
+    # 1e-12 the rounding picks the action, so those steps are not compared.
     NUM_COUNT_BINS = 10
     twenty = np.repeat(crosswalk_model.observation / NUM_COUNT_BINS, NUM_COUNT_BINS, axis=1)
-    reference = dataclasses.replace(crosswalk_model, observation=twenty)
     rng = np.random.default_rng(0)
     compared = 0
     for _ in range(10):
-        belief = want = init_belief(crosswalk_model)
+        belief = want = np.full(NUM_STATES, 1.0 / NUM_STATES)
         for _ in range(30):
-            action = int(rng.integers(NUM_ACTIONS))
+            transition = crosswalk_model.transitions[int(rng.integers(NUM_ACTIONS))]
             detected, count_bin = int(rng.integers(2)), int(rng.integers(NUM_COUNT_BINS))
-            belief = belief_update(belief, action, detected, crosswalk_model)
-            want = belief_update(want, action, detected * NUM_COUNT_BINS + count_bin, reference)
-            np.testing.assert_allclose(belief, want, rtol=1e-14, atol=0)
             runner_up, top = np.sort(policy.alphas @ want)[-2:]
+            got, belief = pomdp_step(belief, policy.alphas, transition, crosswalk_model.observation[:, detected])
+            action, want = pomdp_step(want, policy.alphas, transition, twenty[:, detected * NUM_COUNT_BINS + count_bin])
+            np.testing.assert_allclose(belief, want, rtol=1e-14, atol=0)
             if top - runner_up > 1e-12 * abs(top):
-                assert best_action(policy, belief) == best_action(policy, want)
+                assert got == action
                 compared += 1
     assert compared > 250
 
@@ -184,31 +187,38 @@ def test_count_bin_changes_no_belief_or_decision(crosswalk_model, policy):
 
 
 def test_pomdp_step_acts_before_update(crosswalk_model, policy):
-    belief = init_belief(crosswalk_model)
-    expected_scale = policy.scales[best_action(policy, belief)]
-    scale, posterior = pomdp_step(
-        belief, policy, SensorReading(0, False), crosswalk_model
-    )
-    assert scale == expected_scale
-    assert posterior.shape == belief.shape
-    assert not np.array_equal(posterior, belief)
+    # at some bins a detection flips the greedy action; the step takes the
+    # one of the belief it was given, then returns the update's posterior
+    chain, observation = crossing_filter(crosswalk_model)
+    prior, detected = np.array([0.5, 0.5]), observation[:, 1]
+    flipped = 0
+    for v in range(NUM_V):
+        for d in range(TERMINAL_D):
+            rows = q_rows(policy, v, d)
+            action, posterior = pomdp_step(prior, rows, chain, detected)
+            assert action == int(np.argmax(rows @ prior))
+            assert np.array_equal(posterior, belief_update(prior, chain, detected))
+            flipped += action != int(np.argmax(rows @ posterior))
+    assert flipped > 0
 
 
 def test_pomdp_step_scale_on_ladder(crosswalk_model, policy):
-    belief = init_belief(crosswalk_model)
+    # the action indexes the scale ladder, at random bins and flags
+    chain, observation = crossing_filter(crosswalk_model)
+    belief = np.array([0.5, 0.5])
     rng = np.random.default_rng(4)
     for _ in range(10):
-        reading = SensorReading(int(rng.integers(0, 2000)), bool(rng.integers(2)))
-        scale, belief = pomdp_step(belief, policy, reading, crosswalk_model)
-        assert scale in ACTION_SCALES
+        rows = q_rows(policy, int(rng.integers(NUM_V)), int(rng.integers(TERMINAL_D)))
+        action, belief = pomdp_step(belief, rows, chain, observation[:, int(rng.integers(2))])
+        assert type(action) is int and policy.scales[action] in ACTION_SCALES
+        assert abs(float(belief.sum()) - 1.0) <= 1e-12
 
 
 def test_known_crossing_ahead_commands_stop(crosswalk_model, policy):
     # Certain active crossing a few meters ahead: the solved policy holds.
-    b = np.zeros(NUM_STATES)
-    b[state_index(3, 40, 1)] = 1.0
-    scale, _ = pomdp_step(b, policy, SensorReading(900, True), crosswalk_model)
-    assert scale == 0.0
+    chain, observation = crossing_filter(crosswalk_model)
+    action, _ = pomdp_step(np.array([0.0, 1.0]), q_rows(policy, 3, 40), chain, observation[:, 1])
+    assert ACTION_SCALES[action] == 0.0
 
 
 # --- QmdpPolicy: (v, d) from the car, a belief over c alone -------------------------
@@ -219,9 +229,9 @@ def qmdp_decide(monkeypatch, crosswalk_model, policy, state, belief=None, detect
     c when one is given, and the alpha columns it hands pomdp_step."""
     handed = []
 
-    def spy(prior, rows, reading, model):
-        handed.append(rows.alphas)
-        return pomdp_step(prior, rows, reading, model)
+    def spy(prior, rows, transition, likelihood):
+        handed.append(rows)
+        return pomdp_step(prior, rows, transition, likelihood)
 
     monkeypatch.setattr(harness, "pomdp_step", spy)
     qmdp = QmdpPolicy(crosswalk_model, policy)
@@ -266,15 +276,38 @@ def test_qmdp_policy_holds_for_a_known_crossing_ahead(monkeypatch, crosswalk_mod
 
 
 def test_qmdp_policy_filters_the_crossing_flag_alone(crosswalk_model, policy):
-    # the belief is over c, started at 0.5, and keeps no resets
+    # the belief is over c, started at 0.5, on the crossing chain and the
+    # model's own detection rates
     qmdp = QmdpPolicy(crosswalk_model, policy)
     assert np.array_equal(qmdp.belief, [0.5, 0.5])
-    assert qmdp.crossing.num_states == NUM_CROSSING
-    assert np.array_equal(qmdp.crossing.observation, crosswalk_model.observation[[0, state_index(0, 0, 1)]])
+    assert np.array_equal(
+        qmdp.chain, [[1.0 - CROSSING_ONSET, CROSSING_ONSET], [1.0 - CROSSING_PERSIST, CROSSING_PERSIST]]
+    )
+    assert np.array_equal(qmdp.observation, crosswalk_model.observation[[0, state_index(0, 0, 1)]])
     qmdp.decide(VehicleState(), SensorReading(0, False))
     # predicted 0.5, then 0.2 * 0.5 / (0.2 * 0.5 + 0.5 * 0.5)
     assert qmdp.p_crossing == pytest.approx(2.0 / 7.0, rel=1e-15)
-    assert qmdp.resets == 0
+
+
+def test_qmdp_decision_reaches_the_traced_bindings(monkeypatch, crosswalk_model, policy):
+    # perfbench/tracer.py counts decisions at harness.pomdp_step and
+    # filter steps at executor.belief_update, which pomdp_step must call
+    # through its module global: one decision reaches each once
+    calls = dict.fromkeys(("pomdp_step", "belief_update"), 0)
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(harness, "pomdp_step")
+    count(executor, "belief_update")
+    QmdpPolicy(crosswalk_model, policy).decide(VehicleState(ux=3.0, s=20.2), SensorReading(0, True))
+    assert calls == {"pomdp_step": 1, "belief_update": 1}
 
 
 def test_qmdp_policy_logs_each_decision_only_at_debug(crosswalk_model, policy, caplog, monkeypatch):

@@ -22,7 +22,6 @@ from crosswalk_sim.pomdp import (
     NUM_ACTIONS,
     NUM_CROSSING,
     NUM_D,
-    NUM_OBS,
     NUM_STATES,
     NUM_V,
     P_ADAPT,
@@ -120,10 +119,8 @@ def row_as_dict(model, state, action):
 def test_space_sizes(crosswalk_model):
     assert NUM_STATES == 2662
     assert NUM_ACTIONS == 11
-    assert NUM_OBS == 2
     assert crosswalk_model.num_states == 2662
     assert crosswalk_model.num_actions == 11
-    assert crosswalk_model.num_obs == 2
     assert crosswalk_model.observation.shape == (2662, 2)
     assert ACTION_SCALES == tuple(k / 10 for k in range(11))
 
@@ -523,4 +520,4 @@ def test_from_dense_round_trip():
     idx, probs = row_entries(model, 0, 0)
     assert list(idx) == [0, 1] and list(probs) == [0.5, 0.5]
     assert model.rewards[2, 1] == 5.0
-    assert model.num_obs == 0
+    assert model.observation is None

@@ -1,4 +1,5 @@
-"""Value iteration against brute-force dynamic programming, alpha policies."""
+"""Value iteration against brute-force dynamic programming, alpha policies
+and the greedy action pomdp_step takes on them."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from crosswalk_sim import qmdp
+from crosswalk_sim.executor import pomdp_step
 from crosswalk_sim.pomdp import (
     NUM_D,
     NUM_V,
@@ -23,7 +25,6 @@ from crosswalk_sim.pomdp import (
 from crosswalk_sim.qmdp import (
     AlphaVectorPolicy,
     ValueIterationError,
-    best_action,
     extract_alphas,
     value_iteration,
 )
@@ -417,6 +418,13 @@ def test_alpha_shape_validation():
 # --- action selection ------------------------------------------------------------
 
 
+def greedy(policy, belief):
+    """The action pomdp_step takes on a belief, under identity dynamics and
+    a flat likelihood."""
+    n = len(belief)
+    return pomdp_step(belief, policy.alphas, np.eye(n), np.ones(n))[0]
+
+
 def test_point_mass_recovers_mdp_greedy():
     rng = np.random.default_rng(9)
     q = rng.normal(size=(8, 3))
@@ -424,14 +432,14 @@ def test_point_mass_recovers_mdp_greedy():
     for s in range(8):
         b = np.zeros(8)
         b[s] = 1.0
-        assert best_action(policy, b) == int(np.argmax(q[s]))
+        assert greedy(policy, b) == int(np.argmax(q[s]))
 
 
 def test_tie_breaks_to_lowest_action():
     policy = AlphaVectorPolicy(
         alphas=np.array([[0.0, 0.0], [1.0, -1.0]]), scales=(0.0, 1.0)
     )
-    assert best_action(policy, np.array([0.5, 0.5])) == 0
+    assert greedy(policy, np.array([0.5, 0.5])) == 0
 
 
 def test_best_action_matches_exhaustive_scan():
@@ -441,15 +449,17 @@ def test_best_action_matches_exhaustive_scan():
     for _ in range(200):
         b = rng.dirichlet(np.ones(12))
         scores = [float(np.dot(policy.alphas[a], b)) for a in range(6)]
-        assert best_action(policy, b) == int(np.argmax(scores))
+        assert greedy(policy, b) == int(np.argmax(scores))
 
 
 def test_belief_validation():
     policy = extract_alphas(np.zeros((3, 2)), (0.0, 1.0))
-    with pytest.raises(ValueError):
-        best_action(policy, np.array([0.5, 0.5]))  # wrong length
-    with pytest.raises(ValueError):
-        best_action(policy, np.array([0.7, 0.4, -0.1]))  # negative entry
-    with pytest.raises(ValueError):
-        best_action(policy, np.array([0.5, 0.3, 0.1]))  # sums to 0.9
+    for bad in (
+        [0.5, 0.5],  # wrong length
+        [0.7, 0.4, -0.1],  # negative entry
+        [0.5, 0.3, 0.1],  # sums to 0.9
+        [math.nan, 0.5, 0.5],  # NaN entry
+    ):
+        with pytest.raises(ValueError):
+            pomdp_step(np.array(bad), policy.alphas, np.eye(3), np.ones(3))
 
