@@ -10,6 +10,7 @@ from .dynamics import MAX_STEER, WHEELBASE, VehicleState
 from .path import SAMPLE_SPACING, Path, resample_by_arc
 from .world import LANE_WIDTH, ROAD_BOUNDS, Scene, crosswalk_path_distance
 
+CONTROL_DT = 0.01  # s per control step, at which the controllers and the run loop step
 AX_LIMIT = 3.0  # m/s^2, symmetric accel/brake authority
 SPEED_GAIN = 2.0  # 1/s, proportional gain of the speed tracker
 AVOID_MARGIN = 2.45  # m the avoidance path clears a blocking obstacle's left edge by

@@ -4,11 +4,11 @@ policy is never written; each pomdp run solves its own.
 
 Every config loader reads its file with `_read` and builds its dataclass
 with `_load`, whose keys are the dataclass fields at every level, so they
-share one error rule: an unknown or missing key, an unconvertible,
-non-finite or out-of-range value (a boolean is no number), a section
-that is not a mapping, an `obstacles` that is not a list or an empty file
-raises ConfigError naming the file and the key, and a missing file
-raises FileNotFoundError. A file that a scenario names but that cannot
+share one error rule: an unknown, missing or repeated key, an
+unconvertible, non-finite or out-of-range value (a boolean is no number),
+a section that is not a mapping, an `obstacles` that is not a list or an
+empty file raises ConfigError naming the file and the key, and a missing
+file raises FileNotFoundError. A file that a scenario names but that cannot
 be read, such as a directory, raises ConfigError naming the scenario and
 the key.
 Every CSV goes through `_write_csv`, which writes floats with %.17g so
@@ -26,7 +26,7 @@ from pathlib import Path as FsPath
 import numpy as np
 import yaml
 
-from .control import path_to_crosswalk
+from .control import CONTROL_DT, path_to_crosswalk
 from .pomdp import NUM_V, SPEED_UNIT, ModelConfig, derive_model_config
 from .world import ROAD_BOUNDS, Crosswalk, Pedestrian, RectObstacle, RoadFrame, Scene
 
@@ -57,7 +57,8 @@ TRACE_FIELDS = (
 @dataclass
 class ScenarioConfig:
     """Everything needed to reproduce one closed-loop run. v_desired and
-    duration must be finite and positive, and the scene must leave room
+    duration must be finite and positive, duration short enough that its
+    count of CONTROL_DT steps is finite, and the scene must leave room
     for the avoidance path and put the crosswalk line on it, short of
     where a run ends (InfeasiblePathError otherwise). A pomdp run's
     v_desired must be the model's top speed bin, which its speed bins
@@ -80,6 +81,8 @@ class ScenarioConfig:
             value = getattr(self, key)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"bad value for key {key!r}: {value!r} is not finite and positive")
+        if not math.isfinite(self.duration / CONTROL_DT):
+            raise ValueError(f"bad value for key 'duration': {self.duration!r} s overflows the count of control steps")
         if self.policy == "pomdp":
             top = (NUM_V - 1) * SPEED_UNIT
             if self.v_desired != top:
@@ -188,13 +191,34 @@ def _load(cls, data, source, where: str, keys=None, files=None, **given):
         raise ConfigError(f"{source}: {err}") from None
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that refuses a key given twice in one mapping, of
+    which SafeLoader keeps the last. A merge key (<<) is not checked, as
+    the keys it brings in may be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        pairs = list(node.value)  # before SafeLoader flattens merge keys into it
+        mapping = super().construct_mapping(node, deep)
+        seen = set()
+        for key_node, _ in pairs:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark, f"duplicate key {key!r}", key_node.start_mark
+                )
+            seen.add(key)
+        return mapping
+
+
 def _read(source, what: str):
     """The top-level section of a YAML config file. An empty file, or one
-    that is not UTF-8 text or not valid YAML, raises ConfigError naming
-    the file."""
+    that is not UTF-8 text or not valid YAML, or that gives a key twice in
+    one mapping, raises ConfigError naming the file."""
     with open(source, "r", encoding="utf-8") as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -21,7 +21,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import world
-from .control import PATH_END_MARGIN, path_to_crosswalk, speed_control, steer_control
+from .control import CONTROL_DT, PATH_END_MARGIN, path_to_crosswalk, speed_control, steer_control
 from .dynamics import VehicleState, step_dynamics
 from .executor import STOP_MARGIN, SensorReading, pomdp_step, stopping_scale
 
@@ -56,7 +56,6 @@ from .world import Scene
 
 log = logging.getLogger(__name__)
 
-CONTROL_DT = 0.01  # s per control step
 YIELD_GATE_DECEL = 1.5  # m/s^2 the baseline may need to engage its yield ramp
 STUCK_SPEED = 0.05  # m/s below which the vehicle counts as at rest
 STUCK_TIME = 3.0  # s at rest, with no stop expected, that ends a run as stuck
@@ -115,13 +114,14 @@ class BaselinePolicy:
 class QmdpPolicy:
     """QMDP under mixed observability: the car knows its bins (v, d), so the
     belief covers the crossing flag c alone, started at 0.5 and filtered on
-    the crossing chain at the solved model's detection rates. It acts on the
-    Q rows of (v, d, 0) and (v, d, 1)."""
+    the crossing chain. It acts on the Q rows of (v, d, 0) and (v, d, 1)
+    and weighs the detection flag by the solved model's likelihoods at the
+    same two states."""
 
     def __init__(self, model: PomdpModel, alphas: AlphaVectorPolicy):
         self.alphas = alphas
         self.chain = _crossing_chain()
-        self.observation = model.observation[[0, NUM_D * NUM_V]]  # (c, detected)
+        self.observation = model.observation  # (state, detected)
         self.belief = np.full(2, 0.5)
         self.p_crossing = math.nan
 
@@ -129,9 +129,10 @@ class QmdpPolicy:
         v = min(max(round(state.ux / SPEED_UNIT), 0), NUM_V - 1)
         d = min(max(math.floor(state.s / CELL_LENGTH), 0), TERMINAL_D)
         i0 = d * NUM_V + v
-        rows = self.alphas.alphas[:, [i0, NUM_D * NUM_V + i0]]
+        states = [i0, NUM_D * NUM_V + i0]
+        rows = self.alphas.alphas[:, states]
         prior = self.belief
-        action, self.belief = pomdp_step(prior, rows, self.chain, self.observation[:, int(reading.detected)])
+        action, self.belief = pomdp_step(prior, rows, self.chain, self.observation[states, int(reading.detected)])
         scale = self.alphas.scales[action]
         self.p_crossing = float(self.belief[1])
         if log.isEnabledFor(logging.DEBUG):

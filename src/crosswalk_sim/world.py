@@ -33,19 +33,15 @@ CELL_SIZE = 1 / CELLS_PER_M
 ROAD_BOUNDS = (-1.8, 5.4)
 LANE_WIDTH = 3.6
 
-# Cell-centre offsets from the ego position: along the road for each row,
-# across it for each column. Constant, so built once and never written.
-_ROW_OFFSETS = (np.arange(GRID_LENGTH) + 0.5) / CELLS_PER_M
-_COL_OFFSETS = (np.arange(GRID_WIDTH) - GRID_WIDTH / 2 + 0.5) / CELLS_PER_M
-# The two as the rows of one array, for a road-aligned obstacle's one pass
-# over both axes (_aligned). The columns' row is padded with NaN, which
-# fails every comparison and raises no floating-point error.
-_AXIS_OFFSETS = np.full((2, GRID_LENGTH), np.nan)
-_AXIS_OFFSETS[0] = _ROW_OFFSETS
-_AXIS_OFFSETS[1, :GRID_WIDTH] = _COL_OFFSETS
-_ROW_OFFSETS.flags.writeable = False
-_COL_OFFSETS.flags.writeable = False
+# Cell-centre offsets from the ego position: along the road for each of the
+# GRID_LENGTH rows, then across it for each of the GRID_WIDTH columns, as
+# one array for a road-aligned obstacle's one pass over both axes
+# (_aligned), and as its two halves. Constant, so built once and never
+# written.
+_AXIS_OFFSETS = np.concatenate((np.arange(GRID_LENGTH) + 0.5, np.arange(GRID_WIDTH) - GRID_WIDTH / 2 + 0.5))
+_AXIS_OFFSETS /= CELLS_PER_M
 _AXIS_OFFSETS.flags.writeable = False
+_ROW_OFFSETS, _COL_OFFSETS = np.split(_AXIS_OFFSETS, [GRID_LENGTH])
 
 
 @dataclass(frozen=True)
@@ -269,12 +265,12 @@ def _window(mask) -> slice:
 def _aligned(obstacle: RectObstacle, origin: tuple[float, float]):
     """(rows, cols, blocked, body) of a road-aligned (yaw 0) obstacle from
     one call of _slab on the cell-centre offsets, the rows' along the road
-    and the columns' across it as the two rows of _AXIS_OFFSETS, with the
-    ego position, obstacle centre and half-size broadcast down each.
+    then the columns' across it (_AXIS_OFFSETS), with the ego coordinate,
+    obstacle centre and half-size of each entry's axis repeated over it.
 
     Each entry is one axis of the slab test for that row's or column's
     sight lines from origin, and gives one axis of the inside test
-    |q1| <= h; each window is taken from one row of either test's mask
+    |q1| <= h; each window is taken from one half of either test's mask
     (_window). A cell can be blocked only if its row's and its column's
     intervals are both non-empty, since max(lo_x, lo_y) >= lo_x > hi_x >=
     min(hi_x, hi_y) otherwise, so blocked covers the window of rows and
@@ -285,14 +281,15 @@ def _aligned(obstacle: RectObstacle, origin: tuple[float, float]):
     the rows or along the columns, since rounding is monotone, so the rows
     with |q1| <= h form one run, and so do the columns."""
     half = (obstacle.size[0] / 2, obstacle.size[1] / 2)
-    ego, centre, h = np.array((origin, obstacle.center, half))[:, :, None].repeat(GRID_LENGTH, axis=2)
+    ego, centre, h = np.array((origin, obstacle.center, half)).repeat((GRID_LENGTH, GRID_WIDTH), axis=1)
     q1 = (ego + _AXIS_OFFSETS) - centre
     lo, hi = _slab(ego - centre, q1, h)
     live = lo <= hi
     inside = np.abs(q1) <= h
-    rows, cols = _window(live[0]), _window(live[1])
-    blocked = np.maximum(lo[1, cols, None], lo[0, rows]) <= np.minimum(hi[1, cols, None], hi[0, rows])
-    return rows, cols, blocked.T, (_window(inside[0]), _window(inside[1]))
+    n = GRID_LENGTH
+    rows, cols = _window(live[:n]), _window(live[n:])
+    blocked = np.maximum(lo[n:][cols, None], lo[:n][rows]) <= np.minimum(hi[n:][cols, None], hi[:n][rows])
+    return rows, cols, blocked.T, (_window(inside[:n]), _window(inside[n:]))
 
 
 def _rotated(obstacle: RectObstacle, origin: tuple[float, float]):

@@ -3,6 +3,7 @@ three policies' decide rules."""
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 
@@ -37,7 +38,7 @@ from crosswalk_sim.pomdp import (
 )
 from crosswalk_sim.world import Scene
 
-from conftest import state_index
+from conftest import state_index, state_tuple
 
 
 def exhaustive_bayes(belief, action, obs, t_dense, o_dense):
@@ -277,16 +278,31 @@ def test_qmdp_policy_holds_for_a_known_crossing_ahead(monkeypatch, crosswalk_mod
 
 def test_qmdp_policy_filters_the_crossing_flag_alone(crosswalk_model, policy):
     # the belief is over c, started at 0.5, on the crossing chain and the
-    # model's own detection rates
+    # model's own detection rates, read at each decision's states
     qmdp = QmdpPolicy(crosswalk_model, policy)
     assert np.array_equal(qmdp.belief, [0.5, 0.5])
     assert np.array_equal(
         qmdp.chain, [[1.0 - CROSSING_ONSET, CROSSING_ONSET], [1.0 - CROSSING_PERSIST, CROSSING_PERSIST]]
     )
-    assert np.array_equal(qmdp.observation, crosswalk_model.observation[[0, state_index(0, 0, 1)]])
+    assert qmdp.observation is crosswalk_model.observation
     qmdp.decide(VehicleState(), SensorReading(0, False))
     # predicted 0.5, then 0.2 * 0.5 / (0.2 * 0.5 + 0.5 * 0.5)
     assert qmdp.p_crossing == pytest.approx(2.0 / 7.0, rel=1e-15)
+
+
+def test_qmdp_policy_weighs_detection_at_the_cars_bins(crosswalk_model, policy):
+    # a model whose detection rate while clear grows with the distance bin
+    # d: a detection at (v, d) = (3, 40), 3 m/s at 20 m, is weighed by the
+    # likelihoods of (3, 40, 0) and (3, 40, 1), 0.3 and 0.9. From the
+    # predicted 0.5 that gives 0.9 * 0.5 / (0.9 * 0.5 + 0.3 * 0.5) = 0.75;
+    # the rates of bin (0, 0), 0.1 and 0.9, would give 0.9
+    _, d, c = np.array([state_tuple(i) for i in range(NUM_STATES)]).T
+    p_detect = np.where(c == 1, 0.9, 0.1 + d / 200)
+    model = dataclasses.replace(crosswalk_model, observation=np.stack((1.0 - p_detect, p_detect), axis=1))
+    qmdp = QmdpPolicy(model, policy)
+    qmdp.decide(VehicleState(ux=3.0, s=20.2), SensorReading(0, True))
+    assert CROSSING_ONSET + CROSSING_PERSIST == 1.0
+    assert qmdp.p_crossing == pytest.approx(0.75, rel=1e-12)
 
 
 def test_qmdp_decision_reaches_the_traced_bindings(monkeypatch, crosswalk_model, policy):

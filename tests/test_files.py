@@ -50,6 +50,41 @@ def test_yaml_syntax_error_is_one_line_with_its_place(tmp_path):
         load_scene(dest)
 
 
+# A key given twice in one mapping, of which yaml.safe_load would keep the
+# last: at the top of a scenario, inside a scene's obstacle and in the model
+# file. The message names the key and the place of its second copy.
+REPEATED_KEYS = [
+    ("scenario", "scene: {scene}\npolicy: oracle\npolicy: pomdp\n", "'policy' at line 3, column 1"),
+    (
+        "scene",
+        "obstacles:\n  - center: [20.0, 0.0]\n    size: [4.0, 2.0]\n    center: [30.0, 0.0]\n",
+        "'center' at line 4, column 5",
+    ),
+    ("model", "discount: 0.9\ndiscount: 0.95\n", "'discount' at line 2, column 1"),
+]
+
+
+@pytest.mark.parametrize("what, text, place", REPEATED_KEYS, ids=[w for w, _, _ in REPEATED_KEYS])
+def test_repeated_key_names_the_file_key_and_line(tmp_path, repo_root, what, text, place):
+    dest = tmp_path / f"{what}.yaml"
+    dest.write_text(text.format(scene=repo_root / "configs" / "scene_exposed.yaml"))
+    refused = re.escape(f"{dest}: not valid YAML: duplicate key {place}")
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        LOADERS[what](dest)
+
+
+def test_merge_key_may_override_what_it_brings_in(tmp_path):
+    # a YAML merge (<<) brings in an anchored mapping's keys, and the
+    # mapping's own keys override them: no key is given twice
+    dest = tmp_path / "scene.yaml"
+    dest.write_text(
+        "obstacles:\n  - &box\n    center: [20.0, 0.0]\n    size: [4.0, 2.0]\n  - <<: *box\n    center: [30.0, 0.0]\n"
+    )
+    first, second = load_scene(dest).obstacles
+    assert (first.center, second.center) == ((20.0, 0.0), (30.0, 0.0))
+    assert second.size == first.size == (4.0, 2.0)
+
+
 # A value under each loader that does not convert to its field's type, and
 # the key it sits under; {scene} stands for a shipped scene file.
 BAD_VALUES = [
@@ -71,7 +106,8 @@ STRICT_VALUES = [
 
 # Values that convert to the field's type but lie outside its range: every
 # float must be finite (YAML reads 1e999 as a string that float() takes to
-# inf), a scenario's speed and duration positive, a pomdp scenario's speed
+# inf), a scenario's speed and duration positive, its duration a count of
+# control steps that round() can take to an int, a pomdp scenario's speed
 # the model's top speed bin, an obstacle's extents and the crosswalk width
 # positive and the discount in (0, 1). The validation names the field.
 RANGE_VALUES = [
@@ -79,6 +115,7 @@ RANGE_VALUES = [
     ("scenario", "scene: {scene}\nv_desired: .nan\n", "v_desired"),
     ("scenario", "scene: {scene}\nduration: .inf\n", "duration"),
     ("scenario", "scene: {scene}\nduration: 0\n", "duration"),
+    ("scenario", "scene: {scene}\nduration: 1.0e308\n", "duration"),
     ("scenario", "scene: {scene}\npolicy: pomdp\nv_desired: 8.0\n", "v_desired"),
     ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [0.0, 1.0]\n", "size"),
     ("scene", "obstacles:\n  - size: [4.0, 2.0]\n    center: [.nan, -1.5]\n", "center"),

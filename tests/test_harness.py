@@ -360,6 +360,8 @@ def test_load_scenario_rejects_unread_files(tmp_path, repo_root, policy, key):
     "case",
     [
         "misspelt-key",
+        "repeated-key",
+        "overflowing-duration",
         "missing-scene",
         "yaml-syntax",
         "infeasible-solve",
@@ -384,13 +386,22 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
     # or 59.7 m lies past where every run ends, 0.5 m short of that end.
     # A scene's obstacles must be a list, and a speed takes no boolean. A
     # path that cannot be read or written, a directory given as a file or
-    # a file given as the out directory, is named in the one line too
+    # a file given as the out directory, is named in the one line too. A
+    # key given twice, and a duration whose count of control steps
+    # overflows, are named by their key as well
     dest = tmp_path / "config.yaml"
     scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
     scene["obstacles"][0]["center"][0] = 12.0
     (tmp_path / "infeasible.yaml").write_text(yaml.safe_dump(scene))
+    key = None
     if case == "misspelt-key":
         dest.write_text(f"scene: {repo_root / 'configs' / 'scene_hidden.yaml'}\npolcy: oracle\n")
+        argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
+    elif case in ("repeated-key", "overflowing-duration"):
+        key = {"repeated-key": "key 'policy'", "overflowing-duration": "key 'duration'"}[case]
+        shipped = (repo_root / "configs" / "scenarios" / "oracle_hidden.yaml").read_text()
+        shipped = shipped.replace(": ../", f": {repo_root}/configs/")
+        dest.write_text(shipped + "policy: pomdp\n" if case == "repeated-key" else shipped.replace("15.0", "1.0e308"))
         argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
     elif case == "infeasible-solve":
         dest = tmp_path / "infeasible.yaml"
@@ -433,6 +444,7 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
     assert out == ""
     assert err.startswith("crosswalk-sim: error: ") and err.endswith("\n")
     assert len(err.splitlines()) == 1 and str(dest) in err
+    assert key is None or key in err
     assert not (tmp_path / "out").exists()
 
 

@@ -635,6 +635,19 @@ def test_rotated_kernel_matches_reference():
     assert min(marked.values()) > 100
 
 
+def test_axis_offsets_are_the_rows_then_the_columns():
+    # _aligned's one _slab call runs over exactly the 210 row offsets and
+    # then the 48 column offsets, with no padding; _rotated reads the two
+    # halves, and nothing can write any of them
+    rows = (np.arange(GRID_LENGTH) + 0.5) / CELLS_PER_M
+    cols = (np.arange(GRID_WIDTH) - GRID_WIDTH / 2 + 0.5) / CELLS_PER_M
+    assert world._AXIS_OFFSETS.tobytes() == np.concatenate((rows, cols)).tobytes()
+    assert world._ROW_OFFSETS.tobytes() == rows.tobytes()
+    assert world._COL_OFFSETS.tobytes() == cols.tobytes()
+    for offsets in (world._AXIS_OFFSETS, world._ROW_OFFSETS, world._COL_OFFSETS):
+        assert not offsets.flags.writeable
+
+
 def test_aligned_kernel_parallel_fallback(monkeypatch):
     # About 2**53 m down the road the spacing of floats is 2 m, so ex plus
     # a row offset below 1 m rounds back to ex: the sight lines of rows 0-2
@@ -643,11 +656,14 @@ def test_aligned_kernel_parallel_fallback(monkeypatch):
     # the ego on the plane of its rear face, which counts as inside its
     # slab along the road; the other has the ego outside that slab but
     # inside its slab across the road (a division by zero would raise
-    # under the test suite's warning filter).
+    # under the test suite's warning filter). Each obstacle makes one call
+    # on the flat row-then-column layout, with no NaN among its inputs.
     parallel = []
 
     def counted(q0, q1, h):
-        parallel.append((q1.shape, np.count_nonzero(q1 - q0 == 0.0, axis=1).tolist()))
+        assert all(np.isfinite(q).all() for q in (q0, q1, h))
+        zero = q1 - q0 == 0.0
+        parallel.append((q1.shape, np.count_nonzero(zero[:GRID_LENGTH]), np.count_nonzero(zero[GRID_LENGTH:])))
         return slab(q0, q1, h)
 
     slab = world._slab
@@ -661,7 +677,7 @@ def test_aligned_kernel_parallel_fallback(monkeypatch):
         )
     )
     grid = build_grid(scene, (ex, 0.0, 0.0))
-    assert parallel == [((2, GRID_LENGTH), [3, 0])] * 2
+    assert parallel == [((GRID_LENGTH + GRID_WIDTH,), 3, 0)] * 2
     assert np.array_equal(grid, _reference_grid(scene, (ex, 0.0, 0.0)))
     assert (grid == UNOBSERVABLE).any() and (grid == OCCUPIED).any()
 
