@@ -6,9 +6,9 @@ take the arrays they read: a belief over n states, the step's
 row-stochastic (n, n) transition matrix and the observation's likelihood
 in each state, and pomdp_step the alpha rows it picks from. harness's
 QMDP policy runs them on the crossing flag alone, with the crossing chain,
-which no action changes, and the two detection rates, since the car knows
-its own speed and distance bins. The policies that use both live in
-harness.
+which no action changes, and the model's P(detected | d, c) at the car's
+own distance bin d, since the car knows its speed and distance bins. The
+policies that use both live in harness.
 """
 
 from __future__ import annotations

@@ -26,11 +26,12 @@ from pathlib import Path as FsPath
 import numpy as np
 import yaml
 
-from .control import CONTROL_DT, path_to_crosswalk
+from .control import path_to_crosswalk
 from .pomdp import NUM_V, SPEED_UNIT, ModelConfig, derive_model_config
 from .world import ROAD_BOUNDS, Crosswalk, Pedestrian, RectObstacle, RoadFrame, Scene
 
 POLICY_KINDS = ("oracle", "baseline", "pomdp")
+MAX_DURATION = 3600.0  # s; a run holds about 0.6 kB per control step, so this long a run peaks near 220 MB
 
 
 class ConfigError(ValueError):
@@ -57,14 +58,13 @@ TRACE_FIELDS = (
 @dataclass
 class ScenarioConfig:
     """Everything needed to reproduce one closed-loop run. v_desired and
-    duration must be finite and positive, duration short enough that its
-    count of CONTROL_DT steps is finite, and the scene must leave room
-    for the avoidance path and put the crosswalk line on it, short of
-    where a run ends (InfeasiblePathError otherwise). A pomdp run's
-    v_desired must be the model's top speed bin, which its speed bins
-    assume, and its model_config takes its geometry from the scene
-    (pomdp.derive_model_config); any other run reads no model, so setting
-    one raises ValueError."""
+    duration must be finite and positive, duration at most MAX_DURATION,
+    and the scene must leave room for the avoidance path and put the
+    crosswalk line on it, short of where a run ends (InfeasiblePathError
+    otherwise). A pomdp run's v_desired must be the model's top speed bin,
+    which its speed bins assume, and its model_config takes its geometry
+    from the scene (pomdp.derive_model_config); any other run reads no
+    model, so setting one raises ValueError."""
 
     scene: Scene
     policy: str = "oracle"
@@ -81,8 +81,8 @@ class ScenarioConfig:
             value = getattr(self, key)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"bad value for key {key!r}: {value!r} is not finite and positive")
-        if not math.isfinite(self.duration / CONTROL_DT):
-            raise ValueError(f"bad value for key 'duration': {self.duration!r} s overflows the count of control steps")
+        if self.duration > MAX_DURATION:
+            raise ValueError(f"bad value for key 'duration': {self.duration!r} s is longer than {MAX_DURATION!r} s")
         if self.policy == "pomdp":
             top = (NUM_V - 1) * SPEED_UNIT
             if self.v_desired != top:

@@ -7,9 +7,9 @@ carry one row per control step plus run metadata and a termination reason.
 Each policy is built once per run; decide(state, reading) returns the
 speed scale. Its p_crossing goes into the trace (NaN for the oracle and
 the baseline, which keep no belief). No policy resets its belief, so the
-metadata's belief_resets is 0. The QMDP policy reads its speed and
-distance bins from the car's state, and its belief covers the crossing
-flag alone.
+metadata's belief_resets is 0. The QMDP policy reads its bins (v, d) from
+the car's state; its belief covers the crossing flag alone, weighed by
+the model's P(detected | d, c) at that d.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .files import (
 from .pomdp import (
     ACTION_SCALES,
     CELL_LENGTH,
+    CROSSING_CHAIN,
     EPOCH,
     NUM_D,
     NUM_V,
@@ -48,7 +49,6 @@ from .pomdp import (
     TERMINAL_D,
     ModelConfig,
     PomdpModel,
-    _crossing_chain,
     build_crosswalk_model,
 )
 from .qmdp import AlphaVectorPolicy, extract_alphas, value_iteration
@@ -115,13 +115,12 @@ class QmdpPolicy:
     """QMDP under mixed observability: the car knows its bins (v, d), so the
     belief covers the crossing flag c alone, started at 0.5 and filtered on
     the crossing chain. It acts on the Q rows of (v, d, 0) and (v, d, 1)
-    and weighs the detection flag by the solved model's likelihoods at the
-    same two states."""
+    and weighs the detection flag by the solved model's P(detected | d, c)
+    at the same d."""
 
     def __init__(self, model: PomdpModel, alphas: AlphaVectorPolicy):
         self.alphas = alphas
-        self.chain = _crossing_chain()
-        self.observation = model.observation  # (state, detected)
+        self.detection = model.detection  # (d, c)
         self.belief = np.full(2, 0.5)
         self.p_crossing = math.nan
 
@@ -129,10 +128,10 @@ class QmdpPolicy:
         v = min(max(round(state.ux / SPEED_UNIT), 0), NUM_V - 1)
         d = min(max(math.floor(state.s / CELL_LENGTH), 0), TERMINAL_D)
         i0 = d * NUM_V + v
-        states = [i0, NUM_D * NUM_V + i0]
-        rows = self.alphas.alphas[:, states]
+        rows = self.alphas.alphas[:, [i0, NUM_D * NUM_V + i0]]
+        p = self.detection[d]
         prior = self.belief
-        action, self.belief = pomdp_step(prior, rows, self.chain, self.observation[states, int(reading.detected)])
+        action, self.belief = pomdp_step(prior, rows, CROSSING_CHAIN, p if reading.detected else 1.0 - p)
         scale = self.alphas.scales[action]
         self.p_crossing = float(self.belief[1])
         if log.isEnabledFor(logging.DEBUG):

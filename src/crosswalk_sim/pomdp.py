@@ -3,11 +3,12 @@
 State (v, d, c): ego speed bin (0..10, 1 m/s each), distance bin along the
 path (0..120, 0.5 m each, 120 terminal/absorbing), and whether a pedestrian
 crossing is active. Actions are speed scales 0.0..1.0 in steps of 0.1.
-The observation is the pedestrian detection flag, 0 or 1; its likelihood
-depends on c alone. One transition spans EPOCH seconds. The flat
-index of state (v, d, c) is (c * NUM_D + d) * NUM_V + v.
+The observation is the pedestrian detection flag, 0 or 1, seen with the
+chance P(detected | d, c) (PomdpModel.detection); the shipped rates depend
+on c alone. One transition spans EPOCH seconds. The flat index of state
+(v, d, c) is (c * NUM_D + d) * NUM_V + v.
 
-The chains, rewards and observation likelihoods are module constants;
+The chains, rewards and detection rates are module constants;
 ModelConfig holds only what differs between solves. The transition
 matrices are built once per process with scipy's kron, and every model
 shares them read-only, as it shares the goal-entry chances of its
@@ -55,6 +56,11 @@ SPEEDING_BIN = 6  # speed bins above this are penalized in the occluded band
 DETECT_GIVEN_CROSSING = 0.8
 DETECT_GIVEN_CLEAR = 0.5
 
+# C[c, c']: the pedestrian crossing flag's chance of moving from c to c'
+# over one epoch, under every action; read-only, as models share it
+CROSSING_CHAIN = np.array([[1.0 - CROSSING_ONSET, CROSSING_ONSET], [1.0 - CROSSING_PERSIST, CROSSING_PERSIST]])
+CROSSING_CHAIN.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -74,9 +80,9 @@ class ModelConfig:
 
 @dataclass(frozen=True, eq=False)
 class PomdpModel:
-    """Tabular model: per-action sparse transitions, rewards and
-    observation likelihoods, and optionally the layer kernel of a model
-    laid out as the crosswalk model is.
+    """Tabular model: per-action sparse transitions, rewards and, for a
+    model laid out as the crosswalk model is, optionally its detection
+    rates and its layer kernel.
 
     layer_kernel[a, s, k, s'] is the chance that action a takes layer
     state s = c * NUM_V + v at distance bin d to s' at d + k, for every d
@@ -89,7 +95,7 @@ class PomdpModel:
     transitions: tuple  # one scipy.sparse.csr_matrix (S, S) per action; the crosswalk model's are int32-indexed, shared and read-only
     rewards: np.ndarray  # (S, A)
     discount: float
-    observation: np.ndarray | None = None  # (S, O)
+    detection: np.ndarray | None = None  # (NUM_D, NUM_CROSSING), read-only: P(detected | d, c)
     layer_kernel: np.ndarray | None = None  # (A, NUM_CROSSING * NUM_V, reach, NUM_CROSSING * NUM_V)
 
     @property
@@ -99,13 +105,6 @@ class PomdpModel:
     @property
     def num_actions(self) -> int:
         return self.rewards.shape[1]
-
-
-def _crossing_chain() -> np.ndarray:
-    """C[c, c']: the pedestrian crossing flag's chance of moving from c to
-    c' over one epoch."""
-    p_cross = np.array([CROSSING_ONSET, CROSSING_PERSIST])
-    return np.column_stack((1.0 - p_cross, p_cross))
 
 
 def _speed_kernel(command: int) -> np.ndarray:
@@ -169,7 +168,7 @@ def _layer_kernel() -> np.ndarray:
     22, 12, 22) with the 12 advances 0..11 bins: C[c, c'] * M[a, v, k, v'],
     the factors and product order of the transition matrices. Built once
     per process and read-only, as models share it."""
-    kernel = _crossing_chain()[:, None, None, :, None] * _motion()[:, None, :, :, None, :]
+    kernel = CROSSING_CHAIN[:, None, None, :, None] * _motion()[:, None, :, :, None, :]
     width = NUM_CROSSING * NUM_V
     kernel = kernel.reshape(NUM_ACTIONS, width, -1, width)
     kernel.flags.writeable = False
@@ -200,11 +199,10 @@ def _transitions() -> tuple:
     from scipy import sparse  # here, so that runs without a model build never load it
 
     n = NUM_D * NUM_V
-    crossing = _crossing_chain()
     terminal = (np.arange(NUM_STATES) // NUM_V) % NUM_D == TERMINAL_D
     loops = sparse.diags(terminal.astype(float))
     mats = tuple(
-        sparse.kron(crossing, sparse.coo_matrix(_clamped(m), shape=(n, n)), format="csr") + loops
+        sparse.kron(CROSSING_CHAIN, sparse.coo_matrix(_clamped(m), shape=(n, n)), format="csr") + loops
         for m in _motion()
     )
     for mat in mats:
@@ -234,15 +232,14 @@ def build_crosswalk_model(config: ModelConfig | None = None) -> PomdpModel:
     rewards[:, 0] = base  # holding a zero command is exempt from the crossing penalty
     rewards[terminal] = 0.0
 
-    # column o is P(detected = o | c)
-    p_detect = np.where(c == 1, DETECT_GIVEN_CROSSING, DETECT_GIVEN_CLEAR)[:, None]
-    observation = np.hstack((1.0 - p_detect, p_detect))
+    detection = np.tile((DETECT_GIVEN_CLEAR, DETECT_GIVEN_CROSSING), (NUM_D, 1))
+    detection.flags.writeable = False
 
     return PomdpModel(
         transitions=_transitions(),
         rewards=rewards,
         discount=cfg.discount,
-        observation=observation,
+        detection=detection,
         layer_kernel=_layer_kernel(),
     )
 

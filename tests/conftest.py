@@ -1,8 +1,9 @@
 """Shared fixtures: scenes, solved model, and the six benchmark runs; and
 the helpers the tests import from here: a trace.csv reader, a model built
 from dense arrays, a Q table's Bellman residual, the flat state index
-of the crosswalk model and its inverse, and the tire curve at any load,
-stiffness and friction."""
+of the crosswalk model and its inverse, the detection table laid out per
+state, the tire curve at any load, stiffness and friction, and a straight
+path."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from scipy import sparse
 from crosswalk_sim.dynamics import _tire
 from crosswalk_sim.files import Trace, load_scenario, load_scene
 from crosswalk_sim.harness import run_scenario
+from crosswalk_sim.path import Path
 from crosswalk_sim.pomdp import (
     ACTION_SCALES,
     NUM_CROSSING,
@@ -96,6 +98,15 @@ def state_tuple(index: int) -> tuple[int, int, int]:
     return v, d, c
 
 
+def state_likelihoods(detection: np.ndarray) -> np.ndarray:
+    """(NUM_STATES, 2): the likelihood of each detection flag in each state
+    (v, d, c) of the crosswalk model, column o the chance of reading o,
+    expanded from a (NUM_D, NUM_CROSSING) table of P(detected | d, c)."""
+    s = np.arange(NUM_STATES)
+    p = detection[(s // NUM_V) % NUM_D, s // (NUM_V * NUM_D)]
+    return np.column_stack((1.0 - p, p))
+
+
 def brush_tire_lateral(alpha: float, fz: float, c_alpha: float, mu: float) -> float:
     """Lateral force of a brush tire at slip angle alpha: dynamics._tire,
     the curve the vehicle's two tires use, at any checked load, cornering
@@ -109,6 +120,12 @@ def brush_tire_lateral(alpha: float, fz: float, c_alpha: float, mu: float) -> fl
     if fz <= 0 or c_alpha <= 0 or mu <= 0:
         raise ValueError("fz, c_alpha and mu must be positive")
     return _tire(fz, c_alpha, mu)(alpha)
+
+
+def straight_path(length: float) -> Path:
+    """A path due north from the origin, length meters long, points 0.25 m apart."""
+    north = np.arange(0.0, length + 0.125, 0.25)
+    return Path(north, np.zeros_like(north))
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from crosswalk_sim.pomdp import build_crosswalk_model
 from crosswalk_sim.qmdp import value_iteration
 from crosswalk_sim.world import GRID_LENGTH, GRID_WIDTH, UNOBSERVABLE, build_grid, count_unobservable, crosswalk_occlusion_band
 
-from conftest import brush_tire_lateral, dense_model
+from conftest import brush_tire_lateral, dense_model, state_likelihoods, straight_path
 from test_world import oracle_grid, random_scene
 
 
@@ -215,8 +215,9 @@ def test_criterion_10_invariant_suite(crosswalk_model, exposed_scene):
             sums = np.asarray(mat.sum(axis=1)).ravel()
             assert float(np.max(np.abs(sums - 1.0))) <= 1e-12
 
-        # belief normalization over 1000 random feasible updates
-        t, o = crosswalk_model.transitions, crosswalk_model.observation
+        # belief normalization over 1000 random feasible updates of the
+        # full model, each state's likelihood expanded from P(detected | d, c)
+        t, o = crosswalk_model.transitions, state_likelihoods(crosswalk_model.detection)
         n = crosswalk_model.num_states
         belief = np.full(n, 1 / n)
         for _ in range(1000):
@@ -237,10 +238,7 @@ def test_criterion_10_invariant_suite(crosswalk_model, exposed_scene):
             assert abs(force) <= mu * fz + 1e-9
 
         # determinism: 1000 repeated dynamics steps are bit-identical
-        north = np.arange(0.0, 100.25, 0.25)
-        from crosswalk_sim.path import Path
-
-        path = Path(north, np.zeros_like(north))
+        path = straight_path(100.0)
         for _ in range(1000):
             state = VehicleState(
                 uy=float(rng.uniform(-1, 1)),

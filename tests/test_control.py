@@ -24,6 +24,8 @@ from crosswalk_sim.dynamics import MAX_STEER, VehicleState, step_dynamics
 from crosswalk_sim.path import SAMPLE_SPACING, Path, resample_by_arc
 from crosswalk_sim.world import RectObstacle, Scene
 
+from conftest import straight_path
+
 
 def road_y(scene: Scene, path: Path) -> np.ndarray:
     _, ys = scene.road.to_road(path.north, path.east)
@@ -50,20 +52,15 @@ def test_speed_control_saturates():
 # --- steering ------------------------------------------------------------------
 
 
-def straight_path(length: float = 100.0) -> Path:
-    north = np.arange(0.0, length + 0.125, 0.25)
-    return Path(north, np.zeros_like(north))
-
-
 def test_steer_zero_on_path():
-    path = straight_path()
+    path = straight_path(100.0)
     state = VehicleState(ux=5.0, north=10.0, east=0.0, s=10.0, e=0.0)
     assert steer_control(state, path) == 0.0
 
 
 def test_steer_sign_corrects_left_offset():
     # left of a northbound path means east < 0; positive steer turns east
-    path = straight_path()
+    path = straight_path(100.0)
     state = VehicleState(ux=5.0, north=10.0, east=-1.0, s=10.0, e=1.0)
     assert steer_control(state, path) > 0.0
     mirrored = VehicleState(ux=5.0, north=10.0, east=1.0, s=10.0, e=-1.0)
@@ -71,7 +68,7 @@ def test_steer_sign_corrects_left_offset():
 
 
 def test_steer_clamped_to_vehicle_limit():
-    path = straight_path()
+    path = straight_path(100.0)
     state = VehicleState(ux=5.0, north=10.0, east=-8.0, s=10.0, e=8.0)
     assert abs(steer_control(state, path)) <= MAX_STEER
 

@@ -29,14 +29,7 @@ from crosswalk_sim.dynamics import (
     allocate_longitudinal,
     step_dynamics,
 )
-from crosswalk_sim.path import Path
-
-from conftest import brush_tire_lateral
-
-
-def straight_path(length: float = 300.0) -> Path:
-    north = np.arange(0.0, length + 0.125, 0.25)
-    return Path(north, np.zeros_like(north))
+from conftest import brush_tire_lateral, straight_path
 
 
 # --- tire curve -----------------------------------------------------------
@@ -113,7 +106,7 @@ def test_allocation_sums_to_total(ax):
 
 
 def test_rest_is_an_equilibrium():
-    path = straight_path()
+    path = straight_path(300.0)
     state = VehicleState()
     for _ in range(50):
         state = step_dynamics(state, 0.0, 0.0, 0.01, path)
@@ -121,7 +114,7 @@ def test_rest_is_an_equilibrium():
 
 
 def test_unit_acceleration_for_one_second():
-    path = straight_path()
+    path = straight_path(300.0)
     state = VehicleState()
     for _ in range(100):
         state = step_dynamics(state, 0.0, 1.0, 0.01, path)
@@ -135,7 +128,7 @@ def test_unit_acceleration_for_one_second():
 def test_steady_state_yaw_rate_matches_kinematics():
     # Hold 5 m/s with a speed loop, apply a small constant steer, and
     # compare the settled yaw rate with Ux * delta / wheelbase.
-    path = straight_path()
+    path = straight_path(300.0)
     state = VehicleState(ux=5.0)
     steer = 0.02
     rates = []
@@ -149,7 +142,7 @@ def test_steady_state_yaw_rate_matches_kinematics():
 
 
 def test_braking_never_reverses():
-    path = straight_path()
+    path = straight_path(300.0)
     state = VehicleState(ux=0.5)
     speeds = []
     for _ in range(100):
@@ -161,7 +154,7 @@ def test_braking_never_reverses():
 
 def test_standstill_stays_put_under_brakes_and_steer():
     # Saturated steer at rest must not excite the lateral states.
-    path = straight_path()
+    path = straight_path(300.0)
     state = VehicleState()
     for _ in range(200):
         state = step_dynamics(state, 0.3, -2.0, 0.01, path)
@@ -171,7 +164,7 @@ def test_standstill_stays_put_under_brakes_and_steer():
 
 
 def test_step_validation():
-    path = straight_path()
+    path = straight_path(300.0)
     state = VehicleState()
     with pytest.raises(ValueError):
         step_dynamics(state, 0.0, 0.0, 0.2, path)
@@ -259,7 +252,7 @@ def signed_zero_or(strategy):
 
 
 BELOW_FLOOR = math.nextafter(SLIP_SPEED_FLOOR, 0.0)
-STRAIGHT = straight_path()
+STRAIGHT = straight_path(300.0)
 
 
 @settings(max_examples=400, deadline=None)

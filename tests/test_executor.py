@@ -24,21 +24,21 @@ from crosswalk_sim.harness import CONTROL_DT, BaselinePolicy, OraclePolicy, Qmdp
 from crosswalk_sim.pomdp import (
     ACTION_SCALES,
     CELL_LENGTH,
+    CROSSING_CHAIN,
     CROSSING_ONSET,
     CROSSING_PERSIST,
     DETECT_GIVEN_CLEAR,
     DETECT_GIVEN_CROSSING,
     EPOCH,
-    NUM_ACTIONS,
+    NUM_D,
     NUM_STATES,
     NUM_V,
     SPEED_UNIT,
     TERMINAL_D,
-    _crossing_chain,
 )
 from crosswalk_sim.world import Scene
 
-from conftest import state_index, state_tuple
+from conftest import state_index, state_likelihoods
 
 
 def exhaustive_bayes(belief, action, obs, t_dense, o_dense):
@@ -63,10 +63,12 @@ def random_pomdp(rng, max_states=8, max_actions=3, max_obs=4):
     return t, o
 
 
-def crossing_filter(crosswalk_model):
-    """The two-state filter a pomdp run uses: the crossing chain and the
-    detection likelihoods of c = 0 and c = 1, as (c, detected)."""
-    return _crossing_chain(), crosswalk_model.observation[[0, state_index(0, 0, 1)]]
+def crossing_filter(crosswalk_model, d=0):
+    """The two-state filter a pomdp run uses at distance bin d: the
+    crossing chain and the detection likelihoods of c = 0 and c = 1, as
+    (c, detected)."""
+    p = crosswalk_model.detection[d]
+    return CROSSING_CHAIN, np.column_stack((1.0 - p, p))
 
 
 # --- belief updates ------------------------------------------------------------
@@ -83,7 +85,7 @@ def test_terminal_point_mass_is_fixed(crosswalk_model):
     s = state_index(0, TERMINAL_D, 0)
     b = np.zeros(NUM_STATES)
     b[s] = 1.0
-    for likelihood in crosswalk_model.observation.T:
+    for likelihood in state_likelihoods(crosswalk_model.detection).T:
         posterior = belief_update(b, crosswalk_model.transitions[4], likelihood)
         assert posterior[s] == 1.0
         assert float(posterior.sum()) == pytest.approx(1.0, abs=1e-12)
@@ -121,7 +123,7 @@ def test_belief_update_validation(crosswalk_model):
         with pytest.raises(ValueError):
             belief_update(belief, chain, likelihood)
     # a likelihood over another state space, such as the full model's
-    for other in (likelihood[:1], crosswalk_model.observation[:, 0]):
+    for other in (likelihood[:1], state_likelihoods(crosswalk_model.detection)[:, 0]):
         with pytest.raises(ValueError):
             belief_update(good, chain, other)
 
@@ -159,24 +161,24 @@ def test_repeated_detections_raise_crossing_probability(crosswalk_model):
 def test_count_bin_changes_no_belief_or_decision(crosswalk_model, policy):
     # The observation as it was before the count bin left it: symbol
     # det * 10 + bin, each bin with likelihood 1/10 in every state. That
-    # factor cancels in the Bayes step, so filtering on the detection flag
-    # alone gives the same beliefs, up to rounding, and the same actions.
-    # Ten runs of 30 steps through random actions' transitions, flags and
-    # bins, each from the uniform belief. Near the terminal states every
-    # action is worth about the same, and where the best two tie to within
-    # 1e-12 the rounding picks the action, so those steps are not compared.
+    # factor cancels in the Bayes step, so on the two-state filter a run
+    # uses, scaling both likelihoods by 1/10 gives the same beliefs, up to
+    # rounding, and the same actions. Twenty runs of 30 decisions at random
+    # bins (v, d) and flags, each from the uniform belief. Where the best
+    # two actions tie to within 1e-12 the rounding picks the action, so
+    # those decisions, about a third of them, are not compared.
     NUM_COUNT_BINS = 10
-    twenty = np.repeat(crosswalk_model.observation / NUM_COUNT_BINS, NUM_COUNT_BINS, axis=1)
     rng = np.random.default_rng(0)
     compared = 0
-    for _ in range(10):
-        belief = want = np.full(NUM_STATES, 1.0 / NUM_STATES)
+    for _ in range(20):
+        belief = want = np.full(2, 0.5)
         for _ in range(30):
-            transition = crosswalk_model.transitions[int(rng.integers(NUM_ACTIONS))]
-            detected, count_bin = int(rng.integers(2)), int(rng.integers(NUM_COUNT_BINS))
-            runner_up, top = np.sort(policy.alphas @ want)[-2:]
-            got, belief = pomdp_step(belief, policy.alphas, transition, crosswalk_model.observation[:, detected])
-            action, want = pomdp_step(want, policy.alphas, transition, twenty[:, detected * NUM_COUNT_BINS + count_bin])
+            v, d, detected = int(rng.integers(NUM_V)), int(rng.integers(TERMINAL_D)), int(rng.integers(2))
+            chain, observation = crossing_filter(crosswalk_model, d)
+            rows = q_rows(policy, v, d)
+            runner_up, top = np.sort(rows @ want)[-2:]
+            got, belief = pomdp_step(belief, rows, chain, observation[:, detected])
+            action, want = pomdp_step(want, rows, chain, observation[:, detected] / NUM_COUNT_BINS)
             np.testing.assert_allclose(belief, want, rtol=1e-14, atol=0)
             if top - runner_up > 1e-12 * abs(top):
                 assert got == action
@@ -282,9 +284,10 @@ def test_qmdp_policy_filters_the_crossing_flag_alone(crosswalk_model, policy):
     qmdp = QmdpPolicy(crosswalk_model, policy)
     assert np.array_equal(qmdp.belief, [0.5, 0.5])
     assert np.array_equal(
-        qmdp.chain, [[1.0 - CROSSING_ONSET, CROSSING_ONSET], [1.0 - CROSSING_PERSIST, CROSSING_PERSIST]]
+        CROSSING_CHAIN, [[1.0 - CROSSING_ONSET, CROSSING_ONSET], [1.0 - CROSSING_PERSIST, CROSSING_PERSIST]]
     )
-    assert qmdp.observation is crosswalk_model.observation
+    assert not CROSSING_CHAIN.flags.writeable
+    assert qmdp.detection is crosswalk_model.detection
     qmdp.decide(VehicleState(), SensorReading(0, False))
     # predicted 0.5, then 0.2 * 0.5 / (0.2 * 0.5 + 0.5 * 0.5)
     assert qmdp.p_crossing == pytest.approx(2.0 / 7.0, rel=1e-15)
@@ -293,12 +296,12 @@ def test_qmdp_policy_filters_the_crossing_flag_alone(crosswalk_model, policy):
 def test_qmdp_policy_weighs_detection_at_the_cars_bins(crosswalk_model, policy):
     # a model whose detection rate while clear grows with the distance bin
     # d: a detection at (v, d) = (3, 40), 3 m/s at 20 m, is weighed by the
-    # likelihoods of (3, 40, 0) and (3, 40, 1), 0.3 and 0.9. From the
-    # predicted 0.5 that gives 0.9 * 0.5 / (0.9 * 0.5 + 0.3 * 0.5) = 0.75;
-    # the rates of bin (0, 0), 0.1 and 0.9, would give 0.9
-    _, d, c = np.array([state_tuple(i) for i in range(NUM_STATES)]).T
-    p_detect = np.where(c == 1, 0.9, 0.1 + d / 200)
-    model = dataclasses.replace(crosswalk_model, observation=np.stack((1.0 - p_detect, p_detect), axis=1))
+    # rates of d = 40, 0.3 and 0.9. From the predicted 0.5 that gives
+    # 0.9 * 0.5 / (0.9 * 0.5 + 0.3 * 0.5) = 0.75; the rates of d = 0, 0.1
+    # and 0.9, would give 0.9
+    d = np.arange(NUM_D)
+    detection = np.column_stack((0.1 + d / 200, np.full(NUM_D, 0.9)))
+    model = dataclasses.replace(crosswalk_model, detection=detection)
     qmdp = QmdpPolicy(model, policy)
     qmdp.decide(VehicleState(ux=3.0, s=20.2), SensorReading(0, True))
     assert CROSSING_ONSET + CROSSING_PERSIST == 1.0

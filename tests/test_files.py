@@ -106,16 +106,17 @@ STRICT_VALUES = [
 
 # Values that convert to the field's type but lie outside its range: every
 # float must be finite (YAML reads 1e999 as a string that float() takes to
-# inf), a scenario's speed and duration positive, its duration a count of
-# control steps that round() can take to an int, a pomdp scenario's speed
-# the model's top speed bin, an obstacle's extents and the crosswalk width
-# positive and the discount in (0, 1). The validation names the field.
+# inf), a scenario's speed and duration positive, its duration at most
+# files.MAX_DURATION, a pomdp scenario's speed the model's top speed bin,
+# an obstacle's extents and the crosswalk width positive and the discount
+# in (0, 1). The validation names the field.
 RANGE_VALUES = [
     ("scenario", "scene: {scene}\nv_desired: -5.0\n", "v_desired"),
     ("scenario", "scene: {scene}\nv_desired: .nan\n", "v_desired"),
     ("scenario", "scene: {scene}\nduration: .inf\n", "duration"),
     ("scenario", "scene: {scene}\nduration: 0\n", "duration"),
     ("scenario", "scene: {scene}\nduration: 1.0e308\n", "duration"),
+    ("scenario", "scene: {scene}\nduration: 1.0e306\n", "duration"),
     ("scenario", "scene: {scene}\npolicy: pomdp\nv_desired: 8.0\n", "v_desired"),
     ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [0.0, 1.0]\n", "size"),
     ("scene", "obstacles:\n  - size: [4.0, 2.0]\n    center: [.nan, -1.5]\n", "center"),

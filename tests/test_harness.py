@@ -18,6 +18,7 @@ import yaml
 from crosswalk_sim import harness
 from crosswalk_sim.cli import main as cli_main
 from crosswalk_sim.files import (
+    MAX_DURATION,
     TRACE_FIELDS,
     ScenarioConfig,
     Trace,
@@ -284,6 +285,11 @@ def test_scenario_config_validation(exposed_scene):
             ScenarioConfig(scene=exposed_scene, v_desired=bad)
         with pytest.raises(ValueError, match="duration"):
             ScenarioConfig(scene=exposed_scene, duration=bad)
+    # a run keeps one trace row per control step, so its length is bounded
+    assert ScenarioConfig(scene=exposed_scene, duration=MAX_DURATION).duration == MAX_DURATION
+    for bad in (math.nextafter(MAX_DURATION, math.inf), 1.0e306):
+        with pytest.raises(ValueError, match=re.escape(f"'duration': {bad!r} s is longer than {MAX_DURATION!r} s")):
+            ScenarioConfig(scene=exposed_scene, duration=bad)
     # the model's speed bins stop at 10 m/s; other policies take any speed
     with pytest.raises(ValueError, match="v_desired.*top speed 10.0"):
         ScenarioConfig(scene=exposed_scene, policy="pomdp", v_desired=8.0)
@@ -362,6 +368,7 @@ def test_load_scenario_rejects_unread_files(tmp_path, repo_root, policy, key):
         "misspelt-key",
         "repeated-key",
         "overflowing-duration",
+        "overlong-duration",
         "missing-scene",
         "yaml-syntax",
         "infeasible-solve",
@@ -387,8 +394,9 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
     # A scene's obstacles must be a list, and a speed takes no boolean. A
     # path that cannot be read or written, a directory given as a file or
     # a file given as the out directory, is named in the one line too. A
-    # key given twice, and a duration whose count of control steps
-    # overflows, are named by their key as well
+    # key given twice, and a duration longer than the longest run, 1.0e306
+    # s or one whose count of control steps overflows, are named by their
+    # key as well
     dest = tmp_path / "config.yaml"
     scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
     scene["obstacles"][0]["center"][0] = 12.0
@@ -397,11 +405,12 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
     if case == "misspelt-key":
         dest.write_text(f"scene: {repo_root / 'configs' / 'scene_hidden.yaml'}\npolcy: oracle\n")
         argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
-    elif case in ("repeated-key", "overflowing-duration"):
-        key = {"repeated-key": "key 'policy'", "overflowing-duration": "key 'duration'"}[case]
+    elif case in ("repeated-key", "overflowing-duration", "overlong-duration"):
+        key = "key 'policy'" if case == "repeated-key" else "key 'duration'"
         shipped = (repo_root / "configs" / "scenarios" / "oracle_hidden.yaml").read_text()
         shipped = shipped.replace(": ../", f": {repo_root}/configs/")
-        dest.write_text(shipped + "policy: pomdp\n" if case == "repeated-key" else shipped.replace("15.0", "1.0e308"))
+        duration = {"overflowing-duration": "1.0e308", "overlong-duration": "1.0e306"}.get(case)
+        dest.write_text(shipped + "policy: pomdp\n" if case == "repeated-key" else shipped.replace("15.0", duration))
         argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
     elif case == "infeasible-solve":
         dest = tmp_path / "infeasible.yaml"

@@ -8,7 +8,7 @@ import pytest
 from crosswalk_sim.control import build_avoidance_path
 from crosswalk_sim.path import Path, PathProjection, resample_by_arc
 
-from conftest import load_trace
+from conftest import load_trace, straight_path
 
 
 def brute_force_project(path: Path, north: float, east: float, step: float = 1e-3):
@@ -36,13 +36,8 @@ def curved_path() -> Path:
     return Path(*resample_by_arc(north, east, 0.25))
 
 
-def straight_path(length: float = 60.0) -> Path:
-    north = np.arange(0.0, length + 0.125, 0.25)
-    return Path(north, np.zeros_like(north))
-
-
 def test_project_start_is_origin():
-    proj = straight_path().project(0.0, 0.0)
+    proj = straight_path(60.0).project(0.0, 0.0)
     assert proj.s == 0.0
     assert proj.e == 0.0
 
@@ -97,7 +92,7 @@ def test_point_at_matches_np_interp_bitwise():
 
 
 def test_heading_directions():
-    assert straight_path().heading_at(10.0) == pytest.approx(0.0)
+    assert straight_path(60.0).heading_at(10.0) == pytest.approx(0.0)
     east_path = Path(np.zeros(5), np.linspace(0.0, 10.0, 5))
     assert east_path.heading_at(5.0) == pytest.approx(np.pi / 2)
 
@@ -150,7 +145,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         Path([0.0, np.nan], [0.0, 1.0])
     with pytest.raises(ValueError):
-        straight_path().project(np.nan, 0.0)
+        straight_path(60.0).project(np.nan, 0.0)
     with pytest.raises(ValueError):
         resample_by_arc([0.0, 1.0], [0.0, 0.0], 0.25, total_length=5.0)
 

@@ -38,7 +38,7 @@ from crosswalk_sim.pomdp import (
 )
 from crosswalk_sim.qmdp import value_iteration
 
-from conftest import bellman_residual, state_index, state_tuple
+from conftest import bellman_residual, state_index, state_likelihoods, state_tuple
 
 
 def expected_distance(d, v) -> dict[int, float]:
@@ -121,7 +121,7 @@ def test_space_sizes(crosswalk_model):
     assert NUM_ACTIONS == 11
     assert crosswalk_model.num_states == 2662
     assert crosswalk_model.num_actions == 11
-    assert crosswalk_model.observation.shape == (2662, 2)
+    assert crosswalk_model.detection.shape == (NUM_D, NUM_CROSSING)
     assert ACTION_SCALES == tuple(k / 10 for k in range(11))
 
 
@@ -226,20 +226,23 @@ EDGE_CONFIGS = {
 # checks against an enumeration. All five were re-taken when the count bin
 # left the observation (20 columns to 2); with the earlier 20-column table,
 # np.repeat(observation / 10, 10, axis=1), substituted back, each model
-# gave its earlier digest.
+# gave its earlier digest. All five were re-taken again when the (2662, 2)
+# observation gave way to the (NUM_D, NUM_CROSSING) detection table; with
+# the table expanded back to the state layout (conftest.state_likelihoods)
+# in its place, each model gave its earlier digest.
 MODEL_DIGESTS = {
-    "shipped": "cb4af295f38e8a570b7d76b6d5deda706f57e0803055b75fd66b9e80c5ef17a9",
-    "default": "c83e8f2ed2e5acc465252157f3ba2a15952c49b71a928b56f582590d3594ef61",
-    "occluded_empty": "6186c9223f5cf4cc6543469d4eaec632e21fca7b19c77459b708c727d67e077c",
-    "occluded_wide": "972a7d61994b51306cb1329d69b0105d96e437156382c8324e86a42b9c2ffa77",
-    "crosswalk_0": "124496e04d78bb5381b76d23b91e86e084b445d06c2af5d1f7f6a7bbb1384e93",
+    "shipped": "231efd383ef1cce3260d9d13d27a7de5d3bfcec27dd97172f2681ada41c6d507",
+    "default": "df6327a178137b1bc322d6c0beddc936bcd464d58b091182b373ac38895bcb40",
+    "occluded_empty": "557f1f9f8c2983d9dd734f47ce3dd33bc7e4f54b2cae2dd188e7a7b5321d3e45",
+    "occluded_wide": "fc0396fdbadca3663639db5efba2c498eca9f9ad010a5f0a3dff1760534ec866",
+    "crosswalk_0": "023b601b07c88b20472a88c878127d3319f60b2a27778eb79e71a9a6284dc0cb",
 }
 
 
 def model_digest(model) -> str:
     """SHA-256 over dtype and bytes of every action's CSR arrays, stored
     zeros dropped, then of the rewards, the terminal-state mask
-    (d == TERMINAL_D) and the observation."""
+    (d == TERMINAL_D) and the detection table."""
     h = hashlib.sha256()
     arrays = []
     for mat in model.transitions:
@@ -247,7 +250,7 @@ def model_digest(model) -> str:
         mat.eliminate_zeros()
         arrays += [mat.indptr, mat.indices, mat.data]
     terminal = (np.arange(NUM_STATES) // NUM_V) % NUM_D == TERMINAL_D
-    for arr in arrays + [model.rewards, terminal, model.observation]:
+    for arr in arrays + [model.rewards, terminal, model.detection]:
         h.update(arr.dtype.str.encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
@@ -424,32 +427,41 @@ def test_layered_solve_is_exact(name, model_config):
 # --- observations ------------------------------------------------------------
 
 
+def test_detection_is_a_read_only_table_over_d_and_c(crosswalk_model):
+    detection = crosswalk_model.detection
+    assert detection.shape == (NUM_D, NUM_CROSSING)
+    assert np.array_equal(detection, np.tile([0.5, 0.8], (NUM_D, 1)))
+    with pytest.raises(ValueError, match="read-only"):
+        detection[0, 0] = 1.0
+
+
 def test_observation_rows_sum_to_one(crosswalk_model):
-    sums = crosswalk_model.observation.sum(axis=1)
+    # each entry is a probability, so in every state the two flags'
+    # likelihoods, the entry and one minus it, sum to one
+    detection = crosswalk_model.detection
+    assert np.all((0.0 <= detection) & (detection <= 1.0))
+    sums = state_likelihoods(detection).sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
 
 def test_detection_gap_is_fixed(crosswalk_model):
-    p_det = crosswalk_model.observation[:, 1]
-    clear_half = p_det[: NUM_D * NUM_V]
-    crossing_half = p_det[NUM_D * NUM_V :]
-    assert np.allclose(clear_half, 0.5, atol=1e-12)
-    assert np.allclose(crossing_half, 0.8, atol=1e-12)
-    assert np.allclose(crossing_half - clear_half, 0.30, atol=1e-12)
+    clear, crossing = crosswalk_model.detection.T
+    assert np.allclose(clear, 0.5, atol=1e-12)
+    assert np.allclose(crossing, 0.8, atol=1e-12)
+    assert np.allclose(crossing - clear, 0.30, atol=1e-12)
 
 
 def test_count_is_uninformative_given_crossing(crosswalk_model):
     # the count bin is not part of the observation, which is the detection
-    # flag alone: every state with the same crossing flag shares one
-    # likelihood row
-    obs = crosswalk_model.observation
-    for half in (obs[: NUM_D * NUM_V], obs[NUM_D * NUM_V :]):
-        assert np.all(half == half[0])
+    # flag alone, and the shipped rates depend on c alone: every distance
+    # bin shares one row
+    detection = crosswalk_model.detection
+    assert np.all(detection == detection[0])
 
 
 def test_observation_prob_example(crosswalk_model):
-    s_clear = state_index(3, 40, 0)
-    assert crosswalk_model.observation[s_clear, 0] == pytest.approx(0.5, abs=1e-15)
+    # not detected while clear at d = 40
+    assert 1.0 - crosswalk_model.detection[40, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 # --- rewards -----------------------------------------------------------------
@@ -520,4 +532,4 @@ def test_from_dense_round_trip():
     idx, probs = row_entries(model, 0, 0)
     assert list(idx) == [0, 1] and list(probs) == [0.5, 0.5]
     assert model.rewards[2, 1] == 5.0
-    assert model.observation is None
+    assert model.detection is None
