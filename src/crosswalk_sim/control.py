@@ -13,6 +13,7 @@ from .world import LANE_WIDTH, ROAD_BOUNDS, Scene, crosswalk_path_distance
 CONTROL_DT = 0.01  # s per control step, at which the controllers and the run loop step
 AX_LIMIT = 3.0  # m/s^2, symmetric accel/brake authority
 SPEED_GAIN = 2.0  # 1/s, proportional gain of the speed tracker
+V_DESIRED = 10.0  # m/s commanded at scale 1.0
 AVOID_MARGIN = 2.45  # m the avoidance path clears a blocking obstacle's left edge by
 
 PATH_LENGTH = 60.0  # m
@@ -32,10 +33,10 @@ class InfeasiblePathError(ValueError):
     path does not cross the crosswalk line before a run ends."""
 
 
-def speed_control(v_desired: float, scale: float, ux: float) -> float:
-    """Proportional speed tracking toward scale * v_desired, saturated at
+def speed_control(scale: float, ux: float) -> float:
+    """Proportional speed tracking toward scale * V_DESIRED, saturated at
     +/- AX_LIMIT."""
-    ax = SPEED_GAIN * (scale * v_desired - ux)
+    ax = SPEED_GAIN * (scale * V_DESIRED - ux)
     return float(min(max(ax, -AX_LIMIT), AX_LIMIT))
 
 

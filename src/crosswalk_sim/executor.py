@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .control import V_DESIRED
+
 BELIEF_TOL = 1e-9  # how far a belief's sum may stray from one
 STOP_MARGIN = 5.0  # m short of the crosswalk line where a yielding stop ends
 STOP_DECEL = 2.0  # m/s^2 of the constant-deceleration stopping ramp
@@ -69,12 +71,10 @@ def pomdp_step(
     return action, belief_update(belief, transition, likelihood)
 
 
-def stopping_scale(speed_limit_dist: float, v_desired: float) -> float:
-    """Scale that tracks a STOP_DECEL ramp to rest over the given distance.
-    Zero at and past the stop point."""
-    if v_desired <= 0:
-        raise ValueError("v_desired must be positive")
+def stopping_scale(speed_limit_dist: float) -> float:
+    """Scale of control.V_DESIRED that tracks a STOP_DECEL ramp to rest
+    over the given distance. Zero at and past the stop point."""
     if speed_limit_dist <= 0.0:
         return 0.0
-    return min(1.0, math.sqrt(2.0 * STOP_DECEL * speed_limit_dist) / v_desired)
+    return min(1.0, math.sqrt(2.0 * STOP_DECEL * speed_limit_dist) / V_DESIRED)
 

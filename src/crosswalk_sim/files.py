@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from .control import path_to_crosswalk
-from .pomdp import NUM_V, SPEED_UNIT, ModelConfig, derive_model_config
+from .pomdp import ModelConfig, derive_model_config
 from .world import ROAD_BOUNDS, Crosswalk, Pedestrian, RectObstacle, RoadFrame, Scene
 
 POLICY_KINDS = ("oracle", "baseline", "pomdp")
@@ -57,18 +57,17 @@ TRACE_FIELDS = (
 
 @dataclass
 class ScenarioConfig:
-    """Everything needed to reproduce one closed-loop run. v_desired and
-    duration must be finite and positive, duration at most MAX_DURATION,
-    and the scene must leave room for the avoidance path and put the
-    crosswalk line on it, short of where a run ends (InfeasiblePathError
-    otherwise). A pomdp run's v_desired must be the model's top speed bin,
-    which its speed bins assume, and its model_config takes its geometry
-    from the scene (pomdp.derive_model_config); any other run reads no
-    model, so setting one raises ValueError."""
+    """Everything needed to reproduce one closed-loop run. duration must
+    be finite and positive and at most MAX_DURATION, and the scene must
+    leave room for the avoidance path and put the crosswalk line on it,
+    short of where a run ends (InfeasiblePathError otherwise). Every run
+    commands control.V_DESIRED at scale 1.0, the speed the model's top
+    speed bin holds. A pomdp run's model_config takes its geometry from
+    the scene (pomdp.derive_model_config); any other run reads no model,
+    so setting one raises ValueError."""
 
     scene: Scene
     policy: str = "oracle"
-    v_desired: float = 10.0
     duration: float = 15.0
     model_config: ModelConfig | None = None
     name: str = "scenario"
@@ -77,18 +76,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.policy not in POLICY_KINDS:
             raise ValueError(f"bad value for key 'policy': must be one of {POLICY_KINDS}")
-        for key in ("v_desired", "duration"):
-            value = getattr(self, key)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"bad value for key {key!r}: {value!r} is not finite and positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(f"bad value for key 'duration': {self.duration!r} is not finite and positive")
         if self.duration > MAX_DURATION:
             raise ValueError(f"bad value for key 'duration': {self.duration!r} s is longer than {MAX_DURATION!r} s")
         if self.policy == "pomdp":
-            top = (NUM_V - 1) * SPEED_UNIT
-            if self.v_desired != top:
-                raise ValueError(
-                    f"bad value for key 'v_desired': {self.v_desired!r} is not the model's top speed {top!r} m/s"
-                )
             self.model_config = derive_model_config(self.scene, self.model_config)
         elif self.model_config is not None:
             raise ValueError(f"key 'model' is set, but policy {self.policy!r} reads no model")

@@ -21,7 +21,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import world
-from .control import CONTROL_DT, PATH_END_MARGIN, path_to_crosswalk, speed_control, steer_control
+from .control import CONTROL_DT, PATH_END_MARGIN, V_DESIRED, path_to_crosswalk, speed_control, steer_control
 from .dynamics import VehicleState, step_dynamics
 from .executor import STOP_MARGIN, SensorReading, pomdp_step, stopping_scale
 
@@ -69,15 +69,14 @@ class OraclePolicy:
 
     p_crossing = math.nan
 
-    def __init__(self, scene: Scene, crosswalk_s: float, v_desired: float):
+    def __init__(self, scene: Scene, crosswalk_s: float):
         self.crossing = scene.pedestrian.present
         self.crosswalk_s = crosswalk_s
-        self.v_desired = v_desired
 
     def decide(self, state: VehicleState, reading: SensorReading) -> float:
         if not self.crossing or state.s >= self.crosswalk_s:
             return 1.0
-        return stopping_scale(self.crosswalk_s - STOP_MARGIN - state.s, self.v_desired)
+        return stopping_scale(self.crosswalk_s - STOP_MARGIN - state.s)
 
 
 class BaselinePolicy:
@@ -89,8 +88,7 @@ class BaselinePolicy:
     COUNT_STEP = 180
     p_crossing = math.nan
 
-    def __init__(self, v_desired: float, crosswalk_s: float):
-        self.v_desired = v_desired
+    def __init__(self, crosswalk_s: float):
         self.crosswalk_s = crosswalk_s
         self.stop_s = crosswalk_s - STOP_MARGIN
         self.seen = False
@@ -106,7 +104,7 @@ class BaselinePolicy:
             if dist > 0.0 and state.ux**2 / (2.0 * dist) <= YIELD_GATE_DECEL:
                 self.engaged = True
         if self.engaged and not past:
-            ramp = stopping_scale(self.stop_s - state.s, self.v_desired)
+            ramp = stopping_scale(self.stop_s - state.s)
             scale = min(scale, math.floor(ramp * self.LEVELS + 1e-12) / self.LEVELS)
         return scale
 
@@ -165,9 +163,9 @@ def run_scenario(
     path, crosswalk_s = path_to_crosswalk(scene)
 
     if config.policy == "oracle":
-        policy = OraclePolicy(scene, crosswalk_s, config.v_desired)
+        policy = OraclePolicy(scene, crosswalk_s)
     elif config.policy == "baseline":
-        policy = BaselinePolicy(config.v_desired, crosswalk_s)
+        policy = BaselinePolicy(crosswalk_s)
     else:
         if policy is None:
             model, policy = solve_policy(config.model_config)
@@ -196,7 +194,7 @@ def run_scenario(
         if k % decim == 0:
             scale = policy.decide(state, SensorReading(unobservable_count=count, detected=detected))
 
-        ax = speed_control(config.v_desired, scale, state.ux)
+        ax = speed_control(scale, state.ux)
         steer = steer_control(state, path)
 
         rows.append(
@@ -227,7 +225,7 @@ def run_scenario(
     metadata = {
         "name": config.name,
         "policy": config.policy,
-        "v_desired": config.v_desired,
+        "v_desired": V_DESIRED,
         "duration": config.duration,
         "control_dt": CONTROL_DT,
         "decision_period": EPOCH,

@@ -36,17 +36,17 @@ def road_y(scene: Scene, path: Path) -> np.ndarray:
 
 
 def test_speed_control_zero_error():
-    assert speed_control(10.0, 0.5, 5.0) == 0.0
+    assert speed_control(0.5, 5.0) == 0.0
 
 
 def test_speed_control_proportional_region():
-    assert speed_control(10.0, 0.8, 7.5) == pytest.approx(0.5 * SPEED_GAIN)
-    assert speed_control(10.0, 0.8, 8.5) == pytest.approx(-0.5 * SPEED_GAIN)
+    assert speed_control(0.8, 7.5) == pytest.approx(0.5 * SPEED_GAIN)
+    assert speed_control(0.8, 8.5) == pytest.approx(-0.5 * SPEED_GAIN)
 
 
 def test_speed_control_saturates():
-    assert speed_control(10.0, 0.0, 5.0) == -AX_LIMIT
-    assert speed_control(10.0, 1.0, 2.0) == AX_LIMIT
+    assert speed_control(0.0, 5.0) == -AX_LIMIT
+    assert speed_control(1.0, 2.0) == AX_LIMIT
 
 
 # --- steering ------------------------------------------------------------------
@@ -80,13 +80,14 @@ def test_steer_at_path_end_is_finite():
 
 
 def test_closed_loop_lane_change_tracking(hidden_scene):
-    # Drive the avoidance path at 5 m/s; lateral error stays inside 0.3 m.
+    # Drive the avoidance path at 5 m/s, scale 0.5 of V_DESIRED; lateral
+    # error stays inside 0.3 m.
     path = build_avoidance_path(hidden_scene)
     state = VehicleState(ux=5.0)
     errors = []
     for _ in range(1150):
         steer = steer_control(state, path)
-        ax = speed_control(5.0, 1.0, state.ux)
+        ax = speed_control(0.5, state.ux)
         state = step_dynamics(state, steer, ax, 0.01, path)
         errors.append(abs(state.e))
         if state.s >= path.length - 1.0:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from crosswalk_sim.control import V_DESIRED
 from crosswalk_sim.dynamics import VehicleState
 from crosswalk_sim.executor import (
     STOP_DECEL,
@@ -401,7 +402,7 @@ def test_each_decision_is_the_two_row_argmax(run_matrix, policy, name):
 
 def baseline_count_scale(count):
     """The baseline's scale before it has seen a pedestrian: the count rule alone."""
-    return BaselinePolicy(10.0, 40.0).decide(VehicleState(), SensorReading(count, False))
+    return BaselinePolicy(40.0).decide(VehicleState(), SensorReading(count, False))
 
 
 def test_baseline_scale_examples():
@@ -423,26 +424,24 @@ def test_baseline_scale_monotone():
 def test_stopping_scale_rules():
     # STOP_DECEL is 2 m/s^2, so the ramp reaches 10 m/s 25 m before the stop
     assert STOP_DECEL == 2.0
-    assert stopping_scale(-1.0, 10.0) == 0.0
-    assert stopping_scale(0.0, 10.0) == 0.0
-    assert stopping_scale(25.0, 10.0) == 1.0  # sqrt(100)/10
-    assert stopping_scale(12.5, 10.0) == pytest.approx(math.sqrt(50.0) / 10.0)
-    with pytest.raises(ValueError):
-        stopping_scale(5.0, 0.0)
+    assert V_DESIRED == 10.0
+    assert stopping_scale(-1.0) == 0.0
+    assert stopping_scale(0.0) == 0.0
+    assert stopping_scale(25.0) == 1.0  # sqrt(100)/10
+    assert stopping_scale(12.5) == pytest.approx(math.sqrt(50.0) / 10.0)
 
 
 def test_stopping_scale_kinematic_bound():
     rng = np.random.default_rng(12)
     for _ in range(500):
         dist = float(rng.uniform(0.01, 60.0))
-        v_des = float(rng.uniform(1.0, 15.0))
-        v_cmd = stopping_scale(dist, v_des) * v_des
+        v_cmd = stopping_scale(dist) * V_DESIRED
         assert v_cmd**2 / (2.0 * STOP_DECEL) <= dist + 1e-9
 
 
-def oracle_scale(scene, state, crosswalk_s, v_desired):
+def oracle_scale(scene, state, crosswalk_s):
     # the oracle reads ground truth only, so any reading gives one scale
-    oracle = OraclePolicy(scene, crosswalk_s, v_desired)
+    oracle = OraclePolicy(scene, crosswalk_s)
     scales = {oracle.decide(state, SensorReading(c, d)) for c in (0, 900, 5000) for d in (False, True)}
     assert len(scales) == 1
     return scales.pop()
@@ -452,21 +451,21 @@ def test_oracle_scale_rules(hidden_scene):
     state = VehicleState(ux=8.0, s=10.0)
     # no pedestrian -> full speed everywhere
     empty = Scene()
-    assert oracle_scale(empty, state, 40.0, 10.0) == 1.0
+    assert oracle_scale(empty, state, 40.0) == 1.0
     # past the crosswalk -> full speed again
     past = VehicleState(ux=8.0, s=45.0)
-    assert oracle_scale(hidden_scene, past, 40.0, 10.0) == 1.0
+    assert oracle_scale(hidden_scene, past, 40.0) == 1.0
     # approaching with a pedestrian present -> ramp toward a stop
-    near = oracle_scale(hidden_scene, VehicleState(s=30.0), 40.0, 10.0)
-    farther = oracle_scale(hidden_scene, VehicleState(s=10.0), 40.0, 10.0)
+    near = oracle_scale(hidden_scene, VehicleState(s=30.0), 40.0)
+    farther = oracle_scale(hidden_scene, VehicleState(s=10.0), 40.0)
     assert 0.0 < near < farther <= 1.0
-    at_margin = oracle_scale(hidden_scene, VehicleState(s=35.0), 40.0, 10.0)
+    at_margin = oracle_scale(hidden_scene, VehicleState(s=35.0), 40.0)
     assert at_margin == 0.0
 
 
 def test_oracle_scale_respects_stopping_distance(hidden_scene):
     # commanded speed always stoppable at 3 m/s^2 before the line
     for s in np.arange(0.0, 39.9, 0.5):
-        scale = oracle_scale(hidden_scene, VehicleState(s=float(s)), 40.0, 10.0)
-        v_cmd = scale * 10.0
+        scale = oracle_scale(hidden_scene, VehicleState(s=float(s)), 40.0)
+        v_cmd = scale * V_DESIRED
         assert v_cmd**2 / (2.0 * 3.0) <= max(40.0 - s, 0.0) + 1e-9

@@ -90,7 +90,7 @@ def test_merge_key_may_override_what_it_brings_in(tmp_path):
 BAD_VALUES = [
     ("scene", "road:\n  heading: north\n", "heading"),
     ("scene", "obstacles:\n  - center: 5\n    size: [1.0, 1.0]\n", "center"),
-    ("scenario", "scene: {scene}\nv_desired: fast\n", "v_desired"),
+    ("scenario", "scene: {scene}\nduration: fast\n", "duration"),
     ("model", "discount: high\n", "discount"),
 ]
 
@@ -99,25 +99,23 @@ BAD_VALUES = [
 # a number (float(True) is 1.0).
 STRICT_VALUES = [
     ("scene", "pedestrian:\n  present: 'false'\n  position: [40.0, 1.0]\n", "present"),
-    ("scenario", "scene: {scene}\nv_desired: true\n", "v_desired"),
+    ("scenario", "scene: {scene}\nduration: true\n", "duration"),
     ("model", "discount: true\n", "discount"),
 ]
 
 
 # Values that convert to the field's type but lie outside its range: every
 # float must be finite (YAML reads 1e999 as a string that float() takes to
-# inf), a scenario's speed and duration positive, its duration at most
-# files.MAX_DURATION, a pomdp scenario's speed the model's top speed bin,
+# inf), a scenario's duration positive and at most files.MAX_DURATION,
 # an obstacle's extents and the crosswalk width positive and the discount
 # in (0, 1). The validation names the field.
 RANGE_VALUES = [
-    ("scenario", "scene: {scene}\nv_desired: -5.0\n", "v_desired"),
-    ("scenario", "scene: {scene}\nv_desired: .nan\n", "v_desired"),
+    ("scenario", "scene: {scene}\nduration: -5.0\n", "duration"),
+    ("scenario", "scene: {scene}\nduration: .nan\n", "duration"),
     ("scenario", "scene: {scene}\nduration: .inf\n", "duration"),
     ("scenario", "scene: {scene}\nduration: 0\n", "duration"),
     ("scenario", "scene: {scene}\nduration: 1.0e308\n", "duration"),
     ("scenario", "scene: {scene}\nduration: 1.0e306\n", "duration"),
-    ("scenario", "scene: {scene}\npolicy: pomdp\nv_desired: 8.0\n", "v_desired"),
     ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [0.0, 1.0]\n", "size"),
     ("scene", "obstacles:\n  - size: [4.0, 2.0]\n    center: [.nan, -1.5]\n", "center"),
     ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [.nan, 2.0]\n", "size"),
@@ -149,10 +147,9 @@ def test_bad_value_names_the_file_and_key(tmp_path, repo_root, what, text, key):
 def test_scenario_values_convert_to_their_types(tmp_path, repo_root):
     dest = tmp_path / "scenario.yaml"
     scene = repo_root / "configs" / "scene_exposed.yaml"
-    dest.write_text(f"scene: {scene}\nv_desired: '10'\nduration: '15'\n")
+    dest.write_text(f"scene: {scene}\nduration: '15'\n")
     cfg = load_scenario(dest)
-    assert (cfg.v_desired, cfg.duration) == (10.0, 15.0)
-    assert type(cfg.v_desired) is float and type(cfg.duration) is float
+    assert cfg.duration == 15.0 and type(cfg.duration) is float
 
 
 def test_model_values_convert_to_their_types(tmp_path):

@@ -281,8 +281,6 @@ def test_scenario_config_validation(exposed_scene):
     with pytest.raises(ValueError, match="duration"):
         ScenarioConfig(scene=exposed_scene, duration=0.0)
     for bad in (-5.0, 0.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="v_desired"):
-            ScenarioConfig(scene=exposed_scene, v_desired=bad)
         with pytest.raises(ValueError, match="duration"):
             ScenarioConfig(scene=exposed_scene, duration=bad)
     # a run keeps one trace row per control step, so its length is bounded
@@ -290,17 +288,12 @@ def test_scenario_config_validation(exposed_scene):
     for bad in (math.nextafter(MAX_DURATION, math.inf), 1.0e306):
         with pytest.raises(ValueError, match=re.escape(f"'duration': {bad!r} s is longer than {MAX_DURATION!r} s")):
             ScenarioConfig(scene=exposed_scene, duration=bad)
-    # the model's speed bins stop at 10 m/s; other policies take any speed
-    with pytest.raises(ValueError, match="v_desired.*top speed 10.0"):
-        ScenarioConfig(scene=exposed_scene, policy="pomdp", v_desired=8.0)
-    assert ScenarioConfig(scene=exposed_scene, policy="oracle", v_desired=8.0).v_desired == 8.0
 
 
 def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
     doc = {
         "scene": str(repo_root / "configs" / "scene_exposed.yaml"),
         "policy": "baseline",
-        "v_desired": 8.0,
         "duration": 4.0,
     }
     dest = tmp_path / "custom_case.yaml"
@@ -308,12 +301,12 @@ def test_load_scenario_resolves_and_overrides(tmp_path, repo_root):
     cfg = load_scenario(dest)
     assert cfg.name == "custom_case"
     assert cfg.policy == "baseline"
-    assert cfg.v_desired == 8.0
+    assert cfg.duration == 4.0
     assert cfg.scene.pedestrian.present
 
 
 @pytest.mark.parametrize(
-    "key", ["stop_margn", "kp", "control_dt", "decision_period", "vehicle", "name", "seed", "policy_file"]
+    "key", ["stop_margn", "kp", "control_dt", "decision_period", "vehicle", "name", "seed", "policy_file", "v_desired"]
 )
 def test_load_scenario_rejects_unknown_key(tmp_path, repo_root, key):
     doc = {
@@ -391,12 +384,13 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
     # solve names the scene file, and run names the scenario over it. A
     # crosswalk at x = 65 m lies beyond the path's end; one at x = 59.4 m
     # or 59.7 m lies past where every run ends, 0.5 m short of that end.
-    # A scene's obstacles must be a list, and a speed takes no boolean. A
-    # path that cannot be read or written, a directory given as a file or
-    # a file given as the out directory, is named in the one line too. A
-    # key given twice, and a duration longer than the longest run, 1.0e306
-    # s or one whose count of control steps overflows, are named by their
-    # key as well
+    # A scene's obstacles must be a list. A path that cannot be read or
+    # written, a directory given as a file or a file given as the out
+    # directory, is named in the one line too. A key given twice, a
+    # duration longer than the longest run, 1.0e306 s or one whose count
+    # of control steps overflows, and a speed, which is no scenario key
+    # (every run commands control.V_DESIRED), are named by their key as
+    # well
     dest = tmp_path / "config.yaml"
     scene = yaml.safe_load((repo_root / "configs" / "scene_hidden.yaml").read_text())
     scene["obstacles"][0]["center"][0] = 12.0
@@ -429,6 +423,7 @@ def test_cli_config_errors_exit_2_on_one_line(tmp_path, repo_root, capsys, case)
         dest.write_text(yaml.safe_dump(scene))
         argv = ["grid-dump", "--scene", str(dest)]
     elif case == "boolean-speed":
+        key = "key 'v_desired'"
         dest.write_text(f"scene: {repo_root / 'configs' / 'scene_hidden.yaml'}\npolicy: oracle\nv_desired: true\n")
         argv = ["run", "--scenario", str(dest), "--out", str(tmp_path / "out")]
     elif case == "directory-scene":

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from crosswalk_sim import pomdp, qmdp
+from crosswalk_sim.control import V_DESIRED
 from crosswalk_sim.pomdp import (
     ACTION_SCALES,
     ADVANCE_SPREAD,
@@ -123,6 +124,15 @@ def test_space_sizes(crosswalk_model):
     assert crosswalk_model.num_actions == 11
     assert crosswalk_model.detection.shape == (NUM_D, NUM_CROSSING)
     assert ACTION_SCALES == tuple(k / 10 for k in range(11))
+
+
+def test_action_commands_its_own_speed_bin():
+    # the model's command a targets speed bin a (_speed_kernel), which holds
+    # only while scale ACTION_SCALES[a] of the run's one commanded speed is
+    # exactly that bin's speed, the top bin included
+    assert len(ACTION_SCALES) == NUM_V == 11
+    for a, scale in enumerate(ACTION_SCALES):
+        assert scale * V_DESIRED == a * SPEED_UNIT
 
 
 def test_state_index_bijection():
