@@ -7,10 +7,9 @@ import math
 import numpy as np
 
 from .dynamics import MAX_STEER, WHEELBASE, VehicleState
-from .path import SAMPLE_SPACING, Path, resample_by_arc
+from .path import Path, resample_by_arc
 from .world import LANE_WIDTH, ROAD_BOUNDS, Scene, crosswalk_path_distance
 
-CONTROL_DT = 0.01  # s per control step, at which the controllers and the run loop step
 AX_LIMIT = 3.0  # m/s^2, symmetric accel/brake authority
 SPEED_GAIN = 2.0  # 1/s, proportional gain of the speed tracker
 V_DESIRED = 10.0  # m/s commanded at scale 1.0
@@ -100,7 +99,7 @@ def build_avoidance_path(scene: Scene) -> Path:
         ys = offset * _blend(dense_x, ramp_start, ramp_end) * (
             1.0 - _blend(dense_x, back_start, back_end)
         )
-    xs, ys = resample_by_arc(dense_x, ys, SAMPLE_SPACING, PATH_LENGTH)
+    xs, ys = resample_by_arc(dense_x, ys, PATH_LENGTH)
     north, east = scene.road.to_inertial(xs, ys)
     return Path(north, east)
 

@@ -17,7 +17,7 @@ from .path import Path
 
 GRAVITY = 9.81  # m/s^2
 
-MAX_STEP = 0.1  # s, largest integration step the fixed-step RK4 accepts
+CONTROL_DT = 0.01  # s per control step: the one step step_dynamics integrates
 SLIP_SPEED_FLOOR = 0.5  # m/s, floor on the speed used in slip-angle kinematics
 
 # The one vehicle every run drives (SI units). A and B are the distances
@@ -36,6 +36,9 @@ MAX_STEER = math.pi / 6  # rad
 WHEELBASE = A + B
 FZ_FRONT = MASS * GRAVITY * B / WHEELBASE  # static front-axle normal load, N
 FZ_REAR = MASS * GRAVITY * A / WHEELBASE  # static rear-axle normal load, N
+
+_HALF_DT = 0.5 * CONTROL_DT  # RK4 midpoint stage step
+_SIXTH_DT = CONTROL_DT / 6.0  # RK4 weight of the summed stages
 
 
 @dataclass(frozen=True)
@@ -127,51 +130,47 @@ def step_dynamics(
     state: VehicleState,
     steer: float,
     ax_command: float,
-    dt: float,
     path: Path,
 ) -> VehicleState:
-    """Advance the vehicle one fixed RK4 step and re-project onto the path.
+    """Advance the vehicle one RK4 step of CONTROL_DT and re-project onto
+    the path.
 
-    dt must lie in (0, 0.1]. Longitudinal speed is clamped at zero so the
-    model never reverses; (s, e) come from projecting the new position.
+    Longitudinal speed is clamped at zero so the model never reverses;
+    (s, e) come from projecting the new position.
     """
-    if not (0.0 < dt <= MAX_STEP):
-        raise ValueError(f"dt must lie in (0, {MAX_STEP}]")
     if not all(map(math.isfinite, (steer, ax_command))):
         raise ValueError("steer and ax_command must be finite")
 
     # Steer and the command hold over the step, so every stage shares them.
     cos_d, sin_d, drive = math.cos(steer), math.sin(steer), allocate_longitudinal(ax_command)
-    half = 0.5 * dt
     uy, r, ux, psi, north, east = state.uy, state.r, state.ux, state.psi, state.north, state.east
     k1uy, k1r, k1ux, k1psi, k1n, k1e = _derivatives(
         uy, r, ux, psi,
         steer, cos_d, sin_d, ax_command, drive,
     )
     k2uy, k2r, k2ux, k2psi, k2n, k2e = _derivatives(
-        uy + half * k1uy, r + half * k1r, ux + half * k1ux, psi + half * k1psi,
+        uy + _HALF_DT * k1uy, r + _HALF_DT * k1r, ux + _HALF_DT * k1ux, psi + _HALF_DT * k1psi,
         steer, cos_d, sin_d, ax_command, drive,
     )
     k3uy, k3r, k3ux, k3psi, k3n, k3e = _derivatives(
-        uy + half * k2uy, r + half * k2r, ux + half * k2ux, psi + half * k2psi,
+        uy + _HALF_DT * k2uy, r + _HALF_DT * k2r, ux + _HALF_DT * k2ux, psi + _HALF_DT * k2psi,
         steer, cos_d, sin_d, ax_command, drive,
     )
     k4uy, k4r, k4ux, k4psi, k4n, k4e = _derivatives(
-        uy + dt * k3uy, r + dt * k3r, ux + dt * k3ux, psi + dt * k3psi,
+        uy + CONTROL_DT * k3uy, r + CONTROL_DT * k3r, ux + CONTROL_DT * k3ux, psi + CONTROL_DT * k3psi,
         steer, cos_d, sin_d, ax_command, drive,
     )
-    sixth = dt / 6.0
-    ux_new = ux + sixth * (k1ux + 2.0 * k2ux + 2.0 * k3ux + k4ux)
-    north_new = north + sixth * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
-    east_new = east + sixth * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-    proj = path.project(north_new, east_new)
+    ux_new = ux + _SIXTH_DT * (k1ux + 2.0 * k2ux + 2.0 * k3ux + k4ux)
+    north_new = north + _SIXTH_DT * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
+    east_new = east + _SIXTH_DT * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
+    s, e = path.project(north_new, east_new)
     return VehicleState(
-        uy=uy + sixth * (k1uy + 2.0 * k2uy + 2.0 * k3uy + k4uy),
-        r=r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
+        uy=uy + _SIXTH_DT * (k1uy + 2.0 * k2uy + 2.0 * k3uy + k4uy),
+        r=r + _SIXTH_DT * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
         ux=0.0 if ux_new < 0.0 else ux_new,  # max(ux_new, 0.0)
-        psi=psi + sixth * (k1psi + 2.0 * k2psi + 2.0 * k3psi + k4psi),
+        psi=psi + _SIXTH_DT * (k1psi + 2.0 * k2psi + 2.0 * k3psi + k4psi),
         north=north_new,
         east=east_new,
-        s=proj.s,
-        e=proj.e,
+        s=s,
+        e=e,
     )

@@ -21,8 +21,8 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import world
-from .control import CONTROL_DT, PATH_END_MARGIN, V_DESIRED, path_to_crosswalk, speed_control, steer_control
-from .dynamics import VehicleState, step_dynamics
+from .control import PATH_END_MARGIN, V_DESIRED, path_to_crosswalk, speed_control, steer_control
+from .dynamics import CONTROL_DT, VehicleState, step_dynamics
 from .executor import STOP_MARGIN, SensorReading, pomdp_step, stopping_scale
 
 # perfbench/tracer.py patches export_trace and export_plot_data as harness
@@ -202,7 +202,7 @@ def run_scenario(
              ax, steer, scale, count, float(detected), policy.p_crossing)
         )
 
-        state = step_dynamics(state, steer, ax, CONTROL_DT, path)
+        state = step_dynamics(state, steer, ax, path)
 
         if state.s >= path.length - PATH_END_MARGIN:
             termination = "path_end"

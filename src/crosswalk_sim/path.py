@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,18 +13,6 @@ WINDOW = 2  # segments searched on each side of the last projection's segment
 # closer; rounding moves the compared distances by about 1e-16 of the
 # lengths involved, times the segment count for arc lengths.
 MARGIN = 1e-9
-
-
-@dataclass(frozen=True)
-class PathProjection:
-    """Result of projecting a point onto a path.
-
-    s is the arc length of the closest path point and e the signed
-    lateral offset (positive to the left of the travel direction).
-    """
-
-    s: float
-    e: float
 
 
 class Path:
@@ -82,8 +69,11 @@ class Path:
         dn, de, _, _ = self._segments[i]
         return float(np.arctan2(de, dn))
 
-    def project(self, north: float, east: float) -> PathProjection:
-        """Closest-point projection of (north, east) onto the polyline.
+    def project(self, north: float, east: float) -> tuple[float, float]:
+        """Closest-point projection of (north, east) onto the polyline, as
+        the Python floats (s, e): s is the arc length of the closest path
+        point and e the signed lateral offset, positive to the left of the
+        travel direction.
 
         The closest segment is the first one with the least squared
         distance d2 over all segments (_nearest). The segments within
@@ -109,7 +99,7 @@ class Path:
         tn = dn / seg_len
         te = de / seg_len
         e = cn * te - ce * tn
-        return PathProjection(s=float(s), e=float(e))
+        return s, e
 
     def _nearest(self, north: float, east: float, a: int, b: int):
         """(d2, k, t, cn, ce) of the closest of segments a..b-1: the
@@ -179,17 +169,16 @@ def _interp(x: float, xp: list, fp: list, j: int) -> float:
     return slope * (x - xp[j]) + fp[j]
 
 
-def resample_by_arc(north, east, spacing: float, total_length: float | None = None):
-    """Resample a dense polyline at equal arc-length increments.
-
-    When total_length is given the result is truncated there; the source
-    polyline must extend at least that far.
+def resample_by_arc(north, east, total_length: float):
+    """Resample a dense polyline every SAMPLE_SPACING of arc length from
+    its start to total_length, the last sample clamped to total_length.
+    The source polyline must extend at least that far.
     """
     path = Path(north, east)
-    end = path.length if total_length is None else float(total_length)
+    end = float(total_length)
     if end > path.length + 1e-9:
         raise ValueError("polyline shorter than requested length")
-    svals = np.arange(0.0, end + spacing / 2, spacing)
+    svals = np.arange(0.0, end + SAMPLE_SPACING / 2, SAMPLE_SPACING)
     svals[-1] = min(svals[-1], end)
     n = np.interp(svals, path.s, path.north)
     e = np.interp(svals, path.s, path.east)

@@ -26,6 +26,7 @@ through which qmdp.value_iteration solves layer by layer.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -259,7 +260,7 @@ def derive_model_config(scene: Scene, base: ModelConfig | None = None) -> ModelC
     off it or where no run reaches it (control.path_to_crosswalk)."""
     cfg = base or ModelConfig()
     path, crosswalk_s = path_to_crosswalk(scene)
-    crosswalk_bin = min(int(round(crosswalk_s / CELL_LENGTH)), NUM_D - 1)
     band = crosswalk_occlusion_band(scene, path)
     occluded = (1, 0) if band is None else occluded_bins_from_band(*band)
-    return replace(cfg, crosswalk_bin=crosswalk_bin, occluded_bins=occluded)
+    # binned as QmdpPolicy bins the car, so a car at the line is in its bin
+    return replace(cfg, crosswalk_bin=math.floor(crosswalk_s / CELL_LENGTH), occluded_bins=occluded)

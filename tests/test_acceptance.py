@@ -250,8 +250,8 @@ def test_criterion_10_invariant_suite(crosswalk_model, exposed_scene):
             )
             steer = float(rng.uniform(-0.4, 0.4))
             ax = float(rng.uniform(-3, 3))
-            once = step_dynamics(state, steer, ax, 0.01, path)
-            twice = step_dynamics(state, steer, ax, 0.01, path)
+            once = step_dynamics(state, steer, ax, path)
+            twice = step_dynamics(state, steer, ax, path)
             assert once == twice
 
         # determinism of a full closed-loop run

@@ -21,7 +21,7 @@ from crosswalk_sim.control import (
     steer_control,
 )
 from crosswalk_sim.dynamics import MAX_STEER, VehicleState, step_dynamics
-from crosswalk_sim.path import SAMPLE_SPACING, Path, resample_by_arc
+from crosswalk_sim.path import Path, resample_by_arc
 from crosswalk_sim.world import RectObstacle, Scene
 
 from conftest import straight_path
@@ -88,7 +88,7 @@ def test_closed_loop_lane_change_tracking(hidden_scene):
     for _ in range(1150):
         steer = steer_control(state, path)
         ax = speed_control(0.5, state.ux)
-        state = step_dynamics(state, steer, ax, 0.01, path)
+        state = step_dynamics(state, steer, ax, path)
         errors.append(abs(state.e))
         if state.s >= path.length - 1.0:
             break
@@ -184,7 +184,7 @@ def corner_path(scene: Scene):
         ys = offset * _blend(dense_x, ramp_start, x_first - LEAD_GAP) * (
             1.0 - _blend(dense_x, back_start, back_start + RETURN_LENGTH)
         )
-    return scene.road.to_inertial(*resample_by_arc(dense_x, ys, SAMPLE_SPACING, PATH_LENGTH))
+    return scene.road.to_inertial(*resample_by_arc(dense_x, ys, PATH_LENGTH))
 
 
 def test_rotated_obstacles_path_matches_corner_extents_bitwise(monkeypatch):

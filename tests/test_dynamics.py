@@ -14,6 +14,7 @@ from crosswalk_sim.dynamics import (
     B,
     CAF,
     CAR,
+    CONTROL_DT,
     FRICTION,
     FRONT_BRAKE_FRACTION,
     FZ_FRONT,
@@ -21,7 +22,6 @@ from crosswalk_sim.dynamics import (
     GRAVITY,
     MASS,
     MAX_STEER,
-    MAX_STEP,
     SLIP_SPEED_FLOOR,
     WHEELBASE,
     YAW_INERTIA,
@@ -109,7 +109,7 @@ def test_rest_is_an_equilibrium():
     path = straight_path(300.0)
     state = VehicleState()
     for _ in range(50):
-        state = step_dynamics(state, 0.0, 0.0, 0.01, path)
+        state = step_dynamics(state, 0.0, 0.0, path)
     assert state == VehicleState()
 
 
@@ -117,7 +117,7 @@ def test_unit_acceleration_for_one_second():
     path = straight_path(300.0)
     state = VehicleState()
     for _ in range(100):
-        state = step_dynamics(state, 0.0, 1.0, 0.01, path)
+        state = step_dynamics(state, 0.0, 1.0, path)
     assert state.ux == pytest.approx(1.0, abs=1e-6)
     assert state.uy == pytest.approx(0.0, abs=1e-12)
     assert state.r == pytest.approx(0.0, abs=1e-12)
@@ -134,7 +134,7 @@ def test_steady_state_yaw_rate_matches_kinematics():
     rates = []
     for i in range(600):
         ax = 2.0 * (5.0 - state.ux)
-        state = step_dynamics(state, steer, ax, 0.01, path)
+        state = step_dynamics(state, steer, ax, path)
         if i >= 500:
             rates.append(state.r)
     expected = 5.0 * steer / WHEELBASE
@@ -146,7 +146,7 @@ def test_braking_never_reverses():
     state = VehicleState(ux=0.5)
     speeds = []
     for _ in range(100):
-        state = step_dynamics(state, 0.0, -3.0, 0.01, path)
+        state = step_dynamics(state, 0.0, -3.0, path)
         speeds.append(state.ux)
     assert min(speeds) >= 0.0
     assert state.ux == 0.0
@@ -157,7 +157,7 @@ def test_standstill_stays_put_under_brakes_and_steer():
     path = straight_path(300.0)
     state = VehicleState()
     for _ in range(200):
-        state = step_dynamics(state, 0.3, -2.0, 0.01, path)
+        state = step_dynamics(state, 0.3, -2.0, path)
     assert state.ux == 0.0
     assert abs(state.uy) < 1e-9
     assert abs(state.north) < 1e-9
@@ -167,11 +167,7 @@ def test_step_validation():
     path = straight_path(300.0)
     state = VehicleState()
     with pytest.raises(ValueError):
-        step_dynamics(state, 0.0, 0.0, 0.2, path)
-    with pytest.raises(ValueError):
-        step_dynamics(state, 0.0, 0.0, 0.0, path)
-    with pytest.raises(ValueError):
-        step_dynamics(state, math.nan, 0.0, 0.01, path)
+        step_dynamics(state, math.nan, 0.0, path)
 
 
 # --- bit-identity with the written-out step ------------------------------
@@ -265,23 +261,21 @@ STRAIGHT = straight_path(300.0)
     east=st.floats(-6.0, 6.0),
     steer=signed_zero_or(st.floats(-MAX_STEER, MAX_STEER)),
     ax=signed_zero_or(st.floats(-8.0, 8.0)),
-    dt=st.one_of(st.just(0.01), st.floats(1e-4, MAX_STEP)),
 )
 # standstill under brakes and full steer
-@example(uy=0.0, r=0.0, ux=0.0, psi=0.0, north=0.0, east=0.0, steer=0.3, ax=-2.0, dt=0.01)
+@example(uy=0.0, r=0.0, ux=0.0, psi=0.0, north=0.0, east=0.0, steer=0.3, ax=-2.0)
 # creeping just below the slip-speed floor, where the tire forces taper
-@example(uy=0.1, r=0.05, ux=BELOW_FLOOR, psi=0.2, north=10.0, east=0.5, steer=0.1, ax=-1.0, dt=0.01)
+@example(uy=0.1, r=0.05, ux=BELOW_FLOOR, psi=0.2, north=10.0, east=0.5, steer=0.1, ax=-1.0)
 # both tires saturated: |tan alpha| is far past 3 mu fz / c_alpha
-@example(uy=3.0, r=-1.0, ux=1.0, psi=0.3, north=20.0, east=-1.0, steer=0.5, ax=2.0, dt=0.01)
+@example(uy=3.0, r=-1.0, ux=1.0, psi=0.3, north=20.0, east=-1.0, steer=0.5, ax=2.0)
 # every component a negative zero
-@example(uy=-0.0, r=-0.0, ux=-0.0, psi=-0.0, north=-0.0, east=-0.0, steer=-0.0, ax=-0.0, dt=0.01)
-def test_step_matches_written_out_step_bit_for_bit(uy, r, ux, psi, north, east, steer, ax, dt):
+@example(uy=-0.0, r=-0.0, ux=-0.0, psi=-0.0, north=-0.0, east=-0.0, steer=-0.0, ax=-0.0)
+def test_step_matches_written_out_step_bit_for_bit(uy, r, ux, psi, north, east, steer, ax):
     state = VehicleState(uy=uy, r=r, ux=ux, psi=psi, north=north, east=east)
-    got = step_dynamics(state, steer, ax, dt, STRAIGHT)
-    ref = reference_step(state, steer, ax, dt)
+    got = step_dynamics(state, steer, ax, STRAIGHT)
+    ref = reference_step(state, steer, ax, CONTROL_DT)
     assert bits((got.uy, got.r, got.ux, got.psi, got.north, got.east)) == bits(ref)
-    proj = STRAIGHT.project(ref[4], ref[5])
-    assert bits((got.s, got.e)) == bits((proj.s, proj.e))
+    assert bits((got.s, got.e)) == bits(STRAIGHT.project(ref[4], ref[5]))
 
 
 @settings(max_examples=300, deadline=None)

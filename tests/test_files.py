@@ -252,11 +252,12 @@ def test_scene_with_crosswalk_off_the_path_names_the_scenario_file(tmp_path, rep
 
 @pytest.mark.parametrize("policy", ["oracle", "baseline", "pomdp"])
 def test_crosswalk_short_of_the_run_end_loads(tmp_path, repo_root, policy):
-    # at x = 59.3 m the line lies 59.49 m along the path, in distance bin 119
+    # at x = 59.3 m the line lies 59.49 m along the path, in distance bin
+    # 118, which holds [59.0, 59.5) m as it does for the car
     config = load_scenario(scenario_over_moved_crosswalk(tmp_path, repo_root, policy, 59.3))
     assert config.policy == policy
     if policy == "pomdp":
-        assert config.model_config.crosswalk_bin == 119
+        assert config.model_config.crosswalk_bin == 118
 
 
 @pytest.mark.parametrize("key", ["scene", "model"])

@@ -10,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import yaml
 
 from crosswalk_sim import harness
 from crosswalk_sim.cli import main as cli_main
+from crosswalk_sim.control import path_to_crosswalk
 from crosswalk_sim.files import (
     MAX_DURATION,
     TRACE_FIELDS,
@@ -28,7 +30,7 @@ from crosswalk_sim.files import (
     load_scenario,
 )
 from crosswalk_sim.harness import CONTROL_DT, run_scenario, summarize
-from crosswalk_sim.pomdp import EPOCH, ModelConfig, derive_model_config
+from crosswalk_sim.pomdp import CELL_LENGTH, EPOCH, ModelConfig, derive_model_config
 from crosswalk_sim.world import RectObstacle, Scene
 
 from conftest import load_trace
@@ -215,6 +217,15 @@ def test_stuck_termination():
     trace = run_scenario(cfg)
     assert trace.termination == "stuck"
     assert trace.columns["ux"].max() < 3.0
+    # the 301st step at rest ends the run: 300 additions of CONTROL_DT sum
+    # to 2.99999999999998, not above STUCK_TIME, so the last 300 rows rest
+    at_rest = trace.columns["ux"] < harness.STUCK_SPEED
+    assert len(trace) == 755
+    assert at_rest[-300:].all() and not at_rest[-301]
+    elapsed = 0.0
+    for _ in range(300):
+        elapsed += CONTROL_DT
+    assert elapsed == 2.99999999999998 and not elapsed > harness.STUCK_TIME
 
 
 def test_expected_stop_is_not_stuck(run_matrix):
@@ -553,6 +564,18 @@ def test_derive_model_config(scenario_configs, hidden_scene, exposed_scene):
         assert derive_model_config(scene, shipped) == shipped
     # with no obstacle nothing is shadowed: the empty band lo > hi
     assert derive_model_config(Scene()).occluded_bins == (1, 0)
+    # the line is binned as the car is, by floor: with the crosswalk and
+    # pedestrian at x = 40.2 m the line lies 40.274 m along the path, in
+    # the upper half of bin 80, and a car at the line is in bin 80
+    moved = replace(
+        hidden_scene,
+        crosswalk=replace(hidden_scene.crosswalk, distance=40.2),
+        pedestrian=replace(hidden_scene.pedestrian, position=(40.2, -2.6)),
+    )
+    _, crosswalk_s = path_to_crosswalk(moved)
+    assert crosswalk_s == pytest.approx(40.274, abs=5e-4)
+    assert math.floor(crosswalk_s / CELL_LENGTH) == 80 < round(crosswalk_s / CELL_LENGTH)
+    assert derive_model_config(moved).crosswalk_bin == 80
 
 
 def test_load_scenario_derives_model_geometry(tmp_path, repo_root):

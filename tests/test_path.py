@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crosswalk_sim.control import build_avoidance_path
-from crosswalk_sim.path import Path, PathProjection, resample_by_arc
+from crosswalk_sim.path import SAMPLE_SPACING, Path, resample_by_arc
 
 from conftest import load_trace, straight_path
 
@@ -33,21 +33,19 @@ def brute_force_project(path: Path, north: float, east: float, step: float = 1e-
 def curved_path() -> Path:
     north = np.linspace(0.0, 60.0, 600)
     east = 2.0 * np.sin(north / 8.0)
-    return Path(*resample_by_arc(north, east, 0.25))
+    return Path(*resample_by_arc(north, east, Path(north, east).length))
 
 
 def test_project_start_is_origin():
-    proj = straight_path(60.0).project(0.0, 0.0)
-    assert proj.s == 0.0
-    assert proj.e == 0.0
+    assert straight_path(60.0).project(0.0, 0.0) == (0.0, 0.0)
 
 
 def test_project_left_offset_midway():
     # 1 m to the left of a northbound path (east = -1) at half length.
     path = straight_path(60.0)
-    proj = path.project(30.0, -1.0)
-    assert proj.s == pytest.approx(30.0, abs=1e-9)
-    assert proj.e == pytest.approx(1.0, abs=1e-9)
+    s, e = path.project(30.0, -1.0)
+    assert s == pytest.approx(30.0, abs=1e-9)
+    assert e == pytest.approx(1.0, abs=1e-9)
 
 
 def test_project_matches_brute_force():
@@ -58,12 +56,12 @@ def test_project_matches_brute_force():
         n0, e0 = path.point_at(s_ref)
         north = n0 + rng.uniform(-2.0, 2.0)
         east = e0 + rng.uniform(-2.0, 2.0)
-        proj = path.project(north, east)
+        s, e = path.project(north, east)
         s_o, e_o = brute_force_project(path, north, east)
-        assert abs(proj.s - s_o) <= 0.25
-        assert abs(proj.e - e_o) <= 1e-3 + 0.25  # sign and magnitude agree
-        assert np.sign(proj.e) == np.sign(e_o) or abs(e_o) < 1e-3
-        assert abs(abs(proj.e) - abs(e_o)) <= 1e-3
+        assert abs(s - s_o) <= 0.25
+        assert abs(e - e_o) <= 1e-3 + 0.25  # sign and magnitude agree
+        assert np.sign(e) == np.sign(e_o) or abs(e_o) < 1e-3
+        assert abs(abs(e) - abs(e_o)) <= 1e-3
 
 
 def test_point_at_round_trip():
@@ -71,9 +69,9 @@ def test_point_at_round_trip():
     rng = np.random.default_rng(3)
     for s in rng.uniform(0.0, path.length, 50):
         n, e = path.point_at(float(s))
-        proj = path.project(n, e)
-        assert proj.s == pytest.approx(float(s), abs=1e-6)
-        assert abs(proj.e) <= 1e-9
+        s_p, e_p = path.project(n, e)
+        assert s_p == pytest.approx(float(s), abs=1e-6)
+        assert abs(e_p) <= 1e-9
 
 
 def test_point_at_matches_np_interp_bitwise():
@@ -122,17 +120,17 @@ def test_heading_at_matches_numpy_lookup_bitwise():
 
 def test_clamped_projection_past_ends():
     path = straight_path(10.0)
-    assert path.project(-5.0, 0.5).s == 0.0
-    assert path.project(15.0, -0.5).s == pytest.approx(path.length)
+    assert path.project(-5.0, 0.5)[0] == 0.0
+    assert path.project(15.0, -0.5)[0] == pytest.approx(path.length)
 
 
 def test_resample_spacing_and_truncation():
     north = np.linspace(0.0, 60.0, 600)
     east = 2.0 * np.sin(north / 8.0)
-    n, e = resample_by_arc(north, east, 0.25, total_length=40.0)
+    n, e = resample_by_arc(north, east, 40.0)
     gaps = np.hypot(np.diff(n), np.diff(e))
-    assert np.all(gaps <= 0.25 + 1e-9)
-    assert np.allclose(gaps[:-1], 0.25, atol=0.02)
+    assert np.all(gaps <= SAMPLE_SPACING + 1e-9)
+    assert np.allclose(gaps[:-1], SAMPLE_SPACING, atol=0.02)
     total = float(gaps.sum())
     assert total == pytest.approx(40.0, abs=0.05)
 
@@ -147,19 +145,20 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         straight_path(60.0).project(np.nan, 0.0)
     with pytest.raises(ValueError):
-        resample_by_arc([0.0, 1.0], [0.0, 0.0], 0.25, total_length=5.0)
+        resample_by_arc([0.0, 1.0], [0.0, 0.0], 5.0)
 
 
-def test_projection_is_frozen():
-    proj = PathProjection(s=1.0, e=0.5)
-    with pytest.raises(Exception):
-        proj.s = 2.0
+def test_projection_is_a_pair_of_python_floats():
+    # (s, e) as plain Python floats, whatever float type was passed in
+    proj = straight_path(60.0).project(np.float64(30.0), np.float32(-1.0))
+    assert type(proj) is tuple
+    assert [type(v) for v in proj] == [float, float]
 
 
 # --- windowed search against the full scan ----------------------------------
 
 
-def full_scan(path: Path, north: float, east: float) -> PathProjection:
+def full_scan(path: Path, north: float, east: float) -> tuple[float, float]:
     """The projection as first written: every segment at once in numpy,
     the first of the closest ones winning."""
     qn = north - path.north[:-1]
@@ -176,11 +175,12 @@ def full_scan(path: Path, north: float, east: float) -> PathProjection:
     tn = dn[k] / seg_len[k]
     te = de[k] / seg_len[k]
     e = float(cn[k] * te - ce[k] * tn)
-    return PathProjection(s=s, e=e)
+    return s, e
 
 
-def bits(proj: PathProjection):
-    return np.float64(proj.s).tobytes(), np.float64(proj.e).tobytes()
+def bits(proj: tuple[float, float]):
+    s, e = proj
+    return np.float64(s).tobytes(), np.float64(e).tobytes()
 
 
 def count_full_scans(monkeypatch) -> list:
@@ -233,7 +233,7 @@ def test_project_hairpin_other_leg():
     assert bits(near) == bits(full_scan(path, 10.1, 0.3))
     other = path.project(10.1, 1.6)
     assert bits(other) == bits(full_scan(path, 10.1, 1.6))
-    assert near.s < 20.0 < other.s
+    assert near[0] < 20.0 < other[0]
 
 
 def test_project_tie_goes_to_the_lower_segment(monkeypatch):
@@ -245,7 +245,7 @@ def test_project_tie_goes_to_the_lower_segment(monkeypatch):
         path.project(north, east)
         proj = path.project(10.125, 1.0)
         assert bits(proj) == bits(full_scan(path, 10.125, 1.0))
-        assert proj.s == 10.125 and proj.e == -1.0
+        assert proj == (10.125, -1.0)
 
 
 def test_project_path_coming_back_near_itself():
@@ -272,7 +272,7 @@ def test_project_keeps_the_sign_of_zero():
     path = Path(north, -north)
     proj = path.project(-0.0, 0.0)
     assert bits(proj) == bits(full_scan(path, -0.0, 0.0))
-    assert np.signbit(proj.e)
+    assert np.signbit(proj[1])
 
 
 def test_project_does_not_depend_on_call_history():
