@@ -47,7 +47,6 @@ from .pomdp import (
     NUM_V,
     SPEED_UNIT,
     TERMINAL_D,
-    ModelConfig,
     PomdpModel,
     build_crosswalk_model,
 )
@@ -168,7 +167,8 @@ def run_scenario(
         policy = BaselinePolicy(crosswalk_s)
     else:
         if policy is None:
-            model, policy = solve_policy(config.model_config)
+            model = build_crosswalk_model(config.model_config)
+            policy = extract_alphas(value_iteration(model), ACTION_SCALES)
         policy = QmdpPolicy(model, policy)
 
     n_steps = int(round(config.duration / CONTROL_DT))
@@ -234,12 +234,6 @@ def run_scenario(
         "belief_resets": 0,
     }
     return Trace(columns=columns, metadata=metadata, termination=termination)
-
-
-def solve_policy(config: ModelConfig) -> tuple[PomdpModel, AlphaVectorPolicy]:
-    """Build the crosswalk model and solve it for its QMDP alpha vectors."""
-    model = build_crosswalk_model(config)
-    return model, extract_alphas(value_iteration(model), ACTION_SCALES)
 
 
 def _near_obstacle(scene: Scene, state: VehicleState) -> bool:

@@ -31,12 +31,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import V_DESIRED, path_to_crosswalk
+from .control import PATH_LENGTH, V_DESIRED, path_to_crosswalk
 from .world import Scene, crosswalk_occlusion_band
 
 SPEED_UNIT = 1.0  # m/s per speed bin
+CELL_LENGTH = 0.5  # m per distance bin
 NUM_V = round(V_DESIRED / SPEED_UNIT) + 1  # 11: the top bin is the speed commanded at scale 1.0
-NUM_D = 121
+NUM_D = round(PATH_LENGTH / CELL_LENGTH) + 1  # 121: the terminal bin starts at the avoidance path's end
 NUM_CROSSING = 2
 NUM_STATES = NUM_V * NUM_D * NUM_CROSSING  # 2662
 NUM_ACTIONS = 11
@@ -45,7 +46,6 @@ EPOCH = 0.5  # s between decisions
 
 ACTION_SCALES = tuple(k / 10 for k in range(NUM_ACTIONS))
 
-CELL_LENGTH = 0.5  # m per distance bin
 P_ADAPT = 0.75  # chance the speed moves one bin toward the command
 ADVANCE_SPREAD = (0.15, 0.7, 0.15)  # chances of the -1/0/+1 cell smear
 CROSSING_PERSIST = 0.95  # crossing stays active between epochs

@@ -32,6 +32,9 @@ CELL_SIZE = 1 / CELLS_PER_M
 # two edges, and the ego lane's width about y = 0.
 ROAD_BOUNDS = (-1.8, 5.4)
 LANE_WIDTH = 3.6
+# The crosswalk band's extent along the road, centred on its line; a
+# scene's pedestrian stands within it.
+CROSSWALK_WIDTH = 3.0
 
 # Cell-centre offsets from the ego position: along the road for each of the
 # GRID_LENGTH rows, then across it for each of the GRID_WIDTH columns, as
@@ -205,14 +208,11 @@ class RectObstacle:
 
 @dataclass(frozen=True)
 class Crosswalk:
-    """Band across the road at a fixed along-road distance."""
+    """Band of CROSSWALK_WIDTH across the road at a fixed along-road
+    distance."""
 
     distance: float = 40.0
-    width: float = 3.0
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError(f"bad value for key 'width': {self.width!r} is not positive")
+    width = CROSSWALK_WIDTH  # not a field: perfbench/workloads.py still reads it
 
 
 @dataclass(frozen=True)
@@ -231,8 +231,7 @@ class Scene:
     def __post_init__(self):
         if self.pedestrian.present:
             px = self.pedestrian.position[0]
-            half = self.crosswalk.width / 2
-            if abs(px - self.crosswalk.distance) > half:
+            if abs(px - self.crosswalk.distance) > CROSSWALK_WIDTH / 2:
                 raise ValueError(f"bad value for key 'position': {px!r} is outside the crosswalk band")
 
 

@@ -107,8 +107,8 @@ STRICT_VALUES = [
 # Values that convert to the field's type but lie outside its range: every
 # float must be finite (YAML reads 1e999 as a string that float() takes to
 # inf), a scenario's duration positive and at most files.MAX_DURATION,
-# an obstacle's extents and the crosswalk width positive and the discount
-# in (0, 1). The validation names the field.
+# an obstacle's extents positive and the discount in (0, 1). The
+# validation names the field.
 RANGE_VALUES = [
     ("scenario", "scene: {scene}\nduration: -5.0\n", "duration"),
     ("scenario", "scene: {scene}\nduration: .nan\n", "duration"),
@@ -123,7 +123,6 @@ RANGE_VALUES = [
     ("scene", "obstacles:\n  - center: [20.0, 0.0]\n    size: [4.0, 2.0]\n    yaw: -.inf\n", "yaw"),
     ("scene", "road:\n  heading: .nan\n", "heading"),
     ("scene", "crosswalk:\n  distance: .inf\n", "distance"),
-    ("scene", "crosswalk:\n  width: -3.0\n", "width"),
     ("scene", "pedestrian:\n  position: [40.0, .nan]\n", "position"),
     ("model", "discount: 1.5\n", "discount"),
     ("model", "discount: .nan\n", "discount"),
@@ -168,17 +167,23 @@ def test_scene_values_convert_to_their_types(tmp_path):
 
 
 # The road's cross-section is world.ROAD_BOUNDS and world.LANE_WIDTH for
-# every scene, so a scene file that still sets it fails on the key.
+# every scene, and the crosswalk's width world.CROSSWALK_WIDTH, so a scene
+# file that still sets one fails on the key.
 @pytest.mark.parametrize(
     "text",
-    ["road:\n  bounds: 5\n", "road:\n  bounds: [5.0, -2.0]\n", "road:\n  lane_width: -3.6\n"],
-    ids=["bounds-5", "bounds-[5.0, -2.0]", "lane_width--3.6"],
+    [
+        "road:\n  bounds: 5\n",
+        "road:\n  bounds: [5.0, -2.0]\n",
+        "road:\n  lane_width: -3.6\n",
+        "crosswalk:\n  width: -3.0\n",
+    ],
+    ids=["bounds-5", "bounds-[5.0, -2.0]", "lane_width--3.6", "width--3.0"],
 )
 def test_road_cross_section_keys_are_unknown(tmp_path, text):
     dest = tmp_path / "scene.yaml"
     dest.write_text(text)
-    key = text.split()[1].rstrip(":")
-    with pytest.raises(ValueError, match=re.escape(f"{dest}: unknown road key '{key}'")):
+    section, key = (word.rstrip(":") for word in text.split()[:2])
+    with pytest.raises(ValueError, match=re.escape(f"{dest}: unknown {section} key '{key}'")):
         load_scene(dest)
 
 

@@ -12,7 +12,8 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from crosswalk_sim import pomdp, qmdp
-from crosswalk_sim.control import V_DESIRED
+from crosswalk_sim.control import PATH_LENGTH, V_DESIRED, build_avoidance_path
+from crosswalk_sim.files import load_scene
 from crosswalk_sim.pomdp import (
     ACTION_SCALES,
     ADVANCE_SPREAD,
@@ -133,6 +134,17 @@ def test_action_commands_its_own_speed_bin():
     assert len(ACTION_SCALES) == NUM_V == 11
     for a, scale in enumerate(ACTION_SCALES):
         assert scale * V_DESIRED == a * SPEED_UNIT
+
+
+@pytest.mark.parametrize("scene_file", ["scene_hidden.yaml", "scene_exposed.yaml"])
+def test_distance_bins_end_where_the_avoidance_path_ends(repo_root, scene_file):
+    # NUM_D follows control.PATH_LENGTH, so the terminal bin starts where
+    # the avoidance path ends. The swerving path's polyline runs chords
+    # between its arc-length samples and falls short of PATH_LENGTH by
+    # under a millimetre, so its end lies just short of the terminal bin.
+    path = build_avoidance_path(load_scene(repo_root / "configs" / scene_file))
+    assert TERMINAL_D * CELL_LENGTH == PATH_LENGTH
+    assert PATH_LENGTH - 1e-3 < path.length <= PATH_LENGTH
 
 
 def test_state_index_bijection():

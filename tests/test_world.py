@@ -14,6 +14,7 @@ from crosswalk_sim.world import (
     CELL_SIZE,
     CELLS_PER_M,
     CROSSWALK_SAMPLE_STEP,
+    CROSSWALK_WIDTH,
     FREE,
     GRID_LENGTH,
     GRID_WIDTH,
@@ -927,6 +928,24 @@ def test_scene_validation():
         Scene(pedestrian=Pedestrian(present=True, position=(10.0, 0.0)))
     with pytest.raises(ValueError):
         RectObstacle(center=(0.0, 0.0), size=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["near", "far"])
+def test_pedestrian_stands_within_the_crosswalk_band(side):
+    def scene(offset):
+        ped = Pedestrian(present=True, position=(40.0 + side * offset, -2.6))
+        return Scene(crosswalk=Crosswalk(distance=40.0), pedestrian=ped)
+
+    scene(CROSSWALK_WIDTH / 2)  # on the band's edge
+    with pytest.raises(ValueError, match="bad value for key 'position': .* is outside the crosswalk band"):
+        scene(CROSSWALK_WIDTH / 2 + 0.01)
+
+
+def test_crosswalk_width_is_a_constant():
+    # the width is no field, so no scene sets it and a scene file's
+    # `width:` is an unknown key
+    assert [f.name for f in dataclasses.fields(Crosswalk)] == ["distance"]
+    assert Crosswalk().width == Crosswalk(distance=10.0).width == CROSSWALK_WIDTH == 3.0
 
 
 def test_load_scene_round_trip(repo_root, hidden_scene):
